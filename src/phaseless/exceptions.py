@@ -65,9 +65,5 @@ class DivergentIntegralError(PhaselessError):
     """Weight-norm integral diverges for the requested exponent."""
 
 
-class UnboundedDomainError(PhaselessError):
-    """Domain description does not bound the support."""
-
-
 class DegenerateFitError(PhaselessError):
     """Not enough (or non-positive) samples for a decay fit."""

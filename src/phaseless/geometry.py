@@ -15,6 +15,7 @@ it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,11 @@ def transverse_unit(p, dim: int | None = None, convention: str = "default") -> n
         dim = p.shape[-1]
     if p.shape != (dim,):
         raise ValueError("p must be a vector of length dim")
+    # Scale by a power of two near the largest |component|: squaring a tiny
+    # transfer loses precision to subnormals, and other inputs scale exactly.
+    big = max(map(abs, p.tolist()))
+    if big > 0.0:
+        p = np.ldexp(p, -math.frexp(big)[1])
     q = float(np.linalg.norm(p))
     if dim == 2:
         t = np.array([0.0, 1.0]) if q == 0.0 else np.array([-p[1], p[0]]) / q

@@ -1,15 +1,18 @@
 """Inversion of phaseless data: moduli, phases, masking, and synthesis.
 
-The pipeline walks the probe grid and, node by node,
+Every step is array code over the whole probe grid:
 
-  1. estimates |target transform|^2 from the highest energy available
-     (intensities converge to that limit as energy grows),
-  2. recovers the phase from the interference with one or two known
-     reference scatterers,
-  3. masks nodes where the algebra is singular (vanishing moduli,
-     degenerate reference pair, failed solves, no data),
-  4. inpaints masked nodes from neighbors, band-limits with a smooth
-     taper, and transforms back to real space.
+  1. one pass over the unflagged rows, sorted by (node, energy),
+     estimates |target transform|^2 at each node from its highest
+     energies (intensities converge to that limit as energy grows),
+  2. the phase of every usable node follows in closed form from the
+     interference with one or two known reference scatterers,
+  3. nodes where that algebra is singular are masked: vanishing
+     moduli, a degenerate reference pair (the rule of
+     BackgroundSet.singular_nodes), failed solves, no data,
+  4. masked nodes are inpainted from their neighbors, and the result
+     is band-limited with a smooth taper and transformed back to real
+     space.
 
 With two references the phase is unique; with one reference the law of
 cosines leaves two candidates per node, and the pipeline returns both
@@ -55,9 +58,10 @@ class SingularMask:
     meaningless there).  ref_null[j]: reference transform j below
     threshold.  pair_degenerate: the two reference phases agree modulo
     pi, making the two-reference system singular; by construction this
-    flag is only raised off the ref_null sets.  out_of_ball: no channel
-    reaches the node at the working energy.  solver_failed: synthesis
-    flagged the node's channel.
+    flag is only raised off the ref_null sets.  out_of_ball: no row
+    reaches the node.  solver_failed: synthesis flagged a row at the
+    node; a node whose rows are all flagged has no modulus estimate but
+    stays in the ball, so it counts toward masked_fraction.
     """
 
     target_null: np.ndarray
@@ -131,14 +135,36 @@ class ReconstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _node_history(ds: PhaselessDataset) -> dict[int, list[tuple[float, int]]]:
-    """node -> [(E, row)] sorted by increasing E."""
-    hist: dict[int, list[tuple[float, int]]] = {}
-    for row, (ch, node) in enumerate(zip(ds.channels, ds.node_index)):
-        hist.setdefault(node, []).append((ch.energy, row))
-    for entries in hist.values():
-        entries.sort()
-    return hist
+def _unflagged_by_node(ds: PhaselessDataset):
+    """Unflagged rows sorted by (node, E), with nodes, energies and top-row mask."""
+    node = np.asarray(ds.node_index, dtype=np.intp)
+    energy = np.array([ch.energy for ch in ds.channels])
+    ok = np.nonzero(ds.flags == FLAG_OK)[0]
+    rows = ok[np.lexsort((energy[ok], node[ok]))]
+    nodes = node[rows]
+    last = np.ones(rows.size, dtype=bool)
+    last[:-1] = nodes[1:] != nodes[:-1]
+    return rows, nodes, energy[rows], last
+
+
+def _recover_all_moduli(ds: PhaselessDataset, by_node, estimator: str) -> np.ndarray:
+    """recover_modulus_sq for every node and column; NaN where no unflagged row.
+
+    ``by_node`` is the result of _unflagged_by_node(ds).
+    """
+    if estimator not in ("top", "richardson"):
+        raise ValueError(f"unknown modulus estimator {estimator!r}")
+    rows, nodes, energy, last = by_node
+    out = np.full((ds.pgrid.node_count, ds.values.shape[1]), np.nan)
+    out[nodes[last]] = ds.values[rows[last]]
+    if estimator == "richardson":
+        # sorted row i is the second-highest of its node when row i + 1
+        # is the top row of the same node
+        pair = last[1:] & (nodes[1:] == nodes[:-1])
+        ea, eb = np.sqrt(energy[:-1][pair])[:, None], np.sqrt(energy[1:][pair])[:, None]
+        sa, sb = ds.values[rows[:-1][pair]], ds.values[rows[1:][pair]]
+        out[nodes[1:][pair]] = np.maximum((eb * sb - ea * sa) / (eb - ea), 0.0)
+    return out
 
 
 def recover_modulus_sq(
@@ -152,89 +178,77 @@ def recover_modulus_sq(
     intensity(E) = limit + const/sqrt(E) and clamping at zero; with a
     single usable energy it degrades to "top".
     """
-    hist = _node_history(ds).get(node)
-    if hist is None:
+    if node not in ds.node_index:
         raise NoDataError(f"no channel reaches probe node {node}")
-    usable = [(E, row) for E, row in hist if ds.flags[row] == FLAG_OK]
-    if not usable:
+    value = _recover_all_moduli(ds, _unflagged_by_node(ds), estimator)[node]
+    if np.isnan(value[0]):
         raise NoDataError(f"all channels at probe node {node} are flagged")
-    if j < 0 or j >= ds.values.shape[1]:
+    if j < 0 or j >= value.size:
         raise ValueError(f"no intensity column {j}")
-    if estimator == "top" or len(usable) == 1:
-        return float(ds.values[usable[-1][1], j])
-    if estimator != "richardson":
-        raise ValueError(f"unknown modulus estimator {estimator!r}")
-    (ea, ra), (eb, rb) = usable[-2], usable[-1]
-    sa, sb = ds.values[ra, j], ds.values[rb, j]
-    value = (np.sqrt(eb) * sb - np.sqrt(ea) * sa) / (np.sqrt(eb) - np.sqrt(ea))
-    return float(max(value, 0.0))
+    return float(value[j])
 
 
-def recover_phase_two_refs(
-    m0: float,
-    m1: float,
-    m2: float,
-    w1hat: complex,
-    w2hat: complex,
-    eps_zero: float,
-    eps_pair: float,
-) -> tuple[complex, float]:
+def recover_phase_two_refs(m0, m1, m2, w1hat, w2hat, eps_zero: float, eps_pair: float):
     """Phase of the target transform from two reference interferences.
 
     Solves the 2x2 linear system in (cos, sin) of the unknown phase that
     the two intensity differences induce, then renormalizes onto the
     unit circle.  Returns (unit phase, pre-normalization deviation);
     the deviation is a data-consistency residual, zero for exact data.
-    Raises SingularNodeError when any modulus is below ``eps_zero`` or
-    the reference phases are degenerate below ``eps_pair``.
+    Arguments may be scalars, giving (complex, float), or equal-shape
+    arrays of nodes, giving arrays.  Raises SingularNodeError when any
+    modulus is below ``eps_zero`` or the reference phases are
+    degenerate below ``eps_pair`` at any node.
     """
-    amp0 = np.sqrt(max(m0, 0.0))
-    a1, a2 = abs(w1hat), abs(w2hat)
-    if amp0 < eps_zero:
+    amp0 = np.sqrt(np.maximum(m0, 0.0))
+    a1, a2 = np.abs(w1hat), np.abs(w2hat)
+    if np.any(amp0 < eps_zero):
         raise SingularNodeError("target modulus below threshold")
-    if a1 < eps_zero or a2 < eps_zero:
+    if np.any((a1 < eps_zero) | (a2 < eps_zero)):
         raise SingularNodeError("reference transform below threshold")
     b1, b2 = np.angle(w1hat), np.angle(w2hat)
     det = np.sin(b2 - b1)
     # |omega1^2 - omega2^2| = 2 |sin(b2 - b1)| is the caller-facing
     # degeneracy measure; keep the same scale here.
-    if 2.0 * abs(det) < eps_pair:
+    if np.any(2.0 * np.abs(det) < eps_pair):
         raise SingularNodeError("reference pair is phase-degenerate at this node")
     r1 = (m1 - m0 - a1 * a1) / (2.0 * amp0 * a1)
     r2 = (m2 - m0 - a2 * a2) / (2.0 * amp0 * a2)
     cos_a = (np.sin(b2) * r1 - np.sin(b1) * r2) / det
     sin_a = (np.cos(b1) * r2 - np.cos(b2) * r1) / det
-    length = float(np.hypot(cos_a, sin_a))
-    if length == 0.0:
+    length = np.hypot(cos_a, sin_a)
+    if np.any(length == 0.0):
         raise SingularNodeError("degenerate phase system (zero solution)")
-    return complex(cos_a / length, sin_a / length), abs(length - 1.0)
+    z = cos_a / length + 1j * (sin_a / length)
+    dev = np.abs(length - 1.0)
+    if z.ndim == 0:
+        return complex(z), float(dev)
+    return z, dev
 
 
-def recover_phase_one_ref(
-    m0: float,
-    m1: float,
-    w1hat: complex,
-    eps_zero: float,
-) -> tuple[float, float, tuple[complex, complex]]:
+def recover_phase_one_ref(m0, m1, w1hat, eps_zero: float):
     """Two-candidate phase recovery from a single reference.
 
     Returns (cos of the phase offset, clamp amount, (plus, minus))
     where the candidates are exp(i(beta1 +/- arccos(...))) with the
     arccos taken in [0, pi].  Exact data keeps the cosine inside
-    [-1, 1]; any excess is clamped and reported.
+    [-1, 1]; any excess is clamped and reported.  Scalar arguments give
+    floats and complex numbers, equal-shape arrays give arrays.
     """
-    amp0 = np.sqrt(max(m0, 0.0))
-    a1 = abs(w1hat)
-    if amp0 < eps_zero or a1 < eps_zero:
+    amp0 = np.sqrt(np.maximum(m0, 0.0))
+    a1 = np.abs(w1hat)
+    if np.any((amp0 < eps_zero) | (a1 < eps_zero)):
         raise SingularNodeError("modulus below threshold")
     raw = (m1 - m0 - a1 * a1) / (2.0 * amp0 * a1)
-    cos_d = min(1.0, max(-1.0, raw))
-    clamp = abs(raw - cos_d)
+    cos_d = np.clip(raw, -1.0, 1.0)
+    clamp = np.abs(raw - cos_d)
     b1 = np.angle(w1hat)
     delta = np.arccos(cos_d)
-    plus = complex(np.exp(1j * (b1 + delta)))
-    minus = complex(np.exp(1j * (b1 - delta)))
-    return float(cos_d), float(clamp), (plus, minus)
+    plus = np.exp(1j * (b1 + delta))
+    minus = np.exp(1j * (b1 - delta))
+    if cos_d.ndim == 0:
+        return float(cos_d), float(clamp), (complex(plus), complex(minus))
+    return cos_d, clamp, (plus, minus)
 
 
 def build_mask(
@@ -248,7 +262,8 @@ def build_mask(
 
     ``moduli`` is the (n_nodes, 1 + n_refs) array of recovered squared
     moduli with NaN where no estimate exists.  Thresholds default to
-    1e-3 of each quantity's grid maximum.
+    1e-3 of each quantity's grid maximum; the reference rule is
+    BackgroundSet.singular_nodes.
     """
     pgrid = ds.pgrid
     nodes = pgrid.nodes()
@@ -256,40 +271,26 @@ def build_mask(
     if moduli.shape[0] != n_nodes:
         raise ValueError("moduli rows must cover every probe node")
 
+    node_index = np.asarray(ds.node_index, dtype=np.intp)
+    reached = np.zeros(n_nodes, dtype=bool)
+    reached[node_index] = True
     no_data = np.isnan(moduli[:, 0])
     top = max(ds.energies)
     in_ball = np.linalg.norm(nodes, axis=1) <= 2.0 * np.sqrt(top)
-    out_of_ball = ~in_ball | no_data
+    out_of_ball = ~in_ball | ~reached
 
     solver_failed = np.zeros(n_nodes, dtype=bool)
-    for row in np.nonzero(ds.flags != FLAG_OK)[0]:
-        solver_failed[ds.node_index[row]] = True
+    solver_failed[node_index[ds.flags != FLAG_OK]] = True
 
     amp0 = np.sqrt(np.where(no_data, 0.0, np.maximum(moduli[:, 0], 0.0)))
     scale0 = float(np.max(amp0)) if amp0.size else 0.0
     ez = eps_zero if eps_zero is not None else 1e-3 * scale0
     target_null = in_ball & ~no_data & (amp0 < ez)
 
-    hats = refs.reference_hats(nodes)
-    ref_null = []
-    for h in hats:
-        mag = np.abs(h)
-        ez_j = eps_zero if eps_zero is not None else 1e-3 * float(np.max(mag))
-        ref_null.append(mag < ez_j)
-
-    pair = np.zeros(n_nodes, dtype=bool)
-    ep = eps_pair
-    if refs.count == 2:
-        mags = [np.abs(h) for h in hats]
-        safe = [np.where(m > 0, m, 1.0) for m in mags]
-        gap = np.abs((hats[0] / safe[0]) ** 2 - (hats[1] / safe[1]) ** 2)
-        if ep is None:
-            ep = 1e-3 * max(float(np.max(gap)), 1e-30)
-        pair = (gap < ep) & ~(ref_null[0] | ref_null[1])
-
+    ref_null, pair, ep = refs.singular_nodes(nodes, eps_zero, eps_pair)
     return SingularMask(
         target_null=target_null,
-        ref_null=tuple(ref_null),
+        ref_null=ref_null,
         pair_degenerate=pair,
         out_of_ball=out_of_ball,
         solver_failed=solver_failed,
@@ -300,26 +301,23 @@ def build_mask(
 def _inpaint(values: np.ndarray, good: np.ndarray, fill: np.ndarray, shape) -> np.ndarray:
     """Average each node of ``fill`` from its good neighbors; zero if isolated.
 
-    Single pass: only originally good nodes feed the averages, so the
-    result does not depend on traversal order.
+    Single pass: only originally good nodes feed the averages.  The
+    neighbors are summed over the 3^d shifted windows of the zero-padded
+    grid, in ``np.ndindex`` order.
     """
+    good_grid = np.pad(good.reshape(shape), 1)
+    val_grid = np.pad(np.where(good, values, 0.0).reshape(shape), 1)
+    acc = np.zeros(shape, dtype=complex)
+    count = np.zeros(shape)
+    for offset in np.ndindex(*(3,) * len(shape)):
+        if all(o == 1 for o in offset):
+            continue
+        window = tuple(slice(o, o + s) for o, s in zip(offset, shape))
+        acc += val_grid[window]
+        count += good_grid[window]
+    avg = np.divide(acc, count, out=np.zeros(shape, dtype=complex), where=count > 0)
     out = values.copy()
-    good_grid = good.reshape(shape)
-    val_grid = values.reshape(shape)
-    dim = len(shape)
-    for flat in np.nonzero(fill)[0]:
-        multi = np.unravel_index(flat, shape)
-        acc = 0.0 + 0.0j
-        count = 0
-        for offset in np.ndindex(*(3,) * dim):
-            if all(o == 1 for o in offset):
-                continue
-            idx = tuple(m + o - 1 for m, o in zip(multi, offset))
-            if all(0 <= i < s for i, s in zip(idx, shape)):
-                if good_grid[idx]:
-                    acc += val_grid[idx]
-                    count += 1
-        out[flat] = acc / count if count else 0.0
+    out[fill] = avg.reshape(-1)[fill]
     return out
 
 
@@ -336,33 +334,18 @@ def _taper_window(pnorm: np.ndarray, p_cut: float, fraction: float) -> np.ndarra
     return w
 
 
-def _recover_all_moduli(ds: PhaselessDataset, estimator: str) -> np.ndarray:
-    n_nodes = ds.pgrid.node_count
-    out = np.full((n_nodes, ds.values.shape[1]), np.nan)
-    for node in set(ds.node_index):
-        for j in range(ds.values.shape[1]):
-            try:
-                out[node, j] = recover_modulus_sq(ds, node, j, estimator)
-            except NoDataError:
-                break
-    return out
-
-
-def _modulus_decay_diagnostic(ds: PhaselessDataset) -> dict:
+def _modulus_decay_diagnostic(ds: PhaselessDataset, by_node) -> dict:
     """Spread of per-node intensities against the top energy, fitted."""
     if len(ds.energies) < 5:
         return {"available": False}
-    hist = _node_history(ds)
+    rows, _, energy, last = by_node
     top = max(ds.energies)
-    spreads = {}
-    for node, entries in hist.items():
-        usable = {E: ds.values[row, 0] for E, row in entries if ds.flags[row] == FLAG_OK}
-        if top not in usable:
-            continue
-        for E, val in usable.items():
-            if E != top:
-                spreads.setdefault(E, []).append(abs(val - usable[top]))
-    pairs = sorted((E, max(v)) for E, v in spreads.items() if v)
+    run = np.cumsum(last) - last  # each sorted row's node run
+    top_rows = rows[last]
+    keep = (energy[last] == top)[run] & (energy != top)
+    spread = np.abs(ds.values[rows[keep], 0] - ds.values[top_rows[run[keep]], 0])
+    kept = energy[keep]
+    pairs = [(float(E), float(spread[kept == E].max())) for E in np.unique(kept)]
     if len(pairs) < 4:
         return {"available": False}
     try:
@@ -402,7 +385,8 @@ def reconstruct(
     if spatial.dual().key() != pgrid.key():
         raise GridMismatchError("spatial grid's dual differs from the probe grid")
 
-    moduli = _recover_all_moduli(ds, opts.estimator)
+    by_node = _unflagged_by_node(ds)
+    moduli = _recover_all_moduli(ds, by_node, opts.estimator)
     mask = build_mask(ds, refs, moduli, opts.eps_zero, opts.eps_pair)
     frac = mask.masked_fraction
     if frac > opts.mask_fraction_limit:
@@ -430,19 +414,16 @@ def reconstruct(
         "masked_fraction": frac,
         "estimator": opts.estimator,
         "p_cut": p_cut,
-        "modulus_decay": _modulus_decay_diagnostic(ds),
+        "modulus_decay": _modulus_decay_diagnostic(ds, by_node),
     }
 
+    m = moduli[usable]
     if refs.count == 2:
         phases = np.zeros(nodes.shape[0], dtype=complex)
         deviations = np.full(nodes.shape[0], np.nan)
-        for node in np.nonzero(usable)[0]:
-            z, dev = recover_phase_two_refs(
-                moduli[node, 0], moduli[node, 1], moduli[node, 2],
-                hats[0][node], hats[1][node], ez, ep,
-            )
-            phases[node] = z
-            deviations[node] = dev
+        phases[usable], deviations[usable] = recover_phase_two_refs(
+            m[:, 0], m[:, 1], m[:, 2], hats[0][usable], hats[1][usable], ez, ep
+        )
         result = _assemble(
             ds, moduli, phases, usable, mask, spatial, p_cut, opts,
             branch="two-reference",
@@ -458,13 +439,9 @@ def reconstruct(
     plus = np.zeros(nodes.shape[0], dtype=complex)
     minus = np.zeros(nodes.shape[0], dtype=complex)
     clamps = np.full(nodes.shape[0], np.nan)
-    for node in np.nonzero(usable)[0]:
-        _, clamp, (zp, zm) = recover_phase_one_ref(
-            moduli[node, 0], moduli[node, 1], hats[0][node], ez
-        )
-        plus[node] = zp
-        minus[node] = zm
-        clamps[node] = clamp
+    _, clamps[usable], (plus[usable], minus[usable]) = recover_phase_one_ref(
+        m[:, 0], m[:, 1], hats[0][usable], ez
+    )
     diag = {
         **diag_common,
         "max_cosine_clamp": float(np.nanmax(clamps)) if usable.any() else None,

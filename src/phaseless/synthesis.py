@@ -110,6 +110,31 @@ class BackgroundSet:
     def reference_hats(self, p: np.ndarray) -> list[np.ndarray]:
         return [analytic_hat(w, p) for w in self.backgrounds]
 
+    def singular_nodes(
+        self, p: np.ndarray, eps_zero: float | None = None, eps_pair: float | None = None
+    ) -> tuple[tuple[np.ndarray, ...], np.ndarray, float | None]:
+        """Nodes of ``p`` where reference-based phase recovery is singular.
+
+        Returns (ref_null, pair_degenerate, eps_pair applied).  ref_null[j]:
+        |w_j hat| < ``eps_zero``, by default 1e-3 of that reference's own
+        maximum over ``p``.  pair_degenerate (two references): the unit
+        phases agree modulo pi, |u_1^2 - u_2^2| < ``eps_pair``, by default
+        1e-3 of that gap's maximum, counted only off both zero sets.
+        """
+        hats = self.reference_hats(p)
+        mags = [np.abs(h) for h in hats]
+        ref_null = tuple(
+            m < (eps_zero if eps_zero is not None else 1e-3 * float(np.max(m))) for m in mags
+        )
+        pair = np.zeros(len(p), dtype=bool)
+        if self.count == 2:
+            safe = [np.where(m > 0, m, 1.0) for m in mags]
+            gap = np.abs((hats[0] / safe[0]) ** 2 - (hats[1] / safe[1]) ** 2)
+            if eps_pair is None:
+                eps_pair = 1e-3 * max(float(np.max(gap)), 1e-30)
+            pair = (gap < eps_pair) & ~(ref_null[0] | ref_null[1])
+        return ref_null, pair, eps_pair
+
 
 @dataclass(frozen=True)
 class PhaselessDataset:
@@ -356,7 +381,6 @@ class BackgroundReport:
     degenerate_pair_fraction: float | None
     translate_degeneracy: bool
     estimated_shift: tuple[float, ...] | None
-    thresholds: dict
     warnings: tuple[str, ...]
 
 
@@ -386,23 +410,22 @@ def validate_backgrounds(
     where the two phases agree modulo pi, the configuration that makes
     the two-reference linear system singular, and detects the pure
     translate w2 = w1(. - y), for which that degeneracy fills whole
-    hyperplane families.
+    hyperplane families.  Both sets follow BackgroundSet.singular_nodes,
+    the rule the reconstruction mask applies.
     """
     nodes = pgrid.nodes()
     hats = refs.reference_hats(nodes)
     mags = [np.abs(h) for h in hats]
-    scale = max(float(np.max(m)) for m in mags)
-    if scale == 0.0:
+    if max(float(np.max(m)) for m in mags) == 0.0:
         raise BackgroundValidationError("all reference transforms vanish on the grid")
-    ez = eps_zero if eps_zero is not None else 1e-3 * scale
+    ref_null, pair_nodes, _ = refs.singular_nodes(nodes, eps_zero, eps_pair)
     warnings: list[str] = []
 
     zero_fraction = []
     zero_radii = []
     rnorm = np.linalg.norm(nodes, axis=1)
     dp = float(np.max(pgrid.spacing))
-    for j, m in enumerate(mags):
-        small = m < ez
+    for j, small in enumerate(ref_null):
         frac = float(np.mean(small))
         zero_fraction.append(frac)
         zero_radii.append(_cluster_radii(rnorm[small], 2.0 * dp))
@@ -416,20 +439,14 @@ def validate_backgrounds(
     translate_flag = False
     shift_est = None
     if refs.count == 2:
-        w1, w2 = hats
-        unit1 = np.where(mags[0] > 0, w1 / np.where(mags[0] > 0, mags[0], 1.0), 0.0)
-        unit2 = np.where(mags[1] > 0, w2 / np.where(mags[1] > 0, mags[1], 1.0), 0.0)
-        sq_gap = np.abs(unit1**2 - unit2**2)
-        ep = eps_pair if eps_pair is not None else 1e-3 * max(float(np.max(sq_gap)), 1e-30)
-        off_zero = (mags[0] >= ez) & (mags[1] >= ez)
-        pair_nodes = off_zero & (sq_gap < ep)
+        off_zero = ~(ref_null[0] | ref_null[1])
         pair_fraction = float(np.sum(pair_nodes) / max(np.sum(off_zero), 1))
         if pair_fraction > 0.05:
             warnings.append(
                 "two-reference phase system is near-singular on "
                 f"{100.0 * pair_fraction:.1f}% of usable nodes"
             )
-        translate_flag, shift_est = _detect_translate(refs, pgrid, mags, hats, ez)
+        translate_flag, shift_est = _detect_translate(pgrid, mags, hats, off_zero)
         if translate_flag:
             warnings.append(
                 "reference 2 looks like a translate of reference 1 "
@@ -443,14 +460,12 @@ def validate_backgrounds(
         degenerate_pair_fraction=pair_fraction,
         translate_degeneracy=translate_flag,
         estimated_shift=shift_est,
-        thresholds={"eps_zero": ez, "eps_pair": eps_pair},
         warnings=tuple(warnings),
     )
 
 
-def _detect_translate(refs, pgrid, mags, hats, ez):
+def _detect_translate(pgrid, mags, hats, usable):
     """Detect w2 = w1 shifted: equal moduli and a linear phase ratio."""
-    usable = (mags[0] >= ez) & (mags[1] >= ez)
     if not np.any(usable):
         return False, None
     mod_gap = float(np.max(np.abs(mags[0][usable] - mags[1][usable])))

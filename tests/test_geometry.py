@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -36,6 +36,7 @@ def _ball_points(dim):
 
 @settings(max_examples=200, deadline=None)
 @given(_ball_points(2))
+@example((1.0, [0.0, 1.0], 4.20993163139155e-160))  # |p|^2 is subnormal
 def test_channel_invariants_2d(draw):
     E, direction, frac = draw
     d = np.asarray(direction)
@@ -57,6 +58,7 @@ def test_channel_invariants_2d(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_ball_points(3))
+@example((1.0, [0.0, 1.0, 0.0], 2.1e-160))  # |p|^2 is subnormal
 def test_channel_invariants_3d(draw):
     E, direction, frac = draw
     d = np.asarray(direction)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -24,7 +25,12 @@ from phaseless.reconstruct import (
     recover_phase_one_ref,
     recover_phase_two_refs,
 )
-from phaseless.synthesis import FLAG_SOLVER_FAILED, BackgroundSet, synthesize
+from phaseless.synthesis import (
+    FLAG_SOLVER_FAILED,
+    BackgroundSet,
+    synthesize,
+    validate_backgrounds,
+)
 
 EPS = 1e-9
 
@@ -99,6 +105,33 @@ def test_one_ref_branches_cover_truth(alpha, beta, amp0, a1):
         assert abs(abs(amp0 * cand + w1) ** 2 - m1) < 1e-9 * max(m1, 1.0)
 
 
+def test_phase_recovery_arrays_match_scalar_calls(rng):
+    n = 64
+    vhat = rng.uniform(0.1, 10.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    beta1 = rng.uniform(-np.pi, np.pi, n)
+    beta2 = beta1 + rng.uniform(0.1, np.pi - 0.1, n)
+    w1 = rng.uniform(0.1, 10.0, n) * np.exp(1j * beta1)
+    w2 = rng.uniform(0.1, 10.0, n) * np.exp(1j * beta2)
+    m0, m1, m2 = np.abs(vhat) ** 2, np.abs(vhat + w1) ** 2, np.abs(vhat + w2) ** 2
+    m1[:4] *= 1.7  # inconsistent data, so some cosines are clamped
+
+    z, dev = recover_phase_two_refs(m0, m1, m2, w1, w2, EPS, EPS)
+    cos_d, clamp, (plus, minus) = recover_phase_one_ref(m0, m1, w1, EPS)
+    assert clamp.max() > 0.0
+    for i in range(n):
+        zi, devi = recover_phase_two_refs(m0[i], m1[i], m2[i], w1[i], w2[i], EPS, EPS)
+        assert type(zi) is complex and type(devi) is float
+        assert (zi, devi) == (z[i], dev[i])
+        ci, cli, (pi, mi) = recover_phase_one_ref(m0[i], m1[i], w1[i], EPS)
+        assert type(ci) is float and type(pi) is complex
+        assert (ci, cli, pi, mi) == (cos_d[i], clamp[i], plus[i], minus[i])
+
+    # one singular node makes the whole call fail, as the scalar call does
+    w2[5] = -2.0 * w1[5]
+    with pytest.raises(SingularNodeError, match="degenerate"):
+        recover_phase_two_refs(m0, m1, m2, w1, w2, EPS, EPS)
+
+
 def test_one_ref_clamp_reported():
     # m1 inconsistent with any phase: raw cosine 1.25, clamped to 1
     cos_d, clamp, (plus, minus) = recover_phase_one_ref(1.0, 4.5, 1.0 + 0.0j, EPS)
@@ -121,15 +154,31 @@ def test_modulus_estimators(off_center_ball):
         for idx, hist in _histogram(doctored).items()
         if len({e for e, _ in hist}) == 2
     ]
+    assert both
+    for node in both:
+        top = recover_modulus_sq(doctored, node, estimator="top")
+        assert_allclose(top, limit + c / 3.0, rtol=1e-13)
+        rich = recover_modulus_sq(doctored, node, estimator="richardson")
+        assert_allclose(rich, limit, rtol=1e-12)
     node = both[0]
-    top = recover_modulus_sq(doctored, node, estimator="top")
-    assert_allclose(top, limit + c / 3.0, rtol=1e-13)
-    rich = recover_modulus_sq(doctored, node, estimator="richardson")
-    assert_allclose(rich, limit, rtol=1e-12)
+    # a flagged top row leaves the lower energy as the only estimate
+    (_, top_row), = [(e, r) for e, r in _histogram(doctored)[node] if e == 9.0]
+    flags = np.array(doctored.flags)
+    flags[top_row] = FLAG_SOLVER_FAILED
+    partial = dataclasses.replace(doctored, flags=flags)
+    for estimator in ("top", "richardson"):
+        got = recover_modulus_sq(partial, node, estimator=estimator)
+        assert_allclose(got, limit + c / 2.0, rtol=1e-13)
+    assert recover_modulus_sq(partial, both[1], estimator="top") == top
     with pytest.raises(ValueError):
         recover_modulus_sq(doctored, node, estimator="median")
     with pytest.raises(NoDataError):
         recover_modulus_sq(doctored, pg.node_count + 7)
+    (_, low_row), = [(e, r) for e, r in _histogram(doctored)[node] if e == 4.0]
+    flags = np.array(partial.flags)
+    flags[low_row] = FLAG_SOLVER_FAILED
+    with pytest.raises(NoDataError, match="flagged"):
+        recover_modulus_sq(dataclasses.replace(doctored, flags=flags), node)
 
 
 def _histogram(ds):
@@ -158,6 +207,18 @@ def test_build_mask_flags(off_center_ball, two_ball_refs):
     assert 0.0 <= mask.masked_fraction <= 1.0
 
 
+def _good_neighbor_mean(values, good, shape, flat):
+    """Mean of the good neighbors of node ``flat``, enumerated one by one."""
+    center = np.unravel_index(flat, shape)
+    picked = []
+    for offset in itertools.product((-1, 0, 1), repeat=len(shape)):
+        idx = tuple(c + o for c, o in zip(center, offset))
+        if any(offset) and all(0 <= i < s for i, s in zip(idx, shape)):
+            if good.reshape(shape)[idx]:
+                picked.append(values.reshape(shape)[idx])
+    return len(picked), np.mean(picked)
+
+
 def test_inpaint_averages_good_neighbors():
     shape = (3, 3)
     values = np.arange(9, dtype=complex)
@@ -173,6 +234,56 @@ def test_inpaint_averages_good_neighbors():
     alone[4] = True
     out2 = _inpaint(values, np.zeros(9, dtype=bool), alone, shape)
     assert out2[4] == 0.0
+
+    # 3-D: an interior node averages all 26 neighbors, an edge node
+    # only the good ones inside the grid
+    shape = (4, 4, 4)
+    values = np.sin(np.arange(64.0)) + 1j * np.cos(np.arange(64.0))
+    interior = np.ravel_multi_index((1, 2, 1), shape)
+    edge = np.ravel_multi_index((0, 0, 2), shape)
+    good = np.ones(64, dtype=bool)
+    good[[interior, edge]] = False
+    out = _inpaint(values, good, ~good, shape)
+    assert np.array_equal(out[good], values[good])
+    counts = []
+    for flat in (interior, edge):
+        count, mean = _good_neighbor_mean(values, good, shape, flat)
+        counts.append(count)
+        assert_allclose(out[flat], mean, rtol=1e-14)
+    assert counts == [26, 11]
+
+
+def test_failed_solves_count_toward_mask(box_grid, off_center_ball, two_ball_refs):
+    pg = box_grid.dual()
+    ds = synthesize(off_center_ball, two_ball_refs, EnergySet((25.0,)), pg)
+    flags = np.array(ds.flags)
+    values = np.array(ds.values)
+    flags[::2] = FLAG_SOLVER_FAILED
+    values[::2] = np.nan
+    ds = dataclasses.replace(ds, flags=flags, values=values)
+    failed = np.asarray(ds.node_index)[::2]
+    with pytest.raises(DegenerateDataError):
+        reconstruct(ds, options=ReconstructionOptions(spatial_grid=box_grid))
+    res = reconstruct(
+        ds, options=ReconstructionOptions(spatial_grid=box_grid, mask_fraction_limit=1.0)
+    )
+    mask = res.mask
+    assert mask.solver_failed[failed].all()
+    assert not mask.out_of_ball[failed].any()
+    assert mask.masked_fraction >= failed.size / np.sum(~mask.out_of_ball)
+    assert np.all(np.isfinite(res.spectrum.values))
+
+
+def test_background_report_matches_mask(off_center_ball, two_ball_refs):
+    # the probe grid of a 128^2 box of half-width 1.5, where a reference
+    # far below the larger one's maximum shows any mismatch of the rules
+    pg = GridSpec(2, 128, (-1.5, -1.5), (1.5, 1.5)).dual()
+    ds = synthesize(off_center_ball, two_ball_refs, EnergySet((25.0,)), pg)
+    mask = build_mask(ds, two_ball_refs, np.full((pg.node_count, 3), np.nan))
+    report = validate_backgrounds(two_ball_refs, pg)
+    assert report.zero_fraction == tuple(float(np.mean(r)) for r in mask.ref_null)
+    off_zero = ~(mask.ref_null[0] | mask.ref_null[1])
+    assert report.degenerate_pair_fraction == np.sum(mask.pair_degenerate) / np.sum(off_zero)
 
 
 def test_end_to_end_two_refs(box_grid, off_center_ball, two_ball_refs):
