@@ -10,7 +10,6 @@ from .bounds import (
     BoundsReport,
     bounds_report,
     contraction_onset,
-    domain_error_coefficient,
     error_coefficient,
     fit_decay,
     sup_weight_on_support,
@@ -21,10 +20,8 @@ from .fourier import forward_transform, inverse_transform
 from .geometry import (
     EnergySet,
     ScatteringChannel,
-    band_limited_channels,
     channel,
     channels_on_grid,
-    channels_to_csv,
     transverse_unit,
 )
 from .grids import GridSpec, ScalarField, SpectralField
@@ -78,8 +75,6 @@ __all__ = [
     "ScatteringChannel",
     "channel",
     "channels_on_grid",
-    "band_limited_channels",
-    "channels_to_csv",
     "EnergySet",
     "WaveVector",
     "SolverConfig",
@@ -106,7 +101,6 @@ __all__ = [
     "sup_weight_on_support",
     "contraction_onset",
     "error_coefficient",
-    "domain_error_coefficient",
     "fit_decay",
     "BoundsReport",
     "bounds_report",

@@ -32,7 +32,6 @@ __all__ = [
     "sup_weight_on_support",
     "contraction_onset",
     "error_coefficient",
-    "domain_error_coefficient",
     "fit_decay",
     "BoundsReport",
     "bounds_report",
@@ -104,24 +103,6 @@ def error_coefficient(dim: int, sigma: float, norm: float, a0: float = 1.0) -> f
     """
     c1 = weight_norm_constant(dim, sigma)
     return float(6.0 * (2.0 * np.pi) ** (-2 * dim) * a0 * c1**4 * norm**3)
-
-
-def domain_error_coefficient(
-    spec: PotentialSpec, sigma: float, a0: float = 1.0
-) -> float:
-    """Domain-only variant: the norm is replaced by its geometric bound.
-
-    Substituting norm <= c2(D) * sup|v| makes the coefficient a function
-    of the support geometry alone, at the price of looseness; the sup
-    norm itself is factored out by the caller (cubed).
-    """
-    c2 = sup_weight_on_support(spec, sigma)
-    return float(
-        6.0 * (2.0 * np.pi) ** (-2 * spec.dim)
-        * a0
-        * weight_norm_constant(spec.dim, sigma) ** 4
-        * c2**3
-    )
 
 
 def fit_decay(energies, errors) -> tuple[float, float]:

@@ -153,7 +153,7 @@ def _outgoing_directions(dim: int) -> np.ndarray:
     ).reshape(-1, 3)
 
 
-def cmd_forward(cfg: ExperimentConfig, outdir: Path, workers: int) -> int:
+def cmd_forward(cfg: ExperimentConfig, outdir: Path) -> int:
     """Solve the total field per energy and tabulate far-field amplitudes."""
     bundle = _Bundle("forward", cfg, outdir)
     field_v = rasterize(cfg.target, cfg.grid)
@@ -187,7 +187,7 @@ def cmd_forward(cfg: ExperimentConfig, outdir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_synthesize(cfg: ExperimentConfig, outdir: Path, workers: int) -> int:
+def cmd_synthesize(cfg: ExperimentConfig, outdir: Path) -> int:
     bundle = _Bundle("synthesize", cfg, outdir)
     pgrid = cfg.probe()
     ds = synthesize(
@@ -199,7 +199,6 @@ def cmd_synthesize(cfg: ExperimentConfig, outdir: Path, workers: int) -> int:
         grid=cfg.grid,
         solver=cfg.solver,
         convention=cfg.convention,
-        workers=workers,
     )
     base = outdir / "dataset"
     write_dataset(ds, str(base), target=cfg.target)
@@ -239,9 +238,7 @@ def _mask_index_lists(mask) -> dict:
     }
 
 
-def cmd_reconstruct(
-    cfg: ExperimentConfig, outdir: Path, workers: int, dataset: str | None
-) -> int:
+def cmd_reconstruct(cfg: ExperimentConfig, outdir: Path, dataset: str | None) -> int:
     bundle = _Bundle("reconstruct", cfg, outdir)
     if cfg.references is None:
         raise ConfigError("reconstruct needs reference scatterers in the config")
@@ -258,7 +255,6 @@ def cmd_reconstruct(
             grid=cfg.grid,
             solver=cfg.solver,
             convention=cfg.convention,
-            workers=workers,
         )
     options = cfg.reconstruction_options()
     out = reconstruct(ds, cfg.references, options)
@@ -287,7 +283,7 @@ def cmd_reconstruct(
     return 0
 
 
-def _convergence_errors(cfg: ExperimentConfig, workers: int) -> tuple[list, list]:
+def _convergence_errors(cfg: ExperimentConfig) -> tuple[list, list]:
     """Per-energy worst intensity error against the closed-form transform."""
     pgrid = cfg.probe()
     energies, errors = [], []
@@ -301,7 +297,6 @@ def _convergence_errors(cfg: ExperimentConfig, workers: int) -> tuple[list, list
             grid=cfg.grid,
             solver=cfg.solver,
             convention=cfg.convention,
-            workers=workers,
         )
         ok = ds.flags == 0
         if not np.all(ok):
@@ -320,9 +315,9 @@ def _convergence_errors(cfg: ExperimentConfig, workers: int) -> tuple[list, list
     return energies, errors
 
 
-def cmd_convergence(cfg: ExperimentConfig, outdir: Path, workers: int) -> int:
+def cmd_convergence(cfg: ExperimentConfig, outdir: Path) -> int:
     bundle = _Bundle("convergence", cfg, outdir)
-    energies, errors = _convergence_errors(cfg, workers)
+    energies, errors = _convergence_errors(cfg)
     slope, intercept = fit_decay(energies, errors)
     lo, hi = cfg.convergence["slope_window"]
     ok = lo <= slope <= hi
@@ -348,7 +343,7 @@ def cmd_convergence(cfg: ExperimentConfig, outdir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_ambiguity_demo(cfg: ExperimentConfig, outdir: Path, workers: int) -> int:
+def cmd_ambiguity_demo(cfg: ExperimentConfig, outdir: Path) -> int:
     bundle = _Bundle("ambiguity-demo", cfg, outdir)
     if cfg.shift is None:
         raise ConfigError("ambiguity-demo needs a shift in the config")
@@ -361,7 +356,6 @@ def cmd_ambiguity_demo(cfg: ExperimentConfig, outdir: Path, workers: int) -> int
         cfg.mode,
         grid=cfg.grid,
         solver=cfg.solver,
-        workers=workers,
     )
     shifted = rasterize(cfg.target.translate(cfg.shift), cfg.grid)
     base = outdir / "ambiguity_shifted_potential"
@@ -380,7 +374,7 @@ def cmd_ambiguity_demo(cfg: ExperimentConfig, outdir: Path, workers: int) -> int
     return 0
 
 
-def cmd_bounds(cfg: ExperimentConfig, outdir: Path, workers: int) -> int:
+def cmd_bounds(cfg: ExperimentConfig, outdir: Path) -> int:
     bundle = _Bundle("bounds", cfg, outdir)
     if cfg.bounds["errors_csv"] is not None:
         path = Path(cfg.bounds["errors_csv"])
@@ -389,7 +383,7 @@ def cmd_bounds(cfg: ExperimentConfig, outdir: Path, workers: int) -> int:
         energies = [float(line.split(",")[0]) for line in lines]
         errors = [float(line.split(",")[1]) for line in lines]
     else:
-        energies, errors = _convergence_errors(cfg, workers)
+        energies, errors = _convergence_errors(cfg)
     rep = bounds_report(
         cfg.target, energies, errors, sigma=cfg.bounds["sigma"], a0=cfg.bounds["a0"]
     )
@@ -435,7 +429,7 @@ def _parse(argv):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment JSON path")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--workers", type=int, default=1, help="solver worker processes")
+        p.add_argument("--workers", type=int, default=1, help="retired and ignored")
         p.add_argument(
             "--mode",
             choices=("born", "full"),
@@ -454,6 +448,8 @@ def _parse(argv):
 
 def main(argv=None) -> int:
     args = _parse(argv)
+    if args.workers != 1:
+        print(f"warning: --workers is retired; ignoring --workers {args.workers}", file=sys.stderr)
     try:
         cfg = load_config(args.config)
         if args.mode is not None:
@@ -463,17 +459,17 @@ def main(argv=None) -> int:
             raise ConfigError("no output directory: set config.output or pass --out")
         outdir = Path(out)
         if args.command == "forward":
-            return cmd_forward(cfg, outdir, args.workers)
+            return cmd_forward(cfg, outdir)
         if args.command == "synthesize":
-            return cmd_synthesize(cfg, outdir, args.workers)
+            return cmd_synthesize(cfg, outdir)
         if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, outdir, args.workers, args.dataset)
+            return cmd_reconstruct(cfg, outdir, args.dataset)
         if args.command == "convergence":
-            return cmd_convergence(cfg, outdir, args.workers)
+            return cmd_convergence(cfg, outdir)
         if args.command == "ambiguity-demo":
-            return cmd_ambiguity_demo(cfg, outdir, args.workers)
+            return cmd_ambiguity_demo(cfg, outdir)
         if args.command == "bounds":
-            return cmd_bounds(cfg, outdir, args.workers)
+            return cmd_bounds(cfg, outdir)
         raise ConfigError(f"unknown command {args.command!r}")
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

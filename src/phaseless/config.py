@@ -139,6 +139,10 @@ def _solver_from(data: dict, context: str) -> SolverConfig:
             "dense_limit": (int, 3000),
         },
     )
+    # Retired key, still read so older configs load: "auto" without the
+    # fallback never went dense, which is exactly the "born" route.
+    if not got.pop("fallback") and got["method"] == "auto":
+        got["method"] = "born"
     try:
         return SolverConfig(**got)
     except ValueError as exc:
@@ -358,7 +362,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "max_iterations": cfg.solver.max_iterations,
             "resolution_factor": cfg.solver.resolution_factor,
             "method": cfg.solver.method,
-            "fallback": cfg.solver.fallback,
             "dense_limit": cfg.solver.dense_limit,
         },
         "reconstruction": dict(cfg.reconstruction),

@@ -29,8 +29,6 @@ __all__ = [
     "transverse_unit",
     "channel",
     "channels_on_grid",
-    "band_limited_channels",
-    "channels_to_csv",
 ]
 
 _CONVENTIONS = ("default", "mirror")
@@ -175,24 +173,6 @@ def channels_on_grid(
     return channels, skipped
 
 
-def band_limited_channels(
-    E0: float, E: float, pgrid: GridSpec, convention: str = "default"
-) -> list[ScatteringChannel]:
-    """Channels of energy ``E`` restricted to transfers |p| < 2*sqrt(E0).
-
-    The restriction is strict, so ``E0 = E`` drops exactly the boundary
-    nodes |p| = 2*sqrt(E).  Requires 0 < E0 <= E.
-    """
-    if not 0 < E0 <= E:
-        raise ValueError("need 0 < E0 <= E")
-    limit = 2.0 * np.sqrt(E0)
-    out = []
-    for p in pgrid.nodes():
-        if np.linalg.norm(p) < limit:
-            out.append(channel(E, p, convention))
-    return out
-
-
 @dataclass(frozen=True)
 class EnergySet:
     """Ascending collection of probe energies.
@@ -231,33 +211,3 @@ class EnergySet:
 
     def __len__(self) -> int:
         return len(self.energies)
-
-
-def channels_to_csv(channels: list[ScatteringChannel]) -> str:
-    """Serialize channels as CSV with one row per channel.
-
-    Columns: E, p_1..p_d, t_1..t_d, kin_1..kin_d, kout_1..kout_d.
-    """
-    if not channels:
-        return ""
-    d = channels[0].dim
-    cols = (
-        ["E"]
-        + [f"p_{a + 1}" for a in range(d)]
-        + [f"t_{a + 1}" for a in range(d)]
-        + [f"kin_{a + 1}" for a in range(d)]
-        + [f"kout_{a + 1}" for a in range(d)]
-    )
-    lines = [",".join(cols)]
-    for ch in channels:
-        if ch.dim != d:
-            raise ValueError("mixed dimensions in channel list")
-        row = (
-            [repr(ch.energy)]
-            + [repr(x) for x in ch.transfer]
-            + [repr(x) for x in ch.transverse]
-            + [repr(x) for x in ch.incident]
-            + [repr(x) for x in ch.outgoing]
-        )
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

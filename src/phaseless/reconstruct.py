@@ -188,7 +188,9 @@ def recover_modulus_sq(
     return float(value[j])
 
 
-def recover_phase_two_refs(m0, m1, m2, w1hat, w2hat, eps_zero: float, eps_pair: float):
+def recover_phase_two_refs(
+    m0, m1, m2, w1hat, w2hat, eps_zero: float, eps_pair: float, eps_ref=None
+):
     """Phase of the target transform from two reference interferences.
 
     Solves the 2x2 linear system in (cos, sin) of the unknown phase that
@@ -196,15 +198,18 @@ def recover_phase_two_refs(m0, m1, m2, w1hat, w2hat, eps_zero: float, eps_pair: 
     unit circle.  Returns (unit phase, pre-normalization deviation);
     the deviation is a data-consistency residual, zero for exact data.
     Arguments may be scalars, giving (complex, float), or equal-shape
-    arrays of nodes, giving arrays.  Raises SingularNodeError when any
-    modulus is below ``eps_zero`` or the reference phases are
+    arrays of nodes, giving arrays.  Raises SingularNodeError when the
+    target modulus is below ``eps_zero``, reference j's modulus below
+    ``eps_ref[j]`` (default ``eps_zero``; the mask passes the threshold
+    it applied to each reference), or the reference phases are
     degenerate below ``eps_pair`` at any node.
     """
+    e1, e2 = eps_ref if eps_ref is not None else (eps_zero, eps_zero)
     amp0 = np.sqrt(np.maximum(m0, 0.0))
     a1, a2 = np.abs(w1hat), np.abs(w2hat)
     if np.any(amp0 < eps_zero):
         raise SingularNodeError("target modulus below threshold")
-    if np.any((a1 < eps_zero) | (a2 < eps_zero)):
+    if np.any((a1 < e1) | (a2 < e2)):
         raise SingularNodeError("reference transform below threshold")
     b1, b2 = np.angle(w1hat), np.angle(w2hat)
     det = np.sin(b2 - b1)
@@ -226,18 +231,21 @@ def recover_phase_two_refs(m0, m1, m2, w1hat, w2hat, eps_zero: float, eps_pair: 
     return z, dev
 
 
-def recover_phase_one_ref(m0, m1, w1hat, eps_zero: float):
+def recover_phase_one_ref(m0, m1, w1hat, eps_zero: float, eps_ref=None):
     """Two-candidate phase recovery from a single reference.
 
     Returns (cos of the phase offset, clamp amount, (plus, minus))
     where the candidates are exp(i(beta1 +/- arccos(...))) with the
     arccos taken in [0, pi].  Exact data keeps the cosine inside
     [-1, 1]; any excess is clamped and reported.  Scalar arguments give
-    floats and complex numbers, equal-shape arrays give arrays.
+    floats and complex numbers, equal-shape arrays give arrays.  The
+    target modulus is checked against ``eps_zero``, the reference's
+    against ``eps_ref[0]`` (default ``eps_zero``).
     """
+    (e1,) = eps_ref if eps_ref is not None else (eps_zero,)
     amp0 = np.sqrt(np.maximum(m0, 0.0))
     a1 = np.abs(w1hat)
-    if np.any((amp0 < eps_zero) | (a1 < eps_zero)):
+    if np.any((amp0 < eps_zero) | (a1 < e1)):
         raise SingularNodeError("modulus below threshold")
     raw = (m1 - m0 - a1 * a1) / (2.0 * amp0 * a1)
     cos_d = np.clip(raw, -1.0, 1.0)
@@ -287,14 +295,14 @@ def build_mask(
     ez = eps_zero if eps_zero is not None else 1e-3 * scale0
     target_null = in_ball & ~no_data & (amp0 < ez)
 
-    ref_null, pair, ep = refs.singular_nodes(nodes, eps_zero, eps_pair)
+    ref_null, pair, eps_ref, ep = refs.singular_nodes(nodes, eps_zero, eps_pair)
     return SingularMask(
         target_null=target_null,
         ref_null=ref_null,
         pair_degenerate=pair,
         out_of_ball=out_of_ball,
         solver_failed=solver_failed,
-        thresholds={"eps_zero": ez, "eps_pair": ep},
+        thresholds={"eps_zero": ez, "eps_ref": eps_ref, "eps_pair": ep},
     )
 
 
@@ -404,6 +412,7 @@ def reconstruct(
     nodes = pgrid.nodes()
     hats = refs.reference_hats(nodes)
     ez = mask.thresholds["eps_zero"]
+    er = mask.thresholds["eps_ref"]
     ep = mask.thresholds["eps_pair"]
     usable = ~mask.any_flag
 
@@ -422,7 +431,7 @@ def reconstruct(
         phases = np.zeros(nodes.shape[0], dtype=complex)
         deviations = np.full(nodes.shape[0], np.nan)
         phases[usable], deviations[usable] = recover_phase_two_refs(
-            m[:, 0], m[:, 1], m[:, 2], hats[0][usable], hats[1][usable], ez, ep
+            m[:, 0], m[:, 1], m[:, 2], hats[0][usable], hats[1][usable], ez, ep, er
         )
         result = _assemble(
             ds, moduli, phases, usable, mask, spatial, p_cut, opts,
@@ -440,7 +449,7 @@ def reconstruct(
     minus = np.zeros(nodes.shape[0], dtype=complex)
     clamps = np.full(nodes.shape[0], np.nan)
     _, clamps[usable], (plus[usable], minus[usable]) = recover_phase_one_ref(
-        m[:, 0], m[:, 1], hats[0][usable], ez
+        m[:, 0], m[:, 1], hats[0][usable], ez, er
     )
     diag = {
         **diag_common,

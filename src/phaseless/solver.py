@@ -6,18 +6,19 @@ The total field for incident plane wave e^{i k.x} satisfies
 
 discretized on the potential's grid with midpoint weights except at the
 singular diagonal cell, which carries the closed-form equal-measure
-integral of the kernel (see greens.singular_cell_weight).  The fixed
-point is found by direct iteration
+integral of the kernel (see greens.singular_cell_weight).  Columns of
+the kernel vanish off the support, so the system restricted to the
+support nodes is exact.  One route rule, uses_direct_solve, picks the
+direct solve of that system when the support has at most ``dense_limit``
+nodes (or method "dense"), else the iteration
 
     psi_{m+1} = incident + K psi_m,
 
-each application of K being one zero-padded FFT convolution.  The same
-weights drive the dense direct solve, restricted to the support nodes
-(columns of K vanish off the support), so both methods solve the exact
-same linear system and can be cross-checked to tight tolerance.
-At high energy the iteration contracts with rate O(E^{-1/2}); on
-divergence the solver falls back to the dense route when the support is
-small enough.
+each application of K being one zero-padded FFT convolution; it
+contracts with rate O(E^{-1/2}) at high energy, and divergence raises.
+The system depends only on the support and |k|, so direct_amplitudes
+factors it once per energy for every channel.  Both routes share the
+weights, so they can be cross-checked to tight tolerance.
 
 The scattering amplitude is the weighted quadrature
 
@@ -34,6 +35,7 @@ from typing import Optional
 import warnings
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from .exceptions import (
     EnergyShellError,
@@ -49,7 +51,9 @@ __all__ = [
     "SolverConfig",
     "SolverReport",
     "plane_wave",
+    "uses_direct_solve",
     "solve_lippmann_schwinger",
+    "direct_amplitudes",
     "scattering_amplitude",
     "born_amplitude",
     "far_field_check",
@@ -89,7 +93,6 @@ class SolverConfig:
     max_iterations: int = 200
     resolution_factor: float = 8.0
     method: str = "auto"  # auto | born | dense
-    fallback: bool = True
     dense_limit: int = 3000  # max support nodes for the dense route
 
     def __post_init__(self):
@@ -110,6 +113,9 @@ class SolverReport:
 
 _KERNEL_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _KERNEL_CACHE_LIMIT = 32
+# incident waves solved per block in direct_amplitudes: bounds its
+# (support, block) arrays, while the factorization is shared by all blocks
+_CHANNEL_BLOCK = 32
 
 
 def _kernel_tables(grid: GridSpec, kmag: float) -> tuple[np.ndarray, np.ndarray]:
@@ -180,6 +186,55 @@ def _check_resolution(grid: GridSpec, k: WaveVector, cfg: SolverConfig) -> None:
         )
 
 
+def _support(v: ScalarField) -> np.ndarray:
+    """Grid nodes where the potential acts: the only columns of K that count."""
+    return v.mask & (v.values != 0)
+
+
+def uses_direct_solve(v: ScalarField, cfg: SolverConfig) -> bool:
+    """The route rule: True for the direct solve, False for the iteration.
+
+    "dense" always goes direct (and fails above ``dense_limit``), "born"
+    always iterates, "auto" goes direct when the support has at most
+    ``dense_limit`` nodes.
+    """
+    if cfg.method == "auto":
+        return int(np.count_nonzero(_support(v))) <= cfg.dense_limit
+    return cfg.method == "dense"
+
+
+def _support_factors(v: ScalarField, weights_tab: np.ndarray, cfg: SolverConfig):
+    """Support mask and the LU factors of I - W v restricted to the support.
+
+    W between support nodes is read from the padded weight table through
+    signed index offsets, built one axis at a time into a single int64
+    index array, so no (m, m, dim) offset array is ever held; the matrix
+    is formed and factored in place.
+    """
+    mask = _support(v)
+    idx = np.argwhere(mask)
+    m = idx.shape[0]
+    if m > cfg.dense_limit:
+        raise SolverConvergenceError(
+            f"direct solve needs {m} support nodes, limit is {cfg.dense_limit}"
+        )
+    pad = weights_tab.shape[0]
+    flat = np.zeros((m, m), dtype=np.int64)
+    for col in idx.T:
+        step = np.subtract.outer(col, col)
+        step %= pad
+        flat *= pad
+        flat += step
+        del step
+    # G depends on |x - y| only, so W is symmetric and its transpose, the
+    # Fortran-ordered layout LAPACK factors in place, holds the same values
+    a_mat = np.take(weights_tab, flat).T
+    del flat
+    a_mat *= -v.values[mask]
+    a_mat[np.diag_indices(m)] += 1.0
+    return mask, lu_factor(a_mat, overwrite_a=True, check_finite=False)
+
+
 def _dense_solve(
     v: ScalarField,
     k: WaveVector,
@@ -187,34 +242,15 @@ def _dense_solve(
     spectrum: np.ndarray,
     cfg: SolverConfig,
 ) -> np.ndarray:
-    """Direct solve of the support-restricted system, extended to the grid.
-
-    For nodes off the support the kernel columns are multiplied by zero
-    potential, so the restricted system is exact, not an approximation.
-    """
+    """Direct solve of the support-restricted system, extended to the grid."""
     grid = v.grid
-    mask = v.mask & (v.values != 0)
-    idx = np.argwhere(mask)
-    m = idx.shape[0]
-    if m > cfg.dense_limit:
-        raise SolverConvergenceError(
-            f"dense fallback needs {m} support nodes, limit is {cfg.dense_limit}"
-        )
+    mask, factors = _support_factors(v, weights_tab, cfg)
     inc = plane_wave(grid, k)
-    if m == 0:
+    if not np.any(mask):
         return inc
-    # weight between support nodes via signed index offsets into the padded table
-    pad = weights_tab.shape[0]
-    diffs = idx[:, None, :] - idx[None, :, :]  # (m, m, dim)
-    flat = np.zeros((m, m), dtype=np.int64)
-    for a in range(grid.dim):
-        flat = flat * pad + (diffs[..., a] % pad)
-    w = weights_tab.reshape(-1)[flat]
-    vsub = v.values[mask]
-    a_mat = np.eye(m, dtype=np.complex128) - w * vsub[None, :]
-    psi_sub = np.linalg.solve(a_mat, inc[mask])
+    psi_sub = lu_solve(factors, inc[mask], check_finite=False)
     source = np.zeros(grid.shape, dtype=np.complex128)
-    source[mask] = vsub * psi_sub
+    source[mask] = v.values[mask] * psi_sub
     return inc + _apply_kernel(source, spectrum, grid)
 
 
@@ -223,9 +259,11 @@ def solve_lippmann_schwinger(
 ) -> tuple[ScalarField, SolverReport]:
     """Total field for incident plane wave ``k`` over potential ``v``.
 
-    Returns the field on the potential's grid and a report whose residual
-    is recomputed independently after the solve (one extra kernel
-    application), not the last iterate's update size.
+    The route follows uses_direct_solve.  Returns the field on the
+    potential's grid and a report whose residual is recomputed
+    independently after the solve (one extra kernel application), not
+    the last iterate's update size.  Raises SolverConvergenceError when
+    the iteration diverges or a direct solve exceeds ``dense_limit``.
     """
     grid = v.grid
     _check_resolution(grid, k, cfg)
@@ -243,7 +281,7 @@ def solve_lippmann_schwinger(
         resid = psi - inc - _apply_kernel(v.values * psi, spectrum, grid)
         return float(np.linalg.norm(resid)) / inc_norm
 
-    if cfg.method == "dense":
+    if uses_direct_solve(v, cfg):
         psi = _dense_solve(v, k, weights_tab, spectrum, cfg)
         return ScalarField(grid, psi), SolverReport(
             method="dense-direct",
@@ -255,7 +293,6 @@ def solve_lippmann_schwinger(
     psi = inc.copy()
     updates: list[float] = []
     rising = 0
-    diverged = False
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         nxt = inc + _apply_kernel(v.values * psi, spectrum, grid)
@@ -266,34 +303,16 @@ def solve_lippmann_schwinger(
         else:
             rising = 0
         updates.append(upd)
-        if upd <= cfg.tolerance:
+        if upd <= cfg.tolerance or rising >= 5:
             break
-        if rising >= 5:
-            diverged = True
-            break
-    else:
-        diverged = True
+    if not updates or updates[-1] > cfg.tolerance:
+        raise SolverConvergenceError(f"iteration diverged after {iterations} steps")
 
     ratio = None
     if len(updates) >= 2:
         ratios = [b / a for a, b in zip(updates, updates[1:]) if a > 0]
         if ratios:
             ratio = float(np.median(ratios))
-
-    if diverged:
-        if cfg.method == "auto" and cfg.fallback:
-            psi = _dense_solve(v, k, weights_tab, spectrum, cfg)
-            return ScalarField(grid, psi), SolverReport(
-                method="dense-direct",
-                iterations=iterations,
-                residual=true_residual(psi),
-                converged=True,
-                contraction_ratio=ratio,
-            )
-        raise SolverConvergenceError(
-            f"iteration diverged after {iterations} steps "
-            f"(last update {updates[-1]:.3e}); no fallback available"
-        )
 
     return ScalarField(grid, psi), SolverReport(
         method="born-iteration",
@@ -302,6 +321,54 @@ def solve_lippmann_schwinger(
         converged=True,
         contraction_ratio=ratio,
     )
+
+
+def direct_amplitudes(
+    v: ScalarField, incident, outgoing, cfg: SolverConfig = SolverConfig()
+) -> tuple[np.ndarray, float]:
+    """Amplitudes f(k_c, l_c) of every channel c of one energy, one factorization.
+
+    ``incident`` and ``outgoing`` are (channels, dim) wave vectors on one
+    energy shell (relative 1e-12, every pair checked).  The support
+    system is LU-factored once and solved for blocks of incident waves;
+    each block's amplitudes are one phase-matrix product.  Also returns
+    the worst residual: one FFT kernel application per channel, compared
+    on the support (off it the equation holds by construction) and
+    normalized as in solve_lippmann_schwinger.  Raises
+    SolverConvergenceError when the support exceeds ``dense_limit``.
+    """
+    grid = v.grid
+    incident = np.asarray(incident, dtype=float)
+    outgoing = np.asarray(outgoing, dtype=float)
+    if incident.ndim != 2 or incident.shape != outgoing.shape or incident.shape[1] != grid.dim:
+        raise ValueError("incident and outgoing must both have shape (channels, dim)")
+    waves = [WaveVector(k) for k in incident]
+    for k, l in zip(waves, outgoing):
+        _check_shell(waves[0], k.array)  # one kernel serves every channel
+        _check_shell(k, l)
+    _check_resolution(grid, waves[0], cfg)
+    weights_tab, spectrum = _kernel_tables(grid, waves[0].magnitude)
+    mask, factors = _support_factors(v, weights_tab, cfg)
+
+    coords = grid.nodes().reshape(grid.shape + (grid.dim,))[mask]
+    vsub = v.values[mask][:, None]
+    scale = (2.0 * np.pi) ** (-grid.dim) * grid.cell_volume
+    inc_norm = grid.node_count**0.5  # |e^{i k.x}| = 1 at every node
+    amps = np.empty(len(waves), dtype=complex)
+    residual = 0.0
+    source = np.zeros(grid.shape, dtype=np.complex128)
+    for lo in range(0, len(waves), _CHANNEL_BLOCK):
+        block = slice(lo, lo + _CHANNEL_BLOCK)
+        inc = np.exp(1j * (coords @ incident[block].T))  # (m, block)
+        psi = lu_solve(factors, inc, check_finite=False)
+        src = vsub * psi
+        phase = np.exp(-1j * (outgoing[block] @ coords.T))  # (block, m)
+        amps[block] = scale * np.einsum("cm,mc->c", phase, src)
+        for c in range(src.shape[1]):
+            source[mask] = src[:, c]
+            resid = psi[:, c] - inc[:, c] - _apply_kernel(source, spectrum, grid)[mask]
+            residual = max(residual, float(np.linalg.norm(resid)) / inc_norm)
+    return amps, residual
 
 
 # --- amplitudes ---------------------------------------------------------------
@@ -328,7 +395,7 @@ def scattering_amplitude(
     _check_shell(k, l)
     if v.grid.key() != psi.grid.key():
         raise ValueError("potential and field live on different grids")
-    mask = v.mask & (v.values != 0)
+    mask = _support(v)
     if not np.any(mask):
         return 0.0 + 0.0j
     coords = v.grid.nodes().reshape(v.grid.shape + (v.grid.dim,))
@@ -362,7 +429,7 @@ def far_field_check(
     diameter (near-field contamination dominates the gap there).
     """
     grid = v.grid
-    mask = v.mask & (v.values != 0)
+    mask = _support(v)
     if not np.any(mask):
         return 0.0
     coords = grid.nodes().reshape(grid.shape + (grid.dim,))

@@ -9,7 +9,9 @@ where each reference w_j is a known potential supported strictly away
 from the target.  Phases are discarded the moment a value is stored;
 reconstruction has to earn them back.  Two modes: "born-oracle" takes
 amplitudes from closed-form transforms (the infinite-energy limit,
-exact), "full-solver" runs the integral-equation solver per channel.
+exact), "full-solver" runs the integral-equation solver: per (variant,
+energy), one direct solve answers every channel when the support fits
+the dense limit, else each channel is iterated (solver.uses_direct_solve).
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ from .solver import (
     SolverConfig,
     WaveVector,
     born_amplitude,
+    direct_amplitudes,
     scattering_amplitude,
     solve_lippmann_schwinger,
+    uses_direct_solve,
 )
 
 __all__ = [
@@ -112,20 +116,22 @@ class BackgroundSet:
 
     def singular_nodes(
         self, p: np.ndarray, eps_zero: float | None = None, eps_pair: float | None = None
-    ) -> tuple[tuple[np.ndarray, ...], np.ndarray, float | None]:
+    ) -> tuple[tuple[np.ndarray, ...], np.ndarray, tuple[float, ...], float | None]:
         """Nodes of ``p`` where reference-based phase recovery is singular.
 
-        Returns (ref_null, pair_degenerate, eps_pair applied).  ref_null[j]:
-        |w_j hat| < ``eps_zero``, by default 1e-3 of that reference's own
-        maximum over ``p``.  pair_degenerate (two references): the unit
-        phases agree modulo pi, |u_1^2 - u_2^2| < ``eps_pair``, by default
-        1e-3 of that gap's maximum, counted only off both zero sets.
+        Returns (ref_null, pair_degenerate, eps_ref, eps_pair applied).
+        ref_null[j]: |w_j hat| < eps_ref[j], which is ``eps_zero`` or, by
+        default, 1e-3 of that reference's own maximum over ``p``.
+        pair_degenerate (two references): the unit phases agree modulo pi,
+        |u_1^2 - u_2^2| < ``eps_pair``, by default 1e-3 of that gap's
+        maximum, counted only off both zero sets.
         """
         hats = self.reference_hats(p)
         mags = [np.abs(h) for h in hats]
-        ref_null = tuple(
-            m < (eps_zero if eps_zero is not None else 1e-3 * float(np.max(m))) for m in mags
+        eps_ref = tuple(
+            eps_zero if eps_zero is not None else 1e-3 * float(np.max(m)) for m in mags
         )
+        ref_null = tuple(m < e for m, e in zip(mags, eps_ref))
         pair = np.zeros(len(p), dtype=bool)
         if self.count == 2:
             safe = [np.where(m > 0, m, 1.0) for m in mags]
@@ -133,7 +139,7 @@ class BackgroundSet:
             if eps_pair is None:
                 eps_pair = 1e-3 * max(float(np.max(gap)), 1e-30)
             pair = (gap < eps_pair) & ~(ref_null[0] | ref_null[1])
-        return ref_null, pair, eps_pair
+        return ref_null, pair, eps_ref, eps_pair
 
 
 @dataclass(frozen=True)
@@ -212,44 +218,44 @@ def _oracle_row(variants, ch: ScatteringChannel) -> np.ndarray:
     return np.array([abs(born_amplitude(spec, k, l)) ** 2 for spec in variants])
 
 
-def _solver_row(fields, channel, cfg) -> tuple[np.ndarray, int, dict]:
-    k = WaveVector(channel.incident)
-    l = np.asarray(channel.outgoing)
-    row = np.empty(len(fields))
+def _solver_rows(fields, chans, cfg) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Intensities of every channel of one energy, one column per variant.
+
+    Returns (values, failed, worst iterations and residual).  A failed
+    solve flags every row of the energy on the direct route and only its
+    channel's row on the iteration route; a flagged row is NaN in every
+    column.
+    """
+    values = np.empty((len(chans), len(fields)))
+    failed = np.zeros(len(chans), dtype=bool)
     worst = {"iterations": 0, "residual": 0.0}
+    incident = np.array([ch.incident for ch in chans])
+    outgoing = np.array([ch.outgoing for ch in chans])
     for col, fld in enumerate(fields):
-        psi, report = solve_lippmann_schwinger(fld, k, cfg)
-        worst["iterations"] = max(worst["iterations"], report.iterations)
-        worst["residual"] = max(worst["residual"], report.residual)
-        f = scattering_amplitude(fld, psi, k, l)
-        row[col] = abs(f) ** 2
-    return row, FLAG_OK, worst
-
-
-def _solve_chunk(args):
-    fields, chans, cfg = args
-    out = []
-    for ch in chans:
-        try:
-            out.append(_solver_row(fields, ch, cfg))
-        except SolverConvergenceError:
-            out.append((np.full(len(fields), np.nan), FLAG_SOLVER_FAILED, None))
-    return out
-
-
-def _solve_all(fields, chans, cfg, workers: int):
-    """Solve every channel, optionally across processes, in stable order."""
-    if workers <= 1 or len(chans) < 2:
-        return _solve_chunk((fields, chans, cfg))
-    from concurrent.futures import ProcessPoolExecutor
-
-    parts = np.array_split(np.arange(len(chans)), min(workers, len(chans)))
-    jobs = [(fields, [chans[i] for i in idx], cfg) for idx in parts if idx.size]
-    out = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_solve_chunk, jobs):
-            out.extend(part)
-    return out
+        if chans and uses_direct_solve(fld, cfg):
+            try:
+                f, residual = direct_amplitudes(fld, incident, outgoing, cfg)
+            except SolverConvergenceError:
+                failed[:] = True
+                break
+            values[:, col] = np.abs(f) ** 2
+            worst["iterations"] = max(worst["iterations"], 1)
+            worst["residual"] = max(worst["residual"], residual)
+            continue
+        for row, ch in enumerate(chans):
+            if failed[row]:
+                continue
+            k = WaveVector(ch.incident)
+            try:
+                psi, report = solve_lippmann_schwinger(fld, k, cfg)
+            except SolverConvergenceError:
+                failed[row] = True
+                continue
+            worst["iterations"] = max(worst["iterations"], report.iterations)
+            worst["residual"] = max(worst["residual"], report.residual)
+            values[row, col] = abs(scattering_amplitude(fld, psi, k, ch.outgoing)) ** 2
+    values[failed] = np.nan
+    return values, failed, worst
 
 
 def synthesize(
@@ -261,15 +267,14 @@ def synthesize(
     grid: GridSpec | None = None,
     solver: SolverConfig | None = None,
     convention: str = "default",
-    workers: int = 1,
 ) -> PhaselessDataset:
     """Synthesize intensities for every on-shell channel of every energy.
 
     ``refs`` may be None for a references-free diagnostic run (target
     intensity only).  In full-solver mode ``grid`` is required and each
     variant (target, target+ref_j) is rasterized once and solved per
-    channel; a channel whose solve fails is flagged and its row set to
-    NaN rather than dropped, so downstream masking sees it.
+    energy; a row whose solve fails is flagged and set to NaN rather
+    than dropped, so downstream masking sees it.
     """
     if mode not in MODES:
         raise ValueError(f"unknown synthesis mode {mode!r}")
@@ -291,42 +296,32 @@ def synthesize(
     channels: list[ScatteringChannel] = []
     node_index: list[int] = []
     rows: list[np.ndarray] = []
-    flag_list: list[int] = []
+    flag_list: list[np.ndarray] = []
     notes: dict = {"per_energy": {}}
     shape = pgrid.shape
     for E in energies:
         chans, _ = channels_on_grid(E, pgrid, convention)
-        failed = 0
-        worst = {"iterations": 0, "residual": 0.0}
         if mode == "born-oracle":
-            per_channel = [(_oracle_row(variants, ch), FLAG_OK, None) for ch in chans]
+            values = np.array([_oracle_row(variants, ch) for ch in chans])
+            failed, worst = np.zeros(len(chans), dtype=bool), {}
         else:
-            per_channel = _solve_all(fields, chans, cfg, workers)
-        for ch, (row, flag, stats) in zip(chans, per_channel):
-            channels.append(ch)
-            node_index.append(_flat_index(pgrid, ch.transfer, shape))
-            rows.append(row)
-            flag_list.append(flag)
-            if flag != FLAG_OK:
-                failed += 1
-            if stats is not None:
-                worst["iterations"] = max(worst["iterations"], stats["iterations"])
-                worst["residual"] = max(worst["residual"], stats["residual"])
+            values, failed, worst = _solver_rows(fields, chans, cfg)
+        channels.extend(chans)
+        node_index.extend(_flat_index(pgrid, ch.transfer, shape) for ch in chans)
+        rows.append(values.reshape(len(chans), len(variants)))
+        flag_list.append(np.where(failed, FLAG_SOLVER_FAILED, FLAG_OK))
         notes["per_energy"][repr(float(E))] = {
-            "channels": len(chans),
-            "failed": failed,
-            **({} if mode == "born-oracle" else worst),
+            "channels": len(chans), "failed": int(np.sum(failed)), **worst
         }
 
-    values = np.vstack(rows) if rows else np.zeros((0, len(variants)))
     return PhaselessDataset(
         mode=mode,
         pgrid=pgrid,
         energies=tuple(energies),
         channels=tuple(channels),
         node_index=tuple(node_index),
-        values=values,
-        flags=np.array(flag_list, dtype=np.uint8),
+        values=np.vstack(rows),
+        flags=np.concatenate(flag_list),
         backgrounds=refs,
         convention=convention,
         solver_notes=notes,
@@ -352,7 +347,6 @@ def translation_twin_demo(
     mode: str = "born-oracle",
     grid: GridSpec | None = None,
     solver: SolverConfig | None = None,
-    workers: int = 1,
 ) -> float:
     """Max relative intensity discrepancy between a target and its translate.
 
@@ -364,8 +358,8 @@ def translation_twin_demo(
     """
     shifted = v.translate(y)
     single = EnergySet((float(E),))
-    a = synthesize(v, None, single, pgrid, mode, grid, solver, workers=workers)
-    b = synthesize(shifted, None, single, pgrid, mode, grid, solver, workers=workers)
+    a = synthesize(v, None, single, pgrid, mode, grid, solver)
+    b = synthesize(shifted, None, single, pgrid, mode, grid, solver)
     scale = float(np.max(a.values)) if a.values.size else 0.0
     if scale == 0.0:
         return 0.0
@@ -418,7 +412,7 @@ def validate_backgrounds(
     mags = [np.abs(h) for h in hats]
     if max(float(np.max(m)) for m in mags) == 0.0:
         raise BackgroundValidationError("all reference transforms vanish on the grid")
-    ref_null, pair_nodes, _ = refs.singular_nodes(nodes, eps_zero, eps_pair)
+    ref_null, pair_nodes, _, _ = refs.singular_nodes(nodes, eps_zero, eps_pair)
     warnings: list[str] = []
 
     zero_fraction = []

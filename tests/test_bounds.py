@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from phaseless.bounds import (
     bounds_report,
     contraction_onset,
-    domain_error_coefficient,
     error_coefficient,
     fit_decay,
     sup_weight_on_support,
@@ -69,14 +68,6 @@ def test_error_coefficient_value_and_scaling():
     assert_allclose(base, 3.0 / (8.0 * np.pi**2), rtol=1e-13)
     assert_allclose(error_coefficient(2, 4.0, 2.0), 8.0 * base, rtol=1e-13)
     assert_allclose(error_coefficient(2, 4.0, 1.0, a0=5.0), 5.0 * base, rtol=1e-13)
-
-
-def test_domain_coefficient_reduces_to_geometric_norm():
-    spec = PotentialSpec.ball((0.3, -0.2), 0.25, 1.0)
-    sigma = 3.5
-    direct = domain_error_coefficient(spec, sigma, a0=2.0)
-    via_norm = error_coefficient(2, sigma, sup_weight_on_support(spec, sigma), a0=2.0)
-    assert_allclose(direct, via_norm, rtol=1e-14)
 
 
 def test_fit_decay_exact_power_law():

@@ -78,7 +78,7 @@ def test_solver_failure_exit_code(tmp_path, capsys):
         target=strong,
         grid={"n": 48, "box": 1.5},
         energies=[4.0],
-        solver={"method": "born", "max_iterations": 2, "fallback": False},
+        solver={"method": "born", "max_iterations": 2},
     )
     assert main(["forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "solver failure" in capsys.readouterr().err

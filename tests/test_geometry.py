@@ -8,10 +8,8 @@ from phaseless.exceptions import EnergyShellError, OutOfBallError
 from phaseless.geometry import (
     EnergySet,
     ScatteringChannel,
-    band_limited_channels,
     channel,
     channels_on_grid,
-    channels_to_csv,
     transverse_unit,
 )
 from phaseless.grids import GridSpec
@@ -124,19 +122,6 @@ def test_channels_on_grid_partitions_nodes():
         assert np.linalg.norm(nodes[idx]) > limit
 
 
-def test_band_limited_channels_strict():
-    pg = GridSpec(2, 16, (-4.0, -4.0), (4.0, 4.0)).dual()
-    base, _ = channels_on_grid(4.0, pg)
-    banded = band_limited_channels(4.0, 16.0, pg)
-    strict = [ch for ch in base if ch.transfer_norm < 2.0 * np.sqrt(4.0)]
-    assert len(banded) == len(strict)
-    for ch in banded:
-        assert ch.energy == 16.0
-        assert ch.transfer_norm < 2.0 * np.sqrt(4.0)
-    with pytest.raises(ValueError):
-        band_limited_channels(16.0, 4.0, pg)
-
-
 def test_channel_shell_enforced_on_construction():
     with pytest.raises(EnergyShellError):
         ScatteringChannel(
@@ -161,15 +146,3 @@ def test_energy_set_rules():
         EnergySet((1.0, 2.0), mode="clustered")
     clustered = EnergySet((1.0, 1.5, 1.9), mode="clustered", accumulation=2.0)
     assert clustered.accumulation == 2.0
-
-
-def test_channels_to_csv_layout():
-    chans = [channel(1.0, (1.0, 0.0)), channel(1.0, (0.0, 0.5))]
-    text = channels_to_csv(chans)
-    lines = text.strip().split("\n")
-    assert lines[0] == "E,p_1,p_2,t_1,t_2,kin_1,kin_2,kout_1,kout_2"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert float(first[0]) == 1.0
-    assert float(first[1]) == 1.0
-    assert channels_to_csv([]) == ""

@@ -313,6 +313,30 @@ def test_end_to_end_one_ref_branches(box_grid, off_center_ball):
     assert np.minimum(ep, em)[usable].max() < 1e-10
 
 
+@pytest.mark.parametrize("n_refs", [2, 1])
+def test_weak_references_are_masked_not_fatal(box_grid, off_center_ball, n_refs):
+    # each reference is judged against its own maximum, in the mask and in
+    # the phase recovery alike, so scaling the references changes nothing
+    pg = box_grid.dual()
+    truth = analytic_hat(off_center_ball, pg.nodes())
+    centers = (((-0.93, -0.61), 0.3), ((0.88, 0.79), 0.45))[:n_refs]
+    masks = []
+    for amplitude in (1.0, 0.01):
+        refs = BackgroundSet(tuple(PotentialSpec.ball(c, r, amplitude) for c, r in centers))
+        ds = synthesize(off_center_ball, refs, EnergySet((25.0, 50.0)), pg)
+        out = reconstruct(ds, options=ReconstructionOptions(spatial_grid=box_grid))
+        branches = out if isinstance(out, tuple) else (out,)
+        usable = ~branches[0].mask.any_flag
+        err = np.min([np.abs(b.spectrum.values.ravel() - truth) for b in branches], axis=0)
+        assert err[usable].max() <= 1e-8
+        mask = branches[0].mask
+        masks.append(
+            [mask.target_null, *mask.ref_null, mask.pair_degenerate, mask.out_of_ball]
+        )
+    for strong, weak in zip(*masks):
+        assert np.array_equal(strong, weak)
+
+
 def test_translate_pair_raises_degenerate():
     sg = GridSpec(2, 12, (-2.0, -2.0), (2.0, 2.0))
     pg = sg.dual()

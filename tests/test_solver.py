@@ -60,7 +60,8 @@ def test_born_iteration_agrees_with_dense():
 def test_residual_is_recomputed_not_update_size():
     fld = rasterize(SMOOTH, GRID)
     k = WaveVector((0.0, 5.0))
-    psi, rep = solve_lippmann_schwinger(fld, k, SolverConfig(tolerance=1e-10))
+    psi, rep = solve_lippmann_schwinger(fld, k, SolverConfig(method="born", tolerance=1e-10))
+    assert rep.method == "born-iteration"
     assert rep.residual < 1e-10
     assert rep.converged
 
@@ -70,18 +71,27 @@ def test_divergent_iteration_raises_without_fallback():
     fld = rasterize(strong, GridSpec(2, 48, (-1.5, -1.5), (1.5, 1.5)))
     k = WaveVector((0.0, 2.0))
     with pytest.raises(SolverConvergenceError):
-        solve_lippmann_schwinger(
-            fld, k, SolverConfig(method="born", max_iterations=30, fallback=False)
-        )
+        solve_lippmann_schwinger(fld, k, SolverConfig(method="born", max_iterations=30))
 
 
-def test_auto_falls_back_to_dense_on_strong_potential():
+def test_auto_route_follows_dense_limit():
+    fld = rasterize(SMOOTH, GRID)
+    support = int(np.count_nonzero(fld.mask & (fld.values != 0)))
+    k = WaveVector((0.0, 5.0))
+    _, rep = solve_lippmann_schwinger(fld, k, SolverConfig(dense_limit=support))
+    assert rep.method == "dense-direct"
+    assert rep.iterations == 1
+    assert rep.residual < 1e-12
+    _, rep = solve_lippmann_schwinger(fld, k, SolverConfig(dense_limit=support - 1))
+    assert rep.method == "born-iteration"
+    assert rep.residual < 1e-8
+    # above the dense limit nothing falls back: a diverging iteration raises
     strong = PotentialSpec.ball((0.0, 0.0), 0.4, 60.0)
     fld = rasterize(strong, GridSpec(2, 48, (-1.5, -1.5), (1.5, 1.5)))
-    k = WaveVector((0.0, 2.0))
-    psi, rep = solve_lippmann_schwinger(fld, k, SolverConfig(max_iterations=30))
-    assert rep.method == "dense-direct"
-    assert rep.residual < 1e-8
+    with pytest.raises(SolverConvergenceError, match="diverged"):
+        solve_lippmann_schwinger(
+            fld, WaveVector((0.0, 2.0)), SolverConfig(max_iterations=30, dense_limit=10)
+        )
 
 
 def test_unresolved_grid_raises_with_diagnostic():

@@ -5,8 +5,13 @@ from numpy.testing import assert_allclose
 from phaseless.exceptions import BackgroundValidationError
 from phaseless.geometry import EnergySet
 from phaseless.grids import GridSpec
-from phaseless.potentials import PotentialSpec, analytic_hat
-from phaseless.solver import SolverConfig
+from phaseless.potentials import PotentialSpec, analytic_hat, rasterize
+from phaseless.solver import (
+    SolverConfig,
+    WaveVector,
+    scattering_amplitude,
+    solve_lippmann_schwinger,
+)
 from phaseless.synthesis import (
     FLAG_OK,
     FLAG_SOLVER_FAILED,
@@ -83,20 +88,42 @@ def test_channel_rows_address_probe_nodes(off_center_ball):
 
 
 def test_failed_solves_are_flagged_not_dropped(tmp_path):
-    # an iteration cap this tight cannot converge on a strong scatterer
+    # an iteration cap this tight cannot converge on a strong scatterer,
+    # and a direct solve above the dense limit fails for the whole energy
     strong = PotentialSpec.ball((0.0, 0.0), 0.4, 60.0)
     grid = GridSpec(2, 48, (-1.5, -1.5), (1.5, 1.5))
-    cfg = SolverConfig(method="born", max_iterations=2, fallback=False)
-    ds = synthesize(
-        strong, None, EnergySet((4.0,)), PGRID, mode="full-solver", grid=grid, solver=cfg
-    )
-    assert np.all(ds.flags == FLAG_SOLVER_FAILED)
-    assert np.all(np.isnan(ds.values))
-    base = str(tmp_path / "failed")
-    write_dataset(ds, base)
-    back = read_dataset(base)
-    assert np.all(back.flags == FLAG_SOLVER_FAILED)
-    assert np.all(np.isnan(back.values))
+    for cfg in (
+        SolverConfig(method="born", max_iterations=2),
+        SolverConfig(method="dense", dense_limit=10),
+    ):
+        ds = synthesize(
+            strong, None, EnergySet((4.0,)), PGRID, mode="full-solver", grid=grid, solver=cfg
+        )
+        assert np.all(ds.flags == FLAG_SOLVER_FAILED)
+        assert np.all(np.isnan(ds.values))
+        base = str(tmp_path / "failed")
+        write_dataset(ds, base)
+        back = read_dataset(base)
+        assert np.all(back.flags == FLAG_SOLVER_FAILED)
+        assert np.all(np.isnan(back.values))
+
+
+def test_batched_direct_solve_matches_per_channel_dense(off_center_ball, two_ball_refs):
+    grid = GridSpec(2, 32, (-1.5, -1.5), (1.5, 1.5))
+    pg = GridSpec(2, 8, (-2.0, -2.0), (2.0, 2.0)).dual()
+    energies = EnergySet((9.0, 16.0))
+    ds = synthesize(off_center_ball, two_ball_refs, energies, pg, mode="full-solver", grid=grid)
+    assert not np.any(ds.flags)
+    assert all(note["iterations"] == 1 for note in ds.solver_notes["per_energy"].values())
+    dense = SolverConfig(method="dense")
+    variants = [off_center_ball] + [off_center_ball + w for w in two_ball_refs.backgrounds]
+    for col, spec in enumerate(variants):
+        fld = rasterize(spec, grid)
+        for row, ch in enumerate(ds.channels):
+            k = WaveVector(ch.incident)
+            psi, _ = solve_lippmann_schwinger(fld, k, dense)
+            want = abs(scattering_amplitude(fld, psi, k, ch.outgoing)) ** 2
+            assert abs(ds.values[row, col] - want) <= 1e-12 * want
 
 
 def test_dataset_roundtrip(tmp_path, off_center_ball, two_ball_refs):
@@ -172,16 +199,3 @@ def test_validate_backgrounds_explicit_threshold(two_ball_refs):
     assert strict.zero_fraction == (0.0, 0.0)
     loose = validate_backgrounds(two_ball_refs, pg, eps_zero=1e30)
     assert loose.zero_fraction == (1.0, 1.0)
-
-
-def test_worker_split_is_bitwise_stable(off_center_ball):
-    grid = GridSpec(2, 32, (-1.5, -1.5), (1.5, 1.5))
-    pg = GridSpec(2, 8, (-2.0, -2.0), (2.0, 2.0)).dual()
-    one = synthesize(
-        off_center_ball, None, EnergySet((9.0,)), pg, mode="full-solver", grid=grid, workers=1
-    )
-    two = synthesize(
-        off_center_ball, None, EnergySet((9.0,)), pg, mode="full-solver", grid=grid, workers=2
-    )
-    assert np.array_equal(one.values, two.values)
-    assert np.array_equal(one.flags, two.flags)
