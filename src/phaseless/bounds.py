@@ -5,10 +5,9 @@ C * E^(-1/2) where C is assembled from three measurable ingredients: a
 weighted-volume constant depending only on dimension and a weight
 exponent, the peak of the weight over the scatterer's support, and the
 scatterer's size in the weighted sup norm.  This module evaluates those
-constants both ways (closed form and quadrature), assembles the
-composite coefficient, and fits measured error-versus-energy tables on
-a log-log scale so experiments can compare against the predicted -1/2
-power.
+constants in closed form, assembles the composite coefficient, and fits
+measured error-versus-energy tables on a log-log scale so experiments
+can compare against the predicted -1/2 power.
 
 One operator-norm constant (called a0 here) is quoted by the
 literature without a numeric value; it enters linearly everywhere, so
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.integrate import quad
 
 from .exceptions import DegenerateFitError, DivergentIntegralError
 from .potentials import PotentialSpec, sup_weighted_norm
@@ -38,13 +36,11 @@ __all__ = [
 ]
 
 
-def weight_norm_constant(dim: int, sigma: float, method: str = "closed-form") -> float:
+def weight_norm_constant(dim: int, sigma: float) -> float:
     """sqrt of the integral of (1 + |x|^2)^(-sigma/2) over R^dim.
 
-    Finite only for sigma > dim.  The closed form is
-    (pi^(d/2) * Gamma((sigma - d)/2) / Gamma(sigma/2))^(1/2); the
-    quadrature route integrates the radial profile directly and exists
-    to cross-check the closed form in tests.
+    Finite only for sigma > dim.  Closed form:
+    (pi^(d/2) * Gamma((sigma - d)/2) / Gamma(sigma/2))^(1/2).
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
@@ -52,21 +48,8 @@ def weight_norm_constant(dim: int, sigma: float, method: str = "closed-form") ->
         raise DivergentIntegralError(
             f"the weight integral diverges for sigma={sigma} <= dim={dim}"
         )
-    if method == "closed-form":
-        value = np.pi ** (dim / 2.0) * gamma_fn((sigma - dim) / 2.0) / gamma_fn(sigma / 2.0)
-        return float(np.sqrt(value))
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    sphere = 2.0 * np.pi if dim == 2 else 4.0 * np.pi
-
-    def radial(r: float) -> float:
-        return r ** (dim - 1) * (1.0 + r * r) ** (-sigma / 2.0)
-
-    # Split at r=1: the integrand peaks near there and quad converges
-    # faster on the two pieces than on the substituted infinite tail.
-    head, _ = quad(radial, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
-    tail, _ = quad(radial, 1.0, np.inf, epsabs=1e-13, epsrel=1e-13)
-    return float(np.sqrt(sphere * (head + tail)))
+    value = np.pi ** (dim / 2.0) * gamma_fn((sigma - dim) / 2.0) / gamma_fn(sigma / 2.0)
+    return float(np.sqrt(value))
 
 
 def sup_weight_on_support(spec: PotentialSpec, sigma: float) -> float:

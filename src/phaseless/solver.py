@@ -12,13 +12,20 @@ support nodes is exact.  One route rule, uses_direct_solve, picks the
 direct solve of that system when the support has at most ``dense_limit``
 nodes (or method "dense"), else the iteration
 
-    psi_{m+1} = incident + K psi_m,
+    psi_{m+1} = incident + K psi_m
 
-each application of K being one zero-padded FFT convolution; it
-contracts with rate O(E^{-1/2}) at high energy, and divergence raises.
-The system depends only on the support and |k|, so direct_amplitudes
-factors it once per energy for every channel.  Both routes share the
-weights, so they can be cross-checked to tight tolerance.
+on the support values; it contracts with rate O(E^{-1/2}) at high
+energy, and divergence raises.  The system depends only on the support
+and |k|, so direct_amplitudes factors it once per energy for every
+channel.  Both routes share the weights, so they can be cross-checked
+to tight tolerance.
+
+K between support nodes needs only the kernel offsets inside the
+support's bounding box, so every iteration step and every residual is
+one FFT convolution on that box (_BoxOperator, the scheme of Vainikko,
+"Fast solvers of the Lippmann-Schwinger equation", 2000), batched over
+channels.  The full-grid convolution (_apply_kernel) remains only to
+extend a solved field from the support to the whole grid.
 
 The scattering amplitude is the weighted quadrature
 
@@ -35,7 +42,6 @@ from typing import Optional
 import warnings
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .exceptions import (
     EnergyShellError,
@@ -116,17 +122,23 @@ _KERNEL_CACHE_LIMIT = 32
 # incident waves solved per block in direct_amplitudes: bounds its
 # (support, block) arrays, while the factorization is shared by all blocks
 _CHANNEL_BLOCK = 32
+# cap on the padded box buffer of one block in direct_amplitudes: a wide
+# 3-D box gets fewer channels per block
+_BOX_BYTES = 1 << 24
+# matrix rows filled per block by _support_matrix: bounds its int64
+# offset array, so the matrix is the only (m, m) array ever held
+_ASSEMBLY_ELEMENTS = 1 << 19
 
 
 def _kernel_tables(grid: GridSpec, kmag: float) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature weights of G on the 2x zero-padded grid, and their FFT.
 
     Weights: midpoint value G(offset)*cell_volume off the diagonal, the
-    equal-measure closed-form integral at offset zero.  The kernel is
-    truncated at the padded box, which covers every source-target offset
-    inside the original box, so the circular convolution below realizes
-    the aperiodic sum exactly.  The dense direct route indexes the same
-    weight table, so both methods share identical discrete operators.
+    equal-measure closed-form integral at offset zero.  The table holds
+    every source-target offset inside the original box, so the direct
+    route indexes it for its matrix and _BoxOperator slices it for the
+    support's bounding box: every route shares identical discrete
+    operators.  The spectrum of the whole table serves _apply_kernel.
     """
     key = (grid.key(), float(kmag))
     cached = _KERNEL_CACHE.get(key)
@@ -158,12 +170,73 @@ def _kernel_tables(grid: GridSpec, kmag: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _apply_kernel(source: np.ndarray, spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Aperiodic convolution of the weight kernel with ``source``."""
+    """Aperiodic convolution of the weight kernel with ``source`` on the whole grid.
+
+    One (2n)^d FFT pair.  The solver uses it only to extend a field
+    solved on the support to every grid node; steps that need values on
+    the support alone go through _BoxOperator.
+    """
     pad_shape = spectrum.shape
     buf = np.zeros(pad_shape, dtype=np.complex128)
     buf[tuple(slice(0, grid.n) for _ in range(grid.dim))] = source
     conv = np.fft.ifftn(np.fft.fftn(buf) * spectrum)
     return conv[tuple(slice(0, grid.n) for _ in range(grid.dim))]
+
+
+def _fft_length(need: int) -> int:
+    """Smallest 5-smooth integer >= ``need``: a fast length for numpy.fft."""
+    size = max(1, need)
+    while True:
+        rest = size
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return size
+        size += 1
+
+
+class _BoxOperator:
+    """K restricted to the support, as one FFT convolution on its bounding box.
+
+    With bounding box b (nodes per axis), support-to-support offsets lie
+    in -(b-1)..(b-1), so the weight table sliced to those offsets and
+    zero-padded to a length L >= 2b - 1 realizes the aperiodic sum
+    exactly by circular convolution.  L is the smallest 5-smooth length,
+    capped at the table's own 2n.  Built once per (variant, energy).
+    """
+
+    def __init__(self, mask: np.ndarray, weights_tab: np.ndarray):
+        idx = np.argwhere(mask)
+        corner = idx.min(axis=0) if len(idx) else np.zeros(mask.ndim, dtype=int)
+        top = idx.max(axis=0) if len(idx) else corner  # no support: a one-node box
+        self.box = tuple(int(b) for b in top + 1 - corner)
+        pad = weights_tab.shape[0]
+        self.length = tuple(min(_fft_length(2 * b - 1), pad) for b in self.box)
+        # offsets 0..b-1 sit at the front of either table, -(b-1)..-1 at its back
+        dst = [np.r_[0:b, size - b + 1 : size] for b, size in zip(self.box, self.length)]
+        src = [np.r_[0:b, pad - b + 1 : pad] for b in self.box]
+        kernel = np.zeros(self.length, dtype=np.complex128)
+        kernel[np.ix_(*dst)] = weights_tab[np.ix_(*src)]
+        self.spectrum = np.fft.fftn(kernel)
+        # (all columns, node positions inside the box) for the batched buffer
+        self.nodes = (slice(None),) + tuple((idx - corner).T)
+        self.column_bytes = 16 * int(np.prod(self.length))
+
+    def apply(self, src: np.ndarray) -> np.ndarray:
+        """K applied to each column of ``src`` (support nodes, columns), on the support.
+
+        The forward transform zero-pads the box itself, and the inverse
+        drops each axis's padding before it transforms the next axis.
+        """
+        axes = tuple(range(1, len(self.box) + 1))
+        buf = np.zeros((src.shape[1],) + self.box, dtype=np.complex128)
+        buf[self.nodes] = src.T
+        conv = np.fft.fftn(buf, s=self.length, axes=axes)
+        conv *= self.spectrum
+        for axis, b in zip(axes, self.box):
+            conv = np.fft.ifft(conv, axis=axis)[(slice(None),) * axis + (slice(0, b),)]
+        return conv[self.nodes].T
 
 
 def plane_wave(grid: GridSpec, k: WaveVector) -> np.ndarray:
@@ -203,13 +276,13 @@ def uses_direct_solve(v: ScalarField, cfg: SolverConfig) -> bool:
     return cfg.method == "dense"
 
 
-def _support_factors(v: ScalarField, weights_tab: np.ndarray, cfg: SolverConfig):
-    """Support mask and the LU factors of I - W v restricted to the support.
+def _support_matrix(v: ScalarField, weights_tab: np.ndarray, cfg: SolverConfig):
+    """Support mask and the matrix I - W v restricted to the support.
 
     W between support nodes is read from the padded weight table through
-    signed index offsets, built one axis at a time into a single int64
-    index array, so no (m, m, dim) offset array is ever held; the matrix
-    is formed and factored in place.
+    signed index offsets.  The matrix is filled a block of rows at a
+    time, so the int64 offset array covers one block, never (m, m).  It
+    comes in Fortran order, the layout LAPACK factors in place.
     """
     mask = _support(v)
     idx = np.argwhere(mask)
@@ -219,39 +292,35 @@ def _support_factors(v: ScalarField, weights_tab: np.ndarray, cfg: SolverConfig)
             f"direct solve needs {m} support nodes, limit is {cfg.dense_limit}"
         )
     pad = weights_tab.shape[0]
-    flat = np.zeros((m, m), dtype=np.int64)
-    for col in idx.T:
-        step = np.subtract.outer(col, col)
-        step %= pad
-        flat *= pad
-        flat += step
-        del step
-    # G depends on |x - y| only, so W is symmetric and its transpose, the
-    # Fortran-ordered layout LAPACK factors in place, holds the same values
-    a_mat = np.take(weights_tab, flat).T
-    del flat
-    a_mat *= -v.values[mask]
+    vsub = v.values[mask]
+    a_mat = np.empty((m, m), dtype=np.complex128, order="F")
+    # G depends on |x - y| only, so W is symmetric: row j of the C-ordered
+    # transpose is -v_j W(x_j - x_i) over i, plus 1 on the diagonal
+    rows = max(1, _ASSEMBLY_ELEMENTS // max(m, 1))
+    for lo in range(0, m, rows):
+        block = slice(lo, lo + rows)
+        flat = np.zeros((len(idx[block]), m), dtype=np.int64)
+        for a in range(idx.shape[1]):
+            flat *= pad
+            flat += np.subtract.outer(idx[block, a], idx[:, a]) % pad
+        out = a_mat.T[block]
+        np.take(weights_tab, flat, out=out, mode="wrap")
+        out *= -vsub[block, None]
     a_mat[np.diag_indices(m)] += 1.0
-    return mask, lu_factor(a_mat, overwrite_a=True, check_finite=False)
+    return mask, a_mat
 
 
-def _dense_solve(
-    v: ScalarField,
-    k: WaveVector,
-    weights_tab: np.ndarray,
-    spectrum: np.ndarray,
-    cfg: SolverConfig,
-) -> np.ndarray:
-    """Direct solve of the support-restricted system, extended to the grid."""
-    grid = v.grid
-    mask, factors = _support_factors(v, weights_tab, cfg)
-    inc = plane_wave(grid, k)
-    if not np.any(mask):
-        return inc
-    psi_sub = lu_solve(factors, inc[mask], check_finite=False)
-    source = np.zeros(grid.shape, dtype=np.complex128)
-    source[mask] = v.values[mask] * psi_sub
-    return inc + _apply_kernel(source, spectrum, grid)
+def _support_solver(v: ScalarField, weights_tab: np.ndarray, cfg: SolverConfig):
+    """Support mask and a solve against _support_matrix, LU-factored in place once.
+
+    scipy.linalg is imported here, so runs that never solve directly do
+    not pay for it.
+    """
+    from scipy.linalg import lu_factor, lu_solve
+
+    mask, a_mat = _support_matrix(v, weights_tab, cfg)
+    factors = lu_factor(a_mat, overwrite_a=True, check_finite=False)
+    return mask, lambda rhs: lu_solve(factors, rhs, check_finite=False)
 
 
 def solve_lippmann_schwinger(
@@ -259,65 +328,70 @@ def solve_lippmann_schwinger(
 ) -> tuple[ScalarField, SolverReport]:
     """Total field for incident plane wave ``k`` over potential ``v``.
 
-    The route follows uses_direct_solve.  Returns the field on the
-    potential's grid and a report whose residual is recomputed
-    independently after the solve (one extra kernel application), not
-    the last iterate's update size.  Raises SolverConvergenceError when
-    the iteration diverges or a direct solve exceeds ``dense_limit``.
+    The route follows uses_direct_solve.  Both routes solve for the
+    support values (the iteration applies _BoxOperator once per step and
+    measures its update on the support); one full-grid kernel
+    application then extends the field to every node, so off the
+    support the equation holds by construction.  The report's residual
+    is recomputed on the support with the box operator after the solve,
+    not the last iterate's update size, and normalized by the incident
+    wave's norm over the grid.  Raises SolverConvergenceError when the
+    iteration diverges or a direct solve exceeds ``dense_limit``.
     """
     grid = v.grid
     _check_resolution(grid, k, cfg)
     inc = plane_wave(grid, k)
     inc_norm = float(np.linalg.norm(inc))
+    mask = _support(v)
 
-    if not np.any(v.values):
+    if not np.any(mask):
         return ScalarField(grid, inc), SolverReport(
             method="born-iteration", iterations=0, residual=0.0, converged=True
         )
 
     weights_tab, spectrum = _kernel_tables(grid, k.magnitude)
-
-    def true_residual(psi: np.ndarray) -> float:
-        resid = psi - inc - _apply_kernel(v.values * psi, spectrum, grid)
-        return float(np.linalg.norm(resid)) / inc_norm
-
-    if uses_direct_solve(v, cfg):
-        psi = _dense_solve(v, k, weights_tab, spectrum, cfg)
-        return ScalarField(grid, psi), SolverReport(
-            method="dense-direct",
-            iterations=1,
-            residual=true_residual(psi),
-            converged=True,
-        )
-
-    psi = inc.copy()
-    updates: list[float] = []
-    rising = 0
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        nxt = inc + _apply_kernel(v.values * psi, spectrum, grid)
-        upd = float(np.linalg.norm(nxt - psi)) / inc_norm
-        psi = nxt
-        if updates and upd > updates[-1]:
-            rising += 1
-        else:
-            rising = 0
-        updates.append(upd)
-        if upd <= cfg.tolerance or rising >= 5:
-            break
-    if not updates or updates[-1] > cfg.tolerance:
-        raise SolverConvergenceError(f"iteration diverged after {iterations} steps")
+    op = _BoxOperator(mask, weights_tab)
+    vsub = v.values[mask][:, None]
+    inc_sub = inc[mask][:, None]
 
     ratio = None
-    if len(updates) >= 2:
-        ratios = [b / a for a, b in zip(updates, updates[1:]) if a > 0]
-        if ratios:
-            ratio = float(np.median(ratios))
+    if uses_direct_solve(v, cfg):
+        _, solve = _support_solver(v, weights_tab, cfg)
+        psi_sub = solve(inc_sub)
+        method, iterations = "dense-direct", 1
+    else:
+        psi_sub = inc_sub
+        updates: list[float] = []
+        rising = 0
+        iterations = 0
+        for iterations in range(1, cfg.max_iterations + 1):
+            nxt = inc_sub + op.apply(vsub * psi_sub)
+            upd = float(np.linalg.norm(nxt - psi_sub)) / inc_norm
+            psi_sub = nxt
+            if updates and upd > updates[-1]:
+                rising += 1
+            else:
+                rising = 0
+            updates.append(upd)
+            if upd <= cfg.tolerance or rising >= 5:
+                break
+        if not updates or updates[-1] > cfg.tolerance:
+            raise SolverConvergenceError(f"iteration diverged after {iterations} steps")
+        if len(updates) >= 2:
+            ratios = [b / a for a, b in zip(updates, updates[1:]) if a > 0]
+            if ratios:
+                ratio = float(np.median(ratios))
+        method = "born-iteration"
 
+    source = np.zeros(grid.shape, dtype=np.complex128)
+    source[mask] = (vsub * psi_sub)[:, 0]
+    psi = inc + _apply_kernel(source, spectrum, grid)
+    psi[mask] = psi_sub[:, 0]
+    resid = psi_sub - inc_sub - op.apply(vsub * psi_sub)
     return ScalarField(grid, psi), SolverReport(
-        method="born-iteration",
+        method=method,
         iterations=iterations,
-        residual=true_residual(psi),
+        residual=float(np.linalg.norm(resid)) / inc_norm,
         converged=True,
         contraction_ratio=ratio,
     )
@@ -332,8 +406,9 @@ def direct_amplitudes(
     energy shell (relative 1e-12, every pair checked).  The support
     system is LU-factored once and solved for blocks of incident waves;
     each block's amplitudes are one phase-matrix product.  Also returns
-    the worst residual: one FFT kernel application per channel, compared
-    on the support (off it the equation holds by construction) and
+    the worst residual: every channel's own FFT convolution on the
+    support's bounding box, one batched _BoxOperator application per
+    block (off the support the equation holds by construction),
     normalized as in solve_lippmann_schwinger.  Raises
     SolverConvergenceError when the support exceeds ``dense_limit``.
     """
@@ -347,8 +422,9 @@ def direct_amplitudes(
         _check_shell(waves[0], k.array)  # one kernel serves every channel
         _check_shell(k, l)
     _check_resolution(grid, waves[0], cfg)
-    weights_tab, spectrum = _kernel_tables(grid, waves[0].magnitude)
-    mask, factors = _support_factors(v, weights_tab, cfg)
+    weights_tab, _ = _kernel_tables(grid, waves[0].magnitude)
+    mask, solve = _support_solver(v, weights_tab, cfg)
+    op = _BoxOperator(mask, weights_tab)
 
     coords = grid.nodes().reshape(grid.shape + (grid.dim,))[mask]
     vsub = v.values[mask][:, None]
@@ -356,18 +432,16 @@ def direct_amplitudes(
     inc_norm = grid.node_count**0.5  # |e^{i k.x}| = 1 at every node
     amps = np.empty(len(waves), dtype=complex)
     residual = 0.0
-    source = np.zeros(grid.shape, dtype=np.complex128)
-    for lo in range(0, len(waves), _CHANNEL_BLOCK):
-        block = slice(lo, lo + _CHANNEL_BLOCK)
+    step = max(1, min(_CHANNEL_BLOCK, _BOX_BYTES // op.column_bytes))
+    for lo in range(0, len(waves), step):
+        block = slice(lo, lo + step)
         inc = np.exp(1j * (coords @ incident[block].T))  # (m, block)
-        psi = lu_solve(factors, inc, check_finite=False)
+        psi = solve(inc)
         src = vsub * psi
         phase = np.exp(-1j * (outgoing[block] @ coords.T))  # (block, m)
         amps[block] = scale * np.einsum("cm,mc->c", phase, src)
-        for c in range(src.shape[1]):
-            source[mask] = src[:, c]
-            resid = psi[:, c] - inc[:, c] - _apply_kernel(source, spectrum, grid)[mask]
-            residual = max(residual, float(np.linalg.norm(resid)) / inc_norm)
+        resid = psi - inc - op.apply(src)
+        residual = max(residual, float(np.max(np.linalg.norm(resid, axis=0))) / inc_norm)
     return amps, residual
 
 

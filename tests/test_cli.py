@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phaseless
 from phaseless.cli import main
 from phaseless.fieldio import read_field
 from phaseless.grids import GridSpec
@@ -244,3 +248,20 @@ def test_bounds_consumes_error_table(tmp_path):
     assert report["results"]["bound_holds"] is True
     assert (out / "bounds_errors.csv").exists()
     assert "errors_csv" in report["input_sha256"]
+
+
+def test_cli_import_skips_quadrature_and_optimizers():
+    code = (
+        "import sys, phaseless.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))"
+    )
+    src = str(Path(phaseless.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -7,7 +7,8 @@ from phaseless.exceptions import (
     SolverConvergenceError,
     UnresolvedGridError,
 )
-from phaseless.grids import GridSpec
+from phaseless import solver
+from phaseless.grids import GridSpec, ScalarField
 from phaseless.potentials import PotentialSpec, rasterize
 from phaseless.solver import (
     SolverConfig,
@@ -145,3 +146,113 @@ def test_reciprocity_for_real_potential():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(method="magic")
+
+
+def _masks(dim, n):
+    """Supports: one node, a 5-node box (L = 2b - 1 = 9 exactly), opposite grid faces (b = n), a ball pair."""
+    one = np.zeros((n,) * dim, dtype=bool)
+    one[(n // 3,) * dim] = True
+    five = np.zeros((n,) * dim, dtype=bool)
+    five[(2,) * dim] = five[(6,) * dim] = five[(4, 2) + (6,) * (dim - 2)] = True
+    faces = np.zeros((n,) * dim, dtype=bool)
+    faces[(0,) * dim] = faces[(n - 1,) * dim] = faces[(n // 2,) + (0,) * (dim - 1)] = True
+    grid = GridSpec(dim, n, (-1.5,) * dim, (1.5,) * dim)
+    pair = PotentialSpec.ball((0.4,) * dim, 0.5, 1.0) + PotentialSpec.ball((-0.8,) * dim, 0.3, 1.0)
+    pair = solver._support(rasterize(pair, grid))
+    return grid, {"one-node": one, "five-wide": five, "opposite-faces": faces, "ball-pair": pair}
+
+
+@pytest.mark.parametrize("dim,n", [(2, 30), (3, 12)])
+def test_box_operator_matches_full_grid_kernel(dim, n):
+    grid, masks = _masks(dim, n)
+    weights_tab, spectrum = solver._kernel_tables(grid, 4.0)
+    rng = np.random.default_rng(dim)
+    for name, mask in masks.items():
+        op = solver._BoxOperator(mask, weights_tab)
+        m = int(np.count_nonzero(mask))
+        cols = rng.standard_normal((m, 5)) + 1j * rng.standard_normal((m, 5))
+        batch = op.apply(cols)
+        assert batch.shape == (m, 5)
+        for c in range(5):
+            source = np.zeros(grid.shape, dtype=complex)
+            source[mask] = cols[:, c]
+            full = solver._apply_kernel(source, spectrum, grid)[mask]
+            scale = np.linalg.norm(full)
+            assert np.linalg.norm(batch[:, c] - full) <= 1e-13 * scale, name
+            # a column of a batch equals its own single-column application
+            # (batched transforms may round differently)
+            single = op.apply(cols[:, c : c + 1])[:, 0]
+            assert np.linalg.norm(single - batch[:, c]) <= 1e-14 * scale, name
+        if name == "five-wide":
+            assert op.length == (9,) * dim
+        if name == "opposite-faces":
+            assert op.box == (n,) * dim
+        assert all(size <= 2 * n for size in op.length)
+
+
+def test_fft_length_is_smallest_5_smooth():
+    assert [solver._fft_length(k) for k in (0, 1, 7, 11, 13, 17, 97, 127)] == [
+        1, 1, 8, 12, 15, 18, 100, 128
+    ]
+
+
+def test_born_on_box_agrees_with_dense_on_criterion_3_field():
+    grid = GridSpec(2, 32, (-1.5, -1.5), (1.5, 1.5))
+    fld = rasterize(PotentialSpec.ball((0.3, -0.2), 0.25, 1.0), grid)
+    for E in (100.0, 200.0, 400.0):
+        k = WaveVector((0.0, np.sqrt(E)))
+        psi_b, rep_b = solve_lippmann_schwinger(
+            fld, k, SolverConfig(method="born", resolution_factor=2.0)
+        )
+        psi_d, _ = solve_lippmann_schwinger(
+            fld, k, SolverConfig(method="dense", resolution_factor=2.0)
+        )
+        gap = np.linalg.norm(psi_b.values - psi_d.values) / np.linalg.norm(psi_d.values)
+        assert gap <= 1e-10, E
+        assert rep_b.residual <= 1e-10, E
+        # off the support the field is the equation's own extension
+        mask = fld.values != 0
+        source = np.where(mask, fld.values * psi_b.values, 0.0)
+        _, spectrum = solver._kernel_tables(grid, k.magnitude)
+        extended = plane_wave(grid, k) + solver._apply_kernel(source, spectrum, grid)
+        assert np.abs(psi_b.values - extended)[~mask].max() <= 1e-13
+
+
+@pytest.mark.parametrize("dim,n", [(2, 24), (3, 10)])
+def test_support_matrix_matches_elementwise_assembly(dim, n, monkeypatch):
+    grid = GridSpec(dim, n, (-1.5,) * dim, (1.5,) * dim)
+    spec = PotentialSpec.ball((0.3,) * dim, 0.6, 1.0 + 0.5j) + PotentialSpec.ball(
+        (-0.9,) * dim, 0.4, 2.0
+    )
+    fld = rasterize(spec, grid)
+    weights_tab, _ = solver._kernel_tables(grid, 3.0)
+    monkeypatch.setattr(solver, "_ASSEMBLY_ELEMENTS", 7 * n)  # several row blocks
+    mask, a_mat = solver._support_matrix(fld, weights_tab, SolverConfig())
+    idx = np.argwhere(mask)
+    vsub = fld.values[mask]
+    pad = 2 * n
+    expected = np.empty((len(idx), len(idx)), dtype=complex)
+    for i, xi in enumerate(idx):
+        for j, xj in enumerate(idx):
+            w = weights_tab[tuple((xi - xj) % pad)]
+            expected[i, j] = (1.0 if i == j else 0.0) - w * vsub[j]
+    assert len(idx) > 7
+    assert a_mat.flags.f_contiguous
+    assert np.array_equal(a_mat, expected)
+
+
+def test_direct_amplitudes_do_not_depend_on_block_size(monkeypatch):
+    # 3-D, 40 channels: two blocks by default, one channel per block when
+    # the box buffer budget admits a single column
+    grid = GridSpec(3, 12, (-1.5,) * 3, (1.5,) * 3)
+    spec = PotentialSpec.ball((0.5, 0.0, 0.0), 0.4, 1.0) + PotentialSpec.ball((-0.8, 0.3, 0.0), 0.3, 2.0)
+    fld = rasterize(spec, grid)
+    rng = np.random.default_rng(3)
+    dirs = rng.standard_normal((2, 40, 3))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    incident, outgoing = 2.0 * dirs
+    amps, residual = solver.direct_amplitudes(fld, incident, outgoing)
+    monkeypatch.setattr(solver, "_BOX_BYTES", 1)
+    one, residual_one = solver.direct_amplitudes(fld, incident, outgoing)
+    assert_allclose(one, amps, rtol=1e-13, atol=0.0)
+    assert residual < 1e-13 and residual_one < 1e-13
