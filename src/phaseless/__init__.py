@@ -18,9 +18,11 @@ from .bounds import (
 from .config import ExperimentConfig, config_to_dict, load_config
 from .fourier import forward_transform, inverse_transform
 from .geometry import (
+    ChannelTable,
     EnergySet,
     ScatteringChannel,
     channel,
+    channel_table,
     channels_on_grid,
     transverse_unit,
 )
@@ -73,7 +75,9 @@ __all__ = [
     "inverse_transform",
     "transverse_unit",
     "ScatteringChannel",
+    "ChannelTable",
     "channel",
+    "channel_table",
     "channels_on_grid",
     "EnergySet",
     "WaveVector",

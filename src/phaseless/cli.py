@@ -203,7 +203,7 @@ def cmd_synthesize(cfg: ExperimentConfig, outdir: Path) -> int:
     base = outdir / "dataset"
     write_dataset(ds, str(base), target=cfg.target)
     bundle.track(base.with_suffix(".csv"), base.with_suffix(".json"))
-    results: dict = {"rows": len(ds.channels), "n_refs": ds.n_refs, "mode": ds.mode}
+    results: dict = {"rows": ds.rows, "n_refs": ds.n_refs, "mode": ds.mode}
     if cfg.references is not None:
         rep = validate_backgrounds(
             cfg.references,
@@ -222,7 +222,7 @@ def cmd_synthesize(cfg: ExperimentConfig, outdir: Path) -> int:
         for w in rep.warnings:
             print(f"warning: {w}", file=sys.stderr)
     report = bundle.finish(results)
-    print(f"synthesize: {len(ds.channels)} rows -> {report}")
+    print(f"synthesize: {ds.rows} rows -> {report}")
     return 0
 
 
@@ -303,12 +303,7 @@ def _convergence_errors(cfg: ExperimentConfig) -> tuple[list, list]:
             raise SolverConvergenceError(
                 f"{int(np.sum(~ok))} channel(s) failed at energy {E:.6g}"
             )
-        truth = np.array(
-            [
-                abs(analytic_hat(cfg.target, np.asarray(ch.transfer))) ** 2
-                for ch in ds.channels
-            ]
-        )
+        truth = np.array([abs(z) ** 2 for z in analytic_hat(cfg.target, ds.transfer).tolist()])
         err = float(np.max(np.abs(ds.values[:, 0] - truth)))
         energies.append(float(E))
         errors.append(err)

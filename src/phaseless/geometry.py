@@ -11,27 +11,64 @@ which requires |p| <= 2*sqrt(E).  The transverse direction t is an
 arbitrary convention; nothing downstream may depend on the choice, and
 the reconstruction tests re-run with the mirrored convention to prove
 it.
+
+The construction is array code over rows: channel_table builds a
+ChannelTable, one row per (energy, transfer) pair, and channels_on_grid
+one table for every probe node inside the ball.  The single-vector
+functions channel and transverse_unit are one-row tables, so a row of a
+table equals the single-vector result bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import EnergyShellError, OutOfBallError
-from .grids import GridSpec
+from .grids import GridSpec, row_dot
 
 __all__ = [
     "ScatteringChannel",
+    "ChannelTable",
     "EnergySet",
     "transverse_unit",
     "channel",
+    "channel_table",
     "channels_on_grid",
 ]
 
 _CONVENTIONS = ("default", "mirror")
+
+
+def _transverse_rows(p: np.ndarray, convention: str) -> np.ndarray:
+    """transverse_unit for every row of the (rows, d) array ``p``."""
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"unknown transverse convention {convention!r}")
+    dim = p.shape[1]
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
+    # Scale each row by a power of two near its largest |component|:
+    # squaring a tiny transfer loses precision to subnormals, and other
+    # inputs scale exactly.  frexp(0) has exponent 0, so p = 0 stays.
+    p = np.ldexp(p, -np.frexp(np.max(np.abs(p), axis=1))[1][:, None])
+    q = np.sqrt(row_dot(p, p))
+    zero = q == 0.0
+    t = np.full_like(p, np.nan)  # stays NaN only for a non-finite p
+    t[zero] = (0.0, 1.0) if dim == 2 else (0.0, 0.0, 1.0)
+    if dim == 2:
+        t[~zero] = np.stack([-p[~zero, 1], p[~zero, 0]], axis=1) / q[~zero, None]
+    else:
+        # cross product with the first standard basis vector not parallel to p
+        todo = ~zero
+        for e in np.eye(3):
+            cross = np.cross(p[todo], e)
+            norm = np.sqrt(row_dot(cross, cross))
+            take = norm > 1e-12 * q[todo]
+            rows = np.flatnonzero(todo)[take]
+            t[rows] = cross[take] / norm[take, None]
+            todo[rows] = False
+    return -t if convention == "mirror" else t
 
 
 def transverse_unit(p, dim: int | None = None, convention: str = "default") -> np.ndarray:
@@ -42,40 +79,26 @@ def transverse_unit(p, dim: int | None = None, convention: str = "default") -> n
     to p, (0, 0, 1) at p = 0.  ``convention="mirror"`` negates the
     result, giving the second choice used by the independence tests.
     """
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"unknown transverse convention {convention!r}")
     p = np.asarray(p, dtype=float)
     if dim is None:
         dim = p.shape[-1]
     if p.shape != (dim,):
         raise ValueError("p must be a vector of length dim")
-    # Scale by a power of two near the largest |component|: squaring a tiny
-    # transfer loses precision to subnormals, and other inputs scale exactly.
-    big = max(map(abs, p.tolist()))
-    if big > 0.0:
-        p = np.ldexp(p, -math.frexp(big)[1])
-    q = float(np.linalg.norm(p))
-    if dim == 2:
-        t = np.array([0.0, 1.0]) if q == 0.0 else np.array([-p[1], p[0]]) / q
-    elif dim == 3:
-        if q == 0.0:
-            t = np.array([0.0, 0.0, 1.0])
-        else:
-            for axis in range(3):
-                e = np.zeros(3)
-                e[axis] = 1.0
-                cross = np.cross(p, e)
-                norm = float(np.linalg.norm(cross))
-                if norm > 1e-12 * q:
-                    t = cross / norm
-                    break
-            else:  # pragma: no cover - some axis is always non-parallel
-                raise AssertionError("no basis vector transverse to p")
-    else:
-        raise ValueError("dim must be 2 or 3")
-    if convention == "mirror":
-        t = -t
-    return t
+    return _transverse_rows(p[None, :], convention)[0]
+
+
+def _check_shell(energy: np.ndarray, incident: np.ndarray, outgoing: np.ndarray) -> None:
+    """EnergyShellError unless |k|^2 and |l|^2 match E to 1e-12 * E in every row."""
+    k2 = row_dot(incident, incident)
+    l2 = row_dot(outgoing, outgoing)
+    tol = 1e-12 * energy
+    off = (np.abs(k2 - energy) > tol) | (np.abs(l2 - energy) > tol)
+    if np.any(off):
+        r = int(np.argmax(off))
+        raise EnergyShellError(
+            f"channel off shell: |k|^2={float(k2[r])!r}, |l|^2={float(l2[r])!r}, "
+            f"E={float(energy[r])!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -104,13 +127,7 @@ class ScatteringChannel:
             if len(coords) != d:
                 raise ValueError(f"{name} has wrong length")
             object.__setattr__(self, name, tuple(float(c) for c in coords))
-        k2 = sum(c * c for c in self.incident)
-        l2 = sum(c * c for c in self.outgoing)
-        tol = 1e-12 * self.energy
-        if abs(k2 - self.energy) > tol or abs(l2 - self.energy) > tol:
-            raise EnergyShellError(
-                f"channel off shell: |k|^2={k2!r}, |l|^2={l2!r}, E={self.energy!r}"
-            )
+        _check_shell(np.array([self.energy]), np.array([self.incident]), np.array([self.outgoing]))
 
     @property
     def dim(self) -> int:
@@ -121,56 +138,96 @@ class ScatteringChannel:
         return float(np.linalg.norm(self.transfer))
 
 
-def channel(E: float, p, convention: str = "default") -> ScatteringChannel:
-    """Construct the channel at energy ``E`` and momentum transfer ``p``.
+@dataclass(frozen=True, eq=False)
+class ChannelTable:
+    """Channels as arrays: row r is the channel at ``energy[r]``, ``transfer[r]``.
 
-    Raises OutOfBallError when |p| > 2*sqrt(E); at equality the
+    ``energy`` has shape (rows,); the vectors have shape (rows, d).
+    ``node`` holds each row's flat probe-grid index when the table was
+    built on a grid (channels_on_grid), else None.  Indexing a row gives
+    its ScatteringChannel.
+    """
+
+    energy: np.ndarray
+    transfer: np.ndarray
+    transverse: np.ndarray
+    incident: np.ndarray
+    outgoing: np.ndarray
+    node: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.energy.shape[0]
+
+    def __getitem__(self, row: int) -> ScatteringChannel:
+        return ScatteringChannel(
+            energy=float(self.energy[row]),
+            transfer=self.transfer[row].tolist(),
+            transverse=self.transverse[row].tolist(),
+            incident=self.incident[row].tolist(),
+            outgoing=self.outgoing[row].tolist(),
+        )
+
+    def __iter__(self):
+        return (self[row] for row in range(len(self)))
+
+
+def channel_table(energy, transfer, convention: str = "default", node=None) -> ChannelTable:
+    """The channel of every row of ``transfer`` (rows, d) at ``energy``.
+
+    ``energy`` is one value or one per row; ``node`` is stored as the
+    table's node column.  Raises ValueError for a non-positive energy and
+    OutOfBallError for a row with |p| > 2*sqrt(E); at equality the
     transverse coefficient vanishes and the channel degenerates to
     back-scattering incident = p/2, outgoing = -p/2.
     """
-    if E <= 0:
+    p = np.array(transfer, dtype=float)
+    if p.ndim != 2 or p.shape[1] not in (2, 3):
+        raise ValueError("transfer must have shape (rows, 2) or (rows, 3)")
+    energy = np.broadcast_to(np.asarray(energy, dtype=float), p.shape[:1]).copy()
+    if np.any(energy <= 0):
         raise ValueError("energy must be positive")
-    p = np.asarray(p, dtype=float)
-    q2 = float(p @ p)
-    if q2 > 4.0 * E * (1.0 + 1e-14):
+    q2 = row_dot(p, p)
+    beyond = q2 > 4.0 * energy * (1.0 + 1e-14)
+    if np.any(beyond):
+        r = int(np.argmax(beyond))
         raise OutOfBallError(
-            f"|p|={np.sqrt(q2):.6g} exceeds 2*sqrt(E)={2.0 * np.sqrt(E):.6g}"
+            f"|p|={np.sqrt(q2[r]):.6g} exceeds 2*sqrt(E)={2.0 * np.sqrt(energy[r]):.6g}"
         )
-    coef = np.sqrt(max(E - 0.25 * q2, 0.0))
-    t = transverse_unit(p, p.shape[0], convention)
+    coef = np.sqrt(np.maximum(energy - 0.25 * q2, 0.0))
+    t = _transverse_rows(p, convention)
     half = 0.5 * p
-    shift = coef * t
-    return ScatteringChannel(
-        energy=float(E),
-        transfer=tuple(p),
-        transverse=tuple(t),
-        incident=tuple(half + shift),
-        outgoing=tuple(shift - half),
-    )
+    shift = coef[:, None] * t
+    incident = half + shift
+    outgoing = shift - half
+    _check_shell(energy, incident, outgoing)
+    return ChannelTable(energy, p, t, incident, outgoing, node)
+
+
+def channel(E: float, p, convention: str = "default") -> ScatteringChannel:
+    """Construct the channel at energy ``E`` and momentum transfer ``p``.
+
+    A one-row channel_table, with the same errors.
+    """
+    return channel_table(E, np.asarray(p, dtype=float)[None, :], convention)[0]
 
 
 def channels_on_grid(
     E: float, pgrid: GridSpec, convention: str = "default"
-) -> tuple[list[ScatteringChannel], list[tuple[int, ...]]]:
+) -> tuple[ChannelTable, list[tuple[int, ...]]]:
     """One channel per node of ``pgrid`` inside the ball |p| <= 2*sqrt(E).
 
-    Returns (channels, skipped) where ``skipped`` lists the multi-indices
-    of nodes outside the ball.  Order is row-major over the grid, so a
+    Returns (table, skipped): the table's ``node`` column holds each
+    row's flat grid index, and ``skipped`` lists the multi-indices of
+    the nodes outside the ball.  Order is row-major over the grid, so a
     rerun is reproducible index for index.
     """
     if E <= 0:
         raise ValueError("energy must be positive")
-    limit = 2.0 * np.sqrt(E)
     nodes = pgrid.nodes()
-    channels: list[ScatteringChannel] = []
-    skipped: list[tuple[int, ...]] = []
-    shape = pgrid.shape
-    for flat, p in enumerate(nodes):
-        if np.linalg.norm(p) <= limit:
-            channels.append(channel(E, p, convention))
-        else:
-            skipped.append(tuple(int(i) for i in np.unravel_index(flat, shape)))
-    return channels, skipped
+    inside = np.sqrt(row_dot(nodes, nodes)) <= 2.0 * np.sqrt(E)
+    outside = np.unravel_index(np.flatnonzero(~inside), pgrid.shape)
+    skipped = list(zip(*(axis.tolist() for axis in outside)))
+    return channel_table(E, nodes[inside], convention, np.flatnonzero(inside)), skipped
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,20 @@ import numpy as np
 
 from .exceptions import GridMismatchError
 
-__all__ = ["GridSpec", "ScalarField", "SpectralField"]
+__all__ = ["GridSpec", "ScalarField", "SpectralField", "row_dot"]
+
+
+def row_dot(a, b) -> np.ndarray:
+    """Dot product of each row of ``a`` (..., d) with ``b``: one vector, or a row each.
+
+    A stacked matmul sends every row through the same dot kernel as
+    ``x @ y`` on two vectors, so a row's value does not depend on how many
+    rows share the call.  ``a @ y`` over many rows (gemv), ``einsum``,
+    ``sum(a * b)`` and ``norm(axis=1)`` can differ in the last ulp.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _as_tuple(x, dim: int) -> tuple[float, ...]:
@@ -85,6 +98,25 @@ class GridSpec:
         """All node coordinates, shape (node_count, dim), row-major order."""
         mesh = self.meshgrid()
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+    def flat_index(self, points) -> np.ndarray:
+        """Row-major flat index of the node at each row of ``points`` (rows, dim).
+
+        Raises GridMismatchError when a point is not a node, within
+        1e-9 * max(1, |coordinate|) per axis.
+        """
+        points = np.asarray(points, dtype=float)
+        multi = []
+        for a in range(self.dim):
+            axis = self.axis(a)
+            x = points[:, a]
+            i = np.rint((x - axis[0]) / (axis[1] - axis[0]))
+            inside = (i >= 0) & (i < self.n)
+            i = np.where(inside, i, 0).astype(np.intp)
+            if not np.all(inside & (np.abs(axis[i] - x) <= 1e-9 * np.maximum(1.0, np.abs(x)))):
+                raise GridMismatchError("point is not a node of the grid")
+            multi.append(i)
+        return np.ravel_multi_index(multi, self.shape)
 
     def dual(self) -> "GridSpec":
         """Centered frequency grid dual to this one.

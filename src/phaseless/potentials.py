@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import j1 as _bessel_j1
 
 from .exceptions import SupportOutsideBoxError, UnsupportedPrimitiveError
-from .grids import GridSpec, ScalarField
+from .grids import GridSpec, ScalarField, row_dot
 
 __all__ = [
     "BallPrimitive",
@@ -228,31 +228,41 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
+# Gauss-Legendre orders of the tail integral; each point takes the
+# smallest one that resolves its own oscillation, so a point's value does
+# not depend on the other points of the call.
+_TAIL_ORDERS = (120, 240, 480, 960, 1920, 3840, 4000)
+
+
 def _gaussian_tail(q: np.ndarray, width: float, cutoff: float, dim: int) -> np.ndarray:
     """(2*pi)^(-d) * integral over |u| > cutoff of e^{i p.u} e^{-|u|^2/2w^2} du.
 
     Reduced to a radial integral (Bessel J0 weight in 2-D, sinc in 3-D) and
-    evaluated by fixed-order Gauss-Legendre on [cutoff, cutoff + 12 w]; the
-    integrand has decayed to ~e^{-72} at the far end.
+    evaluated by Gauss-Legendre on [cutoff, cutoff + 12 w]; the integrand
+    has decayed to ~e^{-72} at the far end.
     """
     q = np.asarray(q, dtype=float)
     upper = cutoff + 12.0 * width
-    # enough nodes for the oscillation q*(b-a) plus margin
-    order = int(max(120, 6 * np.max(q, initial=0.0) * (upper - cutoff)))
-    order = min(order, 4000)
-    xg, wg = _gauss_legendre(order)
-    r = 0.5 * (upper - cutoff) * (xg + 1.0) + cutoff
     jac = 0.5 * (upper - cutoff)
-    prof = np.exp(-(r**2) / (2.0 * width**2))
-    qr = np.multiply.outer(q, r)
-    if dim == 2:
-        from scipy.special import j0 as _bessel_j0
+    # enough nodes for the oscillation q*(b-a) plus margin
+    need = np.fmin(6.0 * q * (upper - cutoff), _TAIL_ORDERS[-1])
+    orders = np.take(_TAIL_ORDERS, np.searchsorted(_TAIL_ORDERS, need))
+    out = np.empty(q.shape)
+    for order in np.unique(orders).tolist():
+        sel = orders == order
+        xg, wg = _gauss_legendre(order)
+        r = jac * (xg + 1.0) + cutoff
+        prof = np.exp(-(r**2) / (2.0 * width**2))
+        qr = np.multiply.outer(q[sel], r)
+        if dim == 2:
+            from scipy.special import j0 as _bessel_j0
 
-        kern = _bessel_j0(qr) * (r * prof)
-        return (1.0 / (2.0 * np.pi)) * jac * kern @ wg
-    kern = np.where(qr == 0.0, 1.0, np.sin(qr) / np.where(qr == 0.0, 1.0, qr))
-    kern = kern * (r**2 * prof)
-    return (1.0 / (2.0 * np.pi**2)) * jac * kern @ wg
+            kern = (1.0 / (2.0 * np.pi)) * jac * (_bessel_j0(qr) * (r * prof))
+        else:
+            sinc = np.where(qr == 0.0, 1.0, np.sin(qr) / np.where(qr == 0.0, 1.0, qr))
+            kern = (1.0 / (2.0 * np.pi**2)) * jac * (sinc * (r**2 * prof))
+        out[sel] = row_dot(kern, wg)
+    return out
 
 
 def _gaussian_hat_radial(q: np.ndarray, width: float, cutoff: float, dim: int) -> np.ndarray:
@@ -277,7 +287,7 @@ def analytic_hat(spec: PotentialSpec, p) -> np.ndarray:
     q = np.linalg.norm(pts, axis=-1)
     out = np.zeros(q.shape, dtype=np.complex128)
     for comp in spec.components:
-        phase = np.exp(1j * pts @ np.asarray(comp.center))
+        phase = np.exp(1j * row_dot(pts, comp.center))
         if isinstance(comp, BallPrimitive):
             radial = _ball_hat_radial(q, comp.radius, spec.dim)
         elif isinstance(comp, GaussianPrimitive):

@@ -137,8 +137,7 @@ class ReconstructionResult:
 
 def _unflagged_by_node(ds: PhaselessDataset):
     """Unflagged rows sorted by (node, E), with nodes, energies and top-row mask."""
-    node = np.asarray(ds.node_index, dtype=np.intp)
-    energy = np.array([ch.energy for ch in ds.channels])
+    node, energy = ds.node_index, ds.energy
     ok = np.nonzero(ds.flags == FLAG_OK)[0]
     rows = ok[np.lexsort((energy[ok], node[ok]))]
     nodes = node[rows]
@@ -279,16 +278,15 @@ def build_mask(
     if moduli.shape[0] != n_nodes:
         raise ValueError("moduli rows must cover every probe node")
 
-    node_index = np.asarray(ds.node_index, dtype=np.intp)
     reached = np.zeros(n_nodes, dtype=bool)
-    reached[node_index] = True
+    reached[ds.node_index] = True
     no_data = np.isnan(moduli[:, 0])
     top = max(ds.energies)
     in_ball = np.linalg.norm(nodes, axis=1) <= 2.0 * np.sqrt(top)
     out_of_ball = ~in_ball | ~reached
 
     solver_failed = np.zeros(n_nodes, dtype=bool)
-    solver_failed[node_index[ds.flags != FLAG_OK]] = True
+    solver_failed[ds.node_index[ds.flags != FLAG_OK]] = True
 
     amp0 = np.sqrt(np.where(no_data, 0.0, np.maximum(moduli[:, 0], 0.0)))
     scale0 = float(np.max(amp0)) if amp0.size else 0.0
@@ -383,7 +381,7 @@ def reconstruct(
         raise NoDataError("dataset carries no reference scatterers")
     if ds.n_refs != refs.count:
         raise ValueError("reference count differs from dataset columns")
-    if not ds.channels:
+    if not ds.rows:
         raise NoDataError("dataset is empty")
 
     pgrid = ds.pgrid

@@ -7,17 +7,22 @@ A dataset stores, per channel, the intensities
 
 where each reference w_j is a known potential supported strictly away
 from the target.  Phases are discarded the moment a value is stored;
-reconstruction has to earn them back.  Two modes: "born-oracle" takes
-amplitudes from closed-form transforms (the infinite-energy limit,
-exact), "full-solver" runs the integral-equation solver: per (variant,
-energy), one direct solve answers every channel when the support fits
-the dense limit, else each channel is iterated (solver.uses_direct_solve).
+reconstruction has to earn them back.  The channels of one energy come
+as one row-wise table (geometry.channels_on_grid), and a dataset keeps
+only each row's energy, transfer and probe-node index.  Two modes:
+"born-oracle" takes amplitudes from closed-form transforms (the
+infinite-energy limit, exact), one analytic_hat call per (variant,
+energy) on the transfers incident - outgoing; "full-solver" runs the
+integral-equation solver: per (variant, energy), one direct solve
+answers every channel when the support fits the dense limit, else each
+channel is iterated (solver.uses_direct_solve).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +32,9 @@ from .exceptions import (
     GridMismatchError,
     SolverConvergenceError,
 )
-from .geometry import EnergySet, ScatteringChannel, channel, channels_on_grid
+# channel and born_amplitude are not called here; they stay importable
+# from this module because perfbench/tracing.py wraps them by name.
+from .geometry import ChannelTable, EnergySet, channel, channel_table, channels_on_grid
 from .grids import GridSpec
 from .potentials import (
     PotentialSpec,
@@ -144,22 +151,24 @@ class BackgroundSet:
 
 @dataclass(frozen=True)
 class PhaselessDataset:
-    """Channels plus their stored intensities.
+    """Channel rows plus their stored intensities.
 
-    ``values`` has shape (len(channels), 1 + n_refs): column 0 is the
-    target intensity, column j the intensity with reference j added.
-    ``node_index`` maps each channel to a flat index of ``pgrid`` so a
-    reconstruction can address recovered values onto spectral nodes
-    without interpolation.  ``flags`` marks per-channel synthesis
-    failures; flagged rows carry NaN values and are never silently
-    dropped.
+    Row r is the channel at energy ``energy[r]`` and momentum transfer
+    ``transfer[r]`` (shape (rows, d)); ``node_index[r]`` is the flat
+    index of that transfer on ``pgrid``, so a reconstruction can address
+    recovered values onto spectral nodes without interpolation.
+    ``values`` has shape (rows, 1 + n_refs): column 0 is the target
+    intensity, column j the intensity with reference j added.  ``flags``
+    marks per-channel synthesis failures; flagged rows carry NaN values
+    and are never silently dropped.  The arrays are read-only.
     """
 
     mode: str
     pgrid: GridSpec
     energies: tuple[float, ...]
-    channels: tuple[ScatteringChannel, ...]
-    node_index: tuple[int, ...]
+    energy: np.ndarray
+    transfer: np.ndarray
+    node_index: np.ndarray
     values: np.ndarray
     flags: np.ndarray
     backgrounds: BackgroundSet | None
@@ -169,36 +178,45 @@ class PhaselessDataset:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown synthesis mode {self.mode!r}")
+        energy = np.asarray(self.energy, dtype=float)
+        transfer = np.asarray(self.transfer, dtype=float)
+        node_index = np.asarray(self.node_index, dtype=np.intp)
         values = np.asarray(self.values, dtype=float)
         flags = np.asarray(self.flags, dtype=np.uint8)
-        m = len(self.channels)
-        if values.shape[0] != m or flags.shape != (m,):
-            raise ValueError("values/flags length mismatch with channels")
+        m = len(energy)
+        if (
+            energy.shape != (m,)
+            or transfer.shape != (m, self.pgrid.dim)
+            or node_index.shape != (m,)
+            or flags.shape != (m,)
+            or values.ndim != 2
+            or values.shape[0] != m
+        ):
+            raise ValueError("channel rows, values and flags must have one entry per row")
         ok = flags == FLAG_OK
         if values.size and (np.any(values[ok] < 0) or not np.all(np.isfinite(values[ok]))):
             raise ValueError("unflagged intensities must be finite and nonnegative")
-        values.setflags(write=False)
-        flags.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "flags", flags)
+        for name, arr in zip(
+            ("energy", "transfer", "node_index", "values", "flags"),
+            (energy, transfer, node_index, values, flags),
+        ):
+            arr = np.ascontiguousarray(arr)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
-        object.__setattr__(self, "channels", tuple(self.channels))
-        object.__setattr__(self, "node_index", tuple(int(i) for i in self.node_index))
 
     @property
     def n_refs(self) -> int:
         return self.values.shape[1] - 1
 
-    def rows_for_energy(self, E: float) -> np.ndarray:
-        es = np.array([ch.energy for ch in self.channels])
-        return np.nonzero(np.isclose(es, E, rtol=1e-12, atol=0.0))[0]
+    @property
+    def rows(self) -> int:
+        return self.energy.shape[0]
 
-    def row_lookup(self) -> dict[tuple[float, int], int]:
-        """Map (energy, flat p-grid index) -> row number."""
-        return {
-            (ch.energy, idx): row
-            for row, (ch, idx) in enumerate(zip(self.channels, self.node_index))
-        }
+    @property
+    def channels(self) -> ChannelTable:
+        """Every row's channel, derived from its energy and transfer."""
+        return channel_table(self.energy, self.transfer, self.convention, self.node_index)
 
 
 def _ensure_disjoint(v: PotentialSpec, refs: BackgroundSet) -> None:
@@ -212,27 +230,35 @@ def _ensure_disjoint(v: PotentialSpec, refs: BackgroundSet) -> None:
             )
 
 
-def _oracle_row(variants, ch: ScatteringChannel) -> np.ndarray:
-    k = WaveVector(ch.incident)
-    l = np.asarray(ch.outgoing)
-    return np.array([abs(born_amplitude(spec, k, l)) ** 2 for spec in variants])
+def _oracle_rows(variants, chans: ChannelTable) -> np.ndarray:
+    """Born intensities |v^(k - l)|^2 of every channel, one column per variant.
+
+    Python's abs(z) ** 2 per value: numpy's abs and power can differ
+    from it in the last ulp.
+    """
+    p = chans.incident - chans.outgoing
+    values = np.empty((len(chans), len(variants)))
+    for col, spec in enumerate(variants):
+        values[:, col] = [abs(z) ** 2 for z in analytic_hat(spec, p).tolist()]
+    return values
 
 
-def _solver_rows(fields, chans, cfg) -> tuple[np.ndarray, np.ndarray, dict]:
+def _solver_rows(fields, incident, outgoing, cfg) -> tuple[np.ndarray, np.ndarray, dict]:
     """Intensities of every channel of one energy, one column per variant.
 
+    ``incident`` and ``outgoing`` are the (rows, d) wave vectors of the
+    channels.
     Returns (values, failed, worst iterations and residual).  A failed
     solve flags every row of the energy on the direct route and only its
     channel's row on the iteration route; a flagged row is NaN in every
     column.
     """
-    values = np.empty((len(chans), len(fields)))
-    failed = np.zeros(len(chans), dtype=bool)
+    rows = incident.shape[0]
+    values = np.empty((rows, len(fields)))
+    failed = np.zeros(rows, dtype=bool)
     worst = {"iterations": 0, "residual": 0.0}
-    incident = np.array([ch.incident for ch in chans])
-    outgoing = np.array([ch.outgoing for ch in chans])
     for col, fld in enumerate(fields):
-        if chans and uses_direct_solve(fld, cfg):
+        if rows and uses_direct_solve(fld, cfg):
             try:
                 f, residual = direct_amplitudes(fld, incident, outgoing, cfg)
             except SolverConvergenceError:
@@ -242,10 +268,10 @@ def _solver_rows(fields, chans, cfg) -> tuple[np.ndarray, np.ndarray, dict]:
             worst["iterations"] = max(worst["iterations"], 1)
             worst["residual"] = max(worst["residual"], residual)
             continue
-        for row, ch in enumerate(chans):
+        for row in range(rows):
             if failed[row]:
                 continue
-            k = WaveVector(ch.incident)
+            k = WaveVector(incident[row])
             try:
                 psi, report = solve_lippmann_schwinger(fld, k, cfg)
             except SolverConvergenceError:
@@ -253,7 +279,7 @@ def _solver_rows(fields, chans, cfg) -> tuple[np.ndarray, np.ndarray, dict]:
                 continue
             worst["iterations"] = max(worst["iterations"], report.iterations)
             worst["residual"] = max(worst["residual"], report.residual)
-            values[row, col] = abs(scattering_amplitude(fld, psi, k, ch.outgoing)) ** 2
+            values[row, col] = abs(scattering_amplitude(fld, psi, k, outgoing[row])) ** 2
     values[failed] = np.nan
     return values, failed, worst
 
@@ -293,22 +319,19 @@ def synthesize(
             raise ValueError("full-solver mode needs a spatial grid")
         fields = [rasterize(spec, grid) for spec in variants]
 
-    channels: list[ScatteringChannel] = []
-    node_index: list[int] = []
+    tables: list[ChannelTable] = []
     rows: list[np.ndarray] = []
     flag_list: list[np.ndarray] = []
     notes: dict = {"per_energy": {}}
-    shape = pgrid.shape
     for E in energies:
         chans, _ = channels_on_grid(E, pgrid, convention)
         if mode == "born-oracle":
-            values = np.array([_oracle_row(variants, ch) for ch in chans])
+            values = _oracle_rows(variants, chans)
             failed, worst = np.zeros(len(chans), dtype=bool), {}
         else:
-            values, failed, worst = _solver_rows(fields, chans, cfg)
-        channels.extend(chans)
-        node_index.extend(_flat_index(pgrid, ch.transfer, shape) for ch in chans)
-        rows.append(values.reshape(len(chans), len(variants)))
+            values, failed, worst = _solver_rows(fields, chans.incident, chans.outgoing, cfg)
+        tables.append(chans)
+        rows.append(values)
         flag_list.append(np.where(failed, FLAG_SOLVER_FAILED, FLAG_OK))
         notes["per_energy"][repr(float(E))] = {
             "channels": len(chans), "failed": int(np.sum(failed)), **worst
@@ -318,25 +341,15 @@ def synthesize(
         mode=mode,
         pgrid=pgrid,
         energies=tuple(energies),
-        channels=tuple(channels),
-        node_index=tuple(node_index),
+        energy=np.concatenate([t.energy for t in tables]),
+        transfer=np.concatenate([t.transfer for t in tables]),
+        node_index=np.concatenate([t.node for t in tables]),
         values=np.vstack(rows),
         flags=np.concatenate(flag_list),
         backgrounds=refs,
         convention=convention,
         solver_notes=notes,
     )
-
-
-def _flat_index(pgrid: GridSpec, p, shape) -> int:
-    multi = []
-    for a in range(pgrid.dim):
-        axis = pgrid.axis(a)
-        i = int(round((p[a] - axis[0]) / (axis[1] - axis[0])))
-        if not (0 <= i < shape[a]) or abs(axis[i] - p[a]) > 1e-9 * max(1.0, abs(p[a])):
-            raise GridMismatchError("channel transfer is not a probe-grid node")
-        multi.append(i)
-    return int(np.ravel_multi_index(multi, shape))
 
 
 def translation_twin_demo(
@@ -511,12 +524,12 @@ def write_dataset(ds: PhaselessDataset, base: str, withhold_target: bool = False
     cols += [f"m_{j + 1}" for j in range(ds.n_refs)]
     cols.append("flags")
     lines = [",".join(cols)]
-    for row, ch in enumerate(ds.channels):
-        cells = [repr(ch.energy)] + [repr(x) for x in ch.transfer]
-        for col in range(ds.values.shape[1]):
-            val = ds.values[row, col]
-            cells.append("nan" if np.isnan(val) else repr(float(val)))
-        cells.append(str(int(ds.flags[row])))
+    for E, p, vals, flag in zip(
+        ds.energy.tolist(), ds.transfer.tolist(), ds.values.tolist(), ds.flags.tolist()
+    ):
+        cells = [repr(E)] + [repr(x) for x in p]
+        cells += ["nan" if math.isnan(val) else repr(val) for val in vals]
+        cells.append(str(flag))
         lines.append(",".join(cells))
     csv_text = "\n".join(lines) + "\n"
     with open(base + ".csv", "w") as fh:
@@ -557,7 +570,14 @@ def _grid_from_dict(d: dict) -> GridSpec:
 
 
 def read_dataset(base: str) -> PhaselessDataset:
-    """Rebuild a dataset written by write_dataset (channels re-derived)."""
+    """Rebuild a dataset written by write_dataset.
+
+    The CSV is parsed into arrays.  Raises ValueError when the CSV does
+    not match its recorded hash or the header's columns, OutOfBallError
+    (or EnergyShellError) when a row is no on-shell channel of its
+    energy, and GridMismatchError when a transfer is not a probe-grid
+    node.
+    """
     with open(base + ".json") as fh:
         header = json.load(fh)
     if header.get("schema") != _DATASET_SCHEMA:
@@ -577,28 +597,23 @@ def read_dataset(base: str) -> PhaselessDataset:
     convention = header["convention"]
     d = pgrid.dim
     n_refs = int(header["n_refs"])
-    lines = csv_text.strip().split("\n")[1:]
-    channels, node_index, rows, flags = [], [], [], []
-    shape = pgrid.shape
-    for line in lines:
-        cells = line.split(",")
-        E = float(cells[0])
-        p = tuple(float(x) for x in cells[1 : 1 + d])
-        vals = [float(x) for x in cells[1 + d : 2 + d + n_refs]]
-        flag = int(cells[2 + d + n_refs])
-        channels.append(channel(E, p, convention))
-        node_index.append(_flat_index(pgrid, p, shape))
-        rows.append(np.array(vals))
-        flags.append(flag)
+    width = 3 + d + n_refs
+    rows = [line.split(",") for line in csv_text.strip().split("\n")[1:]]
+    if any(len(cells) != width for cells in rows):
+        raise ValueError(f"dataset CSV rows must have {width} columns")
+    numbers = np.array([[float(x) for x in cells[:-1]] for cells in rows]).reshape(-1, width - 1)
+    energy, transfer = numbers[:, 0], numbers[:, 1 : 1 + d]
+    channel_table(energy, transfer, convention)  # raises for a row off the shell or ball
 
     return PhaselessDataset(
         mode=header["mode"],
         pgrid=pgrid,
         energies=tuple(header["energies"]),
-        channels=tuple(channels),
-        node_index=tuple(node_index),
-        values=np.vstack(rows) if rows else np.zeros((0, 1 + n_refs)),
-        flags=np.array(flags, dtype=np.uint8),
+        energy=energy,
+        transfer=transfer,
+        node_index=pgrid.flat_index(transfer),
+        values=numbers[:, 1 + d :],
+        flags=np.array([int(cells[-1]) for cells in rows], dtype=np.uint8),
         backgrounds=refs,
         convention=convention,
         solver_notes=header.get("solver_notes", {}),

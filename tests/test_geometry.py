@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,6 +11,7 @@ from phaseless.geometry import (
     EnergySet,
     ScatteringChannel,
     channel,
+    channel_table,
     channels_on_grid,
     transverse_unit,
 )
@@ -120,6 +123,89 @@ def test_channels_on_grid_partitions_nodes():
     nodes = pg.nodes().reshape(pg.shape + (2,))
     for idx in skipped:
         assert np.linalg.norm(nodes[idx]) > limit
+
+
+def _edge_transfers(E, dim):
+    e1 = np.eye(dim)[0]
+    return np.array(
+        [
+            np.zeros(dim),  # p = 0
+            np.full(dim, 5e-324),  # subnormal components
+            4.2e-160 * np.eye(dim)[1],  # |p|^2 is subnormal
+            2.0 * np.sqrt(E) * e1,  # |p| = 2 sqrt(E): back-scattering
+            -0.7 * np.sqrt(E) * e1,  # 3-D: the cross product with e1 vanishes
+            0.5 * np.sqrt(E) * e1 + 1e-13 * np.eye(dim)[1],  # nearly parallel to e1
+        ]
+    )
+
+
+def _vector_channel(E, p, convention):
+    """(transverse, incident, outgoing) by the one-vector construction, a bitwise reference."""
+    q2 = float(p @ p)
+    big = max(map(abs, p.tolist()))
+    s = np.ldexp(p, -math.frexp(big)[1]) if big > 0.0 else p
+    q = float(np.linalg.norm(s))
+    if q == 0.0:
+        t = np.eye(len(p))[-1]
+    elif len(p) == 2:
+        t = np.array([-s[1], s[0]]) / q
+    else:
+        for e in np.eye(3):
+            cross = np.cross(s, e)
+            norm = float(np.linalg.norm(cross))
+            if norm > 1e-12 * q:
+                t = cross / norm
+                break
+    if convention == "mirror":
+        t = -t
+    shift = np.sqrt(max(E - 0.25 * q2, 0.0)) * t
+    return t, 0.5 * p + shift, shift - 0.5 * p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_channel_table_rows_equal_single_channels(data):
+    dim = data.draw(st.sampled_from([2, 3]))
+    E = data.draw(st.floats(0.5, 500.0))
+    convention = data.draw(st.sampled_from(["default", "mirror"]))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    draws = data.draw(st.lists(st.lists(unit, min_size=dim, max_size=dim), max_size=16))
+    p = np.array(draws, dtype=float).reshape(-1, dim) * (2.0 * np.sqrt(E / dim))
+    p = np.vstack([p, _edge_transfers(E, dim)])
+    table = channel_table(E, p, convention)
+    assert len(table) == len(p)
+    for row, pr in enumerate(p):
+        ch = channel(E, pr, convention)
+        assert table.energy[row] == ch.energy
+        for name in ("transfer", "transverse", "incident", "outgoing"):
+            assert getattr(table, name)[row].tobytes() == np.array(getattr(ch, name)).tobytes()
+        want = _vector_channel(E, pr, convention)
+        got = (table.transverse[row], table.incident[row], table.outgoing[row])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(2, 16), (3, 8)]), st.floats(0.25, 40.0))
+def test_channels_on_grid_rows_complement_skipped_nodes(shape, E):
+    dim, n = shape
+    pg = GridSpec(dim, n, (-4.0,) * dim, (4.0,) * dim).dual()
+    table, skipped = channels_on_grid(E, pg)
+    nodes = pg.nodes()
+    inside = np.array([np.linalg.norm(p) <= 2.0 * np.sqrt(E) for p in nodes])
+    assert table.node.dtype == np.intp
+    assert np.array_equal(table.node, np.flatnonzero(inside))
+    assert np.array_equal(table.transfer, nodes[inside])
+    outside = np.unravel_index(np.flatnonzero(~inside), pg.shape)
+    assert skipped == list(zip(*(axis.tolist() for axis in outside)))
+
+
+def test_channel_table_rejects_rows_outside_ball():
+    with pytest.raises(OutOfBallError):
+        channel_table(4.0, [(1.0, 0.0), (4.0 + 1e-6, 0.0)])
+    with pytest.raises(ValueError):
+        channel_table([4.0, 0.0], [(1.0, 0.0), (1.0, 0.0)])
+    with pytest.raises(ValueError):
+        channel_table(4.0, [(1.0, 0.0, 0.0, 0.0)])
 
 
 def test_channel_shell_enforced_on_construction():

@@ -49,6 +49,27 @@ def test_gaussian_hat_against_quadrature_oracle():
         assert abs(got - complex(re, im)) < 1e-9
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["ball", "gaussian"])
+def test_analytic_hat_rows_equal_single_point_calls(dim, kind):
+    # a batched call must not depend on its batch: every row bit for bit
+    # equals the call on that point alone, including p = 0 and points whose
+    # Gaussian tail needs a larger quadrature order than the batch minimum
+    center = (0.31, -0.27, 0.13)[:dim]
+    if kind == "ball":
+        v = PotentialSpec.ball(center, 0.25, 1.0)
+    else:
+        v = PotentialSpec.gaussian(center, width=0.12, cutoff=0.5, amplitude=0.7)
+    rng = np.random.default_rng(11 + dim)
+    ps = rng.uniform(-40.0, 40.0, size=(300, dim))
+    ps[0] = 0.0
+    ps[1] = 1e-160
+    batched = analytic_hat(v, ps)
+    for p, got in zip(ps, batched):
+        single = analytic_hat(v, p)
+        assert got.real == single.real and got.imag == single.imag
+
+
 def test_ball_hat_closed_form_cross_check():
     # second independent route: centered ball transform is
     # A (2pi)^-2 e^{ip.c} 2 pi R J1(R|p|)/|p|

@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from phaseless.exceptions import BackgroundValidationError
-from phaseless.geometry import EnergySet
+from phaseless.exceptions import BackgroundValidationError, GridMismatchError, OutOfBallError
+from phaseless.geometry import EnergySet, channels_on_grid
 from phaseless.grids import GridSpec
 from phaseless.potentials import PotentialSpec, analytic_hat, rasterize
 from phaseless.solver import (
     SolverConfig,
     WaveVector,
+    born_amplitude,
     scattering_amplitude,
     solve_lippmann_schwinger,
 )
@@ -33,9 +36,12 @@ def test_born_values_are_squared_transforms(off_center_ball, two_ball_refs):
     variants = [off_center_ball] + [off_center_ball + w for w in two_ball_refs.backgrounds]
     for row, ch in enumerate(ds.channels):
         p = np.asarray(ch.transfer)
+        k = WaveVector(ch.incident)
         for col, spec in enumerate(variants):
             expected = abs(analytic_hat(spec, p)) ** 2
             assert_allclose(ds.values[row, col], expected, rtol=1e-13, atol=1e-300)
+            # one batched call per (variant, energy) gives each channel's own bits
+            assert ds.values[row, col] == abs(born_amplitude(spec, k, ch.outgoing)) ** 2
     assert np.all(ds.flags == FLAG_OK)
 
 
@@ -81,10 +87,13 @@ def test_channel_rows_address_probe_nodes(off_center_ball):
     nodes = PGRID.nodes()
     for ch, idx in zip(ds.channels, ds.node_index):
         assert_allclose(nodes[idx], ch.transfer, atol=1e-12)
-    lookup = ds.row_lookup()
-    assert len(lookup) == len(ds.channels)
-    rows4 = ds.rows_for_energy(4.0)
-    assert all(ds.channels[r].energy == 4.0 for r in rows4)
+    assert ds.node_index.dtype == np.intp
+    # one row per (energy, node) pair, each energy's rows in one block
+    pairs = {(E, idx) for E, idx in zip(ds.energy.tolist(), ds.node_index.tolist())}
+    assert len(pairs) == ds.rows == len(ds.channels)
+    for E in ENERGIES:
+        rows = np.flatnonzero(ds.energy == E)
+        assert rows.size and np.array_equal(rows, np.arange(rows[0], rows[-1] + 1))
 
 
 def test_failed_solves_are_flagged_not_dropped(tmp_path):
@@ -106,6 +115,7 @@ def test_failed_solves_are_flagged_not_dropped(tmp_path):
         back = read_dataset(base)
         assert np.all(back.flags == FLAG_SOLVER_FAILED)
         assert np.all(np.isnan(back.values))
+        assert np.array_equal(back.node_index, ds.node_index)
 
 
 def test_batched_direct_solve_matches_per_channel_dense(off_center_ball, two_ball_refs):
@@ -134,8 +144,9 @@ def test_dataset_roundtrip(tmp_path, off_center_ball, two_ball_refs):
     assert back.mode == ds.mode
     assert back.pgrid.key() == ds.pgrid.key()
     assert back.energies == ds.energies
-    assert back.node_index == ds.node_index
-    assert np.array_equal(back.values, ds.values)
+    for name in ("energy", "transfer", "node_index", "values", "flags"):
+        want, got = getattr(ds, name), getattr(back, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert back.backgrounds is not None
     assert back.backgrounds.count == 2
 
@@ -150,6 +161,30 @@ def test_dataset_hash_guards_tampering(tmp_path, off_center_ball):
         fh.write(text.replace("4.0", "4.1", 1))
     with pytest.raises(ValueError, match="hash"):
         read_dataset(base)
+
+
+def _write_with_transfer(tmp_path, ds, row, p):
+    """Write ``ds`` with row ``row``'s transfer replaced; the hash stays valid."""
+    transfer = np.array(ds.transfer)
+    transfer[row] = p
+    base = str(tmp_path / "edited")
+    write_dataset(dataclasses.replace(ds, transfer=transfer), base)
+    return base
+
+
+def test_read_dataset_rejects_rows_off_grid_or_outside_ball(tmp_path, off_center_ball):
+    ds = synthesize(off_center_ball, None, ENERGIES, PGRID)
+    base = str(tmp_path / "ds")
+    write_dataset(ds, base)
+    assert read_dataset(base).rows == ds.rows
+    row = int(np.argmin(np.linalg.norm(ds.transfer, axis=1)))
+    half_step = 0.5 * np.array(PGRID.spacing)
+    with pytest.raises(GridMismatchError):
+        read_dataset(_write_with_transfer(tmp_path, ds, row, ds.transfer[row] + half_step))
+    _, skipped = channels_on_grid(4.0, PGRID)
+    outside = PGRID.nodes().reshape(PGRID.shape + (2,))[skipped[0]]
+    with pytest.raises(OutOfBallError):
+        read_dataset(_write_with_transfer(tmp_path, ds, 0, outside))
 
 
 def test_withheld_target_not_recorded(tmp_path, off_center_ball):
