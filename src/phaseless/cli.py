@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +73,29 @@ def _canonical(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _report_text(obj, indent: str = "") -> str:
+    """``obj`` laid out as _canonical lays it out, but a list of scalars on one line.
+
+    A reconstruction report's mask index lists hold thousands of
+    integers, one line each under _canonical.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = (f"{inner}{json.dumps(k)}: {_report_text(obj[k], inner)}" for k in sorted(obj))
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)) and any(map(isinstance, obj, repeat((dict, list, tuple)))):
+        items = (inner + _report_text(v, inner) for v in obj)
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
+_PLAIN = (int, str, bool, type(None))
+
+
 def _json_safe(obj):
     """Numpy scalars to python, non-finite floats to strings."""
+    if type(obj) in _PLAIN:
+        return obj
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -136,7 +158,7 @@ class _Bundle:
             "results": _json_safe(results),
         }
         path = self.outdir / f"{self.command}_report.json"
-        path.write_text(_canonical(report))
+        path.write_text(_report_text(report) + "\n")
         return path
 
 

@@ -213,21 +213,20 @@ def channel(E: float, p, convention: str = "default") -> ScatteringChannel:
 
 def channels_on_grid(
     E: float, pgrid: GridSpec, convention: str = "default"
-) -> tuple[ChannelTable, list[tuple[int, ...]]]:
+) -> tuple[ChannelTable, np.ndarray]:
     """One channel per node of ``pgrid`` inside the ball |p| <= 2*sqrt(E).
 
     Returns (table, skipped): the table's ``node`` column holds each
-    row's flat grid index, and ``skipped`` lists the multi-indices of
-    the nodes outside the ball.  Order is row-major over the grid, so a
-    rerun is reproducible index for index.
+    row's flat grid index, and ``skipped`` the flat grid indices (intp)
+    of the nodes outside the ball.  Order is row-major over the grid, so
+    a rerun is reproducible index for index.
     """
     if E <= 0:
         raise ValueError("energy must be positive")
     nodes = pgrid.nodes()
     inside = np.sqrt(row_dot(nodes, nodes)) <= 2.0 * np.sqrt(E)
-    outside = np.unravel_index(np.flatnonzero(~inside), pgrid.shape)
-    skipped = list(zip(*(axis.tolist() for axis in outside)))
-    return channel_table(E, nodes[inside], convention, np.flatnonzero(inside)), skipped
+    table = channel_table(E, nodes[inside], convention, np.flatnonzero(inside))
+    return table, np.flatnonzero(~inside)
 
 
 @dataclass(frozen=True)

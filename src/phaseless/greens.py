@@ -14,9 +14,9 @@ scattered ~ c(d, k) * e^{i k |x|} / |x|^((d-1)/2) * f.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import hankel1
 
 from .exceptions import ZeroDisplacementError
+from .special import hankel1
 
 __all__ = [
     "outgoing_green",

@@ -14,10 +14,10 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.special import j1 as _bessel_j1
 
 from .exceptions import SupportOutsideBoxError, UnsupportedPrimitiveError
 from .grids import GridSpec, ScalarField, row_dot
+from .special import j0, j1_over_x
 
 __all__ = [
     "BallPrimitive",
@@ -202,25 +202,18 @@ def _ball_hat_radial(q: np.ndarray, radius: float, dim: int) -> np.ndarray:
     d=2: R * J1(R q) / (2*pi*q), limit R^2/(4*pi) at q=0.
     d=3: (2*pi)^(-3) * 4*pi * (sin(Rq) - Rq cos(Rq)) / q^3.
     """
-    q = np.asarray(q, dtype=float)
-    z = radius * q
-    out = np.empty(q.shape, dtype=float)
+    z = radius * np.asarray(q, dtype=float)
+    if dim == 2:
+        # (R^2 / (2*pi)) * J1(z)/z
+        return radius**2 / (2.0 * np.pi) * j1_over_x(z)
+    # (R^3 / (2*pi^2)) * (sin z - z cos z)/z^3
     small = z < 1e-6
     zs = z[small]
     zl = z[~small]
-    if dim == 2:
-        # (R^2 / (2*pi)) * J1(z)/z
-        ratio = np.empty(q.shape)
-        ratio[small] = 0.5 - zs**2 / 16.0 + zs**4 / 384.0
-        ratio[~small] = _bessel_j1(zl) / zl
-        out = radius**2 / (2.0 * np.pi) * ratio
-    else:
-        # (R^3 / (2*pi^2)) * (sin z - z cos z)/z^3
-        ratio = np.empty(q.shape)
-        ratio[small] = 1.0 / 3.0 - zs**2 / 30.0 + zs**4 / 840.0
-        ratio[~small] = (np.sin(zl) - zl * np.cos(zl)) / zl**3
-        out = radius**3 / (2.0 * np.pi**2) * ratio
-    return out
+    ratio = np.empty(z.shape)
+    ratio[small] = 1.0 / 3.0 - zs**2 / 30.0 + zs**4 / 840.0
+    ratio[~small] = (np.sin(zl) - zl * np.cos(zl)) / zl**3
+    return radius**3 / (2.0 * np.pi**2) * ratio
 
 
 @lru_cache(maxsize=64)
@@ -248,16 +241,14 @@ def _gaussian_tail(q: np.ndarray, width: float, cutoff: float, dim: int) -> np.n
     need = np.fmin(6.0 * q * (upper - cutoff), _TAIL_ORDERS[-1])
     orders = np.take(_TAIL_ORDERS, np.searchsorted(_TAIL_ORDERS, need))
     out = np.empty(q.shape)
-    for order in np.unique(orders).tolist():
+    for order in sorted(set(orders.tolist())):  # np.unique would import numpy.ma
         sel = orders == order
         xg, wg = _gauss_legendre(order)
         r = jac * (xg + 1.0) + cutoff
         prof = np.exp(-(r**2) / (2.0 * width**2))
         qr = np.multiply.outer(q[sel], r)
         if dim == 2:
-            from scipy.special import j0 as _bessel_j0
-
-            kern = (1.0 / (2.0 * np.pi)) * jac * (_bessel_j0(qr) * (r * prof))
+            kern = (1.0 / (2.0 * np.pi)) * jac * (j0(qr) * (r * prof))
         else:
             sinc = np.where(qr == 0.0, 1.0, np.sin(qr) / np.where(qr == 0.0, 1.0, qr))
             kern = (1.0 / (2.0 * np.pi**2)) * jac * (sinc * (r**2 * prof))
@@ -272,6 +263,18 @@ def _gaussian_hat_radial(q: np.ndarray, width: float, cutoff: float, dim: int) -
     return full - _gaussian_tail(q, width, cutoff, dim)
 
 
+def _expi(theta: np.ndarray) -> np.ndarray:
+    """e^{i theta} as cos + i sin, as numpy's complex exp forms it for a zero real part.
+
+    Two real functions into one complex array cost about two thirds of
+    np.exp(1j * theta), which also builds the complex argument.
+    """
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def analytic_hat(spec: PotentialSpec, p) -> np.ndarray:
     """Closed-form transform of the potential at momenta ``p``.
 
@@ -284,10 +287,15 @@ def analytic_hat(spec: PotentialSpec, p) -> np.ndarray:
     pts = np.atleast_2d(p)
     if pts.shape[-1] != spec.dim:
         raise ValueError("momentum dimension mismatch")
-    q = np.linalg.norm(pts, axis=-1)
+    # |p| column by column: the bits of norm(pts, axis=-1), without its
+    # reduction over rows of two or three
+    q = pts[:, 0] * pts[:, 0]
+    for a in range(1, spec.dim):
+        q += pts[:, a] * pts[:, a]
+    np.sqrt(q, out=q)
     out = np.zeros(q.shape, dtype=np.complex128)
     for comp in spec.components:
-        phase = np.exp(1j * row_dot(pts, comp.center))
+        phase = _expi(row_dot(pts, comp.center))
         if isinstance(comp, BallPrimitive):
             radial = _ball_hat_radial(q, comp.radius, spec.dim)
         elif isinstance(comp, GaussianPrimitive):

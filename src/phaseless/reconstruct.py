@@ -264,13 +264,15 @@ def build_mask(
     moduli: np.ndarray,
     eps_zero: float | None = None,
     eps_pair: float | None = None,
+    hats=None,
 ) -> SingularMask:
     """Flag probe nodes where phase recovery is ill-posed.
 
     ``moduli`` is the (n_nodes, 1 + n_refs) array of recovered squared
     moduli with NaN where no estimate exists.  Thresholds default to
     1e-3 of each quantity's grid maximum; the reference rule is
-    BackgroundSet.singular_nodes.
+    BackgroundSet.singular_nodes.  ``hats`` are refs.reference_hats of
+    the probe nodes, computed here unless the caller has them.
     """
     pgrid = ds.pgrid
     nodes = pgrid.nodes()
@@ -293,7 +295,9 @@ def build_mask(
     ez = eps_zero if eps_zero is not None else 1e-3 * scale0
     target_null = in_ball & ~no_data & (amp0 < ez)
 
-    ref_null, pair, eps_ref, ep = refs.singular_nodes(nodes, eps_zero, eps_pair)
+    if hats is None:
+        hats = refs.reference_hats(nodes)
+    ref_null, pair, eps_ref, ep = refs.singular_nodes(hats, eps_zero, eps_pair)
     return SingularMask(
         target_null=target_null,
         ref_null=ref_null,
@@ -351,7 +355,8 @@ def _modulus_decay_diagnostic(ds: PhaselessDataset, by_node) -> dict:
     keep = (energy[last] == top)[run] & (energy != top)
     spread = np.abs(ds.values[rows[keep], 0] - ds.values[top_rows[run[keep]], 0])
     kept = energy[keep]
-    pairs = [(float(E), float(spread[kept == E].max())) for E in np.unique(kept)]
+    # sorted(set()), not np.unique, which imports numpy.ma (13 ms) on first use
+    pairs = [(E, float(spread[kept == E].max())) for E in sorted(set(kept.tolist()))]
     if len(pairs) < 4:
         return {"available": False}
     try:
@@ -393,7 +398,9 @@ def reconstruct(
 
     by_node = _unflagged_by_node(ds)
     moduli = _recover_all_moduli(ds, by_node, opts.estimator)
-    mask = build_mask(ds, refs, moduli, opts.eps_zero, opts.eps_pair)
+    nodes = pgrid.nodes()
+    hats = refs.reference_hats(nodes)
+    mask = build_mask(ds, refs, moduli, opts.eps_zero, opts.eps_pair, hats)
     frac = mask.masked_fraction
     if frac > opts.mask_fraction_limit:
         pair_frac = float(np.mean(mask.pair_degenerate))
@@ -407,8 +414,6 @@ def reconstruct(
             f"{100.0 * frac:.1f}% of reachable probe nodes are masked{hint}"
         )
 
-    nodes = pgrid.nodes()
-    hats = refs.reference_hats(nodes)
     ez = mask.thresholds["eps_zero"]
     er = mask.thresholds["eps_ref"]
     ep = mask.thresholds["eps_pair"]

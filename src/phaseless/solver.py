@@ -51,6 +51,7 @@ from .exceptions import (
 from .greens import far_field_coefficient, outgoing_green, singular_cell_weight
 from .grids import GridSpec, ScalarField
 from .potentials import PotentialSpec, analytic_hat
+from .special import hankel1
 
 __all__ = [
     "WaveVector",
@@ -119,11 +120,12 @@ class SolverReport:
 
 _KERNEL_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _KERNEL_CACHE_LIMIT = 32
-# incident waves solved per block in direct_amplitudes: bounds its
-# (support, block) arrays, while the factorization is shared by all blocks
+# solved columns per block of amplitudes and residuals in
+# direct_amplitudes: bounds its (support, block) temporaries
 _CHANNEL_BLOCK = 32
-# cap on the padded box buffer of one block in direct_amplitudes: a wide
-# 3-D box gets fewer channels per block
+# cap on the padded box buffer of one block in direct_amplitudes (a wide
+# 3-D box gets fewer channels per block), and the least byte count of the
+# right-hand sides it solves in one call
 _BOX_BYTES = 1 << 24
 # matrix rows filled per block by _support_matrix: bounds its int64
 # offset array, so the matrix is the only (m, m) array ever held
@@ -156,8 +158,6 @@ def _kernel_tables(grid: GridSpec, kmag: float) -> tuple[np.ndarray, np.ndarray]
     origin = (0,) * grid.dim
     r[origin] = 1.0  # placeholder, overwritten below
     if grid.dim == 2:
-        from scipy.special import hankel1
-
         weights = (-0.25j * hankel1(0, kmag * r)) * grid.cell_volume
     else:
         weights = (-np.exp(1j * kmag * r) / (4.0 * np.pi * r)) * grid.cell_volume
@@ -282,7 +282,7 @@ def _support_matrix(v: ScalarField, weights_tab: np.ndarray, cfg: SolverConfig):
     W between support nodes is read from the padded weight table through
     signed index offsets.  The matrix is filled a block of rows at a
     time, so the int64 offset array covers one block, never (m, m).  It
-    comes in Fortran order, the layout LAPACK factors in place.
+    comes in Fortran order, the layout LAPACK copies it into.
     """
     mask = _support(v)
     idx = np.argwhere(mask)
@@ -311,16 +311,15 @@ def _support_matrix(v: ScalarField, weights_tab: np.ndarray, cfg: SolverConfig):
 
 
 def _support_solver(v: ScalarField, weights_tab: np.ndarray, cfg: SolverConfig):
-    """Support mask and a solve against _support_matrix, LU-factored in place once.
+    """Support mask and a function solving _support_matrix against columns.
 
-    scipy.linalg is imported here, so runs that never solve directly do
-    not pay for it.
+    Each call is one numpy.linalg.solve: an LU factorization and the
+    solve of every column given.  LAPACK factors a copy, so a call holds
+    two (m, m) matrices at its peak; direct_amplitudes therefore passes
+    all of an energy's channels in one call and factors once.
     """
-    from scipy.linalg import lu_factor, lu_solve
-
     mask, a_mat = _support_matrix(v, weights_tab, cfg)
-    factors = lu_factor(a_mat, overwrite_a=True, check_finite=False)
-    return mask, lambda rhs: lu_solve(factors, rhs, check_finite=False)
+    return mask, lambda rhs: np.linalg.solve(a_mat, rhs)
 
 
 def solve_lippmann_schwinger(
@@ -404,13 +403,15 @@ def direct_amplitudes(
 
     ``incident`` and ``outgoing`` are (channels, dim) wave vectors on one
     energy shell (relative 1e-12, every pair checked).  The support
-    system is LU-factored once and solved for blocks of incident waves;
-    each block's amplitudes are one phase-matrix product.  Also returns
-    the worst residual: every channel's own FFT convolution on the
-    support's bounding box, one batched _BoxOperator application per
-    block (off the support the equation holds by construction),
-    normalized as in solve_lippmann_schwinger.  Raises
-    SolverConvergenceError when the support exceeds ``dense_limit``.
+    system is solved for every incident wave in one call; only channels
+    whose right-hand sides would outgrow max(the matrix, _BOX_BYTES) are
+    split into chunks, one solve each.  Blocks of the solved columns then
+    give the amplitudes, one phase-matrix product each, and the worst
+    residual: every channel's own FFT convolution on the support's
+    bounding box, one batched _BoxOperator application per block (off
+    the support the equation holds by construction), normalized as in
+    solve_lippmann_schwinger.  Raises SolverConvergenceError when the
+    support exceeds ``dense_limit``.
     """
     grid = v.grid
     incident = np.asarray(incident, dtype=float)
@@ -432,16 +433,21 @@ def direct_amplitudes(
     inc_norm = grid.node_count**0.5  # |e^{i k.x}| = 1 at every node
     amps = np.empty(len(waves), dtype=complex)
     residual = 0.0
+    m = len(coords)
+    chunk = max(1, max(m * m, _BOX_BYTES // 16) // max(m, 1))
     step = max(1, min(_CHANNEL_BLOCK, _BOX_BYTES // op.column_bytes))
-    for lo in range(0, len(waves), step):
-        block = slice(lo, lo + step)
-        inc = np.exp(1j * (coords @ incident[block].T))  # (m, block)
-        psi = solve(inc)
-        src = vsub * psi
-        phase = np.exp(-1j * (outgoing[block] @ coords.T))  # (block, m)
-        amps[block] = scale * np.einsum("cm,mc->c", phase, src)
-        resid = psi - inc - op.apply(src)
-        residual = max(residual, float(np.max(np.linalg.norm(resid, axis=0))) / inc_norm)
+    for first in range(0, len(waves), chunk):
+        inc_all = np.exp(1j * (coords @ incident[first : first + chunk].T))  # (m, chunk)
+        psi_all = solve(inc_all)
+        for lo in range(0, inc_all.shape[1], step):
+            cols = slice(lo, lo + step)
+            block = slice(first + lo, first + lo + step)
+            inc, psi = inc_all[:, cols], psi_all[:, cols]
+            src = vsub * psi
+            phase = np.exp(-1j * (outgoing[block] @ coords.T))  # (block, m)
+            amps[block] = scale * np.einsum("cm,mc->c", phase, src)
+            resid = psi - inc - op.apply(src)
+            residual = max(residual, float(np.max(np.linalg.norm(resid, axis=0))) / inc_norm)
     return amps, residual
 
 

@@ -122,24 +122,25 @@ class BackgroundSet:
         return [analytic_hat(w, p) for w in self.backgrounds]
 
     def singular_nodes(
-        self, p: np.ndarray, eps_zero: float | None = None, eps_pair: float | None = None
+        self, hats, eps_zero: float | None = None, eps_pair: float | None = None
     ) -> tuple[tuple[np.ndarray, ...], np.ndarray, tuple[float, ...], float | None]:
-        """Nodes of ``p`` where reference-based phase recovery is singular.
+        """Nodes where reference-based phase recovery is singular.
 
-        Returns (ref_null, pair_degenerate, eps_ref, eps_pair applied).
-        ref_null[j]: |w_j hat| < eps_ref[j], which is ``eps_zero`` or, by
-        default, 1e-3 of that reference's own maximum over ``p``.
-        pair_degenerate (two references): the unit phases agree modulo pi,
-        |u_1^2 - u_2^2| < ``eps_pair``, by default 1e-3 of that gap's
-        maximum, counted only off both zero sets.
+        ``hats`` are the reference transforms there, reference_hats of the
+        nodes: callers that need the transforms themselves compute them
+        once.  Returns (ref_null, pair_degenerate, eps_ref, eps_pair
+        applied).  ref_null[j]: |w_j hat| < eps_ref[j], which is
+        ``eps_zero`` or, by default, 1e-3 of that reference's own maximum
+        over the nodes.  pair_degenerate (two references): the unit phases
+        agree modulo pi, |u_1^2 - u_2^2| < ``eps_pair``, by default 1e-3
+        of that gap's maximum, counted only off both zero sets.
         """
-        hats = self.reference_hats(p)
         mags = [np.abs(h) for h in hats]
         eps_ref = tuple(
             eps_zero if eps_zero is not None else 1e-3 * float(np.max(m)) for m in mags
         )
         ref_null = tuple(m < e for m, e in zip(mags, eps_ref))
-        pair = np.zeros(len(p), dtype=bool)
+        pair = np.zeros(len(hats[0]), dtype=bool)
         if self.count == 2:
             safe = [np.where(m > 0, m, 1.0) for m in mags]
             gap = np.abs((hats[0] / safe[0]) ** 2 - (hats[1] / safe[1]) ** 2)
@@ -425,7 +426,7 @@ def validate_backgrounds(
     mags = [np.abs(h) for h in hats]
     if max(float(np.max(m)) for m in mags) == 0.0:
         raise BackgroundValidationError("all reference transforms vanish on the grid")
-    ref_null, pair_nodes, _, _ = refs.singular_nodes(nodes, eps_zero, eps_pair)
+    ref_null, pair_nodes, _, _ = refs.singular_nodes(hats, eps_zero, eps_pair)
     warnings: list[str] = []
 
     zero_fraction = []

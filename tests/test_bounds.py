@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -34,6 +36,19 @@ def test_weight_norm_constant_quadrature_agrees(dim, bump):
     tail, _ = quad(radial, 1.0, np.inf, epsabs=1e-13, epsrel=1e-13)
     sphere = 2.0 * np.pi if dim == 2 else 4.0 * np.pi
     assert_allclose(weight_norm_constant(dim, sigma), np.sqrt(sphere * (head + tail)), rtol=1e-8)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("sigma", [345.0, 400.0, 1000.0])
+def test_weight_norm_constant_large_sigma(dim, sigma):
+    # Gamma((sigma-d)/2) alone overflows here; the ratio must not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = weight_norm_constant(dim, sigma)
+        step = weight_norm_constant(dim, sigma + 2.0)
+    assert np.isfinite(value) and value > 0.0
+    # Gamma(a + 1) = a Gamma(a) on both Gammas
+    assert_allclose(step**2, value**2 * (sigma - dim) / sigma, rtol=1e-13)
 
 
 def test_weight_norm_constant_divergence():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import phaseless
-from phaseless.cli import main
+from phaseless.cli import _canonical, _report_text, main
 from phaseless.fieldio import read_field
 from phaseless.grids import GridSpec
 from phaseless.solver import WaveVector, plane_wave
@@ -250,18 +250,63 @@ def test_bounds_consumes_error_table(tmp_path):
     assert "errors_csv" in report["input_sha256"]
 
 
-def test_cli_import_skips_quadrature_and_optimizers():
+def test_report_text_keeps_canonical_values_with_flat_lists_on_one_line():
+    obj = {
+        "mask": {"target_null": list(range(5)), "ref_null": [[], [7, 9]], "fraction": 0.25},
+        "empty": {},
+        "rows": ({"E": 4.0, "p": (1.5, -2.0)}, {"E": 9.0, "p": (0.0, "nan")}),
+        "flag": True,
+        "none": None,
+    }
+    text = _report_text(obj)
+    assert json.loads(text) == json.loads(_canonical(obj))
+    assert '"target_null": [0, 1, 2, 3, 4]' in text
+    assert '"p": [1.5, -2.0]' in text
+    assert text.startswith('{\n  "empty": {},\n')
+
+
+def test_cli_import_skips_quadrature_and_optimizers(tmp_path):
+    # the runtime is numpy only: importing the CLI and running each kind of
+    # workload (2-D full solver on the dense route, which method "dense"
+    # forces; 2-D oracle with the Richardson estimator; 3-D oracle with one
+    # reference) loads no scipy module
+    ball_3d = {
+        "dim": 3,
+        "components": [{"kind": "ball", "center": [0.3, -0.2, 0.1], "radius": 0.25, "amplitude": 1.0}],
+    }
+    ref_3d = {
+        "dim": 3,
+        "components": [{"kind": "ball", "center": [-0.75, -0.6, -0.5], "radius": 0.3, "amplitude": 1.0}],
+    }
+    configs = [
+        write_config(
+            tmp_path, "full.json", references=REFS, energies=[25.0], mode="full-solver",
+            solver={"method": "dense"},
+        ),
+        write_config(
+            tmp_path, "oracle.json", references=REFS, energies=[25.0, 50.0, 100.0, 200.0],
+            reconstruction={"estimator": "richardson"},
+        ),
+        write_config(
+            tmp_path, "oracle3.json", dimension=3, grid={"n": 12, "box": 1.5}, target=ball_3d,
+            references=[ref_3d], energies=[9.0, 16.0],
+        ),
+    ]
     code = (
-        "import sys, phaseless.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))"
+        "import sys, phaseless.cli\n"
+        "for cfg in sys.argv[1:]:\n"
+        "    out = f'{cfg}.out'\n"
+        "    assert phaseless.cli.main(['synthesize', '--config', cfg, '--out', out]) == 0\n"
+        "    rec = ['reconstruct', '--config', cfg, '--out', out, out + '/dataset']\n"
+        "    assert phaseless.cli.main(rec) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(phaseless.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *configs],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "[]"

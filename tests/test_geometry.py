@@ -120,7 +120,7 @@ def test_channels_on_grid_partitions_nodes():
     limit = 2.0 * np.sqrt(4.0)
     for ch in chans:
         assert ch.transfer_norm <= limit
-    nodes = pg.nodes().reshape(pg.shape + (2,))
+    nodes = pg.nodes()
     for idx in skipped:
         assert np.linalg.norm(nodes[idx]) > limit
 
@@ -195,8 +195,8 @@ def test_channels_on_grid_rows_complement_skipped_nodes(shape, E):
     assert table.node.dtype == np.intp
     assert np.array_equal(table.node, np.flatnonzero(inside))
     assert np.array_equal(table.transfer, nodes[inside])
-    outside = np.unravel_index(np.flatnonzero(~inside), pg.shape)
-    assert skipped == list(zip(*(axis.tolist() for axis in outside)))
+    assert skipped.dtype == np.intp
+    assert np.array_equal(skipped, np.flatnonzero(~inside))
 
 
 def test_channel_table_rejects_rows_outside_ball():

@@ -182,7 +182,7 @@ def test_read_dataset_rejects_rows_off_grid_or_outside_ball(tmp_path, off_center
     with pytest.raises(GridMismatchError):
         read_dataset(_write_with_transfer(tmp_path, ds, row, ds.transfer[row] + half_step))
     _, skipped = channels_on_grid(4.0, PGRID)
-    outside = PGRID.nodes().reshape(PGRID.shape + (2,))[skipped[0]]
+    outside = PGRID.nodes()[skipped[0]]
     with pytest.raises(OutOfBallError):
         read_dataset(_write_with_transfer(tmp_path, ds, 0, outside))
 
