@@ -1,9 +1,9 @@
 """Experiment configuration: one JSON document drives one reproducible run.
 
 The schema is versioned and strict: unknown keys anywhere are a
-ConfigError, so a typo cannot silently fall back to a default.  The
-seed is recorded in outputs for bookkeeping; nothing in the pipeline
-draws random numbers at run time.
+ConfigError, so a typo cannot silently fall back to a default, and
+every key it accepts is read by some command.  A malformed value is a
+ConfigError too.
 """
 
 from __future__ import annotations
@@ -59,12 +59,19 @@ def _convert(value, conv, context: str):
         raise ConfigError(f"{context}: {exc}") from exc
 
 
+def _floats(value) -> tuple[float, ...]:
+    """A JSON list of numbers, as floats."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return tuple(float(x) for x in value)
+
+
 def _grid_from(data: dict, dim: int, context: str) -> GridSpec:
     got = _take(
         data,
         context,
         {"n": int},
-        {"box_min": (list, None), "box_max": (list, None), "box": (float, None)},
+        {"box_min": (_floats, None), "box_max": (_floats, None), "box": (float, None)},
     )
     if got["box"] is not None:
         if got["box_min"] is not None or got["box_max"] is not None:
@@ -74,8 +81,7 @@ def _grid_from(data: dict, dim: int, context: str) -> GridSpec:
     else:
         if got["box_min"] is None or got["box_max"] is None:
             raise ConfigError(f"{context}: box_min and box_max are required")
-        lo = tuple(float(x) for x in got["box_min"])
-        hi = tuple(float(x) for x in got["box_max"])
+        lo, hi = got["box_min"], got["box_max"]
     try:
         return GridSpec(dim, got["n"], lo, hi)
     except Exception as exc:
@@ -84,23 +90,21 @@ def _grid_from(data: dict, dim: int, context: str) -> GridSpec:
 
 def _energies_from(data, context: str) -> EnergySet:
     if isinstance(data, list):
-        return _build_energy_set(tuple(float(e) for e in data), "unbounded", None, context)
+        return _build_energy_set(_convert(data, _floats, context), context)
     got = _take(
         data,
         context,
         {},
         {
-            "list": (list, None),
+            "list": (_floats, None),
             "E_min": (float, None),
             "E_max": (float, None),
             "count": (int, None),
             "spacing": (str, "geometric"),
-            "mode": (str, "unbounded"),
-            "accumulation": (float, None),
         },
     )
     if got["list"] is not None:
-        energies = tuple(float(e) for e in got["list"])
+        energies = got["list"]
     else:
         if got["E_min"] is None or got["E_max"] is None or got["count"] is None:
             raise ConfigError(f"{context}: need either list or E_min/E_max/count")
@@ -108,6 +112,8 @@ def _energies_from(data, context: str) -> EnergySet:
         if n < 1:
             raise ConfigError(f"{context}: count must be >= 1")
         if got["spacing"] == "geometric":
+            if not (got["E_min"] > 0 and got["E_max"] > 0):
+                raise ConfigError(f"{context}: geometric spacing needs E_min, E_max > 0")
             ratio = (got["E_max"] / got["E_min"]) ** (1.0 / max(n - 1, 1))
             energies = tuple(got["E_min"] * ratio**i for i in range(n))
         elif got["spacing"] == "linear":
@@ -115,12 +121,12 @@ def _energies_from(data, context: str) -> EnergySet:
             energies = tuple(got["E_min"] + step * i for i in range(n))
         else:
             raise ConfigError(f"{context}: unknown spacing {got['spacing']!r}")
-    return _build_energy_set(energies, got["mode"], got["accumulation"], context)
+    return _build_energy_set(energies, context)
 
 
-def _build_energy_set(energies, mode, accumulation, context) -> EnergySet:
+def _build_energy_set(energies, context) -> EnergySet:
     try:
-        return EnergySet(energies, mode, accumulation)
+        return EnergySet(energies)
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
@@ -172,15 +178,11 @@ def _convergence_from(data: dict, context: str) -> dict:
         data,
         context,
         {},
-        {
-            "slope_window": (list, [-0.75, -0.30]),
-            "probe_grid": (dict, None),
-        },
+        {"slope_window": (_floats, (-0.75, -0.30))},
     )
     win = got["slope_window"]
     if len(win) != 2 or not win[0] < win[1]:
         raise ConfigError(f"{context}.slope_window: need [lo, hi] with lo < hi")
-    got["slope_window"] = (float(win[0]), float(win[1]))
     return got
 
 
@@ -222,7 +224,6 @@ class ExperimentConfig:
     probe_grid: GridSpec | None
     shift: tuple[float, ...] | None
     convention: str
-    seed: int
     output: str | None
     raw: dict = field(repr=False, default_factory=dict)
 
@@ -247,11 +248,13 @@ class ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return config_from_dict(data)
 
 
@@ -270,9 +273,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             "convergence": (dict, None),
             "bounds": (dict, None),
             "probe_grid": (dict, None),
-            "shift": (list, None),
+            "shift": (_floats, None),
             "convention": (str, "default"),
-            "seed": (int, 0),
             "output": (str, None),
         },
     )
@@ -310,7 +312,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if got["probe_grid"] is not None
         else None
     )
-    shift = tuple(float(x) for x in got["shift"]) if got["shift"] is not None else None
+    shift = got["shift"]
     if shift is not None and len(shift) != dim:
         raise ConfigError("config.shift: dimension mismatch")
     if got["convention"] not in ("default", "mirror"):
@@ -330,7 +332,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         probe_grid=probe_grid,
         shift=shift,
         convention=got["convention"],
-        seed=got["seed"],
         output=got["output"],
         raw=data,
     )
@@ -351,11 +352,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "references": [spec_to_dict(w) for w in cfg.references.backgrounds]
         if cfg.references
         else [],
-        "energies": {
-            "list": [float(e) for e in cfg.energies],
-            "mode": cfg.energies.mode,
-            "accumulation": cfg.energies.accumulation,
-        },
+        "energies": {"list": [float(e) for e in cfg.energies]},
         "mode": cfg.mode,
         "solver": {
             "tolerance": cfg.solver.tolerance,
@@ -365,10 +362,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "dense_limit": cfg.solver.dense_limit,
         },
         "reconstruction": dict(cfg.reconstruction),
-        "convergence": {
-            "slope_window": list(cfg.convergence["slope_window"]),
-            "probe_grid": cfg.convergence["probe_grid"],
-        },
+        "convergence": {"slope_window": list(cfg.convergence["slope_window"])},
         "bounds": dict(cfg.bounds),
         "probe_grid": None
         if cfg.probe_grid is None
@@ -379,6 +373,5 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         },
         "shift": list(cfg.shift) if cfg.shift is not None else None,
         "convention": cfg.convention,
-        "seed": cfg.seed,
         "output": cfg.output,
     }

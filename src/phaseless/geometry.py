@@ -231,21 +231,11 @@ def channels_on_grid(
 
 @dataclass(frozen=True)
 class EnergySet:
-    """Ascending collection of probe energies.
-
-    ``mode`` records the intended limiting regime: "unbounded" for
-    sequences meant to grow without bound, "clustered" for sequences
-    accumulating at a finite ``accumulation`` energy.  The mode is
-    metadata for reports; operations only consume ``energies``.
-    """
+    """Ascending collection of probe energies."""
 
     energies: tuple[float, ...]
-    mode: str = "unbounded"
-    accumulation: float | None = None
 
     def __post_init__(self):
-        if self.mode not in ("unbounded", "clustered"):
-            raise ValueError(f"unknown energy-set mode {self.mode!r}")
         if not self.energies:
             raise ValueError("energy set is empty")
         es = tuple(float(e) for e in self.energies)
@@ -253,9 +243,6 @@ class EnergySet:
             raise ValueError("energies must be positive")
         if any(b <= a for a, b in zip(es, es[1:])):
             raise ValueError("energies must be strictly increasing")
-        if self.mode == "clustered":
-            if self.accumulation is None or self.accumulation <= 0:
-                raise ValueError("clustered mode needs a positive accumulation energy")
         object.__setattr__(self, "energies", es)
 
     @property

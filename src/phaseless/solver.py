@@ -8,24 +8,24 @@ discretized on the potential's grid with midpoint weights except at the
 singular diagonal cell, which carries the closed-form equal-measure
 integral of the kernel (see greens.singular_cell_weight).  Columns of
 the kernel vanish off the support, so the system restricted to the
-support nodes is exact.  One route rule, uses_direct_solve, picks the
-direct solve of that system when the support has at most ``dense_limit``
-nodes (or method "dense"), else the iteration
+support nodes is exact.  A single solve (solve_lippmann_schwinger) and
+the amplitudes of every channel of one energy (channel_amplitudes) share
+one solve of that system for a block of incident columns.  One route
+rule, uses_direct_solve, picks the direct solve when the support has at
+most ``dense_limit`` nodes (or method "dense"), else the iteration
 
     psi_{m+1} = incident + K psi_m
 
-on the support values; it contracts with rate O(E^{-1/2}) at high
-energy, and divergence raises.  The system depends only on the support
-and |k|, so direct_amplitudes factors it once per energy for every
-channel.  Both routes share the weights, so they can be cross-checked
-to tight tolerance.
+on the support values, batched over channels, each converging or failing
+on its own; it contracts with rate O(E^{-1/2}) at high energy.  Both
+routes share the weights, so they can be cross-checked to tight tolerance.
 
 K between support nodes needs only the kernel offsets inside the
 support's bounding box, so every iteration step and every residual is
 one FFT convolution on that box (_BoxOperator, the scheme of Vainikko,
 "Fast solvers of the Lippmann-Schwinger equation", 2000), batched over
 channels.  The full-grid convolution (_apply_kernel) remains only to
-extend a solved field from the support to the whole grid.
+extend a single solve's field from the support to the whole grid.
 
 The scattering amplitude is the weighted quadrature
 
@@ -60,7 +60,7 @@ __all__ = [
     "plane_wave",
     "uses_direct_solve",
     "solve_lippmann_schwinger",
-    "direct_amplitudes",
+    "channel_amplitudes",
     "scattering_amplitude",
     "born_amplitude",
     "far_field_check",
@@ -120,12 +120,12 @@ class SolverReport:
 
 _KERNEL_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _KERNEL_CACHE_LIMIT = 32
-# solved columns per block of amplitudes and residuals in
-# direct_amplitudes: bounds its (support, block) temporaries
+# columns per block of iteration steps, amplitudes and residuals in
+# channel_amplitudes: bounds its (support, block) temporaries
 _CHANNEL_BLOCK = 32
-# cap on the padded box buffer of one block in direct_amplitudes (a wide
-# 3-D box gets fewer channels per block), and the least byte count of the
-# right-hand sides it solves in one call
+# cap on the padded box buffer of one block (a wide 3-D box gets fewer
+# channels per block), and the least byte count of the right-hand sides
+# one direct solve takes
 _BOX_BYTES = 1 << 24
 # matrix rows filled per block by _support_matrix: bounds its int64
 # offset array, so the matrix is the only (m, m) array ever held
@@ -172,9 +172,8 @@ def _kernel_tables(grid: GridSpec, kmag: float) -> tuple[np.ndarray, np.ndarray]
 def _apply_kernel(source: np.ndarray, spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Aperiodic convolution of the weight kernel with ``source`` on the whole grid.
 
-    One (2n)^d FFT pair.  The solver uses it only to extend a field
-    solved on the support to every grid node; steps that need values on
-    the support alone go through _BoxOperator.
+    One (2n)^d FFT pair, used only to extend a single solve's field from
+    the support to every grid node.
     """
     pad_shape = spectrum.shape
     buf = np.zeros(pad_shape, dtype=np.complex128)
@@ -221,7 +220,8 @@ class _BoxOperator:
         self.spectrum = np.fft.fftn(kernel)
         # (all columns, node positions inside the box) for the batched buffer
         self.nodes = (slice(None),) + tuple((idx - corner).T)
-        self.column_bytes = 16 * int(np.prod(self.length))
+        # columns per batched application: bounds the padded buffer
+        self.block = max(1, min(_CHANNEL_BLOCK, _BOX_BYTES // (16 * int(np.prod(self.length)))))
 
     def apply(self, src: np.ndarray) -> np.ndarray:
         """K applied to each column of ``src`` (support nodes, columns), on the support.
@@ -310,16 +310,61 @@ def _support_matrix(v: ScalarField, weights_tab: np.ndarray, cfg: SolverConfig):
     return mask, a_mat
 
 
-def _support_solver(v: ScalarField, weights_tab: np.ndarray, cfg: SolverConfig):
-    """Support mask and a function solving _support_matrix against columns.
+def _born_iteration(op: _BoxOperator, vsub: np.ndarray, inc: np.ndarray, cfg: SolverConfig,
+                    inc_norm: float):
+    """The iteration psi <- inc + K v psi on the support, each column on its own.
 
-    Each call is one numpy.linalg.solve: an LU factorization and the
-    solve of every column given.  LAPACK factors a copy, so a call holds
-    two (m, m) matrices at its peak; direct_amplitudes therefore passes
-    all of an energy's channels in one call and factors once.
+    A step applies ``op`` to the running columns.  A column stops once its
+    update (its change's norm over ``inc_norm``) is within cfg.tolerance,
+    after five rising updates in a row, or at cfg.max_iterations, and has
+    failed unless its last update is within the tolerance: it takes the
+    steps, and fails, as it would alone.  Returns (psi, steps, failed,
+    updates), column c's updates in the first steps[c] rows of updates.
     """
-    mask, a_mat = _support_matrix(v, weights_tab, cfg)
-    return mask, lambda rhs: np.linalg.solve(a_mat, rhs)
+    cols = inc.shape[1]
+    psi = inc.copy()
+    steps = np.zeros(cols, dtype=int)
+    rising = np.zeros(cols, dtype=int)
+    last = np.full(cols, np.inf)
+    updates = []
+    run = np.arange(cols)
+    for _ in range(cfg.max_iterations):
+        if not run.size:
+            break
+        nxt = inc[:, run] + op.apply(vsub * psi[:, run])
+        upd = np.linalg.norm(nxt - psi[:, run], axis=0) / inc_norm
+        psi[:, run] = nxt
+        rising[run] = np.where(upd > last[run], rising[run] + 1, 0)
+        last[run] = upd
+        updates.append(last.copy())
+        steps[run] += 1
+        run = run[(upd > cfg.tolerance) & (rising[run] < 5)]
+    return psi, steps, ~(last <= cfg.tolerance), np.reshape(updates, (-1, cols))
+
+
+def _support_solver(v: ScalarField, mask: np.ndarray, weights_tab: np.ndarray,
+                    op: _BoxOperator, cfg: SolverConfig):
+    """The route's solve of the support system, and the columns it takes per call.
+
+    solve(inc) maps incident columns on the support to (psi, steps,
+    failed, updates) as _born_iteration does.  A direct call is one
+    numpy.linalg.solve, which factors a copy of the matrix, on right-hand
+    sides up to max(the matrix, _BOX_BYTES), so an energy is factored
+    once; an iteration call takes one block of the box operator's
+    columns.  Raises SolverConvergenceError above ``dense_limit``.
+    """
+    if uses_direct_solve(v, cfg):
+        _, a_mat = _support_matrix(v, weights_tab, cfg)
+        m = a_mat.shape[0]
+
+        def solve(inc):  # one step per column, no failure, no updates
+            n = inc.shape[1]
+            return np.linalg.solve(a_mat, inc), np.ones(n, int), np.zeros(n, bool), np.empty((0, n))
+
+        return solve, max(1, max(m * m, _BOX_BYTES // 16) // max(m, 1))
+    vsub = v.values[mask][:, None]
+    inc_norm = v.grid.node_count**0.5  # |e^{i k.x}| = 1 at every node
+    return (lambda inc: _born_iteration(op, vsub, inc, cfg, inc_norm)), op.block
 
 
 def solve_lippmann_schwinger(
@@ -327,20 +372,18 @@ def solve_lippmann_schwinger(
 ) -> tuple[ScalarField, SolverReport]:
     """Total field for incident plane wave ``k`` over potential ``v``.
 
-    The route follows uses_direct_solve.  Both routes solve for the
-    support values (the iteration applies _BoxOperator once per step and
-    measures its update on the support); one full-grid kernel
-    application then extends the field to every node, so off the
-    support the equation holds by construction.  The report's residual
-    is recomputed on the support with the box operator after the solve,
-    not the last iterate's update size, and normalized by the incident
-    wave's norm over the grid.  Raises SolverConvergenceError when the
-    iteration diverges or a direct solve exceeds ``dense_limit``.
+    The support values come from _support_solver with one column; one
+    full-grid kernel application extends them to every node, so off the
+    support the equation holds by construction.  The report's residual is
+    recomputed on the support with the box operator, normalized by the
+    incident wave's norm over the grid; its contraction ratio is the
+    median ratio of successive iteration updates.  Raises
+    SolverConvergenceError when the iteration fails or a direct solve
+    exceeds ``dense_limit``.
     """
     grid = v.grid
     _check_resolution(grid, k, cfg)
     inc = plane_wave(grid, k)
-    inc_norm = float(np.linalg.norm(inc))
     mask = _support(v)
 
     if not np.any(mask):
@@ -350,37 +393,15 @@ def solve_lippmann_schwinger(
 
     weights_tab, spectrum = _kernel_tables(grid, k.magnitude)
     op = _BoxOperator(mask, weights_tab)
+    solve, _ = _support_solver(v, mask, weights_tab, op, cfg)
     vsub = v.values[mask][:, None]
     inc_sub = inc[mask][:, None]
-
-    ratio = None
-    if uses_direct_solve(v, cfg):
-        _, solve = _support_solver(v, weights_tab, cfg)
-        psi_sub = solve(inc_sub)
-        method, iterations = "dense-direct", 1
-    else:
-        psi_sub = inc_sub
-        updates: list[float] = []
-        rising = 0
-        iterations = 0
-        for iterations in range(1, cfg.max_iterations + 1):
-            nxt = inc_sub + op.apply(vsub * psi_sub)
-            upd = float(np.linalg.norm(nxt - psi_sub)) / inc_norm
-            psi_sub = nxt
-            if updates and upd > updates[-1]:
-                rising += 1
-            else:
-                rising = 0
-            updates.append(upd)
-            if upd <= cfg.tolerance or rising >= 5:
-                break
-        if not updates or updates[-1] > cfg.tolerance:
-            raise SolverConvergenceError(f"iteration diverged after {iterations} steps")
-        if len(updates) >= 2:
-            ratios = [b / a for a, b in zip(updates, updates[1:]) if a > 0]
-            if ratios:
-                ratio = float(np.median(ratios))
-        method = "born-iteration"
+    psi_sub, steps, failed, updates = solve(inc_sub)
+    iterations = int(steps[0])
+    if failed[0]:
+        raise SolverConvergenceError(f"iteration diverged after {iterations} steps")
+    done = updates[:iterations, 0]
+    ratios = done[1:][done[:-1] > 0] / done[:-1][done[:-1] > 0]
 
     source = np.zeros(grid.shape, dtype=np.complex128)
     source[mask] = (vsub * psi_sub)[:, 0]
@@ -388,30 +409,30 @@ def solve_lippmann_schwinger(
     psi[mask] = psi_sub[:, 0]
     resid = psi_sub - inc_sub - op.apply(vsub * psi_sub)
     return ScalarField(grid, psi), SolverReport(
-        method=method,
+        method="dense-direct" if uses_direct_solve(v, cfg) else "born-iteration",
         iterations=iterations,
-        residual=float(np.linalg.norm(resid)) / inc_norm,
+        residual=float(np.linalg.norm(resid)) / grid.node_count**0.5,
         converged=True,
-        contraction_ratio=ratio,
+        contraction_ratio=float(np.median(ratios)) if ratios.size else None,
     )
 
 
-def direct_amplitudes(
+def channel_amplitudes(
     v: ScalarField, incident, outgoing, cfg: SolverConfig = SolverConfig()
-) -> tuple[np.ndarray, float]:
-    """Amplitudes f(k_c, l_c) of every channel c of one energy, one factorization.
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Amplitudes f(k_c, l_c) of every channel c of one (potential, energy).
 
     ``incident`` and ``outgoing`` are (channels, dim) wave vectors on one
-    energy shell (relative 1e-12, every pair checked).  The support
-    system is solved for every incident wave in one call; only channels
-    whose right-hand sides would outgrow max(the matrix, _BOX_BYTES) are
-    split into chunks, one solve each.  Blocks of the solved columns then
-    give the amplitudes, one phase-matrix product each, and the worst
-    residual: every channel's own FFT convolution on the support's
-    bounding box, one batched _BoxOperator application per block (off
-    the support the equation holds by construction), normalized as in
-    solve_lippmann_schwinger.  Raises SolverConvergenceError when the
-    support exceeds ``dense_limit``.
+    energy shell (relative 1e-12, every pair checked).  One kernel table,
+    support mask and _BoxOperator serve every channel; _support_solver
+    solves for chunks of them.  Blocks of the solved columns then give the
+    amplitudes, one phase-matrix product each, and the residuals, one
+    batched _BoxOperator application each, normalized as in
+    solve_lippmann_schwinger.  Returns (amplitudes, failed, worst
+    iterations, worst residual), the worst over the channels that did not
+    fail; a failed channel's amplitude is NaN.  An iteration that does not
+    converge fails its own channel only, and a direct solve above
+    ``dense_limit`` fails every channel.
     """
     grid = v.grid
     incident = np.asarray(incident, dtype=float)
@@ -424,31 +445,36 @@ def direct_amplitudes(
         _check_shell(k, l)
     _check_resolution(grid, waves[0], cfg)
     weights_tab, _ = _kernel_tables(grid, waves[0].magnitude)
-    mask, solve = _support_solver(v, weights_tab, cfg)
+    mask = _support(v)
     op = _BoxOperator(mask, weights_tab)
+    amps = np.full(len(waves), np.nan, dtype=complex)
+    failed = np.ones(len(waves), dtype=bool)
+    try:
+        solve, chunk = _support_solver(v, mask, weights_tab, op, cfg)
+    except SolverConvergenceError:
+        return amps, failed, 0, 0.0
 
     coords = grid.nodes().reshape(grid.shape + (grid.dim,))[mask]
     vsub = v.values[mask][:, None]
     scale = (2.0 * np.pi) ** (-grid.dim) * grid.cell_volume
     inc_norm = grid.node_count**0.5  # |e^{i k.x}| = 1 at every node
-    amps = np.empty(len(waves), dtype=complex)
-    residual = 0.0
-    m = len(coords)
-    chunk = max(1, max(m * m, _BOX_BYTES // 16) // max(m, 1))
-    step = max(1, min(_CHANNEL_BLOCK, _BOX_BYTES // op.column_bytes))
+    iterations, residual = 0, 0.0
     for first in range(0, len(waves), chunk):
         inc_all = np.exp(1j * (coords @ incident[first : first + chunk].T))  # (m, chunk)
-        psi_all = solve(inc_all)
-        for lo in range(0, inc_all.shape[1], step):
-            cols = slice(lo, lo + step)
-            block = slice(first + lo, first + lo + step)
+        psi_all, steps, lost, _ = solve(inc_all)
+        failed[first : first + chunk] = lost
+        iterations = max(iterations, int(np.max(steps[~lost], initial=0)))
+        for lo in range(0, inc_all.shape[1], op.block):
+            cols = slice(lo, lo + op.block)
+            block = slice(first + lo, first + lo + op.block)
             inc, psi = inc_all[:, cols], psi_all[:, cols]
             src = vsub * psi
             phase = np.exp(-1j * (outgoing[block] @ coords.T))  # (block, m)
             amps[block] = scale * np.einsum("cm,mc->c", phase, src)
-            resid = psi - inc - op.apply(src)
-            residual = max(residual, float(np.max(np.linalg.norm(resid, axis=0))) / inc_norm)
-    return amps, residual
+            resid = np.linalg.norm(psi - inc - op.apply(src), axis=0)[~lost[cols]]
+            residual = max(residual, float(np.max(resid, initial=0.0)) / inc_norm)
+    amps[failed] = np.nan
+    return amps, failed, iterations, residual
 
 
 # --- amplitudes ---------------------------------------------------------------
@@ -529,8 +555,7 @@ def far_field_check(
             ang = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
             directions = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         else:
-            raw = np.concatenate([np.eye(3), -np.eye(3), np.ones((1, 3)) / np.sqrt(3)])
-            directions = raw
+            directions = np.concatenate([np.eye(3), -np.eye(3), np.ones((1, 3)) / np.sqrt(3)])
     if psi is None:
         psi, _ = solve_lippmann_schwinger(v, k, cfg)
 

@@ -13,9 +13,9 @@ only each row's energy, transfer and probe-node index.  Two modes:
 "born-oracle" takes amplitudes from closed-form transforms (the
 infinite-energy limit, exact), one analytic_hat call per (variant,
 energy) on the transfers incident - outgoing; "full-solver" runs the
-integral-equation solver: per (variant, energy), one direct solve
-answers every channel when the support fits the dense limit, else each
-channel is iterated (solver.uses_direct_solve).
+integral-equation solver: per (variant, energy), one
+solver.channel_amplitudes call answers every channel, by one direct
+solve or by one iteration batched over channels.
 """
 
 from __future__ import annotations
@@ -27,13 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import (
-    BackgroundValidationError,
-    GridMismatchError,
-    SolverConvergenceError,
-)
-# channel and born_amplitude are not called here; they stay importable
-# from this module because perfbench/tracing.py wraps them by name.
+from .exceptions import BackgroundValidationError, GridMismatchError
+# channel, born_amplitude, scattering_amplitude and
+# solve_lippmann_schwinger are not called here; they stay importable from
+# this module because perfbench/tracing.py wraps them by name.
 from .geometry import ChannelTable, EnergySet, channel, channel_table, channels_on_grid
 from .grids import GridSpec
 from .potentials import (
@@ -46,12 +43,10 @@ from .potentials import (
 )
 from .solver import (
     SolverConfig,
-    WaveVector,
     born_amplitude,
-    direct_amplitudes,
+    channel_amplitudes,
     scattering_amplitude,
     solve_lippmann_schwinger,
-    uses_direct_solve,
 )
 
 __all__ = [
@@ -248,39 +243,22 @@ def _solver_rows(fields, incident, outgoing, cfg) -> tuple[np.ndarray, np.ndarra
     """Intensities of every channel of one energy, one column per variant.
 
     ``incident`` and ``outgoing`` are the (rows, d) wave vectors of the
-    channels.
-    Returns (values, failed, worst iterations and residual).  A failed
-    solve flags every row of the energy on the direct route and only its
-    channel's row on the iteration route; a flagged row is NaN in every
-    column.
+    channels.  Each variant is one channel_amplitudes call over the rows
+    no earlier variant failed.  Returns (values, failed, worst iterations
+    and residual); a failed row is NaN in every column.
     """
-    rows = incident.shape[0]
-    values = np.empty((rows, len(fields)))
-    failed = np.zeros(rows, dtype=bool)
+    values = np.full((len(incident), len(fields)), np.nan)
+    failed = np.zeros(len(incident), dtype=bool)
     worst = {"iterations": 0, "residual": 0.0}
     for col, fld in enumerate(fields):
-        if rows and uses_direct_solve(fld, cfg):
-            try:
-                f, residual = direct_amplitudes(fld, incident, outgoing, cfg)
-            except SolverConvergenceError:
-                failed[:] = True
-                break
-            values[:, col] = np.abs(f) ** 2
-            worst["iterations"] = max(worst["iterations"], 1)
-            worst["residual"] = max(worst["residual"], residual)
-            continue
-        for row in range(rows):
-            if failed[row]:
-                continue
-            k = WaveVector(incident[row])
-            try:
-                psi, report = solve_lippmann_schwinger(fld, k, cfg)
-            except SolverConvergenceError:
-                failed[row] = True
-                continue
-            worst["iterations"] = max(worst["iterations"], report.iterations)
-            worst["residual"] = max(worst["residual"], report.residual)
-            values[row, col] = abs(scattering_amplitude(fld, psi, k, outgoing[row])) ** 2
+        live = np.flatnonzero(~failed)
+        if not live.size:
+            break
+        f, lost, iterations, residual = channel_amplitudes(fld, incident[live], outgoing[live], cfg)
+        values[live, col] = np.abs(f) ** 2
+        failed[live[lost]] = True
+        worst["iterations"] = max(worst["iterations"], iterations)
+        worst["residual"] = max(worst["residual"], residual)
     values[failed] = np.nan
     return values, failed, worst
 

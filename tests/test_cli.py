@@ -60,6 +60,36 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        None,
+        {"convergence": {"slope_window": ["a", 1]}},
+        {"convergence": {"slope_window": [None, 1]}},
+        {"grid": {"n": 32, "box_min": [-1.5, "x"], "box_max": [1.5, 1.5]}},
+        {"grid": {"n": 32, "box_min": [-1.5, -1.5], "box_max": [1.5, "x"]}},
+        {"shift": [0.5, "x"]},
+        {"energies": [4.0, "x"]},
+        {"energies": {"list": [4.0, "x"]}},
+        {"energies": {"E_min": -1, "E_max": 4, "count": 3}},
+        {"seed": 0},
+        {"convergence": {"probe_grid": {"n": 8, "box": 2.0}}},
+        {"energies": {"list": [4.0, 9.0], "mode": "unbounded"}},
+        {"energies": {"list": [4.0, 9.0], "accumulation": 10.0}},
+    ],
+    ids=[
+        "missing-file", "window-string", "window-null", "box-min", "box-max", "shift",
+        "energy-list", "energies-list", "geometric-negative", "seed", "probe-grid",
+        "energies-mode", "energies-accumulation",
+    ],
+)
+def test_malformed_config_is_config_error(tmp_path, capsys, doc):
+    # the last four set keys that nothing reads: unknown keys, like a typo
+    cfg = str(tmp_path / "missing.json") if doc is None else write_config(tmp_path, **doc)
+    assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_reconstruct_requires_references(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

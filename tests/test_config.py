@@ -42,7 +42,6 @@ def test_minimal_config_defaults():
     assert cfg.bounds["a0"] == 1.0
     assert cfg.probe_grid is None
     assert cfg.probe().key() == cfg.grid.dual().key()
-    assert cfg.seed == 0
 
 
 def test_wrong_schema_rejected():
@@ -95,15 +94,6 @@ def test_energy_generators():
         )
     with pytest.raises(ConfigError):
         config_from_dict(minimal(energies={"count": 3}))
-
-
-def test_clustered_energies_need_accumulation():
-    with pytest.raises(ConfigError, match="accumulation"):
-        config_from_dict(minimal(energies={"list": [1.0, 1.5], "mode": "clustered"}))
-    cfg = config_from_dict(
-        minimal(energies={"list": [1.0, 1.5], "mode": "clustered", "accumulation": 2.0})
-    )
-    assert cfg.energies.mode == "clustered"
 
 
 def test_box_forms_are_exclusive():

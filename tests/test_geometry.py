@@ -228,7 +228,3 @@ def test_energy_set_rules():
         EnergySet((2.0, 1.0))
     with pytest.raises(ValueError):
         EnergySet(())
-    with pytest.raises(ValueError):
-        EnergySet((1.0, 2.0), mode="clustered")
-    clustered = EnergySet((1.0, 1.5, 1.9), mode="clustered", accumulation=2.0)
-    assert clustered.accumulation == 2.0

@@ -241,9 +241,11 @@ def test_support_matrix_matches_elementwise_assembly(dim, n, monkeypatch):
     assert np.array_equal(a_mat, expected)
 
 
-def test_direct_amplitudes_do_not_depend_on_block_size(monkeypatch):
+@pytest.mark.parametrize("method", ["dense", "born"])
+def test_channel_amplitudes_do_not_depend_on_block_size(method, monkeypatch):
     # 3-D, 40 channels: two blocks by default, one channel per block when
-    # the box buffer budget admits a single column
+    # the box buffer budget admits a single column (on the iteration
+    # route, one channel per batched iteration too)
     grid = GridSpec(3, 12, (-1.5,) * 3, (1.5,) * 3)
     spec = PotentialSpec.ball((0.5, 0.0, 0.0), 0.4, 1.0) + PotentialSpec.ball((-0.8, 0.3, 0.0), 0.3, 2.0)
     fld = rasterize(spec, grid)
@@ -251,8 +253,14 @@ def test_direct_amplitudes_do_not_depend_on_block_size(monkeypatch):
     dirs = rng.standard_normal((2, 40, 3))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     incident, outgoing = 2.0 * dirs
-    amps, residual = solver.direct_amplitudes(fld, incident, outgoing)
+    cfg = SolverConfig(method=method)
+    amps, failed, iterations, residual = solver.channel_amplitudes(fld, incident, outgoing, cfg)
     monkeypatch.setattr(solver, "_BOX_BYTES", 1)
-    one, residual_one = solver.direct_amplitudes(fld, incident, outgoing)
+    one, failed_one, iterations_one, residual_one = solver.channel_amplitudes(
+        fld, incident, outgoing, cfg
+    )
     assert_allclose(one, amps, rtol=1e-13, atol=0.0)
-    assert residual < 1e-13 and residual_one < 1e-13
+    assert not failed.any() and not failed_one.any()
+    assert iterations == iterations_one == (1 if method == "dense" else 7)
+    limit = 1e-13 if method == "dense" else cfg.tolerance
+    assert residual < limit and residual_one < limit

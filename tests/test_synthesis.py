@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from phaseless.exceptions import BackgroundValidationError, GridMismatchError, OutOfBallError
+from phaseless import solver
+from phaseless.exceptions import (
+    BackgroundValidationError,
+    GridMismatchError,
+    OutOfBallError,
+    SolverConvergenceError,
+)
 from phaseless.geometry import EnergySet, channels_on_grid
 from phaseless.grids import GridSpec
 from phaseless.potentials import PotentialSpec, analytic_hat, rasterize
@@ -134,6 +140,57 @@ def test_batched_direct_solve_matches_per_channel_dense(off_center_ball, two_bal
             psi, _ = solve_lippmann_schwinger(fld, k, dense)
             want = abs(scattering_amplitude(fld, psi, k, ch.outgoing)) ** 2
             assert abs(ds.values[row, col] - want) <= 1e-12 * want
+
+
+# two balls apart: on 32^2 at E = 9 the channels iterate 9 or 10 steps,
+# depending on the incident direction
+TWO_BALLS = PotentialSpec.ball((-0.7, 0.0), 0.3, 2.0) + PotentialSpec.ball((0.7, 0.1), 0.3, 2.0)
+GRID_32 = GridSpec(2, 32, (-1.5, -1.5), (1.5, 1.5))
+PGRID_8 = GridSpec(2, 8, (-2.0, -2.0), (2.0, 2.0)).dual()
+
+
+def _synthesize_two_balls(cfg):
+    return synthesize(
+        TWO_BALLS, None, EnergySet((9.0, 16.0)), PGRID_8, mode="full-solver", grid=GRID_32,
+        solver=cfg,
+    )
+
+
+def test_batched_iteration_matches_single_solves(monkeypatch):
+    born = SolverConfig(method="born")
+
+    def full_grid(*args):
+        raise AssertionError("synthesis extended a field to the whole grid")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_apply_kernel", full_grid)
+        ds = _synthesize_two_balls(born)
+    assert not np.any(ds.flags)
+    fld = rasterize(TWO_BALLS, GRID_32)
+    worst: dict = {}
+    for row, ch in enumerate(ds.channels):
+        k = WaveVector(ch.incident)
+        psi, rep = solve_lippmann_schwinger(fld, k, born)
+        want = abs(scattering_amplitude(fld, psi, k, ch.outgoing)) ** 2
+        assert abs(ds.values[row, 0] - want) <= 1e-12 * want
+        worst[repr(ch.energy)] = max(worst.get(repr(ch.energy), 0), rep.iterations)
+    notes = ds.solver_notes["per_energy"]
+    assert {E: note["iterations"] for E, note in notes.items()} == worst == {"9.0": 10, "16.0": 8}
+
+
+def test_iteration_failures_flag_only_their_channels():
+    capped = SolverConfig(method="born", max_iterations=9)
+    ds = _synthesize_two_balls(capped)
+    fld = rasterize(TWO_BALLS, GRID_32)
+    raises = np.zeros(ds.rows, dtype=bool)
+    for row, ch in enumerate(ds.channels):
+        try:
+            solve_lippmann_schwinger(fld, WaveVector(ch.incident), capped)
+        except SolverConvergenceError:
+            raises[row] = True
+    assert 0 < np.sum(raises) < ds.rows
+    assert np.array_equal(ds.flags == FLAG_SOLVER_FAILED, raises)
+    assert np.array_equal(np.isnan(ds.values[:, 0]), raises)
 
 
 def test_dataset_roundtrip(tmp_path, off_center_ball, two_ball_refs):
