@@ -3,7 +3,8 @@
 The schema is versioned and strict: unknown keys anywhere are a
 ConfigError, so a typo cannot silently fall back to a default, and
 every key it accepts is read by some command.  A malformed value is a
-ConfigError too.
+ConfigError too, and so is a value of the wrong JSON type: it is checked,
+never coerced, so 2.7 is no integer and "false" no boolean.
 """
 
 from __future__ import annotations
@@ -59,19 +60,50 @@ def _convert(value, conv, context: str):
         raise ConfigError(f"{context}: {exc}") from exc
 
 
+def _json_type(kind: type, name: str):
+    """Converter that passes a value of JSON type ``kind`` through and rejects the rest."""
+
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {name}, got {value!r}")
+        return value
+
+    return check
+
+
+_str = _json_type(str, "a string")
+_bool = _json_type(bool, "true or false")
+_object = _json_type(dict, "an object")
+_list = _json_type(list, "a list")
+
+
+def _float(value) -> float:
+    """A JSON number, as a float; bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _int(value) -> int:
+    """A JSON integer; a float only without a fractional part (2.0)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _floats(value) -> tuple[float, ...]:
     """A JSON list of numbers, as floats."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {type(value).__name__}")
-    return tuple(float(x) for x in value)
+    return tuple(_float(x) for x in _list(value))
 
 
 def _grid_from(data: dict, dim: int, context: str) -> GridSpec:
     got = _take(
         data,
         context,
-        {"n": int},
-        {"box_min": (_floats, None), "box_max": (_floats, None), "box": (float, None)},
+        {"n": _int},
+        {"box_min": (_floats, None), "box_max": (_floats, None), "box": (_float, None)},
     )
     if got["box"] is not None:
         if got["box_min"] is not None or got["box_max"] is not None:
@@ -97,10 +129,10 @@ def _energies_from(data, context: str) -> EnergySet:
         {},
         {
             "list": (_floats, None),
-            "E_min": (float, None),
-            "E_max": (float, None),
-            "count": (int, None),
-            "spacing": (str, "geometric"),
+            "E_min": (_float, None),
+            "E_max": (_float, None),
+            "count": (_int, None),
+            "spacing": (_str, "geometric"),
         },
     )
     if got["list"] is not None:
@@ -137,12 +169,12 @@ def _solver_from(data: dict, context: str) -> SolverConfig:
         context,
         {},
         {
-            "tolerance": (float, 1e-8),
-            "max_iterations": (int, 200),
-            "resolution_factor": (float, 8.0),
-            "method": (str, "auto"),
-            "fallback": (bool, True),
-            "dense_limit": (int, 3000),
+            "tolerance": (_float, 1e-8),
+            "max_iterations": (_int, 200),
+            "resolution_factor": (_float, 8.0),
+            "method": (_str, "auto"),
+            "fallback": (_bool, True),
+            "dense_limit": (_int, 3000),
         },
     )
     # Retired key, still read so older configs load: "auto" without the
@@ -161,14 +193,14 @@ def _reconstruction_from(data: dict, context: str) -> dict:
         context,
         {},
         {
-            "estimator": (str, "top"),
-            "p_cut": (float, None),
-            "taper_fraction": (float, 0.1),
-            "eps_zero": (float, None),
-            "eps_pair": (float, None),
-            "mask_fraction_limit": (float, 0.2),
-            "restrict_support": (bool, True),
-            "declared_real": (bool, False),
+            "estimator": (_str, "top"),
+            "p_cut": (_float, None),
+            "taper_fraction": (_float, 0.1),
+            "eps_zero": (_float, None),
+            "eps_pair": (_float, None),
+            "mask_fraction_limit": (_float, 0.2),
+            "restrict_support": (_bool, True),
+            "declared_real": (_bool, False),
         },
     )
 
@@ -192,9 +224,9 @@ def _bounds_from(data: dict, context: str) -> dict:
         context,
         {},
         {
-            "sigma": (float, None),
-            "a0": (float, 1.0),
-            "errors_csv": (str, None),
+            "sigma": (_float, None),
+            "a0": (_float, 1.0),
+            "errors_csv": (_str, None),
         },
     )
 
@@ -262,20 +294,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     got = _take(
         data,
         "config",
-        {"schema": str, "dimension": int, "grid": dict, "target": _identity},
+        {"schema": _str, "dimension": _int, "grid": _object, "target": _identity},
         {
-            "scenario": (str, "unnamed"),
-            "references": (list, []),
+            "scenario": (_str, "unnamed"),
+            "references": (_list, []),
             "energies": (_identity, None),
-            "mode": (str, "born-oracle"),
-            "solver": (dict, None),
-            "reconstruction": (dict, None),
-            "convergence": (dict, None),
-            "bounds": (dict, None),
-            "probe_grid": (dict, None),
+            "mode": (_str, "born-oracle"),
+            "solver": (_object, None),
+            "reconstruction": (_object, None),
+            "convergence": (_object, None),
+            "bounds": (_object, None),
+            "probe_grid": (_object, None),
             "shift": (_floats, None),
-            "convention": (str, "default"),
-            "output": (str, None),
+            "convention": (_str, "default"),
+            "output": (_str, None),
         },
     )
     if got["schema"] != SCHEMA:

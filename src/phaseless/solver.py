@@ -10,22 +10,27 @@ integral of the kernel (see greens.singular_cell_weight).  Columns of
 the kernel vanish off the support, so the system restricted to the
 support nodes is exact.  A single solve (solve_lippmann_schwinger) and
 the amplitudes of every channel of one energy (channel_amplitudes) share
-one solve of that system for a block of incident columns.  One route
-rule, uses_direct_solve, picks the direct solve when the support has at
-most ``dense_limit`` nodes (or method "dense"), else the iteration
+one solver of that system, _support_solver.  One route rule,
+uses_direct_solve, picks the route, and each route brings its own form
+of the support operator K v, which both solves and checks its answers:
 
-    psi_{m+1} = incident + K psi_m
+- direct, when the support has at most ``dense_limit`` nodes (or method
+  "dense"): the matrix I - K v assembled from the weight table, one
+  numpy.linalg.solve per chunk of incident columns, and the residual
+  (I - K v) psi - incident as one matrix product with that same matrix.
+  This route makes no FFT.
+- iteration, otherwise: psi_{m+1} = incident + K v psi_m on the support
+  values, batched over channels, each converging or failing on its own;
+  it contracts with rate O(E^{-1/2}) at high energy.  K between support
+  nodes needs only the kernel offsets inside the support's bounding box,
+  so every step and every residual is one FFT convolution on that box
+  (_BoxOperator, the scheme of Vainikko, "Fast solvers of the
+  Lippmann-Schwinger equation", 2000), batched over channels.
 
-on the support values, batched over channels, each converging or failing
-on its own; it contracts with rate O(E^{-1/2}) at high energy.  Both
-routes share the weights, so they can be cross-checked to tight tolerance.
-
-K between support nodes needs only the kernel offsets inside the
-support's bounding box, so every iteration step and every residual is
-one FFT convolution on that box (_BoxOperator, the scheme of Vainikko,
-"Fast solvers of the Lippmann-Schwinger equation", 2000), batched over
-channels.  The full-grid convolution (_apply_kernel) remains only to
-extend a single solve's field from the support to the whole grid.
+Both forms read one weight table, so they are the same discrete operator
+up to rounding and the routes can be cross-checked to tight tolerance.
+The full-grid convolution (_apply_kernel) remains only to extend a
+single solve's field from the support to the whole grid.
 
 The scattering amplitude is the weighted quadrature
 
@@ -49,7 +54,7 @@ from .exceptions import (
     UnresolvedGridError,
 )
 from .greens import far_field_coefficient, outgoing_green, singular_cell_weight
-from .grids import GridSpec, ScalarField
+from .grids import GridSpec, ScalarField, row_dot
 from .potentials import PotentialSpec, analytic_hat
 from .special import hankel1
 
@@ -118,34 +123,37 @@ class SolverReport:
 
 # --- kernel application ------------------------------------------------------
 
-_KERNEL_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+# (grid key, |k|) -> [weight table, its FFT or None until _apply_kernel needs it]
+_KERNEL_CACHE: dict[tuple, list] = {}
 _KERNEL_CACHE_LIMIT = 32
 # columns per block of iteration steps, amplitudes and residuals in
 # channel_amplitudes: bounds its (support, block) temporaries
 _CHANNEL_BLOCK = 32
-# cap on the padded box buffer of one block (a wide 3-D box gets fewer
-# channels per block), and the least byte count of the right-hand sides
-# one direct solve takes
+# cap on the bytes of one block's widest temporary, the padded box buffer
+# on the iteration route (a wide 3-D box gets fewer channels per block)
+# and a (support, block) array on the direct route, and the least byte
+# count of the right-hand sides one direct solve takes
 _BOX_BYTES = 1 << 24
 # matrix rows filled per block by _support_matrix: bounds its int64
 # offset array, so the matrix is the only (m, m) array ever held
 _ASSEMBLY_ELEMENTS = 1 << 19
 
 
-def _kernel_tables(grid: GridSpec, kmag: float) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature weights of G on the 2x zero-padded grid, and their FFT.
+def _kernel_entry(grid: GridSpec, kmag: float) -> list:
+    """Quadrature weights of G on the 2x zero-padded grid, cached per (grid, |k|).
 
     Weights: midpoint value G(offset)*cell_volume off the diagonal, the
     equal-measure closed-form integral at offset zero.  The table holds
     every source-target offset inside the original box, so the direct
     route indexes it for its matrix and _BoxOperator slices it for the
     support's bounding box: every route shares identical discrete
-    operators.  The spectrum of the whole table serves _apply_kernel.
+    operators.  The entry's second slot holds the table's spectrum once
+    _kernel_tables has made it.
     """
     key = (grid.key(), float(kmag))
-    cached = _KERNEL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    entry = _KERNEL_CACHE.get(key)
+    if entry is not None:
+        return entry
     pad = 2 * grid.n
     offs = np.arange(pad)
     offs[offs > pad // 2] -= pad
@@ -162,11 +170,18 @@ def _kernel_tables(grid: GridSpec, kmag: float) -> tuple[np.ndarray, np.ndarray]
     else:
         weights = (-np.exp(1j * kmag * r) / (4.0 * np.pi * r)) * grid.cell_volume
     weights[origin] = singular_cell_weight(kmag, grid.dim, grid.cell_volume)
-    spectrum = np.fft.fftn(weights)
     if len(_KERNEL_CACHE) >= _KERNEL_CACHE_LIMIT:
         _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
-    _KERNEL_CACHE[key] = (weights, spectrum)
-    return weights, spectrum
+    entry = _KERNEL_CACHE[key] = [weights, None]
+    return entry
+
+
+def _kernel_tables(grid: GridSpec, kmag: float) -> tuple[np.ndarray, np.ndarray]:
+    """The weight table of _kernel_entry and its FFT, which _apply_kernel takes."""
+    entry = _kernel_entry(grid, kmag)
+    if entry[1] is None:
+        entry[1] = np.fft.fftn(entry[0])
+    return entry[0], entry[1]
 
 
 def _apply_kernel(source: np.ndarray, spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -343,15 +358,20 @@ def _born_iteration(op: _BoxOperator, vsub: np.ndarray, inc: np.ndarray, cfg: So
 
 
 def _support_solver(v: ScalarField, mask: np.ndarray, weights_tab: np.ndarray,
-                    op: _BoxOperator, cfg: SolverConfig):
-    """The route's solve of the support system, and the columns it takes per call.
+                    cfg: SolverConfig):
+    """The route's solve of the support system, its residual, and the columns per solve.
 
-    solve(inc) maps incident columns on the support to (psi, steps,
-    failed, updates) as _born_iteration does.  A direct call is one
-    numpy.linalg.solve, which factors a copy of the matrix, on right-hand
-    sides up to max(the matrix, _BOX_BYTES), so an energy is factored
-    once; an iteration call takes one block of the box operator's
-    columns.  Raises SolverConvergenceError above ``dense_limit``.
+    Returns (solve, residual, chunk).  solve(inc) maps incident columns
+    on the support to (psi, steps, failed, updates) as _born_iteration
+    does, and residual(psi, inc) gives psi - inc - K v psi column by
+    column, with the same operator the route solved with.  The direct
+    route assembles A = I - K v: a solve is one numpy.linalg.solve, which
+    factors a copy of A, on right-hand sides up to max(the matrix,
+    _BOX_BYTES), so an energy is factored once, and the residual is the
+    product A psi - inc.  The iteration route builds the _BoxOperator: a
+    solve takes one block of its columns, and the residual is one
+    batched FFT convolution.  Raises SolverConvergenceError above
+    ``dense_limit``.
     """
     if uses_direct_solve(v, cfg):
         _, a_mat = _support_matrix(v, weights_tab, cfg)
@@ -361,10 +381,18 @@ def _support_solver(v: ScalarField, mask: np.ndarray, weights_tab: np.ndarray,
             n = inc.shape[1]
             return np.linalg.solve(a_mat, inc), np.ones(n, int), np.zeros(n, bool), np.empty((0, n))
 
-        return solve, max(1, max(m * m, _BOX_BYTES // 16) // max(m, 1))
+        def residual(psi, inc):
+            return a_mat @ psi - inc
+
+        return solve, residual, max(1, max(m * m, _BOX_BYTES // 16) // max(m, 1))
+    op = _BoxOperator(mask, weights_tab)
     vsub = v.values[mask][:, None]
     inc_norm = v.grid.node_count**0.5  # |e^{i k.x}| = 1 at every node
-    return (lambda inc: _born_iteration(op, vsub, inc, cfg, inc_norm)), op.block
+
+    def residual(psi, inc):
+        return psi - inc - op.apply(vsub * psi)
+
+    return (lambda inc: _born_iteration(op, vsub, inc, cfg, inc_norm)), residual, op.block
 
 
 def solve_lippmann_schwinger(
@@ -375,11 +403,10 @@ def solve_lippmann_schwinger(
     The support values come from _support_solver with one column; one
     full-grid kernel application extends them to every node, so off the
     support the equation holds by construction.  The report's residual is
-    recomputed on the support with the box operator, normalized by the
-    incident wave's norm over the grid; its contraction ratio is the
-    median ratio of successive iteration updates.  Raises
-    SolverConvergenceError when the iteration fails or a direct solve
-    exceeds ``dense_limit``.
+    the route's own residual on the support, normalized by the incident
+    wave's norm over the grid; its contraction ratio is the median ratio
+    of successive iteration updates.  Raises SolverConvergenceError when
+    the iteration fails or a direct solve exceeds ``dense_limit``.
     """
     grid = v.grid
     _check_resolution(grid, k, cfg)
@@ -392,8 +419,7 @@ def solve_lippmann_schwinger(
         )
 
     weights_tab, spectrum = _kernel_tables(grid, k.magnitude)
-    op = _BoxOperator(mask, weights_tab)
-    solve, _ = _support_solver(v, mask, weights_tab, op, cfg)
+    solve, residual, _ = _support_solver(v, mask, weights_tab, cfg)
     vsub = v.values[mask][:, None]
     inc_sub = inc[mask][:, None]
     psi_sub, steps, failed, updates = solve(inc_sub)
@@ -407,14 +433,44 @@ def solve_lippmann_schwinger(
     source[mask] = (vsub * psi_sub)[:, 0]
     psi = inc + _apply_kernel(source, spectrum, grid)
     psi[mask] = psi_sub[:, 0]
-    resid = psi_sub - inc_sub - op.apply(vsub * psi_sub)
     return ScalarField(grid, psi), SolverReport(
         method="dense-direct" if uses_direct_solve(v, cfg) else "born-iteration",
         iterations=iterations,
-        residual=float(np.linalg.norm(resid)) / grid.node_count**0.5,
+        residual=float(np.linalg.norm(residual(psi_sub, inc_sub))) / grid.node_count**0.5,
         converged=True,
         contraction_ratio=float(np.median(ratios)) if ratios.size else None,
     )
+
+
+def _shell_wave(incident: np.ndarray, outgoing: np.ndarray, dim: int) -> WaveVector:
+    """The first channel's wave vector, after every channel is checked row-wise.
+
+    ValueError unless both arrays are (channels, dim) with at least one
+    channel and every incident energy is positive.  EnergyShellError,
+    naming the first offending row and its two energies, when an
+    incident is off the first channel's shell or an outgoing off its
+    incident's, beyond relative 1e-12 (a NaN energy is off).
+    """
+    if (incident.ndim != 2 or incident.shape != outgoing.shape
+            or incident.shape[1:] != (dim,) or not len(incident)):
+        raise ValueError("incident and outgoing must both have shape (channels, dim), channels >= 1")
+    e_in, e_out = row_dot(incident, incident), row_dot(outgoing, outgoing)
+    dark = ~(e_in > 0)
+    if dark.any():
+        raise ValueError(f"channel {int(np.argmax(dark))}: wave vector energy must be positive")
+    k = WaveVector(incident[0])  # one kernel serves every channel
+    e_first = np.full_like(e_in, k.energy)
+    off_first = ~(np.abs(e_in - e_first) <= 1e-12 * np.maximum(e_in, e_first))
+    off_own = ~(np.abs(e_in - e_out) <= 1e-12 * np.maximum(e_in, e_out))
+    if np.any(off_first | off_own):
+        r = int(np.argmax(off_first | off_own))
+        name, a, b = ("first/incident", e_first, e_in) if off_first[r] else ("in/out", e_in, e_out)
+        a, b = float(a[r]), float(b[r])
+        raise EnergyShellError(
+            f"channel {r}: {name} energies differ: {a!r} vs {b!r} "
+            f"(relative {abs(a - b) / max(a, b):.3e})"
+        )
+    return k
 
 
 def channel_amplitudes(
@@ -423,34 +479,28 @@ def channel_amplitudes(
     """Amplitudes f(k_c, l_c) of every channel c of one (potential, energy).
 
     ``incident`` and ``outgoing`` are (channels, dim) wave vectors on one
-    energy shell (relative 1e-12, every pair checked).  One kernel table,
-    support mask and _BoxOperator serve every channel; _support_solver
-    solves for chunks of them.  Blocks of the solved columns then give the
-    amplitudes, one phase-matrix product each, and the residuals, one
-    batched _BoxOperator application each, normalized as in
-    solve_lippmann_schwinger.  Returns (amplitudes, failed, worst
+    energy shell, checked row-wise by _shell_wave.  One kernel table and
+    support mask serve every channel; _support_solver solves for chunks
+    of them, on the direct route with no FFT.  Blocks of the solved
+    columns then give the amplitudes, one phase-matrix product each, and
+    the residuals, one call of the route's residual each, normalized as
+    in solve_lippmann_schwinger.  Returns (amplitudes, failed, worst
     iterations, worst residual), the worst over the channels that did not
-    fail; a failed channel's amplitude is NaN.  An iteration that does not
-    converge fails its own channel only, and a direct solve above
+    fail; a failed channel's amplitude is NaN.  An iteration that does
+    not converge fails its own channel only, and a direct solve above
     ``dense_limit`` fails every channel.
     """
     grid = v.grid
     incident = np.asarray(incident, dtype=float)
     outgoing = np.asarray(outgoing, dtype=float)
-    if incident.ndim != 2 or incident.shape != outgoing.shape or incident.shape[1] != grid.dim:
-        raise ValueError("incident and outgoing must both have shape (channels, dim)")
-    waves = [WaveVector(k) for k in incident]
-    for k, l in zip(waves, outgoing):
-        _check_shell(waves[0], k.array)  # one kernel serves every channel
-        _check_shell(k, l)
-    _check_resolution(grid, waves[0], cfg)
-    weights_tab, _ = _kernel_tables(grid, waves[0].magnitude)
+    k = _shell_wave(incident, outgoing, grid.dim)
+    _check_resolution(grid, k, cfg)
+    weights_tab = _kernel_entry(grid, k.magnitude)[0]
     mask = _support(v)
-    op = _BoxOperator(mask, weights_tab)
-    amps = np.full(len(waves), np.nan, dtype=complex)
-    failed = np.ones(len(waves), dtype=bool)
+    amps = np.full(len(incident), np.nan, dtype=complex)
+    failed = np.ones(len(incident), dtype=bool)
     try:
-        solve, chunk = _support_solver(v, mask, weights_tab, op, cfg)
+        solve, residual, chunk = _support_solver(v, mask, weights_tab, cfg)
     except SolverConvergenceError:
         return amps, failed, 0, 0.0
 
@@ -458,23 +508,25 @@ def channel_amplitudes(
     vsub = v.values[mask][:, None]
     scale = (2.0 * np.pi) ** (-grid.dim) * grid.cell_volume
     inc_norm = grid.node_count**0.5  # |e^{i k.x}| = 1 at every node
-    iterations, residual = 0, 0.0
-    for first in range(0, len(waves), chunk):
+    # a block never spans two chunks, so on the iteration route it stays
+    # within the box operator's own block
+    block = max(1, min(_CHANNEL_BLOCK, _BOX_BYTES // (16 * max(len(coords), 1))))
+    iterations, worst = 0, 0.0
+    for first in range(0, len(incident), chunk):
         inc_all = np.exp(1j * (coords @ incident[first : first + chunk].T))  # (m, chunk)
         psi_all, steps, lost, _ = solve(inc_all)
         failed[first : first + chunk] = lost
         iterations = max(iterations, int(np.max(steps[~lost], initial=0)))
-        for lo in range(0, inc_all.shape[1], op.block):
-            cols = slice(lo, lo + op.block)
-            block = slice(first + lo, first + lo + op.block)
+        for lo in range(0, inc_all.shape[1], block):
+            cols = slice(lo, lo + block)
+            rows = slice(first + lo, first + lo + block)
             inc, psi = inc_all[:, cols], psi_all[:, cols]
-            src = vsub * psi
-            phase = np.exp(-1j * (outgoing[block] @ coords.T))  # (block, m)
-            amps[block] = scale * np.einsum("cm,mc->c", phase, src)
-            resid = np.linalg.norm(psi - inc - op.apply(src), axis=0)[~lost[cols]]
-            residual = max(residual, float(np.max(resid, initial=0.0)) / inc_norm)
+            phase = np.exp(-1j * (outgoing[rows] @ coords.T))  # (block, m)
+            amps[rows] = scale * np.einsum("cm,mc->c", phase, vsub * psi)
+            resid = np.linalg.norm(residual(psi, inc), axis=0)[~lost[cols]]
+            worst = max(worst, float(np.max(resid, initial=0.0)) / inc_norm)
     amps[failed] = np.nan
-    return amps, failed, iterations, residual
+    return amps, failed, iterations, worst
 
 
 # --- amplitudes ---------------------------------------------------------------

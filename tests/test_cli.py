@@ -76,15 +76,29 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
         {"convergence": {"probe_grid": {"n": 8, "box": 2.0}}},
         {"energies": {"list": [4.0, 9.0], "mode": "unbounded"}},
         {"energies": {"list": [4.0, 9.0], "accumulation": 10.0}},
+        {"solver": {"max_iterations": 2.7}},
+        {"energies": {"E_min": 4.0, "E_max": 9.0, "count": 2.9}},
+        {"grid": {"n": "32", "box": 1.5}},
+        {"solver": {"dense_limit": True}},
+        {"solver": {"tolerance": "1e-3"}},
+        {"solver": {"resolution_factor": True}},
+        {"shift": [0.5, False]},
+        {"solver": {"fallback": "false"}},
+        {"reconstruction": {"declared_real": 1}},
+        {"solver": []},
     ],
     ids=[
         "missing-file", "window-string", "window-null", "box-min", "box-max", "shift",
         "energy-list", "energies-list", "geometric-negative", "seed", "probe-grid",
-        "energies-mode", "energies-accumulation",
+        "energies-mode", "energies-accumulation", "int-fraction", "count-fraction",
+        "int-string", "int-bool", "float-string", "float-bool", "float-list-bool",
+        "bool-string", "bool-int", "object-list",
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, doc):
-    # the last four set keys that nothing reads: unknown keys, like a typo
+    # "seed" to "energies-accumulation" set keys that nothing reads:
+    # unknown keys, like a typo; from "int-fraction" on, a value of the
+    # wrong JSON type is rejected, not coerced
     cfg = str(tmp_path / "missing.json") if doc is None else write_config(tmp_path, **doc)
     assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error:" in capsys.readouterr().err

@@ -181,6 +181,13 @@ def test_solver_block_parses():
     assert cfg.solver.method == "dense"
     with pytest.raises(ConfigError):
         config_from_dict(minimal(solver={"method": "magic"}))
+    # an integral float is an integer, an integer is a number: both keep
+    # their key's type, and the echo re-parses to the same config
+    cfg = config_from_dict(minimal(grid={"n": 16.0, "box": 2}, solver={"max_iterations": 50.0, "tolerance": 1}))
+    assert type(cfg.grid.n) is int and type(cfg.solver.max_iterations) is int
+    assert type(cfg.solver.tolerance) is float and cfg.solver.tolerance == 1.0
+    echo = config_to_dict(cfg)
+    assert config_to_dict(config_from_dict(echo)) == echo
 
 
 def test_convergence_window_validated():

@@ -264,3 +264,95 @@ def test_channel_amplitudes_do_not_depend_on_block_size(method, monkeypatch):
     assert iterations == iterations_one == (1 if method == "dense" else 7)
     limit = 1e-13 if method == "dense" else cfg.tolerance
     assert residual < limit and residual_one < limit
+
+
+@pytest.mark.parametrize("dim,n", [(2, 30), (3, 12)])
+def test_support_matrix_agrees_with_box_operator(dim, n):
+    # each route checks its answers with its own form of I - K v, the
+    # assembled matrix or the box FFT: the two forms must agree
+    grid, masks = _masks(dim, n)
+    weights_tab, _ = solver._kernel_tables(grid, 4.0)
+    rng = np.random.default_rng(dim + 10)
+    for name, mask in masks.items():
+        m = int(np.count_nonzero(mask))
+        values = np.zeros(grid.shape, dtype=complex)
+        values[mask] = rng.uniform(0.5, 2.0, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+        fld = ScalarField(grid, values)
+        got, a_mat = solver._support_matrix(fld, weights_tab, SolverConfig())
+        assert np.array_equal(got, mask), name
+        op = solver._BoxOperator(mask, weights_tab)
+        x = rng.standard_normal((m, 5)) + 1j * rng.standard_normal((m, 5))
+        box = x - op.apply(values[mask][:, None] * x)
+        gap = np.linalg.norm(a_mat @ x - box, axis=0)
+        assert np.all(gap <= 1e-13 * np.linalg.norm(box, axis=0)), name
+        # and so do the two routes' residuals, built on those forms
+        zero = np.zeros_like(x)
+        dense = solver._support_solver(fld, mask, weights_tab, SolverConfig(method="dense"))[1]
+        born = solver._support_solver(fld, mask, weights_tab, SolverConfig(method="born"))[1]
+        assert np.array_equal(dense(x, zero), a_mat @ x), name
+        assert np.array_equal(born(x, zero), box), name
+
+
+def test_direct_route_makes_no_fft(monkeypatch):
+    grid = GridSpec(2, 32, (-1.5, -1.5), (1.5, 1.5))
+    spec = PotentialSpec.ball((0.3, -0.2), 0.4, 1.0 + 0.5j) + PotentialSpec.ball((-0.8, 0.5), 0.3, 2.0)
+    fld = rasterize(spec, grid)
+    ang = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+    incident = 3.0 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    outgoing = 3.0 * np.stack([np.cos(2.0 * ang + 1.0), np.sin(2.0 * ang + 1.0)], axis=1)
+    cfg = SolverConfig(method="dense")
+    k = WaveVector(incident[0])
+    psi, rep = solve_lippmann_schwinger(fld, k, cfg)
+    single = [
+        scattering_amplitude(fld, solve_lippmann_schwinger(fld, WaveVector(kc), cfg)[0], WaveVector(kc), lc)
+        for kc, lc in zip(incident, outgoing)
+    ]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the direct route made an FFT")
+
+    monkeypatch.setattr(solver, "_BoxOperator", boom)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_KERNEL_CACHE", {})  # the weight table is made afresh
+        for name in np.fft.__all__:
+            patch.setattr(np.fft, name, boom)
+        amps, failed, iterations, residual = solver.channel_amplitudes(fld, incident, outgoing, cfg)
+    assert_allclose(amps, single, rtol=1e-12, atol=0.0)
+    assert not failed.any()
+    assert iterations == 1
+    assert residual < 1e-13
+    # a single solve extends its field with the full-grid FFT, but makes
+    # no box operator either
+    psi_again, rep_again = solve_lippmann_schwinger(fld, k, cfg)
+    assert np.array_equal(psi_again.values, psi.values)
+    assert rep_again == rep
+    assert rep.iterations == 1 and rep.residual < 1e-13
+
+
+def _shell_cases():
+    incident = np.array([[3.0, 0.0], [0.0, 3.0], [-3.0, 0.0], [0.0, -3.0]])
+    outgoing = incident[[1, 2, 3, 0]]
+    off = outgoing.copy()
+    off[2] = (0.0, 4.0)
+    two_in, two_out = incident.copy(), outgoing.copy()
+    two_in[3], two_out[3] = (0.0, 4.0), (4.0, 0.0)
+    dark = incident.copy()
+    dark[1] = 0.0
+    wide = np.zeros((4, 4))
+    wide[:, :2] = incident
+    return {
+        "outgoing-off-shell": (incident, off, EnergyShellError, "channel 2: in/out energies differ: 9.0 vs 16.0"),
+        "two-energies": (two_in, two_out, EnergyShellError, "channel 3: first/incident energies differ: 9.0 vs 16.0"),
+        "zero-incident": (dark, outgoing, ValueError, "channel 1"),
+        "four-columns": (wide, wide, ValueError, "shape"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_shell_cases()))
+def test_channel_amplitudes_check_channels_row_wise(case):
+    incident, outgoing, kind, message = _shell_cases()[case]
+    fld = rasterize(SMOOTH, GRID)
+    with pytest.raises(kind) as err:
+        solver.channel_amplitudes(fld, incident, outgoing)
+    assert type(err.value) is kind
+    assert message in str(err.value)
