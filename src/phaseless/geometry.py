@@ -87,12 +87,17 @@ def transverse_unit(p, dim: int | None = None, convention: str = "default") -> n
     return _transverse_rows(p[None, :], convention)[0]
 
 
+def off_shell(a, b) -> np.ndarray:
+    """The shell rule, row-wise: True where energies ``a`` and ``b`` differ
+    beyond relative 1e-12 of the larger, or either is NaN."""
+    return ~(np.abs(a - b) <= 1e-12 * np.maximum(a, b))
+
+
 def _check_shell(energy: np.ndarray, incident: np.ndarray, outgoing: np.ndarray) -> None:
-    """EnergyShellError unless |k|^2 and |l|^2 match E to 1e-12 * E in every row."""
+    """EnergyShellError unless |k|^2 and |l|^2 are on E's shell (off_shell) in every row."""
     k2 = row_dot(incident, incident)
     l2 = row_dot(outgoing, outgoing)
-    tol = 1e-12 * energy
-    off = (np.abs(k2 - energy) > tol) | (np.abs(l2 - energy) > tol)
+    off = off_shell(k2, energy) | off_shell(l2, energy)
     if np.any(off):
         r = int(np.argmax(off))
         raise EnergyShellError(

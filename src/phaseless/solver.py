@@ -53,6 +53,7 @@ from .exceptions import (
     SolverConvergenceError,
     UnresolvedGridError,
 )
+from .geometry import off_shell
 from .greens import far_field_coefficient, outgoing_green, singular_cell_weight
 from .grids import GridSpec, ScalarField, row_dot
 from .potentials import PotentialSpec, analytic_hat
@@ -126,15 +127,14 @@ class SolverReport:
 # (grid key, |k|) -> [weight table, its FFT or None until _apply_kernel needs it]
 _KERNEL_CACHE: dict[tuple, list] = {}
 _KERNEL_CACHE_LIMIT = 32
-# columns per block of iteration steps, amplitudes and residuals in
-# channel_amplitudes: bounds its (support, block) temporaries
+# columns per block of the iteration route's batched box convolutions
 _CHANNEL_BLOCK = 32
 # cap on the bytes of one block's widest temporary, the padded box buffer
 # on the iteration route (a wide 3-D box gets fewer channels per block)
-# and a (support, block) array on the direct route, and the least byte
+# and a (support, block) array in channel_amplitudes, and the least byte
 # count of the right-hand sides one direct solve takes
 _BOX_BYTES = 1 << 24
-# matrix rows filled per block by _support_matrix: bounds its int64
+# matrix rows filled per block by _support_matrix: bounds its intp
 # offset array, so the matrix is the only (m, m) array ever held
 _ASSEMBLY_ELEMENTS = 1 << 19
 
@@ -154,14 +154,14 @@ def _kernel_entry(grid: GridSpec, kmag: float) -> list:
     entry = _KERNEL_CACHE.get(key)
     if entry is not None:
         return entry
-    pad = 2 * grid.n
-    offs = np.arange(pad)
-    offs[offs > pad // 2] -= pad
-    r2 = np.zeros((pad,) * grid.dim)
+    # the weights depend on |offset| per axis: evaluate offsets 0..n, the
+    # table's first quadrant (octant in 3-D), and mirror it to -(n-1)..-1
+    n = grid.n
+    r2 = np.zeros((n + 1,) * grid.dim)
     for a in range(grid.dim):
         shape = [1] * grid.dim
-        shape[a] = pad
-        r2 = r2 + (offs * grid.spacing[a]).reshape(shape) ** 2
+        shape[a] = n + 1
+        r2 = r2 + (np.arange(n + 1) * grid.spacing[a]).reshape(shape) ** 2
     r = np.sqrt(r2)
     origin = (0,) * grid.dim
     r[origin] = 1.0  # placeholder, overwritten below
@@ -170,6 +170,8 @@ def _kernel_entry(grid: GridSpec, kmag: float) -> list:
     else:
         weights = (-np.exp(1j * kmag * r) / (4.0 * np.pi * r)) * grid.cell_volume
     weights[origin] = singular_cell_weight(kmag, grid.dim, grid.cell_volume)
+    mirror = np.r_[0 : n + 1, n - 1 : 0 : -1]  # padded index -> |offset|
+    weights = weights[np.ix_(*(mirror,) * grid.dim)]
     if len(_KERNEL_CACHE) >= _KERNEL_CACHE_LIMIT:
         _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
     entry = _KERNEL_CACHE[key] = [weights, None]
@@ -294,10 +296,12 @@ def uses_direct_solve(v: ScalarField, cfg: SolverConfig) -> bool:
 def _support_matrix(v: ScalarField, weights_tab: np.ndarray, cfg: SolverConfig):
     """Support mask and the matrix I - W v restricted to the support.
 
-    W between support nodes is read from the padded weight table through
-    signed index offsets.  The matrix is filled a block of rows at a
-    time, so the int64 offset array covers one block, never (m, m).  It
-    comes in Fortran order, the layout LAPACK copies it into.
+    W between support nodes is read from the padded weight table, which
+    is even in each axis offset, at the absolute offsets per axis: no
+    offset wraps, and the entries are those at the signed offsets.  The
+    matrix is filled a block of rows at a time, so the intp offset array
+    covers one block, never (m, m).  It comes in Fortran order, the
+    layout LAPACK copies it into.
     """
     mask = _support(v)
     idx = np.argwhere(mask)
@@ -308,18 +312,21 @@ def _support_matrix(v: ScalarField, weights_tab: np.ndarray, cfg: SolverConfig):
         )
     pad = weights_tab.shape[0]
     vsub = v.values[mask]
+    # node indices premultiplied by the table's flat stride of their axis
+    strided = idx * pad ** np.arange(idx.shape[1] - 1, -1, -1)
     a_mat = np.empty((m, m), dtype=np.complex128, order="F")
     # G depends on |x - y| only, so W is symmetric: row j of the C-ordered
     # transpose is -v_j W(x_j - x_i) over i, plus 1 on the diagonal
     rows = max(1, _ASSEMBLY_ELEMENTS // max(m, 1))
     for lo in range(0, m, rows):
         block = slice(lo, lo + rows)
-        flat = np.zeros((len(idx[block]), m), dtype=np.int64)
-        for a in range(idx.shape[1]):
-            flat *= pad
-            flat += np.subtract.outer(idx[block, a], idx[:, a]) % pad
+        flat = np.subtract.outer(strided[block, 0], strided[:, 0])
+        np.abs(flat, out=flat)
+        for a in range(1, idx.shape[1]):
+            step = np.subtract.outer(strided[block, a], strided[:, a])
+            flat += np.abs(step, out=step)
         out = a_mat.T[block]
-        np.take(weights_tab, flat, out=out, mode="wrap")
+        np.take(weights_tab, flat, out=out, mode="clip")
         out *= -vsub[block, None]
     a_mat[np.diag_indices(m)] += 1.0
     return mask, a_mat
@@ -449,7 +456,7 @@ def _shell_wave(incident: np.ndarray, outgoing: np.ndarray, dim: int) -> WaveVec
     channel and every incident energy is positive.  EnergyShellError,
     naming the first offending row and its two energies, when an
     incident is off the first channel's shell or an outgoing off its
-    incident's, beyond relative 1e-12 (a NaN energy is off).
+    incident's (geometry.off_shell: beyond relative 1e-12, or NaN).
     """
     if (incident.ndim != 2 or incident.shape != outgoing.shape
             or incident.shape[1:] != (dim,) or not len(incident)):
@@ -460,8 +467,7 @@ def _shell_wave(incident: np.ndarray, outgoing: np.ndarray, dim: int) -> WaveVec
         raise ValueError(f"channel {int(np.argmax(dark))}: wave vector energy must be positive")
     k = WaveVector(incident[0])  # one kernel serves every channel
     e_first = np.full_like(e_in, k.energy)
-    off_first = ~(np.abs(e_in - e_first) <= 1e-12 * np.maximum(e_in, e_first))
-    off_own = ~(np.abs(e_in - e_out) <= 1e-12 * np.maximum(e_in, e_out))
+    off_first, off_own = off_shell(e_in, e_first), off_shell(e_in, e_out)
     if np.any(off_first | off_own):
         r = int(np.argmax(off_first | off_own))
         name, a, b = ("first/incident", e_first, e_in) if off_first[r] else ("in/out", e_in, e_out)
@@ -473,6 +479,31 @@ def _shell_wave(incident: np.ndarray, outgoing: np.ndarray, dim: int) -> WaveVec
     return k
 
 
+class _AxisWaves:
+    """Plane waves e^{sign i k.x} on the support nodes, from one factor table per axis.
+
+    A node's coordinates are grid axis values, so e^{i k.x} is the
+    product over axes a of e^{i k_a x_a}.  Each axis holds one table of
+    those factors, a row per distinct support coordinate on that axis and
+    a column per row of ``vectors``; columns(rows) multiplies the
+    tables' gathered rows into the (support, len(rows)) waves of the rows
+    ``rows`` (a slice) of ``vectors``.
+    """
+
+    def __init__(self, grid: GridSpec, idx: np.ndarray, vectors: np.ndarray, sign: float):
+        self.tables, self.nodes = [], []  # per axis: factors, each node's table row
+        for a in range(grid.dim):
+            used, where = np.unique(idx[:, a], return_inverse=True)
+            self.tables.append(np.exp(sign * 1j * np.multiply.outer(grid.axis(a)[used], vectors[:, a])))
+            self.nodes.append(where)
+
+    def columns(self, rows: slice) -> np.ndarray:
+        wave = self.tables[0][self.nodes[0], rows]
+        for table, nodes in zip(self.tables[1:], self.nodes[1:]):
+            wave *= table[nodes, rows]
+        return wave
+
+
 def channel_amplitudes(
     v: ScalarField, incident, outgoing, cfg: SolverConfig = SolverConfig()
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -481,8 +512,10 @@ def channel_amplitudes(
     ``incident`` and ``outgoing`` are (channels, dim) wave vectors on one
     energy shell, checked row-wise by _shell_wave.  One kernel table and
     support mask serve every channel; _support_solver solves for chunks
-    of them, on the direct route with no FFT.  Blocks of the solved
-    columns then give the amplitudes, one phase-matrix product each, and
+    of them, on the direct route with no FFT.  The incident and outgoing
+    waves come from per-axis factor tables (_AxisWaves).  Blocks of the
+    solved columns, at most a chunk and at most _BOX_BYTES per (support,
+    block) array, then give the amplitudes, one weighted sum each, and
     the residuals, one call of the route's residual each, normalized as
     in solve_lippmann_schwinger.  Returns (amplitudes, failed, worst
     iterations, worst residual), the worst over the channels that did not
@@ -504,25 +537,29 @@ def channel_amplitudes(
     except SolverConvergenceError:
         return amps, failed, 0, 0.0
 
-    coords = grid.nodes().reshape(grid.shape + (grid.dim,))[mask]
+    idx = np.argwhere(mask)
+    waves_in = _AxisWaves(grid, idx, incident, 1.0)
+    waves_out = _AxisWaves(grid, idx, outgoing, -1.0)
     vsub = v.values[mask][:, None]
     scale = (2.0 * np.pi) ** (-grid.dim) * grid.cell_volume
     inc_norm = grid.node_count**0.5  # |e^{i k.x}| = 1 at every node
-    # a block never spans two chunks, so on the iteration route it stays
-    # within the box operator's own block
-    block = max(1, min(_CHANNEL_BLOCK, _BOX_BYTES // (16 * max(len(coords), 1))))
+    # a block lies inside one chunk (on the iteration route a chunk is the
+    # box operator's block, which a wide box makes small), and each
+    # (support, block) temporary within _BOX_BYTES
+    block = max(1, min(chunk, _BOX_BYTES // (16 * max(len(idx), 1))))
     iterations, worst = 0, 0.0
     for first in range(0, len(incident), chunk):
-        inc_all = np.exp(1j * (coords @ incident[first : first + chunk].T))  # (m, chunk)
+        inc_all = waves_in.columns(slice(first, first + chunk))  # (m, chunk)
         psi_all, steps, lost, _ = solve(inc_all)
         failed[first : first + chunk] = lost
         iterations = max(iterations, int(np.max(steps[~lost], initial=0)))
         for lo in range(0, inc_all.shape[1], block):
-            cols = slice(lo, lo + block)
-            rows = slice(first + lo, first + lo + block)
+            cols = slice(lo, min(lo + block, inc_all.shape[1]))
+            rows = slice(first + cols.start, first + cols.stop)
             inc, psi = inc_all[:, cols], psi_all[:, cols]
-            phase = np.exp(-1j * (outgoing[rows] @ coords.T))  # (block, m)
-            amps[rows] = scale * np.einsum("cm,mc->c", phase, vsub * psi)
+            weighted = waves_out.columns(rows)
+            weighted *= vsub  # v(y) e^{-i l.y} on the support, (m, block)
+            amps[rows] = scale * np.einsum("mc,mc->c", weighted, psi)
             resid = np.linalg.norm(residual(psi, inc), axis=0)[~lost[cols]]
             worst = max(worst, float(np.max(resid, initial=0.0)) / inc_norm)
     amps[failed] = np.nan
@@ -535,7 +572,7 @@ def channel_amplitudes(
 def _check_shell(k: WaveVector, l: np.ndarray) -> None:
     e_in = k.energy
     e_out = float(np.dot(l, l))
-    if abs(e_in - e_out) > 1e-12 * max(e_in, e_out):
+    if off_shell(e_in, e_out):
         raise EnergyShellError(
             f"in/out energies differ: {e_in!r} vs {e_out!r} "
             f"(relative {abs(e_in - e_out) / max(e_in, e_out):.3e})"

@@ -92,13 +92,14 @@ class BackgroundSet:
             self._check_distinct()
 
     def _check_distinct(self):
-        # Equality of the transforms on a fixed random probe set is our
-        # stand-in for equality of the references themselves; distinct
-        # primitives agreeing on all 64 points would be a measure-zero
-        # accident.
+        # Equality of the transforms on a fixed probe set is our stand-in
+        # for equality of the references themselves; distinct primitives
+        # agreeing on all 64 points would be a measure-zero accident.  The
+        # probes are a Kronecker sequence on [-12, 12)^d, j * (sqrt 2,
+        # sqrt 3, sqrt 5) mod 1 rescaled, which needs no numpy.random.
         w1, w2 = self.backgrounds
-        rng = np.random.default_rng(171)
-        probes = rng.uniform(-12.0, 12.0, size=(64, self.backgrounds[0].dim))
+        steps = np.sqrt([2.0, 3.0, 5.0])[: self.backgrounds[0].dim]
+        probes = 24.0 * np.modf(np.arange(1, 65)[:, None] * steps)[0] - 12.0
         h1 = analytic_hat(w1, probes)
         h2 = analytic_hat(w2, probes)
         scale = max(float(np.max(np.abs(h1))), float(np.max(np.abs(h2))), 1e-300)

@@ -354,3 +354,25 @@ def test_cli_import_skips_quadrature_and_optimizers(tmp_path):
         check=True,
     )
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_config_load_skips_numpy_random(tmp_path):
+    # loading a two-reference config checks that the references differ on
+    # a fixed probe set, which needs no random generator: numpy.random
+    # (and the secrets, hmac and base64 modules it pulls in) stays unloaded
+    cfg = write_config(tmp_path, references=REFS, mode="full-solver")
+    code = (
+        "import sys, phaseless.cli\n"
+        "from phaseless.config import load_config\n"
+        "assert load_config(sys.argv[1]).references.count == 2\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(phaseless.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, cfg],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

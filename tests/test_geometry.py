@@ -219,6 +219,15 @@ def test_channel_shell_enforced_on_construction():
         )
 
 
+def test_channel_table_puts_nan_rows_off_the_shell():
+    # a NaN energy is off the shell: it fails the shell rule, not a later
+    # numerical step, and never yields a NaN channel
+    with pytest.raises(EnergyShellError):
+        channel_table(9.0, [[np.nan, 0.0]])
+    with pytest.raises(EnergyShellError):
+        channel_table(9.0, [[1.0, 0.0, 0.0], [0.0, np.nan, 1.0]])
+
+
 def test_energy_set_rules():
     es = EnergySet((1.0, 2.0, 4.0))
     assert es.top == 4.0

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from phaseless.exceptions import (
@@ -8,8 +12,10 @@ from phaseless.exceptions import (
     UnresolvedGridError,
 )
 from phaseless import solver
+from phaseless.greens import singular_cell_weight
 from phaseless.grids import GridSpec, ScalarField
 from phaseless.potentials import PotentialSpec, rasterize
+from phaseless.special import hankel1
 from phaseless.solver import (
     SolverConfig,
     WaveVector,
@@ -121,6 +127,18 @@ def test_scattering_amplitude_checks_shell():
         scattering_amplitude(fld, psi, k, np.array([1.0, 1.0]))
 
 
+def test_amplitudes_put_nan_outgoing_off_the_shell():
+    fld = rasterize(SMOOTH, GRID)
+    k = WaveVector((0.0, 5.0))
+    psi, _ = solve_lippmann_schwinger(fld, k)
+    with pytest.raises(EnergyShellError, match="nan"):
+        scattering_amplitude(fld, psi, k, [np.nan, np.nan])
+    with pytest.raises(EnergyShellError, match="nan"):
+        born_amplitude(SMOOTH, k, [np.nan, np.nan])
+    with pytest.raises(EnergyShellError, match="nan"):
+        born_amplitude(SMOOTH, k, [np.nan, 3.0])
+
+
 def test_far_field_radiation_matches_amplitude():
     fld = rasterize(SMOOTH, GRID)
     k = WaveVector((0.0, 5.0))
@@ -218,6 +236,43 @@ def test_born_on_box_agrees_with_dense_on_criterion_3_field():
         assert np.abs(psi_b.values - extended)[~mask].max() <= 1e-13
 
 
+def _full_offset_table(grid, kmag):
+    """The weight table evaluated at every one of its (2n)^d signed offsets."""
+    pad = 2 * grid.n
+    offs = np.arange(pad)
+    offs[offs > pad // 2] -= pad
+    r2 = np.zeros((pad,) * grid.dim)
+    for a in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[a] = pad
+        r2 = r2 + (offs * grid.spacing[a]).reshape(shape) ** 2
+    r = np.sqrt(r2)
+    origin = (0,) * grid.dim
+    r[origin] = 1.0
+    if grid.dim == 2:
+        weights = (-0.25j * hankel1(0, kmag * r)) * grid.cell_volume
+    else:
+        weights = (-np.exp(1j * kmag * r) / (4.0 * np.pi * r)) * grid.cell_volume
+    weights[origin] = singular_cell_weight(kmag, grid.dim, grid.cell_volume)
+    return weights
+
+
+@pytest.mark.parametrize(
+    "grid,kmag",
+    [
+        (GridSpec(2, 64, (-1.5, -1.5), (1.5, 1.5)), 10.0),
+        (GridSpec(2, 9, (-1.0, -2.0), (1.2, 2.0)), 7.0),
+        (GridSpec(3, 12, (-1.0, -2.0, -1.5), (1.2, 2.0, 0.5)), 3.3),
+    ],
+    ids=["2d", "2d-anisotropic", "3d-anisotropic"],
+)
+def test_kernel_table_from_one_quadrant_equals_full_construction(grid, kmag, monkeypatch):
+    monkeypatch.setattr(solver, "_KERNEL_CACHE", {})
+    weights_tab = solver._kernel_entry(grid, kmag)[0]
+    assert weights_tab.shape == (2 * grid.n,) * grid.dim
+    assert np.array_equal(weights_tab, _full_offset_table(grid, kmag))
+
+
 @pytest.mark.parametrize("dim,n", [(2, 24), (3, 10)])
 def test_support_matrix_matches_elementwise_assembly(dim, n, monkeypatch):
     grid = GridSpec(dim, n, (-1.5,) * dim, (1.5,) * dim)
@@ -241,29 +296,112 @@ def test_support_matrix_matches_elementwise_assembly(dim, n, monkeypatch):
     assert np.array_equal(a_mat, expected)
 
 
-@pytest.mark.parametrize("method", ["dense", "born"])
-def test_channel_amplitudes_do_not_depend_on_block_size(method, monkeypatch):
-    # 3-D, 40 channels: two blocks by default, one channel per block when
-    # the box buffer budget admits a single column (on the iteration
-    # route, one channel per batched iteration too)
+def _two_balls_3d():
+    # 25 support nodes, a (15, 8, 5) padded box of 600 points
     grid = GridSpec(3, 12, (-1.5,) * 3, (1.5,) * 3)
     spec = PotentialSpec.ball((0.5, 0.0, 0.0), 0.4, 1.0) + PotentialSpec.ball((-0.8, 0.3, 0.0), 0.3, 2.0)
-    fld = rasterize(spec, grid)
-    rng = np.random.default_rng(3)
-    dirs = rng.standard_normal((2, 40, 3))
+    return rasterize(spec, grid)
+
+
+def _shell_channels(count, dim, seed, kmag=2.0):
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((2, count, dim))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    incident, outgoing = 2.0 * dirs
+    return kmag * dirs
+
+
+@pytest.mark.parametrize("method", ["dense", "born"])
+def test_channel_amplitudes_do_not_depend_on_block_size(method, monkeypatch):
+    # 3-D, 40 channels: one block at the default byte budget, several
+    # chunks and blocks per chunk below it.  Budget 1 gives one column per
+    # block; 2800 gives the direct route chunks of 25 columns in blocks of
+    # 7 (25 = 3 * 7 + 4) and the box operator one column per block; 48000
+    # gives the box operator blocks of 5 columns, below the amplitude
+    # block of the default budget
+    fld = _two_balls_3d()
+    incident, outgoing = _shell_channels(40, 3, 3)
     cfg = SolverConfig(method=method)
+    weights_tab = solver._kernel_entry(fld.grid, 2.0)[0]
     amps, failed, iterations, residual = solver.channel_amplitudes(fld, incident, outgoing, cfg)
-    monkeypatch.setattr(solver, "_BOX_BYTES", 1)
-    one, failed_one, iterations_one, residual_one = solver.channel_amplitudes(
-        fld, incident, outgoing, cfg
-    )
-    assert_allclose(one, amps, rtol=1e-13, atol=0.0)
-    assert not failed.any() and not failed_one.any()
-    assert iterations == iterations_one == (1 if method == "dense" else 7)
+    assert not failed.any()
+    assert iterations == (1 if method == "dense" else 7)
     limit = 1e-13 if method == "dense" else cfg.tolerance
-    assert residual < limit and residual_one < limit
+    assert residual < limit
+    for budget in (1, 2800, 48000):
+        monkeypatch.setattr(solver, "_BOX_BYTES", budget)
+        assert solver._BoxOperator(solver._support(fld), weights_tab).block < 32
+        small, failed_small, iterations_small, residual_small = solver.channel_amplitudes(
+            fld, incident, outgoing, cfg
+        )
+        assert_allclose(small, amps, rtol=1e-13, atol=0.0, err_msg=str(budget))
+        assert not failed_small.any(), budget
+        assert iterations_small == iterations, budget
+        assert residual_small < limit, budget
+
+
+@pytest.fixture(scope="module")
+def unsplit():
+    """The 3-D fixture's 40 channels and their amplitudes from one unsplit call per route."""
+    fld = _two_balls_3d()
+    incident, outgoing = _shell_channels(40, 3, 5)
+    amps = {
+        method: solver.channel_amplitudes(fld, incident, outgoing, SolverConfig(method=method))[0]
+        for method in ("dense", "born")
+    }
+    return fld, incident, outgoing, amps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    method=st.sampled_from(["dense", "born"]),
+    count=st.integers(1, 40),
+    units=st.integers(1, 40 * 600),
+)
+def test_channel_amplitudes_any_chunk_and_block(unsplit, method, count, units):
+    # _BOX_BYTES = 16 * units: the box operator takes units // 600 columns
+    # per block (at least one), the direct route solves chunks of
+    # max(25, units // 25) columns in blocks of units // 25; every split of
+    # the channels gives the amplitudes of one unsplit call
+    fld, incident, outgoing, amps = unsplit
+    cfg = SolverConfig(method=method)
+    with mock.patch.object(solver, "_BOX_BYTES", 16 * units):
+        split, failed, _, residual = solver.channel_amplitudes(fld, incident[:count], outgoing[:count], cfg)
+    assert not failed.any()
+    assert_allclose(split, amps[method][:count], rtol=1e-13, atol=0.0)
+    assert residual < (1e-13 if method == "dense" else cfg.tolerance)
+
+
+def _exp_wave_amplitudes(fld, incident, outgoing, cfg):
+    """channel_amplitudes with every wave built as exp(1j * coords @ k), in one block."""
+    grid = fld.grid
+    mask = solver._support(fld)
+    coords = grid.nodes()[mask.reshape(-1)]
+    weights_tab = solver._kernel_entry(grid, float(np.linalg.norm(incident[0])))[0]
+    solve = solver._support_solver(fld, mask, weights_tab, cfg)[0]
+    psi = solve(np.exp(1j * (coords @ incident.T)))[0]
+    phase = np.exp(-1j * (outgoing @ coords.T))
+    scale = (2.0 * np.pi) ** (-grid.dim) * grid.cell_volume
+    return scale * np.einsum("cm,mc->c", phase, fld.values[mask][:, None] * psi)
+
+
+@pytest.mark.parametrize("method", ["dense", "born"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_channel_amplitudes_match_exp_wave_reference(dim, method):
+    # waves from per-axis factor tables agree with waves exponentiated
+    # from the node coordinates; the anisotropic box and the support off
+    # the grid's centre make every axis's factors differ
+    n = 40 if dim == 2 else 12
+    grid = GridSpec(dim, n, (-1.5, -1.0, -2.0)[:dim], (1.5, 2.0, 1.0)[:dim])
+    spec = PotentialSpec.ball((0.4, 0.6, -0.3)[:dim], 0.5, 1.0 + 0.5j) + PotentialSpec.ball(
+        (-0.7, -0.2, -0.9)[:dim], 0.3, 2.0
+    )
+    fld = rasterize(spec, grid)
+    incident, outgoing = _shell_channels(70, dim, dim, kmag=3.0)
+    cfg = SolverConfig(method=method, resolution_factor=4.0)
+    amps, failed, _, _ = solver.channel_amplitudes(fld, incident, outgoing, cfg)
+    expected = _exp_wave_amplitudes(fld, incident, outgoing, cfg)
+    assert not failed.any()
+    assert_allclose(amps, expected, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 30), (3, 12)])
