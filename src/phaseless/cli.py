@@ -197,10 +197,11 @@ def cmd_forward(cfg: ExperimentConfig, outdir: Path) -> int:
             "converged": rep.converged,
             "field_file": base.name,
         }
-        for d in dirs:
-            l = np.sqrt(E) * d
-            f = scattering_amplitude(field_v, psi, k, l)
-            cells = [repr(float(E))] + [repr(float(x)) for x in l]
+        outgoing = np.sqrt(E) * dirs
+        amps = scattering_amplitude(field_v, psi, k, outgoing)
+        # Python floats and complexes, whose repr is the plain number
+        for l, f in zip(outgoing.tolist(), amps.tolist()):
+            cells = [repr(float(E))] + [repr(x) for x in l]
             cells += [repr(f.real), repr(f.imag), repr(abs(f) ** 2)]
             rows.append(",".join(cells))
     bundle.write_text("forward_amplitudes.csv", "\n".join(rows) + "\n")

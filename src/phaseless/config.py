@@ -173,14 +173,9 @@ def _solver_from(data: dict, context: str) -> SolverConfig:
             "max_iterations": (_int, 200),
             "resolution_factor": (_float, 8.0),
             "method": (_str, "auto"),
-            "fallback": (_bool, True),
             "dense_limit": (_int, 3000),
         },
     )
-    # Retired key, still read so older configs load: "auto" without the
-    # fallback never went dense, which is exactly the "born" route.
-    if not got.pop("fallback") and got["method"] == "auto":
-        got["method"] = "born"
     try:
         return SolverConfig(**got)
     except ValueError as exc:

@@ -29,8 +29,8 @@ of the support operator K v, which both solves and checks its answers:
 
 Both forms read one weight table, so they are the same discrete operator
 up to rounding and the routes can be cross-checked to tight tolerance.
-The full-grid convolution (_apply_kernel) remains only to extend a
-single solve's field from the support to the whole grid.
+A single solve extends its field from the support to the whole grid
+with one more box operator, the whole grid's.
 
 The scattering amplitude is the weighted quadrature
 
@@ -124,8 +124,8 @@ class SolverReport:
 
 # --- kernel application ------------------------------------------------------
 
-# (grid key, |k|) -> [weight table, its FFT or None until _apply_kernel needs it]
-_KERNEL_CACHE: dict[tuple, list] = {}
+# (grid key, |k|) -> weight table
+_KERNEL_CACHE: dict[tuple, np.ndarray] = {}
 _KERNEL_CACHE_LIMIT = 32
 # columns per block of the iteration route's batched box convolutions
 _CHANNEL_BLOCK = 32
@@ -139,7 +139,7 @@ _BOX_BYTES = 1 << 24
 _ASSEMBLY_ELEMENTS = 1 << 19
 
 
-def _kernel_entry(grid: GridSpec, kmag: float) -> list:
+def _kernel_weights(grid: GridSpec, kmag: float) -> np.ndarray:
     """Quadrature weights of G on the 2x zero-padded grid, cached per (grid, |k|).
 
     Weights: midpoint value G(offset)*cell_volume off the diagonal, the
@@ -147,13 +147,12 @@ def _kernel_entry(grid: GridSpec, kmag: float) -> list:
     every source-target offset inside the original box, so the direct
     route indexes it for its matrix and _BoxOperator slices it for the
     support's bounding box: every route shares identical discrete
-    operators.  The entry's second slot holds the table's spectrum once
-    _kernel_tables has made it.
+    operators.
     """
     key = (grid.key(), float(kmag))
-    entry = _KERNEL_CACHE.get(key)
-    if entry is not None:
-        return entry
+    weights = _KERNEL_CACHE.get(key)
+    if weights is not None:
+        return weights
     # the weights depend on |offset| per axis: evaluate offsets 0..n, the
     # table's first quadrant (octant in 3-D), and mirror it to -(n-1)..-1
     n = grid.n
@@ -174,29 +173,8 @@ def _kernel_entry(grid: GridSpec, kmag: float) -> list:
     weights = weights[np.ix_(*(mirror,) * grid.dim)]
     if len(_KERNEL_CACHE) >= _KERNEL_CACHE_LIMIT:
         _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
-    entry = _KERNEL_CACHE[key] = [weights, None]
-    return entry
-
-
-def _kernel_tables(grid: GridSpec, kmag: float) -> tuple[np.ndarray, np.ndarray]:
-    """The weight table of _kernel_entry and its FFT, which _apply_kernel takes."""
-    entry = _kernel_entry(grid, kmag)
-    if entry[1] is None:
-        entry[1] = np.fft.fftn(entry[0])
-    return entry[0], entry[1]
-
-
-def _apply_kernel(source: np.ndarray, spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Aperiodic convolution of the weight kernel with ``source`` on the whole grid.
-
-    One (2n)^d FFT pair, used only to extend a single solve's field from
-    the support to every grid node.
-    """
-    pad_shape = spectrum.shape
-    buf = np.zeros(pad_shape, dtype=np.complex128)
-    buf[tuple(slice(0, grid.n) for _ in range(grid.dim))] = source
-    conv = np.fft.ifftn(np.fft.fftn(buf) * spectrum)
-    return conv[tuple(slice(0, grid.n) for _ in range(grid.dim))]
+    _KERNEL_CACHE[key] = weights
+    return weights
 
 
 def _fft_length(need: int) -> int:
@@ -219,7 +197,8 @@ class _BoxOperator:
     in -(b-1)..(b-1), so the weight table sliced to those offsets and
     zero-padded to a length L >= 2b - 1 realizes the aperiodic sum
     exactly by circular convolution.  L is the smallest 5-smooth length,
-    capped at the table's own 2n.  Built once per (variant, energy).
+    capped at the table's own 2n.  Built once per (variant, energy); a
+    single solve builds one more on the whole grid to extend its field.
     """
 
     def __init__(self, mask: np.ndarray, weights_tab: np.ndarray):
@@ -366,9 +345,9 @@ def _born_iteration(op: _BoxOperator, vsub: np.ndarray, inc: np.ndarray, cfg: So
 
 def _support_solver(v: ScalarField, mask: np.ndarray, weights_tab: np.ndarray,
                     cfg: SolverConfig):
-    """The route's solve of the support system, its residual, and the columns per solve.
+    """The route's solve of the support system, its residual, the columns per solve, the route.
 
-    Returns (solve, residual, chunk).  solve(inc) maps incident columns
+    Returns (solve, residual, chunk, route).  solve(inc) maps incident columns
     on the support to (psi, steps, failed, updates) as _born_iteration
     does, and residual(psi, inc) gives psi - inc - K v psi column by
     column, with the same operator the route solved with.  The direct
@@ -377,8 +356,9 @@ def _support_solver(v: ScalarField, mask: np.ndarray, weights_tab: np.ndarray,
     _BOX_BYTES), so an energy is factored once, and the residual is the
     product A psi - inc.  The iteration route builds the _BoxOperator: a
     solve takes one block of its columns, and the residual is one
-    batched FFT convolution.  Raises SolverConvergenceError above
-    ``dense_limit``.
+    batched FFT convolution.  route is the SolverReport method name,
+    "dense-direct" or "born-iteration".  Raises SolverConvergenceError
+    above ``dense_limit``.
     """
     if uses_direct_solve(v, cfg):
         _, a_mat = _support_matrix(v, weights_tab, cfg)
@@ -391,7 +371,7 @@ def _support_solver(v: ScalarField, mask: np.ndarray, weights_tab: np.ndarray,
         def residual(psi, inc):
             return a_mat @ psi - inc
 
-        return solve, residual, max(1, max(m * m, _BOX_BYTES // 16) // max(m, 1))
+        return solve, residual, max(1, max(m * m, _BOX_BYTES // 16) // max(m, 1)), "dense-direct"
     op = _BoxOperator(mask, weights_tab)
     vsub = v.values[mask][:, None]
     inc_norm = v.grid.node_count**0.5  # |e^{i k.x}| = 1 at every node
@@ -399,7 +379,10 @@ def _support_solver(v: ScalarField, mask: np.ndarray, weights_tab: np.ndarray,
     def residual(psi, inc):
         return psi - inc - op.apply(vsub * psi)
 
-    return (lambda inc: _born_iteration(op, vsub, inc, cfg, inc_norm)), residual, op.block
+    def solve(inc):
+        return _born_iteration(op, vsub, inc, cfg, inc_norm)
+
+    return solve, residual, op.block, "born-iteration"
 
 
 def solve_lippmann_schwinger(
@@ -407,8 +390,8 @@ def solve_lippmann_schwinger(
 ) -> tuple[ScalarField, SolverReport]:
     """Total field for incident plane wave ``k`` over potential ``v``.
 
-    The support values come from _support_solver with one column; one
-    full-grid kernel application extends them to every node, so off the
+    The support values come from _support_solver with one column; the
+    whole grid's _BoxOperator extends them to every node, so off the
     support the equation holds by construction.  The report's residual is
     the route's own residual on the support, normalized by the incident
     wave's norm over the grid; its contraction ratio is the median ratio
@@ -425,8 +408,8 @@ def solve_lippmann_schwinger(
             method="born-iteration", iterations=0, residual=0.0, converged=True
         )
 
-    weights_tab, spectrum = _kernel_tables(grid, k.magnitude)
-    solve, residual, _ = _support_solver(v, mask, weights_tab, cfg)
+    weights_tab = _kernel_weights(grid, k.magnitude)
+    solve, residual, _, route = _support_solver(v, mask, weights_tab, cfg)
     vsub = v.values[mask][:, None]
     inc_sub = inc[mask][:, None]
     psi_sub, steps, failed, updates = solve(inc_sub)
@@ -438,10 +421,11 @@ def solve_lippmann_schwinger(
 
     source = np.zeros(grid.shape, dtype=np.complex128)
     source[mask] = (vsub * psi_sub)[:, 0]
-    psi = inc + _apply_kernel(source, spectrum, grid)
+    whole = _BoxOperator(np.ones(grid.shape, dtype=bool), weights_tab)
+    psi = inc + whole.apply(source.reshape(-1, 1)).reshape(grid.shape)
     psi[mask] = psi_sub[:, 0]
     return ScalarField(grid, psi), SolverReport(
-        method="dense-direct" if uses_direct_solve(v, cfg) else "born-iteration",
+        method=route,
         iterations=iterations,
         residual=float(np.linalg.norm(residual(psi_sub, inc_sub))) / grid.node_count**0.5,
         converged=True,
@@ -528,12 +512,12 @@ def channel_amplitudes(
     outgoing = np.asarray(outgoing, dtype=float)
     k = _shell_wave(incident, outgoing, grid.dim)
     _check_resolution(grid, k, cfg)
-    weights_tab = _kernel_entry(grid, k.magnitude)[0]
+    weights_tab = _kernel_weights(grid, k.magnitude)
     mask = _support(v)
     amps = np.full(len(incident), np.nan, dtype=complex)
     failed = np.ones(len(incident), dtype=bool)
     try:
-        solve, residual, chunk = _support_solver(v, mask, weights_tab, cfg)
+        solve, residual, chunk, _ = _support_solver(v, mask, weights_tab, cfg)
     except SolverConvergenceError:
         return amps, failed, 0, 0.0
 
@@ -569,41 +553,44 @@ def channel_amplitudes(
 # --- amplitudes ---------------------------------------------------------------
 
 
-def _check_shell(k: WaveVector, l: np.ndarray) -> None:
-    e_in = k.energy
-    e_out = float(np.dot(l, l))
-    if off_shell(e_in, e_out):
-        raise EnergyShellError(
-            f"in/out energies differ: {e_in!r} vs {e_out!r} "
-            f"(relative {abs(e_in - e_out) / max(e_in, e_out):.3e})"
-        )
+def _shell_rows(k: WaveVector, l, dim: int) -> np.ndarray:
+    """``l``, one vector or (rows, dim), as rows, each checked on k's shell by _shell_wave."""
+    rows = np.atleast_2d(np.asarray(l, dtype=float))
+    _shell_wave(np.broadcast_to(k.array, (len(rows), len(k.k))), rows, dim)
+    return rows
 
 
-def scattering_amplitude(
-    v: ScalarField, psi: ScalarField, k: WaveVector, l
-) -> complex:
+def scattering_amplitude(v: ScalarField, psi: ScalarField, k: WaveVector, l):
     """f(k, l) = (2 pi)^(-d) * cell_volume * sum e^{-i l.y} v(y) psi(y).
 
-    ``l`` must lie on the same energy shell as ``k`` (relative 1e-12).
+    ``l`` is one outgoing vector, giving a complex, or a (rows, d) array,
+    giving an array of amplitudes; every row must lie on the same energy
+    shell as ``k`` (relative 1e-12).  The waves come from per-axis factor
+    tables (_AxisWaves), in blocks of rows within _BOX_BYTES.
     """
-    l = np.asarray(l, dtype=float)
-    _check_shell(k, l)
+    rows = _shell_rows(k, l, v.grid.dim)
     if v.grid.key() != psi.grid.key():
         raise ValueError("potential and field live on different grids")
     mask = _support(v)
-    if not np.any(mask):
-        return 0.0 + 0.0j
-    coords = v.grid.nodes().reshape(v.grid.shape + (v.grid.dim,))
-    phase = np.exp(-1j * (coords[mask] @ l))
-    total = np.sum(phase * v.values[mask] * psi.values[mask])
-    return complex((2.0 * np.pi) ** (-v.grid.dim) * v.grid.cell_volume * total)
+    idx = np.argwhere(mask)
+    source = v.values[mask] * psi.values[mask]
+    waves = _AxisWaves(v.grid, idx, rows, -1.0)
+    block = max(1, _BOX_BYTES // (16 * max(len(idx), 1)))
+    amps = np.concatenate([
+        source @ waves.columns(slice(lo, lo + block)) for lo in range(0, len(rows), block)
+    ])
+    amps *= (2.0 * np.pi) ** (-v.grid.dim) * v.grid.cell_volume
+    return complex(amps[0]) if np.ndim(l) == 1 else amps
 
 
-def born_amplitude(spec: PotentialSpec, k: WaveVector, l) -> complex:
-    """First-order amplitude: the potential's transform at p = k - l."""
-    l = np.asarray(l, dtype=float)
-    _check_shell(k, l)
-    return complex(analytic_hat(spec, k.array - l))
+def born_amplitude(spec: PotentialSpec, k: WaveVector, l):
+    """First-order amplitude: the potential's transform at p = k - l.
+
+    ``l`` is one vector, giving a complex, or (rows, d), giving an array.
+    """
+    rows = _shell_rows(k, l, len(k.k))
+    amps = analytic_hat(spec, k.array - rows)
+    return complex(amps[0]) if np.ndim(l) == 1 else amps
 
 
 def far_field_check(
@@ -649,24 +636,15 @@ def far_field_check(
         psi, _ = solve_lippmann_schwinger(v, k, cfg)
 
     kmag = k.magnitude
-    coeff = far_field_coefficient(grid.dim, kmag)
-    src = v.values[mask] * psi.values[mask]
-    amps = []
-    ffs = []
-    for u in np.atleast_2d(directions):
-        u = np.asarray(u, dtype=float)
-        u = u / np.linalg.norm(u)
-        x_far = radius * u
-        g_row = outgoing_green(x_far[None, :] - pts, kmag, grid.dim)
-        scattered = grid.cell_volume * np.sum(g_row * src)
-        f_ff = scattered * radius ** ((grid.dim - 1) / 2.0) / (
-            coeff * np.exp(1j * kmag * radius)
-        )
-        f_amp = scattering_amplitude(v, psi, k, kmag * u)
-        ffs.append(f_ff)
-        amps.append(f_amp)
-    amps = np.asarray(amps)
-    ffs = np.asarray(ffs)
+    u = np.atleast_2d(np.asarray(directions, dtype=float))
+    u = u / np.linalg.norm(u, axis=1, keepdims=True)
+    # the radiated field at radius * u, one row of kernel values per direction
+    g_rows = outgoing_green(radius * u[:, None, :] - pts, kmag, grid.dim)
+    scattered = grid.cell_volume * (g_rows @ (v.values[mask] * psi.values[mask]))
+    ffs = scattered * radius ** ((grid.dim - 1) / 2.0) / (
+        far_field_coefficient(grid.dim, kmag) * np.exp(1j * kmag * radius)
+    )
+    amps = scattering_amplitude(v, psi, k, kmag * u)
     scale = float(np.max(np.abs(amps)))
     if scale == 0.0:
         return float(np.max(np.abs(ffs)))

@@ -12,6 +12,7 @@ import phaseless
 from phaseless.cli import _canonical, _report_text, main
 from phaseless.fieldio import read_field
 from phaseless.grids import GridSpec
+from phaseless.potentials import PotentialSpec, rasterize
 from phaseless.solver import WaveVector, plane_wave
 
 GOLDEN = Path(__file__).parent / "golden" / "forward_amplitudes.csv"
@@ -83,7 +84,7 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
         {"solver": {"tolerance": "1e-3"}},
         {"solver": {"resolution_factor": True}},
         {"shift": [0.5, False]},
-        {"solver": {"fallback": "false"}},
+        {"reconstruction": {"restrict_support": "false"}},
         {"reconstruction": {"declared_real": 1}},
         {"solver": []},
     ],
@@ -179,6 +180,42 @@ def test_forward_matches_golden_amplitudes(tmp_path):
         np.testing.assert_allclose(float(g["l_2"]), float(w["l_2"]), atol=1e-12)
         np.testing.assert_allclose(float(g["re_f"]), float(w["re_f"]), atol=1e-10)
         np.testing.assert_allclose(float(g["im_f"]), float(w["im_f"]), atol=1e-10)
+
+
+def test_forward_3d_amplitudes_are_direct_sums_and_repeat(tmp_path):
+    ball = {"kind": "ball", "center": [0.3, -0.2, 0.1], "radius": 0.5, "amplitude": 1.5}
+    cfg = write_config(
+        tmp_path,
+        dimension=3,
+        grid={"n": 16, "box": 1.5},
+        target={"dim": 3, "components": [ball]},
+        energies=[4.0, 9.0],
+    )
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["forward", "--config", cfg, "--out", str(out)]) == 0
+    names = sorted(f.name for f in runs[0].iterdir())
+    assert names == sorted(f.name for f in runs[1].iterdir())
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+    text = (runs[0] / "forward_amplitudes.csv").read_text()
+    assert "np." not in text
+    with open(runs[0] / "forward_amplitudes.csv") as fh:
+        table = list(csv.DictReader(fh))
+    assert len(table) == 2 * 288
+    grid = GridSpec(3, 16, (-1.5,) * 3, (1.5,) * 3)
+    v = rasterize(PotentialSpec.ball((0.3, -0.2, 0.1), 0.5, 1.5), grid)
+    support = v.values != 0
+    coords = grid.nodes()[support.reshape(-1)]
+    for i, E in enumerate((4.0, 9.0)):
+        rows = [r for r in table if float(r["E"]) == E]
+        psi = read_field(runs[0] / f"forward_psi_E{i}")
+        l = np.array([[float(r["l_1"]), float(r["l_2"]), float(r["l_3"])] for r in rows])
+        got = np.array([complex(float(r["re_f"]), float(r["im_f"])) for r in rows])
+        terms = np.exp(-1j * (l @ coords.T)) * (v.values[support] * psi.values[support])
+        want = (2.0 * np.pi) ** -3 * grid.cell_volume * terms.sum(axis=1)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_forward_zero_potential_is_plane_wave(tmp_path):

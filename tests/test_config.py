@@ -211,16 +211,10 @@ def test_load_config_and_echo_idempotent(tmp_path):
     assert echo["scenario"] == "echo-check"
 
 
-def test_retired_fallback_key_still_loads():
-    # "auto" without the fallback never went dense: that is the "born" route
-    cfg = config_from_dict(minimal(solver={"method": "auto", "fallback": False}))
-    assert cfg.solver.method == "born"
-    echo = config_to_dict(cfg)
-    assert "fallback" not in echo["solver"]
-    assert config_to_dict(config_from_dict(echo)) == echo
-    kept = config_from_dict(minimal(solver={"method": "dense", "fallback": False}))
-    assert kept.solver.method == "dense"
-    assert config_from_dict(minimal(solver={"fallback": True})).solver.method == "auto"
+def test_retired_fallback_key_is_config_error():
+    # the key is gone: method "born" is what "auto" without the fallback did
+    with pytest.raises(ConfigError, match="fallback"):
+        config_from_dict(minimal(solver={"fallback": False}))
 
 
 def test_load_config_bad_json(tmp_path):

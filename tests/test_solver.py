@@ -139,6 +139,40 @@ def test_amplitudes_put_nan_outgoing_off_the_shell():
         born_amplitude(SMOOTH, k, [np.nan, 3.0])
 
 
+def test_row_wise_amplitudes_equal_per_row_calls():
+    fld = rasterize(SMOOTH, GRID)
+    k = WaveVector((0.0, 5.0))
+    psi, _ = solve_lippmann_schwinger(fld, k)
+    rows = _shell_channels(40, 2, 0, kmag=5.0)[1]
+    for got, per_row in [
+        (scattering_amplitude(fld, psi, k, rows), [scattering_amplitude(fld, psi, k, l) for l in rows]),
+        (born_amplitude(SMOOTH, k, rows), [born_amplitude(SMOOTH, k, l) for l in rows]),
+    ]:
+        assert got.shape == (40,)
+        assert all(type(f) is complex for f in per_row)
+        assert_allclose(got, per_row, rtol=1e-14, atol=0.0)
+    # a byte budget of 7 support columns sums the rows in blocks of 7
+    one_block = scattering_amplitude(fld, psi, k, rows)
+    support = int(np.count_nonzero(solver._support(fld)))
+    with mock.patch.object(solver, "_BOX_BYTES", 16 * 7 * support):
+        assert_allclose(scattering_amplitude(fld, psi, k, rows), one_block, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "bad", [[1.0, 1.0], [np.nan, np.nan], [np.nan, 3.0]], ids=["off-shell", "nan", "half-nan"]
+)
+def test_off_shell_row_raises_naming_it(bad):
+    fld = rasterize(SMOOTH, GRID)
+    k = WaveVector((0.0, 5.0))
+    psi = ScalarField(GRID, plane_wave(GRID, k))
+    rows = _shell_channels(6, 2, 0, kmag=5.0)[1]
+    rows[4] = bad
+    with pytest.raises(EnergyShellError, match="channel 4: in/out"):
+        scattering_amplitude(fld, psi, k, rows)
+    with pytest.raises(EnergyShellError, match="channel 4: in/out"):
+        born_amplitude(SMOOTH, k, rows)
+
+
 def test_far_field_radiation_matches_amplitude():
     fld = rasterize(SMOOTH, GRID)
     k = WaveVector((0.0, 5.0))
@@ -146,6 +180,18 @@ def test_far_field_radiation_matches_amplitude():
     gap_far = far_field_check(fld, k, radius=400.0)
     assert gap_near < 5e-3
     assert gap_far < gap_near
+
+
+def test_far_field_check_normalizes_directions():
+    fld = rasterize(SMOOTH, GRID)
+    k = WaveVector((0.0, 5.0))
+    psi, _ = solve_lippmann_schwinger(fld, k)
+    units = _shell_channels(9, 2, 3, kmag=1.0)[1]
+    scales = np.geomspace(1e-3, 1e3, 9)[:, None]
+    unit_gap = far_field_check(fld, k, directions=units, radius=200.0, psi=psi)
+    scaled_gap = far_field_check(fld, k, directions=units * scales, radius=200.0, psi=psi)
+    assert unit_gap < 5e-3
+    assert_allclose(scaled_gap, unit_gap, rtol=1e-10)
 
 
 def test_reciprocity_for_real_potential():
@@ -180,10 +226,16 @@ def _masks(dim, n):
     return grid, {"one-node": one, "five-wide": five, "opposite-faces": faces, "ball-pair": pair}
 
 
+def _offset_sum(weights_tab, targets, sources, values):
+    """sum over sources j of W(x_i - x_j) values_j, read offset by offset from the weight table."""
+    offsets = (targets[:, None, :] - sources[None, :, :]) % weights_tab.shape[0]
+    return weights_tab[tuple(np.moveaxis(offsets, -1, 0))] @ values
+
+
 @pytest.mark.parametrize("dim,n", [(2, 30), (3, 12)])
 def test_box_operator_matches_full_grid_kernel(dim, n):
     grid, masks = _masks(dim, n)
-    weights_tab, spectrum = solver._kernel_tables(grid, 4.0)
+    weights_tab = solver._kernel_weights(grid, 4.0)
     rng = np.random.default_rng(dim)
     for name, mask in masks.items():
         op = solver._BoxOperator(mask, weights_tab)
@@ -191,10 +243,9 @@ def test_box_operator_matches_full_grid_kernel(dim, n):
         cols = rng.standard_normal((m, 5)) + 1j * rng.standard_normal((m, 5))
         batch = op.apply(cols)
         assert batch.shape == (m, 5)
+        idx = np.argwhere(mask)
         for c in range(5):
-            source = np.zeros(grid.shape, dtype=complex)
-            source[mask] = cols[:, c]
-            full = solver._apply_kernel(source, spectrum, grid)[mask]
+            full = _offset_sum(weights_tab, idx, idx, cols[:, c])
             scale = np.linalg.norm(full)
             assert np.linalg.norm(batch[:, c] - full) <= 1e-13 * scale, name
             # a column of a batch equals its own single-column application
@@ -230,10 +281,14 @@ def test_born_on_box_agrees_with_dense_on_criterion_3_field():
         assert rep_b.residual <= 1e-10, E
         # off the support the field is the equation's own extension
         mask = fld.values != 0
-        source = np.where(mask, fld.values * psi_b.values, 0.0)
-        _, spectrum = solver._kernel_tables(grid, k.magnitude)
-        extended = plane_wave(grid, k) + solver._apply_kernel(source, spectrum, grid)
-        assert np.abs(psi_b.values - extended)[~mask].max() <= 1e-13
+        sources = np.argwhere(mask)
+        targets = np.argwhere(~mask)
+        scattered = _offset_sum(
+            solver._kernel_weights(grid, k.magnitude), targets, sources,
+            fld.values[mask] * psi_b.values[mask],
+        )
+        extended = plane_wave(grid, k)[~mask] + scattered
+        assert np.abs(psi_b.values[~mask] - extended).max() <= 1e-13
 
 
 def _full_offset_table(grid, kmag):
@@ -268,7 +323,7 @@ def _full_offset_table(grid, kmag):
 )
 def test_kernel_table_from_one_quadrant_equals_full_construction(grid, kmag, monkeypatch):
     monkeypatch.setattr(solver, "_KERNEL_CACHE", {})
-    weights_tab = solver._kernel_entry(grid, kmag)[0]
+    weights_tab = solver._kernel_weights(grid, kmag)
     assert weights_tab.shape == (2 * grid.n,) * grid.dim
     assert np.array_equal(weights_tab, _full_offset_table(grid, kmag))
 
@@ -280,7 +335,7 @@ def test_support_matrix_matches_elementwise_assembly(dim, n, monkeypatch):
         (-0.9,) * dim, 0.4, 2.0
     )
     fld = rasterize(spec, grid)
-    weights_tab, _ = solver._kernel_tables(grid, 3.0)
+    weights_tab = solver._kernel_weights(grid, 3.0)
     monkeypatch.setattr(solver, "_ASSEMBLY_ELEMENTS", 7 * n)  # several row blocks
     mask, a_mat = solver._support_matrix(fld, weights_tab, SolverConfig())
     idx = np.argwhere(mask)
@@ -321,7 +376,7 @@ def test_channel_amplitudes_do_not_depend_on_block_size(method, monkeypatch):
     fld = _two_balls_3d()
     incident, outgoing = _shell_channels(40, 3, 3)
     cfg = SolverConfig(method=method)
-    weights_tab = solver._kernel_entry(fld.grid, 2.0)[0]
+    weights_tab = solver._kernel_weights(fld.grid, 2.0)
     amps, failed, iterations, residual = solver.channel_amplitudes(fld, incident, outgoing, cfg)
     assert not failed.any()
     assert iterations == (1 if method == "dense" else 7)
@@ -376,7 +431,7 @@ def _exp_wave_amplitudes(fld, incident, outgoing, cfg):
     grid = fld.grid
     mask = solver._support(fld)
     coords = grid.nodes()[mask.reshape(-1)]
-    weights_tab = solver._kernel_entry(grid, float(np.linalg.norm(incident[0])))[0]
+    weights_tab = solver._kernel_weights(grid, float(np.linalg.norm(incident[0])))
     solve = solver._support_solver(fld, mask, weights_tab, cfg)[0]
     psi = solve(np.exp(1j * (coords @ incident.T)))[0]
     phase = np.exp(-1j * (outgoing @ coords.T))
@@ -409,7 +464,7 @@ def test_support_matrix_agrees_with_box_operator(dim, n):
     # each route checks its answers with its own form of I - K v, the
     # assembled matrix or the box FFT: the two forms must agree
     grid, masks = _masks(dim, n)
-    weights_tab, _ = solver._kernel_tables(grid, 4.0)
+    weights_tab = solver._kernel_weights(grid, 4.0)
     rng = np.random.default_rng(dim + 10)
     for name, mask in masks.items():
         m = int(np.count_nonzero(mask))
@@ -449,8 +504,8 @@ def test_direct_route_makes_no_fft(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the direct route made an FFT")
 
-    monkeypatch.setattr(solver, "_BoxOperator", boom)
     with monkeypatch.context() as patch:
+        patch.setattr(solver, "_BoxOperator", boom)
         patch.setattr(solver, "_KERNEL_CACHE", {})  # the weight table is made afresh
         for name in np.fft.__all__:
             patch.setattr(np.fft, name, boom)
@@ -459,9 +514,19 @@ def test_direct_route_makes_no_fft(monkeypatch):
     assert not failed.any()
     assert iterations == 1
     assert residual < 1e-13
-    # a single solve extends its field with the full-grid FFT, but makes
-    # no box operator either
+    # a single solve builds one box operator, the whole grid's, only to
+    # extend its field off the support
+    built = []
+    box_operator = solver._BoxOperator
+
+    def record(mask, weights_tab):
+        built.append(mask)
+        return box_operator(mask, weights_tab)
+
+    monkeypatch.setattr(solver, "_BoxOperator", record)
     psi_again, rep_again = solve_lippmann_schwinger(fld, k, cfg)
+    assert len(built) == 1
+    assert built[0].shape == grid.shape and built[0].all()
     assert np.array_equal(psi_again.values, psi.values)
     assert rep_again == rep
     assert rep.iterations == 1 and rep.residual < 1e-13

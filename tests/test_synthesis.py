@@ -158,12 +158,15 @@ def _synthesize_two_balls(cfg):
 
 def test_batched_iteration_matches_single_solves(monkeypatch):
     born = SolverConfig(method="born")
+    box_operator = solver._BoxOperator
 
-    def full_grid(*args):
-        raise AssertionError("synthesis extended a field to the whole grid")
+    def support_only(mask, weights_tab):
+        if mask.all():
+            raise AssertionError("synthesis extended a field to the whole grid")
+        return box_operator(mask, weights_tab)
 
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_apply_kernel", full_grid)
+        patch.setattr(solver, "_BoxOperator", support_only)
         ds = _synthesize_two_balls(born)
     assert not np.any(ds.flags)
     fld = rasterize(TWO_BALLS, GRID_32)
