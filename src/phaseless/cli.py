@@ -374,6 +374,7 @@ def cmd_ambiguity_demo(cfg: ExperimentConfig, outdir: Path) -> int:
         cfg.mode,
         grid=cfg.grid,
         solver=cfg.solver,
+        convention=cfg.convention,
     )
     shifted = rasterize(cfg.target.translate(cfg.shift), cfg.grid)
     base = outdir / "ambiguity_shifted_potential"

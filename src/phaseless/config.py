@@ -10,7 +10,7 @@ never coerced, so 2.7 is no integer and "false" no boolean.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exceptions import ConfigError
 from .geometry import EnergySet
@@ -252,7 +252,6 @@ class ExperimentConfig:
     shift: tuple[float, ...] | None
     convention: str
     output: str | None
-    raw: dict = field(repr=False, default_factory=dict)
 
     def probe(self) -> GridSpec:
         """The momentum grid: explicit probe grid's dual, else the main dual."""
@@ -360,7 +359,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         shift=shift,
         convention=got["convention"],
         output=got["output"],
-        raw=data,
     )
 
 

@@ -34,7 +34,7 @@ class UnresolvedGridError(PhaselessError):
 
 
 class SolverConvergenceError(PhaselessError):
-    """Fixed-point iteration diverged and no fallback was possible."""
+    """A field solve did not converge, or its support exceeds the direct solve's limit."""
 
 
 class EnergyShellError(PhaselessError):

@@ -19,10 +19,20 @@ from .exceptions import ZeroDisplacementError
 from .special import hankel1
 
 __all__ = [
+    "radial_green",
     "outgoing_green",
     "far_field_coefficient",
     "singular_cell_weight",
 ]
+
+
+def radial_green(r, kmag: float, dim: int) -> np.ndarray:
+    """Kernel value at distance(s) ``r`` > 0: the closed forms above."""
+    if dim == 2:
+        return -0.25j * hankel1(0, kmag * r)
+    if dim == 3:
+        return -np.exp(1j * kmag * r) / (4.0 * np.pi * r)
+    raise ValueError("dim must be 2 or 3")
 
 
 def outgoing_green(x, kmag: float, dim: int) -> np.ndarray:
@@ -39,12 +49,7 @@ def outgoing_green(x, kmag: float, dim: int) -> np.ndarray:
     r = np.linalg.norm(np.atleast_2d(x), axis=-1)
     if np.any(r == 0.0):
         raise ZeroDisplacementError("kernel is singular at zero displacement")
-    if dim == 2:
-        out = -0.25j * hankel1(0, kmag * r)
-    elif dim == 3:
-        out = -np.exp(1j * kmag * r) / (4.0 * np.pi * r)
-    else:
-        raise ValueError("dim must be 2 or 3")
+    out = radial_green(r, kmag, dim)
     return out[0] if single else out
 
 

@@ -9,10 +9,11 @@ singular diagonal cell, which carries the closed-form equal-measure
 integral of the kernel (see greens.singular_cell_weight).  Columns of
 the kernel vanish off the support, so the system restricted to the
 support nodes is exact.  A single solve (solve_lippmann_schwinger) and
-the amplitudes of every channel of one energy (channel_amplitudes) share
-one solver of that system, _support_solver.  One route rule,
-uses_direct_solve, picks the route, and each route brings its own form
-of the support operator K v, which both solves and checks its answers:
+the amplitudes of every channel and variant of one energy
+(channel_amplitudes, one kernel table for all) share one solver of that
+system, _support_solver.  One route rule, uses_direct_solve, picks the
+route, and each route brings its own form of the support operator K v,
+which both solves and checks its answers:
 
 - direct, when the support has at most ``dense_limit`` nodes (or method
   "dense"): the matrix I - K v assembled from the weight table, one
@@ -54,10 +55,9 @@ from .exceptions import (
     UnresolvedGridError,
 )
 from .geometry import off_shell
-from .greens import far_field_coefficient, outgoing_green, singular_cell_weight
+from .greens import far_field_coefficient, outgoing_green, radial_green, singular_cell_weight
 from .grids import GridSpec, ScalarField, row_dot
 from .potentials import PotentialSpec, analytic_hat
-from .special import hankel1
 
 __all__ = [
     "WaveVector",
@@ -124,9 +124,6 @@ class SolverReport:
 
 # --- kernel application ------------------------------------------------------
 
-# (grid key, |k|) -> weight table
-_KERNEL_CACHE: dict[tuple, np.ndarray] = {}
-_KERNEL_CACHE_LIMIT = 32
 # columns per block of the iteration route's batched box convolutions
 _CHANNEL_BLOCK = 32
 # cap on the bytes of one block's widest temporary, the padded box buffer
@@ -140,7 +137,7 @@ _ASSEMBLY_ELEMENTS = 1 << 19
 
 
 def _kernel_weights(grid: GridSpec, kmag: float) -> np.ndarray:
-    """Quadrature weights of G on the 2x zero-padded grid, cached per (grid, |k|).
+    """Quadrature weights of G on the 2x zero-padded grid.
 
     Weights: midpoint value G(offset)*cell_volume off the diagonal, the
     equal-measure closed-form integral at offset zero.  The table holds
@@ -149,10 +146,6 @@ def _kernel_weights(grid: GridSpec, kmag: float) -> np.ndarray:
     support's bounding box: every route shares identical discrete
     operators.
     """
-    key = (grid.key(), float(kmag))
-    weights = _KERNEL_CACHE.get(key)
-    if weights is not None:
-        return weights
     # the weights depend on |offset| per axis: evaluate offsets 0..n, the
     # table's first quadrant (octant in 3-D), and mirror it to -(n-1)..-1
     n = grid.n
@@ -164,17 +157,10 @@ def _kernel_weights(grid: GridSpec, kmag: float) -> np.ndarray:
     r = np.sqrt(r2)
     origin = (0,) * grid.dim
     r[origin] = 1.0  # placeholder, overwritten below
-    if grid.dim == 2:
-        weights = (-0.25j * hankel1(0, kmag * r)) * grid.cell_volume
-    else:
-        weights = (-np.exp(1j * kmag * r) / (4.0 * np.pi * r)) * grid.cell_volume
+    weights = radial_green(r, kmag, grid.dim) * grid.cell_volume
     weights[origin] = singular_cell_weight(kmag, grid.dim, grid.cell_volume)
     mirror = np.r_[0 : n + 1, n - 1 : 0 : -1]  # padded index -> |offset|
-    weights = weights[np.ix_(*(mirror,) * grid.dim)]
-    if len(_KERNEL_CACHE) >= _KERNEL_CACHE_LIMIT:
-        _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
-    _KERNEL_CACHE[key] = weights
-    return weights
+    return weights[np.ix_(*(mirror,) * grid.dim)]
 
 
 def _fft_length(need: int) -> int:
@@ -489,30 +475,60 @@ class _AxisWaves:
 
 
 def channel_amplitudes(
-    v: ScalarField, incident, outgoing, cfg: SolverConfig = SolverConfig()
+    fields: list[ScalarField], incident, outgoing, cfg: SolverConfig = SolverConfig()
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Amplitudes f(k_c, l_c) of every channel c of one (potential, energy).
+    """Amplitudes f(k_c, l_c) of every channel c of one energy, one column per field.
 
-    ``incident`` and ``outgoing`` are (channels, dim) wave vectors on one
-    energy shell, checked row-wise by _shell_wave.  One kernel table and
-    support mask serve every channel; _support_solver solves for chunks
-    of them, on the direct route with no FFT.  The incident and outgoing
-    waves come from per-axis factor tables (_AxisWaves).  Blocks of the
-    solved columns, at most a chunk and at most _BOX_BYTES per (support,
-    block) array, then give the amplitudes, one weighted sum each, and
-    the residuals, one call of the route's residual each, normalized as
-    in solve_lippmann_schwinger.  Returns (amplitudes, failed, worst
-    iterations, worst residual), the worst over the channels that did not
-    fail; a failed channel's amplitude is NaN.  An iteration that does
-    not converge fails its own channel only, and a direct solve above
-    ``dense_limit`` fails every channel.
+    ``fields`` are the potentials (variants) on one grid; ``incident`` and
+    ``outgoing`` are (channels, dim) wave vectors on one energy shell,
+    checked row-wise by _shell_wave.  The rows, the resolution and the
+    kernel table are checked and built once, and _field_amplitudes answers
+    each field in turn on the rows no earlier field failed.  Returns
+    (amplitudes, failed, worst iterations, worst residual), the worst over
+    the rows each field did not fail; a failed row is NaN in every column.
+    An iteration that does not converge fails its own row only, and a
+    direct solve above ``dense_limit`` fails every row.
     """
-    grid = v.grid
     incident = np.asarray(incident, dtype=float)
     outgoing = np.asarray(outgoing, dtype=float)
+    amps = np.full((len(incident), len(fields)), np.nan, dtype=complex)
+    failed = np.zeros(len(incident), dtype=bool)
+    if not len(incident):  # no channel: nothing to check or solve
+        return amps, failed, 0, 0.0
+    grid = fields[0].grid
+    if any(fld.grid.key() != grid.key() for fld in fields):
+        raise ValueError("the fields of one call must share one grid")
     k = _shell_wave(incident, outgoing, grid.dim)
     _check_resolution(grid, k, cfg)
     weights_tab = _kernel_weights(grid, k.magnitude)
+    iterations, worst = 0, 0.0
+    for col, fld in enumerate(fields):
+        live = np.flatnonzero(~failed)
+        if not live.size:
+            break
+        amps[live, col], lost, steps, residual = _field_amplitudes(
+            fld, weights_tab, incident[live], outgoing[live], cfg
+        )
+        failed[live[lost]] = True
+        iterations, worst = max(iterations, steps), max(worst, residual)
+    amps[failed] = np.nan
+    return amps, failed, iterations, worst
+
+
+def _field_amplitudes(
+    v: ScalarField, weights_tab: np.ndarray, incident: np.ndarray, outgoing: np.ndarray,
+    cfg: SolverConfig,
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """channel_amplitudes for one field, on checked rows; the caller NaNs the failed ones.
+
+    _support_solver solves chunks of the channels, whose waves come from
+    per-axis factor tables (_AxisWaves).  Blocks of solved columns, at
+    most a chunk and at most _BOX_BYTES per (support, block) array, give
+    the amplitudes, one weighted sum each, and the residuals, normalized
+    as in solve_lippmann_schwinger.  The field's matrix, solutions and
+    wave tables are freed on return, before the next field builds its own.
+    """
+    grid = v.grid
     mask = _support(v)
     amps = np.full(len(incident), np.nan, dtype=complex)
     failed = np.ones(len(incident), dtype=bool)
@@ -546,7 +562,6 @@ def channel_amplitudes(
             amps[rows] = scale * np.einsum("mc,mc->c", weighted, psi)
             resid = np.linalg.norm(residual(psi, inc), axis=0)[~lost[cols]]
             worst = max(worst, float(np.max(resid, initial=0.0)) / inc_norm)
-    amps[failed] = np.nan
     return amps, failed, iterations, worst
 
 

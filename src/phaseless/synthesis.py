@@ -13,9 +13,9 @@ only each row's energy, transfer and probe-node index.  Two modes:
 "born-oracle" takes amplitudes from closed-form transforms (the
 infinite-energy limit, exact), one analytic_hat call per (variant,
 energy) on the transfers incident - outgoing; "full-solver" runs the
-integral-equation solver: per (variant, energy), one
-solver.channel_amplitudes call answers every channel, by one direct
-solve or by one iteration batched over channels.
+integral-equation solver: per energy, one solver.channel_amplitudes call
+answers every channel of every variant, each variant by one direct solve
+or by one iteration batched over channels.
 """
 
 from __future__ import annotations
@@ -240,30 +240,6 @@ def _oracle_rows(variants, chans: ChannelTable) -> np.ndarray:
     return values
 
 
-def _solver_rows(fields, incident, outgoing, cfg) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Intensities of every channel of one energy, one column per variant.
-
-    ``incident`` and ``outgoing`` are the (rows, d) wave vectors of the
-    channels.  Each variant is one channel_amplitudes call over the rows
-    no earlier variant failed.  Returns (values, failed, worst iterations
-    and residual); a failed row is NaN in every column.
-    """
-    values = np.full((len(incident), len(fields)), np.nan)
-    failed = np.zeros(len(incident), dtype=bool)
-    worst = {"iterations": 0, "residual": 0.0}
-    for col, fld in enumerate(fields):
-        live = np.flatnonzero(~failed)
-        if not live.size:
-            break
-        f, lost, iterations, residual = channel_amplitudes(fld, incident[live], outgoing[live], cfg)
-        values[live, col] = np.abs(f) ** 2
-        failed[live[lost]] = True
-        worst["iterations"] = max(worst["iterations"], iterations)
-        worst["residual"] = max(worst["residual"], residual)
-    values[failed] = np.nan
-    return values, failed, worst
-
-
 def synthesize(
     v: PotentialSpec,
     refs: BackgroundSet | None,
@@ -309,7 +285,8 @@ def synthesize(
             values = _oracle_rows(variants, chans)
             failed, worst = np.zeros(len(chans), dtype=bool), {}
         else:
-            values, failed, worst = _solver_rows(fields, chans.incident, chans.outgoing, cfg)
+            amps, failed, its, res = channel_amplitudes(fields, chans.incident, chans.outgoing, cfg)
+            values, worst = np.abs(amps) ** 2, {"iterations": its, "residual": res}
         tables.append(chans)
         rows.append(values)
         flag_list.append(np.where(failed, FLAG_SOLVER_FAILED, FLAG_OK))
@@ -340,19 +317,20 @@ def translation_twin_demo(
     mode: str = "born-oracle",
     grid: GridSpec | None = None,
     solver: SolverConfig | None = None,
+    convention: str = "default",
 ) -> float:
     """Max relative intensity discrepancy between a target and its translate.
 
     Intensities are synthesized for v and for v shifted by ``y`` over all
-    channels at energy ``E``; the return value is the largest absolute
-    difference normalized by the largest intensity of the unshifted run.
-    Identical intensities for y != 0 are exactly the non-uniqueness the
-    phaseless data cannot escape.
+    channels at energy ``E`` under ``convention``; the return value is the
+    largest absolute difference normalized by the largest intensity of the
+    unshifted run.  Identical intensities for y != 0 are exactly the
+    non-uniqueness the phaseless data cannot escape.
     """
     shifted = v.translate(y)
     single = EnergySet((float(E),))
-    a = synthesize(v, None, single, pgrid, mode, grid, solver)
-    b = synthesize(shifted, None, single, pgrid, mode, grid, solver)
+    a = synthesize(v, None, single, pgrid, mode, grid, solver, convention)
+    b = synthesize(shifted, None, single, pgrid, mode, grid, solver, convention)
     scale = float(np.max(a.values)) if a.values.size else 0.0
     if scale == 0.0:
         return 0.0

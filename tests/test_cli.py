@@ -316,6 +316,20 @@ def test_ambiguity_demo_reports_zero_gap(tmp_path, capsys):
     assert (out / "ambiguity_shifted_potential.bin").exists()
 
 
+def test_ambiguity_demo_passes_the_convention(tmp_path, monkeypatch):
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append(kwargs.get("convention"))
+        return 0.0
+
+    monkeypatch.setattr("phaseless.cli.translation_twin_demo", record)
+    cfg = write_config(tmp_path, shift=[0.5, -0.25], probe_grid={"n": 8, "box": 2.0},
+                       convention="mirror")
+    assert main(["ambiguity-demo", "--config", cfg, "--out", str(tmp_path / "amb")]) == 0
+    assert seen == ["mirror"]
+
+
 def test_bounds_consumes_error_table(tmp_path):
     table = tmp_path / "errors.csv"
     energies = [10.0, 20.0, 40.0, 80.0]

@@ -321,8 +321,7 @@ def _full_offset_table(grid, kmag):
     ],
     ids=["2d", "2d-anisotropic", "3d-anisotropic"],
 )
-def test_kernel_table_from_one_quadrant_equals_full_construction(grid, kmag, monkeypatch):
-    monkeypatch.setattr(solver, "_KERNEL_CACHE", {})
+def test_kernel_table_from_one_quadrant_equals_full_construction(grid, kmag):
     weights_tab = solver._kernel_weights(grid, kmag)
     assert weights_tab.shape == (2 * grid.n,) * grid.dim
     assert np.array_equal(weights_tab, _full_offset_table(grid, kmag))
@@ -377,7 +376,8 @@ def test_channel_amplitudes_do_not_depend_on_block_size(method, monkeypatch):
     incident, outgoing = _shell_channels(40, 3, 3)
     cfg = SolverConfig(method=method)
     weights_tab = solver._kernel_weights(fld.grid, 2.0)
-    amps, failed, iterations, residual = solver.channel_amplitudes(fld, incident, outgoing, cfg)
+    amps, failed, iterations, residual = solver.channel_amplitudes([fld], incident, outgoing, cfg)
+    amps = amps[:, 0]
     assert not failed.any()
     assert iterations == (1 if method == "dense" else 7)
     limit = 1e-13 if method == "dense" else cfg.tolerance
@@ -386,9 +386,9 @@ def test_channel_amplitudes_do_not_depend_on_block_size(method, monkeypatch):
         monkeypatch.setattr(solver, "_BOX_BYTES", budget)
         assert solver._BoxOperator(solver._support(fld), weights_tab).block < 32
         small, failed_small, iterations_small, residual_small = solver.channel_amplitudes(
-            fld, incident, outgoing, cfg
+            [fld], incident, outgoing, cfg
         )
-        assert_allclose(small, amps, rtol=1e-13, atol=0.0, err_msg=str(budget))
+        assert_allclose(small[:, 0], amps, rtol=1e-13, atol=0.0, err_msg=str(budget))
         assert not failed_small.any(), budget
         assert iterations_small == iterations, budget
         assert residual_small < limit, budget
@@ -400,7 +400,7 @@ def unsplit():
     fld = _two_balls_3d()
     incident, outgoing = _shell_channels(40, 3, 5)
     amps = {
-        method: solver.channel_amplitudes(fld, incident, outgoing, SolverConfig(method=method))[0]
+        method: solver.channel_amplitudes([fld], incident, outgoing, SolverConfig(method=method))[0]
         for method in ("dense", "born")
     }
     return fld, incident, outgoing, amps
@@ -420,7 +420,7 @@ def test_channel_amplitudes_any_chunk_and_block(unsplit, method, count, units):
     fld, incident, outgoing, amps = unsplit
     cfg = SolverConfig(method=method)
     with mock.patch.object(solver, "_BOX_BYTES", 16 * units):
-        split, failed, _, residual = solver.channel_amplitudes(fld, incident[:count], outgoing[:count], cfg)
+        split, failed, _, residual = solver.channel_amplitudes([fld], incident[:count], outgoing[:count], cfg)
     assert not failed.any()
     assert_allclose(split, amps[method][:count], rtol=1e-13, atol=0.0)
     assert residual < (1e-13 if method == "dense" else cfg.tolerance)
@@ -453,10 +453,95 @@ def test_channel_amplitudes_match_exp_wave_reference(dim, method):
     fld = rasterize(spec, grid)
     incident, outgoing = _shell_channels(70, dim, dim, kmag=3.0)
     cfg = SolverConfig(method=method, resolution_factor=4.0)
-    amps, failed, _, _ = solver.channel_amplitudes(fld, incident, outgoing, cfg)
+    amps, failed, _, _ = solver.channel_amplitudes([fld], incident, outgoing, cfg)
     expected = _exp_wave_amplitudes(fld, incident, outgoing, cfg)
     assert not failed.any()
-    assert_allclose(amps, expected, rtol=1e-12, atol=0.0)
+    assert_allclose(amps[:, 0], expected, rtol=1e-12, atol=0.0)
+
+
+def _variant_fields(dim):
+    """A target and the target plus each of two references, rasterized on one grid."""
+    n = 24 if dim == 2 else 12
+    grid = GridSpec(dim, n, (-1.5,) * dim, (1.5,) * dim)
+    target = PotentialSpec.ball((0.3,) * dim, 0.4, 1.0 + 0.5j)
+    refs = (
+        PotentialSpec.ball((-0.8, 0.5, 0.5)[:dim], 0.3, 2.0),
+        PotentialSpec.ball((0.7, -0.9, 0.0)[:dim], 0.25, 1.5),
+    )
+    return [rasterize(spec, grid) for spec in (target, target + refs[0], target + refs[1])]
+
+
+@pytest.mark.parametrize("method", ["dense", "born"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_each_column_equals_a_single_field_call(dim, method):
+    fields = _variant_fields(dim)
+    incident, outgoing = _shell_channels(30, dim, dim + 7)
+    cfg = SolverConfig(method=method)
+    amps, failed, iterations, residual = solver.channel_amplitudes(fields, incident, outgoing, cfg)
+    assert amps.shape == (30, 3)
+    assert not failed.any()
+    singles = [solver.channel_amplitudes([fld], incident, outgoing, cfg) for fld in fields]
+    for col, (single, lost, _, _) in enumerate(singles):
+        assert not lost.any()
+        assert np.array_equal(amps[:, col], single[:, 0]), col
+    assert iterations == max(single[2] for single in singles)
+    assert residual == max(single[3] for single in singles)
+
+
+def test_fields_of_one_call_share_one_grid():
+    # the call's one kernel table is the first field's grid's
+    fields = _variant_fields(2)
+    other = rasterize(PotentialSpec.ball((0.3, 0.3), 0.4, 1.0), GridSpec(2, 24, (-1.5, -1.5), (1.6, 1.5)))
+    incident, outgoing = _shell_channels(4, 2, 1)
+    with pytest.raises(ValueError, match="one grid"):
+        solver.channel_amplitudes(fields + [other], incident, outgoing)
+
+
+def _ball_pair(turn):
+    """Two balls 1.4 apart, their axis turned by ``turn`` from the first grid axis."""
+    c, s = 0.7 * np.cos(turn), 0.7 * np.sin(turn)
+    return PotentialSpec.ball((-c, -s), 0.3, 2.0) + PotentialSpec.ball((c, s), 0.3, 2.0)
+
+
+def test_rows_one_field_fails_skip_the_later_fields(monkeypatch):
+    # the iteration converges faster for incidence across a pair's axis:
+    # capped at 9 steps, the pair along the first axis fails the rows near
+    # that axis, and the pair turned by 0.6 rad fails other rows
+    grid = GridSpec(2, 32, (-1.5, -1.5), (1.5, 1.5))
+    fields = [rasterize(_ball_pair(turn), grid) for turn in (0.0, 0.6)]
+    ang = np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False)
+    incident = 3.0 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    outgoing = np.roll(incident, 5, axis=0)
+    cfg = SolverConfig(method="born", max_iterations=9)
+    seen = []
+    field_amplitudes = solver._field_amplitudes
+
+    def record(v, weights_tab, inc, out, cfg):
+        seen.append(inc)
+        return field_amplitudes(v, weights_tab, inc, out, cfg)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_field_amplitudes", record)
+        amps, failed, iterations, residual = solver.channel_amplitudes(fields, incident, outgoing, cfg)
+    first = solver.channel_amplitudes(fields[:1], incident, outgoing, cfg)
+    live = np.flatnonzero(~first[1])
+    # the call's one kernel table, from the first row's energy, serves every field
+    weights_tab = solver._kernel_weights(grid, WaveVector(incident[0]).magnitude)
+    second = field_amplitudes(fields[1], weights_tab, incident[live], outgoing[live], cfg)
+    assert first[1].any() and live.size
+    assert second[1].any() and not second[1].all()
+    # the second field solves only the rows the first did not fail
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], incident) and np.array_equal(seen[1], incident[live])
+    both = first[1].copy()
+    both[live[second[1]]] = True
+    assert np.array_equal(failed, both)
+    # a failed row is NaN in every column, the first field's included
+    assert np.isnan(amps[failed]).all() and not np.isnan(amps[~failed]).any()
+    assert np.array_equal(amps[~failed, 0], first[0][~failed, 0])
+    assert np.array_equal(amps[live[~second[1]], 1], second[0][~second[1]])
+    assert iterations == max(first[2], second[2])
+    assert residual == max(first[3], second[3])
 
 
 @pytest.mark.parametrize("dim,n", [(2, 30), (3, 12)])
@@ -506,11 +591,10 @@ def test_direct_route_makes_no_fft(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_BoxOperator", boom)
-        patch.setattr(solver, "_KERNEL_CACHE", {})  # the weight table is made afresh
         for name in np.fft.__all__:
             patch.setattr(np.fft, name, boom)
-        amps, failed, iterations, residual = solver.channel_amplitudes(fld, incident, outgoing, cfg)
-    assert_allclose(amps, single, rtol=1e-12, atol=0.0)
+        amps, failed, iterations, residual = solver.channel_amplitudes([fld], incident, outgoing, cfg)
+    assert_allclose(amps[:, 0], single, rtol=1e-12, atol=0.0)
     assert not failed.any()
     assert iterations == 1
     assert residual < 1e-13
@@ -556,6 +640,6 @@ def test_channel_amplitudes_check_channels_row_wise(case):
     incident, outgoing, kind, message = _shell_cases()[case]
     fld = rasterize(SMOOTH, GRID)
     with pytest.raises(kind) as err:
-        solver.channel_amplitudes(fld, incident, outgoing)
+        solver.channel_amplitudes([fld], incident, outgoing)
     assert type(err.value) is kind
     assert message in str(err.value)

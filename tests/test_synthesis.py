@@ -196,6 +196,41 @@ def test_iteration_failures_flag_only_their_channels():
     assert np.array_equal(np.isnan(ds.values[:, 0]), raises)
 
 
+def test_full_solver_checks_rows_and_builds_one_kernel_per_energy(
+    monkeypatch, off_center_ball, two_ball_refs
+):
+    # three variants share each energy's row check and kernel table
+    calls = {"_kernel_weights": 0, "_shell_wave": 0}
+
+    def counted(name):
+        fn = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counted(name))
+    ds = synthesize(
+        off_center_ball, two_ball_refs, EnergySet((9.0, 16.0)), PGRID_8, mode="full-solver",
+        grid=GRID_32,
+    )
+    assert ds.values.shape[1] == 3
+    assert calls == {"_kernel_weights": 2, "_shell_wave": 2}
+
+
+def test_full_solver_energy_without_channels(off_center_ball):
+    # a probe grid far from the origin has no node inside the ball at E = 4
+    far = GridSpec(2, 8, (10.0, 10.0), (14.0, 14.0))
+    ds = synthesize(off_center_ball, None, EnergySet((4.0,)), far, mode="full-solver", grid=GRID_32)
+    assert ds.values.shape == (0, 1)
+    assert ds.solver_notes["per_energy"]["4.0"] == {
+        "channels": 0, "failed": 0, "iterations": 0, "residual": 0.0
+    }
+
+
 def test_dataset_roundtrip(tmp_path, off_center_ball, two_ball_refs):
     ds = synthesize(off_center_ball, two_ball_refs, ENERGIES, PGRID)
     base = str(tmp_path / "ds")
@@ -263,6 +298,21 @@ def test_translation_twin_is_invisible(off_center_ball):
     gap = translation_twin_demo(off_center_ball, (0.3, -0.4), 9.0, PGRID)
     assert gap < 1e-12
     assert translation_twin_demo(off_center_ball, (0.0, 0.0), 9.0, PGRID) == 0.0
+
+
+def test_translation_twin_follows_the_convention():
+    # full solver: the discrepancy under "mirror" is the one its two mirrored
+    # syntheses give, not the default convention's
+    v, y, E = TWO_BALLS, (0.2, -0.1), 9.0
+    shifted = v.translate(y)
+    single = EnergySet((E,))
+    a, b = (
+        synthesize(spec, None, single, PGRID_8, "full-solver", GRID_32, convention="mirror")
+        for spec in (v, shifted)
+    )
+    want = float(np.max(np.abs(a.values - b.values)) / np.max(a.values))
+    got = translation_twin_demo(v, y, E, PGRID_8, "full-solver", GRID_32, convention="mirror")
+    assert got == want > 0.0
 
 
 def test_validate_backgrounds_translate_detector():
