@@ -20,11 +20,9 @@ from .fourier import forward_transform, inverse_transform
 from .geometry import (
     ChannelTable,
     EnergySet,
-    ScatteringChannel,
     channel,
     channel_table,
     channels_on_grid,
-    transverse_unit,
 )
 from .grids import GridSpec, ScalarField, SpectralField
 from .potentials import (
@@ -73,8 +71,6 @@ __all__ = [
     "rasterize",
     "forward_transform",
     "inverse_transform",
-    "transverse_unit",
-    "ScatteringChannel",
     "ChannelTable",
     "channel",
     "channel_table",

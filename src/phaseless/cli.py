@@ -40,7 +40,7 @@ from .exceptions import (
 
 _THRESHOLD_ERRORS = (DegenerateDataError,)
 from .fieldio import write_field
-from .geometry import EnergySet, channel
+from .geometry import channel
 from .potentials import analytic_hat, rasterize
 from .reconstruct import reconstruct
 from .solver import WaveVector, scattering_amplitude, solve_lippmann_schwinger
@@ -184,13 +184,13 @@ def cmd_forward(cfg: ExperimentConfig, outdir: Path) -> int:
     reports = {}
     zero = np.zeros(cfg.dimension)
     for i, E in enumerate(cfg.energies):
-        ch = channel(E, zero, cfg.convention)
-        k = WaveVector(ch.incident)
+        incident = channel(E, zero, cfg.convention).incident[0]
+        k = WaveVector(incident)
         psi, rep = solve_lippmann_schwinger(field_v, k, cfg.solver)
         base = outdir / f"forward_psi_E{i}"
         bundle.track(*write_field(psi, base))
         reports[repr(float(E))] = {
-            "incident": list(ch.incident),
+            "incident": incident.tolist(),
             "method": rep.method,
             "iterations": rep.iterations,
             "residual": rep.residual,
@@ -210,19 +210,24 @@ def cmd_forward(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
-def cmd_synthesize(cfg: ExperimentConfig, outdir: Path) -> int:
-    bundle = _Bundle("synthesize", cfg, outdir)
-    pgrid = cfg.probe()
-    ds = synthesize(
+def _synthesize(cfg: ExperimentConfig, references):
+    """The config's dataset over all its energies, with ``references`` (None: the target alone)."""
+    return synthesize(
         cfg.target,
-        cfg.references,
+        references,
         cfg.energies,
-        pgrid,
+        cfg.probe(),
         cfg.mode,
         grid=cfg.grid,
         solver=cfg.solver,
         convention=cfg.convention,
     )
+
+
+def cmd_synthesize(cfg: ExperimentConfig, outdir: Path) -> int:
+    bundle = _Bundle("synthesize", cfg, outdir)
+    pgrid = cfg.probe()
+    ds = _synthesize(cfg, cfg.references)
     base = outdir / "dataset"
     write_dataset(ds, str(base), target=cfg.target)
     bundle.track(base.with_suffix(".csv"), base.with_suffix(".json"))
@@ -269,16 +274,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, outdir: Path, dataset: str | None) ->
         ds = read_dataset(dataset)
         bundle.note_input("dataset_csv", _sha256_file(Path(dataset + ".csv")))
     else:
-        ds = synthesize(
-            cfg.target,
-            cfg.references,
-            cfg.energies,
-            cfg.probe(),
-            cfg.mode,
-            grid=cfg.grid,
-            solver=cfg.solver,
-            convention=cfg.convention,
-        )
+        ds = _synthesize(cfg, cfg.references)
     options = cfg.reconstruction_options()
     out = reconstruct(ds, cfg.references, options)
     branches = out if isinstance(out, tuple) else (out,)
@@ -307,29 +303,23 @@ def cmd_reconstruct(cfg: ExperimentConfig, outdir: Path, dataset: str | None) ->
 
 
 def _convergence_errors(cfg: ExperimentConfig) -> tuple[list, list]:
-    """Per-energy worst intensity error against the closed-form transform."""
-    pgrid = cfg.probe()
+    """Per-energy worst intensity error against the closed-form transform.
+
+    One synthesis of the target alone covers every energy; a failed
+    channel is a SolverConvergenceError naming the lowest energy with one.
+    """
+    ds = _synthesize(cfg, None)
     energies, errors = [], []
     for E in cfg.energies:
-        ds = synthesize(
-            cfg.target,
-            None,
-            EnergySet((float(E),)),
-            pgrid,
-            cfg.mode,
-            grid=cfg.grid,
-            solver=cfg.solver,
-            convention=cfg.convention,
+        rows = ds.energy == E
+        failed = int(np.count_nonzero(ds.flags[rows]))
+        if failed:
+            raise SolverConvergenceError(f"{failed} channel(s) failed at energy {E:.6g}")
+        truth = np.array(
+            [abs(z) ** 2 for z in analytic_hat(cfg.target, ds.transfer[rows]).tolist()]
         )
-        ok = ds.flags == 0
-        if not np.all(ok):
-            raise SolverConvergenceError(
-                f"{int(np.sum(~ok))} channel(s) failed at energy {E:.6g}"
-            )
-        truth = np.array([abs(z) ** 2 for z in analytic_hat(cfg.target, ds.transfer).tolist()])
-        err = float(np.max(np.abs(ds.values[:, 0] - truth)))
         energies.append(float(E))
-        errors.append(err)
+        errors.append(float(np.max(np.abs(ds.values[rows, 0] - truth))))
     return energies, errors
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .exceptions import ConfigError
+from .bounds import contraction_onset, weight_norm_constant
+from .exceptions import ConfigError, DivergentIntegralError
 from .geometry import EnergySet
 from .grids import GridSpec
 from .potentials import PotentialSpec, spec_from_dict, spec_to_dict
@@ -213,8 +214,9 @@ def _convergence_from(data: dict, context: str) -> dict:
     return got
 
 
-def _bounds_from(data: dict, context: str) -> dict:
-    return _take(
+def _bounds_from(data: dict, context: str, dim: int) -> dict:
+    """The bounds section; sigma and a0 must pass the rules bounds_report applies to them."""
+    got = _take(
         data,
         context,
         {},
@@ -224,6 +226,13 @@ def _bounds_from(data: dict, context: str) -> dict:
             "errors_csv": (_str, None),
         },
     )
+    try:
+        if got["sigma"] is not None:
+            weight_norm_constant(dim, got["sigma"])
+        contraction_onset(0.0, got["a0"])
+    except (ValueError, DivergentIntegralError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+    return got
 
 
 def _spec_from(data, context: str) -> PotentialSpec:
@@ -332,7 +341,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     solver = _solver_from(got["solver"] or {}, "config.solver")
     recon = _reconstruction_from(got["reconstruction"] or {}, "config.reconstruction")
     conv = _convergence_from(got["convergence"] or {}, "config.convergence")
-    bounds = _bounds_from(got["bounds"] or {}, "config.bounds")
+    bounds = _bounds_from(got["bounds"] or {}, "config.bounds", dim)
     probe_grid = (
         _grid_from(got["probe_grid"], dim, "config.probe_grid")
         if got["probe_grid"] is not None
@@ -343,7 +352,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("config.shift: dimension mismatch")
     if got["convention"] not in ("default", "mirror"):
         raise ConfigError("config.convention: must be 'default' or 'mirror'")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         scenario=got["scenario"],
         dimension=dim,
         grid=grid,
@@ -360,6 +369,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         convention=got["convention"],
         output=got["output"],
     )
+    try:
+        cfg.reconstruction_options()
+    except ValueError as exc:
+        raise ConfigError(f"config.reconstruction: {exc}") from exc
+    return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

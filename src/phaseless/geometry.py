@@ -14,9 +14,13 @@ it.
 
 The construction is array code over rows: channel_table builds a
 ChannelTable, one row per (energy, transfer) pair, and channels_on_grid
-one table for every probe node inside the ball.  The single-vector
-functions channel and transverse_unit are one-row tables, so a row of a
-table equals the single-vector result bit for bit.
+one table for every probe node inside the ball.  channel is a one-row
+table, so a row of a table equals the single-transfer result bit for
+bit.  A ChannelTable is the package's one channel type.
+
+This module also owns the shell rule: check_shell tests |k|^2 and |l|^2
+of every row against its energy E, and it serves both channel_table and
+the solver's amplitude functions.
 """
 
 from __future__ import annotations
@@ -29,10 +33,9 @@ from .exceptions import EnergyShellError, OutOfBallError
 from .grids import GridSpec, row_dot
 
 __all__ = [
-    "ScatteringChannel",
     "ChannelTable",
     "EnergySet",
-    "transverse_unit",
+    "check_shell",
     "channel",
     "channel_table",
     "channels_on_grid",
@@ -42,12 +45,16 @@ _CONVENTIONS = ("default", "mirror")
 
 
 def _transverse_rows(p: np.ndarray, convention: str) -> np.ndarray:
-    """transverse_unit for every row of the (rows, d) array ``p``."""
+    """A deterministic unit vector orthogonal to each row of the (rows, d) array ``p``.
+
+    d=2: p rotated by +90 degrees, (0, 1) at p = 0.  d=3: the normalized
+    cross product of p with the first standard basis vector not parallel
+    to p, (0, 0, 1) at p = 0.  ``convention="mirror"`` negates the
+    result, giving the second choice used by the independence tests.
+    """
     if convention not in _CONVENTIONS:
         raise ValueError(f"unknown transverse convention {convention!r}")
     dim = p.shape[1]
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
     # Scale each row by a power of two near its largest |component|:
     # squaring a tiny transfer loses precision to subnormals, and other
     # inputs scale exactly.  frexp(0) has exponent 0, so p = 0 stays.
@@ -71,76 +78,29 @@ def _transverse_rows(p: np.ndarray, convention: str) -> np.ndarray:
     return -t if convention == "mirror" else t
 
 
-def transverse_unit(p, dim: int | None = None, convention: str = "default") -> np.ndarray:
-    """Deterministic unit vector orthogonal to ``p``.
+def check_shell(energy, incident, outgoing, dim: int) -> None:
+    """The shell rule, row-wise: |k|^2 and |l|^2 of every row lie on E's shell.
 
-    d=2: rotate p by +90 degrees, (0, 1) at p = 0.  d=3: normalized
-    cross product of p with the first standard basis vector not parallel
-    to p, (0, 0, 1) at p = 0.  ``convention="mirror"`` negates the
-    result, giving the second choice used by the independence tests.
+    ``energy`` is one value or one per row; ``incident`` and ``outgoing``
+    are (rows, ``dim``) arrays, else ValueError.  A vector's energy is on
+    the shell when it differs from E by at most relative 1e-12 of the
+    larger of the two; NaN is off the shell.  Raises EnergyShellError
+    naming the first offending row, its vector (incident or outgoing),
+    that vector's energy and E.
     """
-    p = np.asarray(p, dtype=float)
-    if dim is None:
-        dim = p.shape[-1]
-    if p.shape != (dim,):
-        raise ValueError("p must be a vector of length dim")
-    return _transverse_rows(p[None, :], convention)[0]
-
-
-def off_shell(a, b) -> np.ndarray:
-    """The shell rule, row-wise: True where energies ``a`` and ``b`` differ
-    beyond relative 1e-12 of the larger, or either is NaN."""
-    return ~(np.abs(a - b) <= 1e-12 * np.maximum(a, b))
-
-
-def _check_shell(energy: np.ndarray, incident: np.ndarray, outgoing: np.ndarray) -> None:
-    """EnergyShellError unless |k|^2 and |l|^2 are on E's shell (off_shell) in every row."""
-    k2 = row_dot(incident, incident)
-    l2 = row_dot(outgoing, outgoing)
-    off = off_shell(k2, energy) | off_shell(l2, energy)
-    if np.any(off):
-        r = int(np.argmax(off))
+    if incident.ndim != 2 or incident.shape != outgoing.shape or incident.shape[1] != dim:
+        raise ValueError(f"incident and outgoing must both have shape (rows, {dim})")
+    energy = np.broadcast_to(np.asarray(energy, dtype=float), incident.shape[:1])
+    e_in, e_out = row_dot(incident, incident), row_dot(outgoing, outgoing)
+    off_in, off_out = (
+        ~(np.abs(e - energy) <= 1e-12 * np.maximum(e, energy)) for e in (e_in, e_out)
+    )
+    if np.any(off_in | off_out):
+        r = int(np.argmax(off_in | off_out))
+        name, e = ("incident", e_in) if off_in[r] else ("outgoing", e_out)
         raise EnergyShellError(
-            f"channel off shell: |k|^2={float(k2[r])!r}, |l|^2={float(l2[r])!r}, "
-            f"E={float(energy[r])!r}"
+            f"channel {r}: {name} energy {float(e[r])!r} is off the shell E={float(energy[r])!r}"
         )
-
-
-@dataclass(frozen=True)
-class ScatteringChannel:
-    """One on-shell measurement channel at energy ``energy``.
-
-    ``transfer`` is the momentum transfer p = incident - outgoing,
-    ``transverse`` the unit vector used to complete the construction.
-    """
-
-    energy: float
-    transfer: tuple[float, ...]
-    transverse: tuple[float, ...]
-    incident: tuple[float, ...]
-    outgoing: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.energy <= 0:
-            raise ValueError("energy must be positive")
-        object.__setattr__(self, "energy", float(self.energy))
-        d = len(self.transfer)
-        if d not in (2, 3):
-            raise ValueError("transfer must have length 2 or 3")
-        for name in ("transfer", "transverse", "incident", "outgoing"):
-            coords = getattr(self, name)
-            if len(coords) != d:
-                raise ValueError(f"{name} has wrong length")
-            object.__setattr__(self, name, tuple(float(c) for c in coords))
-        _check_shell(np.array([self.energy]), np.array([self.incident]), np.array([self.outgoing]))
-
-    @property
-    def dim(self) -> int:
-        return len(self.transfer)
-
-    @property
-    def transfer_norm(self) -> float:
-        return float(np.linalg.norm(self.transfer))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +109,7 @@ class ChannelTable:
 
     ``energy`` has shape (rows,); the vectors have shape (rows, d).
     ``node`` holds each row's flat probe-grid index when the table was
-    built on a grid (channels_on_grid), else None.  Indexing a row gives
-    its ScatteringChannel.
+    built on a grid (channels_on_grid), else None.
     """
 
     energy: np.ndarray
@@ -162,18 +121,6 @@ class ChannelTable:
 
     def __len__(self) -> int:
         return self.energy.shape[0]
-
-    def __getitem__(self, row: int) -> ScatteringChannel:
-        return ScatteringChannel(
-            energy=float(self.energy[row]),
-            transfer=self.transfer[row].tolist(),
-            transverse=self.transverse[row].tolist(),
-            incident=self.incident[row].tolist(),
-            outgoing=self.outgoing[row].tolist(),
-        )
-
-    def __iter__(self):
-        return (self[row] for row in range(len(self)))
 
 
 def channel_table(energy, transfer, convention: str = "default", node=None) -> ChannelTable:
@@ -204,16 +151,16 @@ def channel_table(energy, transfer, convention: str = "default", node=None) -> C
     shift = coef[:, None] * t
     incident = half + shift
     outgoing = shift - half
-    _check_shell(energy, incident, outgoing)
+    check_shell(energy, incident, outgoing, p.shape[1])
     return ChannelTable(energy, p, t, incident, outgoing, node)
 
 
-def channel(E: float, p, convention: str = "default") -> ScatteringChannel:
-    """Construct the channel at energy ``E`` and momentum transfer ``p``.
+def channel(E: float, p, convention: str = "default") -> ChannelTable:
+    """The channel at energy ``E`` and momentum transfer ``p``, as a one-row table.
 
-    A one-row channel_table, with the same errors.
+    A channel_table of the one row ``p``, with the same errors.
     """
-    return channel_table(E, np.asarray(p, dtype=float)[None, :], convention)[0]
+    return channel_table(E, np.asarray(p, dtype=float)[None, :], convention)
 
 
 def channels_on_grid(

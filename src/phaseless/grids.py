@@ -198,10 +198,6 @@ class ScalarField:
             np.sqrt(self.grid.cell_volume * np.sum(np.abs(self.values) ** 2))
         )
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        scale = np.max(np.abs(self.values)) or 1.0
-        return bool(np.max(np.abs(self.values.imag)) <= tol * scale)
-
 
 @dataclass(frozen=True)
 class SpectralField:

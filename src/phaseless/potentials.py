@@ -25,7 +25,6 @@ __all__ = [
     "PotentialSpec",
     "rasterize",
     "analytic_hat",
-    "supports_disjoint",
     "support_distance",
     "sup_weighted_norm",
     "spec_to_dict",
@@ -134,26 +133,6 @@ class PotentialSpec:
 
     def is_zero(self) -> bool:
         return all(abs(c.amplitude) == 0 for c in self.components) or not self.components
-
-    def bounding_center_radius(self) -> tuple[np.ndarray, float]:
-        """Smallest simple enclosing ball (centroid-based, not optimal)."""
-        balls = self.support_balls()
-        if not balls:
-            return np.zeros(self.dim), 0.0
-        centers = np.array([c for c, _ in balls])
-        mid = centers.mean(axis=0)
-        rad = max(np.linalg.norm(c - mid) + r for c, r in balls)
-        return mid, float(rad)
-
-    def diameter(self) -> float:
-        balls = self.support_balls()
-        if not balls:
-            return 0.0
-        best = 0.0
-        for i, (ci, ri) in enumerate(balls):
-            for cj, rj in balls[i:]:
-                best = max(best, float(np.linalg.norm(ci - cj)) + ri + rj)
-        return best
 
 
 def rasterize(spec: PotentialSpec, grid: GridSpec) -> ScalarField:
@@ -317,10 +296,6 @@ def support_distance(a: PotentialSpec, b: PotentialSpec) -> float:
             gap = float(np.linalg.norm(ca - cb)) - (ra + rb)
             best = min(best, gap)
     return best
-
-
-def supports_disjoint(a: PotentialSpec, b: PotentialSpec) -> bool:
-    return support_distance(a, b) > 0.0
 
 
 def sup_weighted_norm(spec: PotentialSpec, sigma: float, samples: int = 4001) -> float:

@@ -11,7 +11,10 @@ the kernel vanish off the support, so the system restricted to the
 support nodes is exact.  A single solve (solve_lippmann_schwinger) and
 the amplitudes of every channel and variant of one energy
 (channel_amplitudes, one kernel table for all) share one solver of that
-system, _support_solver.  One route rule, uses_direct_solve, picks the
+system, _support_solver.  channel_amplitudes is given the energy E its
+channels belong to and builds that table at |k| = sqrt(E); it and the
+amplitude functions check their rows with geometry.check_shell, the
+package's one shell rule.  One route rule, uses_direct_solve, picks the
 route, and each route brings its own form of the support operator K v,
 which both solves and checks its answers:
 
@@ -49,14 +52,10 @@ import warnings
 
 import numpy as np
 
-from .exceptions import (
-    EnergyShellError,
-    SolverConvergenceError,
-    UnresolvedGridError,
-)
-from .geometry import off_shell
+from .exceptions import SolverConvergenceError, UnresolvedGridError
+from .geometry import check_shell
 from .greens import far_field_coefficient, outgoing_green, radial_green, singular_cell_weight
-from .grids import GridSpec, ScalarField, row_dot
+from .grids import GridSpec, ScalarField
 from .potentials import PotentialSpec, analytic_hat
 
 __all__ = [
@@ -231,13 +230,14 @@ def plane_wave(grid: GridSpec, k: WaveVector) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def _check_resolution(grid: GridSpec, k: WaveVector, cfg: SolverConfig) -> None:
+def _check_resolution(grid: GridSpec, kmag: float, cfg: SolverConfig) -> None:
+    """UnresolvedGridError unless the grid resolves wavenumber ``kmag`` at cfg's factor."""
     hmax = max(grid.spacing)
-    limit = 2.0 * np.pi / (cfg.resolution_factor * k.magnitude)
+    limit = 2.0 * np.pi / (cfg.resolution_factor * kmag)
     if hmax > limit:
         raise UnresolvedGridError(
             f"grid spacing {hmax:.4g} exceeds {limit:.4g} needed to resolve "
-            f"energy {k.energy:.4g} at resolution factor {cfg.resolution_factor}"
+            f"energy {kmag * kmag:.4g} at resolution factor {cfg.resolution_factor}"
         )
 
 
@@ -385,7 +385,7 @@ def solve_lippmann_schwinger(
     the iteration fails or a direct solve exceeds ``dense_limit``.
     """
     grid = v.grid
-    _check_resolution(grid, k, cfg)
+    _check_resolution(grid, k.magnitude, cfg)
     inc = plane_wave(grid, k)
     mask = _support(v)
 
@@ -419,36 +419,6 @@ def solve_lippmann_schwinger(
     )
 
 
-def _shell_wave(incident: np.ndarray, outgoing: np.ndarray, dim: int) -> WaveVector:
-    """The first channel's wave vector, after every channel is checked row-wise.
-
-    ValueError unless both arrays are (channels, dim) with at least one
-    channel and every incident energy is positive.  EnergyShellError,
-    naming the first offending row and its two energies, when an
-    incident is off the first channel's shell or an outgoing off its
-    incident's (geometry.off_shell: beyond relative 1e-12, or NaN).
-    """
-    if (incident.ndim != 2 or incident.shape != outgoing.shape
-            or incident.shape[1:] != (dim,) or not len(incident)):
-        raise ValueError("incident and outgoing must both have shape (channels, dim), channels >= 1")
-    e_in, e_out = row_dot(incident, incident), row_dot(outgoing, outgoing)
-    dark = ~(e_in > 0)
-    if dark.any():
-        raise ValueError(f"channel {int(np.argmax(dark))}: wave vector energy must be positive")
-    k = WaveVector(incident[0])  # one kernel serves every channel
-    e_first = np.full_like(e_in, k.energy)
-    off_first, off_own = off_shell(e_in, e_first), off_shell(e_in, e_out)
-    if np.any(off_first | off_own):
-        r = int(np.argmax(off_first | off_own))
-        name, a, b = ("first/incident", e_first, e_in) if off_first[r] else ("in/out", e_in, e_out)
-        a, b = float(a[r]), float(b[r])
-        raise EnergyShellError(
-            f"channel {r}: {name} energies differ: {a!r} vs {b!r} "
-            f"(relative {abs(a - b) / max(a, b):.3e})"
-        )
-    return k
-
-
 class _AxisWaves:
     """Plane waves e^{sign i k.x} on the support nodes, from one factor table per axis.
 
@@ -475,13 +445,16 @@ class _AxisWaves:
 
 
 def channel_amplitudes(
-    fields: list[ScalarField], incident, outgoing, cfg: SolverConfig = SolverConfig()
+    fields: list[ScalarField], energy: float, incident, outgoing,
+    cfg: SolverConfig = SolverConfig(),
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Amplitudes f(k_c, l_c) of every channel c of one energy, one column per field.
+    """Amplitudes f(k_c, l_c) of every channel c at ``energy``, one column per field.
 
     ``fields`` are the potentials (variants) on one grid; ``incident`` and
-    ``outgoing`` are (channels, dim) wave vectors on one energy shell,
-    checked row-wise by _shell_wave.  The rows, the resolution and the
+    ``outgoing`` are (channels, dim) wave vectors on the shell of
+    ``energy``, checked row-wise by geometry.check_shell.  The kernel is
+    built at |k| = sqrt(energy), so a channel's amplitude does not depend
+    on the other rows of the call.  The rows, the resolution and the
     kernel table are checked and built once, and _field_amplitudes answers
     each field in turn on the rows no earlier field failed.  Returns
     (amplitudes, failed, worst iterations, worst residual), the worst over
@@ -498,9 +471,12 @@ def channel_amplitudes(
     grid = fields[0].grid
     if any(fld.grid.key() != grid.key() for fld in fields):
         raise ValueError("the fields of one call must share one grid")
-    k = _shell_wave(incident, outgoing, grid.dim)
-    _check_resolution(grid, k, cfg)
-    weights_tab = _kernel_weights(grid, k.magnitude)
+    if not energy > 0:
+        raise ValueError("energy must be positive")
+    check_shell(energy, incident, outgoing, grid.dim)
+    kmag = float(np.sqrt(energy))
+    _check_resolution(grid, kmag, cfg)
+    weights_tab = _kernel_weights(grid, kmag)
     iterations, worst = 0, 0.0
     for col, fld in enumerate(fields):
         live = np.flatnonzero(~failed)
@@ -568,22 +544,16 @@ def _field_amplitudes(
 # --- amplitudes ---------------------------------------------------------------
 
 
-def _shell_rows(k: WaveVector, l, dim: int) -> np.ndarray:
-    """``l``, one vector or (rows, dim), as rows, each checked on k's shell by _shell_wave."""
-    rows = np.atleast_2d(np.asarray(l, dtype=float))
-    _shell_wave(np.broadcast_to(k.array, (len(rows), len(k.k))), rows, dim)
-    return rows
-
-
 def scattering_amplitude(v: ScalarField, psi: ScalarField, k: WaveVector, l):
     """f(k, l) = (2 pi)^(-d) * cell_volume * sum e^{-i l.y} v(y) psi(y).
 
     ``l`` is one outgoing vector, giving a complex, or a (rows, d) array,
-    giving an array of amplitudes; every row must lie on the same energy
-    shell as ``k`` (relative 1e-12).  The waves come from per-axis factor
+    giving an array of amplitudes; every row must lie on the shell of
+    k.energy (geometry.check_shell).  The waves come from per-axis factor
     tables (_AxisWaves), in blocks of rows within _BOX_BYTES.
     """
-    rows = _shell_rows(k, l, v.grid.dim)
+    rows = np.atleast_2d(np.asarray(l, dtype=float))
+    check_shell(k.energy, np.broadcast_to(k.array, (len(rows), len(k.k))), rows, v.grid.dim)
     if v.grid.key() != psi.grid.key():
         raise ValueError("potential and field live on different grids")
     mask = _support(v)
@@ -591,9 +561,9 @@ def scattering_amplitude(v: ScalarField, psi: ScalarField, k: WaveVector, l):
     source = v.values[mask] * psi.values[mask]
     waves = _AxisWaves(v.grid, idx, rows, -1.0)
     block = max(1, _BOX_BYTES // (16 * max(len(idx), 1)))
-    amps = np.concatenate([
-        source @ waves.columns(slice(lo, lo + block)) for lo in range(0, len(rows), block)
-    ])
+    amps = np.empty(len(rows), dtype=complex)
+    for lo in range(0, len(rows), block):
+        amps[lo : lo + block] = source @ waves.columns(slice(lo, lo + block))
     amps *= (2.0 * np.pi) ** (-v.grid.dim) * v.grid.cell_volume
     return complex(amps[0]) if np.ndim(l) == 1 else amps
 
@@ -601,9 +571,11 @@ def scattering_amplitude(v: ScalarField, psi: ScalarField, k: WaveVector, l):
 def born_amplitude(spec: PotentialSpec, k: WaveVector, l):
     """First-order amplitude: the potential's transform at p = k - l.
 
-    ``l`` is one vector, giving a complex, or (rows, d), giving an array.
+    ``l`` is one vector, giving a complex, or (rows, d), giving an array;
+    every row must lie on the shell of k.energy (geometry.check_shell).
     """
-    rows = _shell_rows(k, l, len(k.k))
+    rows = np.atleast_2d(np.asarray(l, dtype=float))
+    check_shell(k.energy, np.broadcast_to(k.array, (len(rows), len(k.k))), rows, len(k.k))
     amps = analytic_hat(spec, k.array - rows)
     return complex(amps[0]) if np.ndim(l) == 1 else amps
 

@@ -285,7 +285,9 @@ def synthesize(
             values = _oracle_rows(variants, chans)
             failed, worst = np.zeros(len(chans), dtype=bool), {}
         else:
-            amps, failed, its, res = channel_amplitudes(fields, chans.incident, chans.outgoing, cfg)
+            amps, failed, its, res = channel_amplitudes(
+                fields, E, chans.incident, chans.outgoing, cfg
+            )
             values, worst = np.abs(amps) ** 2, {"iterations": its, "residual": res}
         tables.append(chans)
         rows.append(values)

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -87,19 +88,24 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
         {"reconstruction": {"restrict_support": "false"}},
         {"reconstruction": {"declared_real": 1}},
         {"solver": []},
+        {"reconstruction": {"estimator": "magic"}},
+        {"bounds": {"sigma": 1.0}},
+        {"bounds": {"a0": -1}},
     ],
     ids=[
         "missing-file", "window-string", "window-null", "box-min", "box-max", "shift",
         "energy-list", "energies-list", "geometric-negative", "seed", "probe-grid",
         "energies-mode", "energies-accumulation", "int-fraction", "count-fraction",
         "int-string", "int-bool", "float-string", "float-bool", "float-list-bool",
-        "bool-string", "bool-int", "object-list",
+        "bool-string", "bool-int", "object-list", "estimator", "sigma-diverges", "a0-negative",
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, doc):
     # "seed" to "energies-accumulation" set keys that nothing reads:
-    # unknown keys, like a typo; from "int-fraction" on, a value of the
-    # wrong JSON type is rejected, not coerced
+    # unknown keys, like a typo; from "int-fraction" to "object-list", a
+    # value of the wrong JSON type is rejected, not coerced; from
+    # "estimator" on, a value that a later command would reject is
+    # rejected when the config loads
     cfg = str(tmp_path / "missing.json") if doc is None else write_config(tmp_path, **doc)
     assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error:" in capsys.readouterr().err
@@ -427,3 +433,15 @@ def test_config_load_skips_numpy_random(tmp_path):
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_traced_names_exist():
+    # perfbench/tracing.py wraps each of its targets by module and name;
+    # a target the package no longer has would break a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing._TARGETS) >= 25
+    for module, attr, _, _ in tracing._TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)

@@ -9,21 +9,21 @@ from numpy.testing import assert_allclose
 from phaseless.exceptions import EnergyShellError, OutOfBallError
 from phaseless.geometry import (
     EnergySet,
-    ScatteringChannel,
     channel,
     channel_table,
     channels_on_grid,
-    transverse_unit,
+    check_shell,
 )
 from phaseless.grids import GridSpec
 
 
 def test_channel_known_point():
     ch = channel(1.0, (1.0, 0.0))
-    assert_allclose(ch.incident, (0.5, np.sqrt(3) / 2), atol=1e-15)
-    assert_allclose(ch.outgoing, (-0.5, np.sqrt(3) / 2), atol=1e-15)
-    assert_allclose(ch.transverse, (0.0, 1.0))
-    assert_allclose(ch.transfer_norm, 1.0)
+    assert len(ch) == 1 and ch.node is None
+    assert_allclose(ch.incident, [(0.5, np.sqrt(3) / 2)], atol=1e-15)
+    assert_allclose(ch.outgoing, [(-0.5, np.sqrt(3) / 2)], atol=1e-15)
+    assert_allclose(ch.transverse, [(0.0, 1.0)])
+    assert_allclose(ch.transfer, [(1.0, 0.0)])
 
 
 def _ball_points(dim):
@@ -47,12 +47,11 @@ def test_channel_invariants_2d(draw):
     else:
         p = (2.0 * np.sqrt(E) * frac / norm) * d
     ch = channel(E, p)
-    k = np.asarray(ch.incident)
-    l = np.asarray(ch.outgoing)
+    k, l = ch.incident[0], ch.outgoing[0]
     assert abs(k @ k - E) <= 1e-12 * E
     assert abs(l @ l - E) <= 1e-12 * E
     assert np.linalg.norm((k - l) - p) <= 1e-13 * (1.0 + np.sqrt(E))
-    t = np.asarray(ch.transverse)
+    t = ch.transverse[0]
     assert abs(t @ p) <= 1e-12 * (1.0 + np.linalg.norm(p))
     assert abs(np.linalg.norm(t) - 1.0) <= 1e-14
 
@@ -69,8 +68,7 @@ def test_channel_invariants_3d(draw):
     else:
         p = (2.0 * np.sqrt(E) * frac / norm) * d
     ch = channel(E, p)
-    k = np.asarray(ch.incident)
-    l = np.asarray(ch.outgoing)
+    k, l = ch.incident[0], ch.outgoing[0]
     assert abs(k @ k - E) <= 1e-12 * E
     assert abs(l @ l - E) <= 1e-12 * E
     assert np.linalg.norm((k - l) - p) <= 1e-13 * (1.0 + np.sqrt(E))
@@ -80,8 +78,8 @@ def test_ball_boundary_degenerates_to_backscattering():
     E = 4.0
     p = np.array([4.0, 0.0])
     ch = channel(E, p)
-    assert_allclose(ch.incident, p / 2)
-    assert_allclose(ch.outgoing, -p / 2)
+    assert_allclose(ch.incident, [p / 2])
+    assert_allclose(ch.outgoing, [-p / 2])
 
 
 def test_transfer_outside_ball_rejected():
@@ -92,13 +90,15 @@ def test_transfer_outside_ball_rejected():
 
 
 def test_transverse_unit_conventions():
-    assert_allclose(transverse_unit((0.0, 0.0)), (0.0, 1.0))
-    assert_allclose(transverse_unit((0.0, 0.0, 0.0)), (0.0, 0.0, 1.0))
-    t = transverse_unit((3.0, 4.0))
-    assert_allclose(t, (-0.8, 0.6))
-    assert_allclose(transverse_unit((3.0, 4.0), convention="mirror"), -t)
+    # the table's transverse column: p turned by +90 degrees, a fixed
+    # axis at p = 0, and its negative under the mirrored convention
+    assert_allclose(channel(30.0, (0.0, 0.0)).transverse, [(0.0, 1.0)])
+    assert_allclose(channel(30.0, (0.0, 0.0, 0.0)).transverse, [(0.0, 0.0, 1.0)])
+    t = channel(30.0, (3.0, 4.0)).transverse
+    assert_allclose(t, [(-0.8, 0.6)])
+    assert_allclose(channel(30.0, (3.0, 4.0), convention="mirror").transverse, -t)
     with pytest.raises(ValueError):
-        transverse_unit((1.0, 0.0), convention="sideways")
+        channel(30.0, (1.0, 0.0), convention="sideways")
 
 
 @settings(max_examples=100, deadline=None)
@@ -108,7 +108,7 @@ def test_transverse_unit_3d(coords):
     # squaring coordinates below ~1e-150 underflows to subnormals and
     # costs the normalization a digit; irrelevant at physical scales
     assume(np.linalg.norm(p) == 0.0 or np.linalg.norm(p) > 1e-9)
-    t = transverse_unit(p, 3)
+    t = channel(75.0, p).transverse[0]  # every |p| <= 5 sqrt(3) is inside the ball
     assert abs(np.linalg.norm(t) - 1.0) <= 1e-12
     assert abs(t @ p) <= 1e-10 * (1.0 + np.linalg.norm(p))
 
@@ -118,8 +118,7 @@ def test_channels_on_grid_partitions_nodes():
     chans, skipped = channels_on_grid(4.0, pg)
     assert len(chans) + len(skipped) == pg.node_count
     limit = 2.0 * np.sqrt(4.0)
-    for ch in chans:
-        assert ch.transfer_norm <= limit
+    assert np.all(np.linalg.norm(chans.transfer, axis=1) <= limit)
     nodes = pg.nodes()
     for idx in skipped:
         assert np.linalg.norm(nodes[idx]) > limit
@@ -176,9 +175,8 @@ def test_channel_table_rows_equal_single_channels(data):
     assert len(table) == len(p)
     for row, pr in enumerate(p):
         ch = channel(E, pr, convention)
-        assert table.energy[row] == ch.energy
-        for name in ("transfer", "transverse", "incident", "outgoing"):
-            assert getattr(table, name)[row].tobytes() == np.array(getattr(ch, name)).tobytes()
+        for name in ("energy", "transfer", "transverse", "incident", "outgoing"):
+            assert getattr(table, name)[row].tobytes() == getattr(ch, name)[0].tobytes()
         want = _vector_channel(E, pr, convention)
         got = (table.transverse[row], table.incident[row], table.outgoing[row])
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
@@ -209,14 +207,23 @@ def test_channel_table_rejects_rows_outside_ball():
 
 
 def test_channel_shell_enforced_on_construction():
-    with pytest.raises(EnergyShellError):
-        ScatteringChannel(
-            energy=1.0,
-            transfer=(1.0, 0.0),
-            transverse=(0.0, 1.0),
-            incident=(0.6, np.sqrt(3) / 2),
-            outgoing=(-0.5, np.sqrt(3) / 2),
-        )
+    # the one shell rule: each row's |k|^2 and |l|^2 within relative 1e-12
+    # of the larger of it and E, NaN off the shell; the error names the
+    # first offending row, its vector, that vector's energy and E
+    k = np.array([(0.5, np.sqrt(3) / 2), (0.6, np.sqrt(3) / 2), (0.5, np.sqrt(3) / 2)])
+    l = np.array([(-0.5, np.sqrt(3) / 2), (-0.5, np.sqrt(3) / 2), (np.nan, 0.0)])
+    check_shell(1.0, k[:1], l[:1], 2)
+    check_shell(1.0 + 1e-13, k[:1], l[:1], 2)
+    with pytest.raises(EnergyShellError, match=r"^channel 1: incident energy 1.1\d* is off the shell E=1.0$"):
+        check_shell(1.0, k, l, 2)
+    with pytest.raises(EnergyShellError, match=r"^channel 1: outgoing energy nan is off the shell E=1.0$"):
+        check_shell([1.0, 1.0], k[::2], l[::2], 2)
+    with pytest.raises(EnergyShellError, match=r"^channel 0: incident energy [.\d]+ is off the shell E=nan$"):
+        check_shell(np.nan, k[:1], l[:1], 2)
+    with pytest.raises(ValueError, match="shape"):
+        check_shell(1.0, k, l[:2], 2)
+    with pytest.raises(ValueError, match="shape"):
+        check_shell(1.0, k, l, 3)
 
 
 def test_channel_table_puts_nan_rows_off_the_shell():

@@ -89,11 +89,6 @@ class TestScalarField:
         f = ScalarField(g, vals)
         assert_allclose(f.l2_norm(), 1.0)
 
-    def test_is_real(self):
-        g = GridSpec(2, 8, (0, 0), (1, 1))
-        assert ScalarField(g, np.ones(g.shape)).is_real()
-        assert not ScalarField(g, 1j * np.ones(g.shape)).is_real()
-
 
 def test_spectral_field_carries_spatial_grid():
     spatial = GridSpec(2, 8, (-1.0, -1.0), (1.0, 1.0))

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import j1
 
-from phaseless.exceptions import SupportOutsideBoxError
+from phaseless.exceptions import BackgroundValidationError, SupportOutsideBoxError
+from phaseless.geometry import EnergySet
 from phaseless.grids import GridSpec
 from phaseless.potentials import (
     BallPrimitive,
@@ -15,8 +16,8 @@ from phaseless.potentials import (
     spec_to_dict,
     sup_weighted_norm,
     support_distance,
-    supports_disjoint,
 )
+from phaseless.synthesis import BackgroundSet, synthesize
 
 # Independent midpoint-quadrature values for the transform with the
 # e^{+ip.x} kernel, 2048^2 nodes over the support bounding box.  The
@@ -143,20 +144,13 @@ def test_support_distance_and_disjoint():
     a = PotentialSpec.ball((0.0, 0.0), 0.3, 1.0)
     b = PotentialSpec.ball((1.0, 0.0), 0.3, 1.0)
     assert_allclose(support_distance(a, b), 0.4, rtol=1e-12)
-    assert supports_disjoint(a, b)
-    c = PotentialSpec.ball((0.5, 0.0), 0.3, 1.0)
-    assert not supports_disjoint(a, c)
-    # touching counts as overlapping: the gap must be strictly positive
-    d = PotentialSpec.ball((0.6, 0.0), 0.3, 1.0)
-    assert not supports_disjoint(a, d)
-
-
-def test_bounding_center_radius_and_diameter():
-    v = PotentialSpec.ball((0.0, 0.0), 0.2, 1.0) + PotentialSpec.ball((1.0, 0.0), 0.1, 1.0)
-    center, radius = v.bounding_center_radius()
-    assert radius >= 0.6
-    assert v.diameter() >= 1.1
-    assert v.diameter() <= 2.0 * radius + 1e-12
+    pgrid = GridSpec(2, 8, (-2.0, -2.0), (2.0, 2.0)).dual()
+    assert synthesize(a, BackgroundSet((b,)), EnergySet((4.0,)), pgrid).rows
+    # synthesize wants a strictly positive gap: touching counts as overlapping
+    for center in ((0.5, 0.0), (0.6, 0.0)):
+        refs = BackgroundSet((PotentialSpec.ball(center, 0.3, 1.0),))
+        with pytest.raises(BackgroundValidationError, match="overlaps"):
+            synthesize(a, refs, EnergySet((4.0,)), pgrid)
 
 
 def test_sup_weighted_norm_ball_exact():

@@ -151,6 +151,9 @@ def test_row_wise_amplitudes_equal_per_row_calls():
         assert got.shape == (40,)
         assert all(type(f) is complex for f in per_row)
         assert_allclose(got, per_row, rtol=1e-14, atol=0.0)
+    # no rows, no amplitudes
+    assert scattering_amplitude(fld, psi, k, rows[:0]).shape == (0,)
+    assert born_amplitude(SMOOTH, k, rows[:0]).shape == (0,)
     # a byte budget of 7 support columns sums the rows in blocks of 7
     one_block = scattering_amplitude(fld, psi, k, rows)
     support = int(np.count_nonzero(solver._support(fld)))
@@ -167,9 +170,9 @@ def test_off_shell_row_raises_naming_it(bad):
     psi = ScalarField(GRID, plane_wave(GRID, k))
     rows = _shell_channels(6, 2, 0, kmag=5.0)[1]
     rows[4] = bad
-    with pytest.raises(EnergyShellError, match="channel 4: in/out"):
+    with pytest.raises(EnergyShellError, match="channel 4: outgoing energy .* off the shell E=25.0"):
         scattering_amplitude(fld, psi, k, rows)
-    with pytest.raises(EnergyShellError, match="channel 4: in/out"):
+    with pytest.raises(EnergyShellError, match="channel 4: outgoing energy .* off the shell E=25.0"):
         born_amplitude(SMOOTH, k, rows)
 
 
@@ -376,7 +379,7 @@ def test_channel_amplitudes_do_not_depend_on_block_size(method, monkeypatch):
     incident, outgoing = _shell_channels(40, 3, 3)
     cfg = SolverConfig(method=method)
     weights_tab = solver._kernel_weights(fld.grid, 2.0)
-    amps, failed, iterations, residual = solver.channel_amplitudes([fld], incident, outgoing, cfg)
+    amps, failed, iterations, residual = solver.channel_amplitudes([fld], 4.0, incident, outgoing, cfg)
     amps = amps[:, 0]
     assert not failed.any()
     assert iterations == (1 if method == "dense" else 7)
@@ -386,7 +389,7 @@ def test_channel_amplitudes_do_not_depend_on_block_size(method, monkeypatch):
         monkeypatch.setattr(solver, "_BOX_BYTES", budget)
         assert solver._BoxOperator(solver._support(fld), weights_tab).block < 32
         small, failed_small, iterations_small, residual_small = solver.channel_amplitudes(
-            [fld], incident, outgoing, cfg
+            [fld], 4.0, incident, outgoing, cfg
         )
         assert_allclose(small[:, 0], amps, rtol=1e-13, atol=0.0, err_msg=str(budget))
         assert not failed_small.any(), budget
@@ -400,7 +403,7 @@ def unsplit():
     fld = _two_balls_3d()
     incident, outgoing = _shell_channels(40, 3, 5)
     amps = {
-        method: solver.channel_amplitudes([fld], incident, outgoing, SolverConfig(method=method))[0]
+        method: solver.channel_amplitudes([fld], 4.0, incident, outgoing, SolverConfig(method=method))[0]
         for method in ("dense", "born")
     }
     return fld, incident, outgoing, amps
@@ -420,7 +423,7 @@ def test_channel_amplitudes_any_chunk_and_block(unsplit, method, count, units):
     fld, incident, outgoing, amps = unsplit
     cfg = SolverConfig(method=method)
     with mock.patch.object(solver, "_BOX_BYTES", 16 * units):
-        split, failed, _, residual = solver.channel_amplitudes([fld], incident[:count], outgoing[:count], cfg)
+        split, failed, _, residual = solver.channel_amplitudes([fld], 4.0, incident[:count], outgoing[:count], cfg)
     assert not failed.any()
     assert_allclose(split, amps[method][:count], rtol=1e-13, atol=0.0)
     assert residual < (1e-13 if method == "dense" else cfg.tolerance)
@@ -453,7 +456,7 @@ def test_channel_amplitudes_match_exp_wave_reference(dim, method):
     fld = rasterize(spec, grid)
     incident, outgoing = _shell_channels(70, dim, dim, kmag=3.0)
     cfg = SolverConfig(method=method, resolution_factor=4.0)
-    amps, failed, _, _ = solver.channel_amplitudes([fld], incident, outgoing, cfg)
+    amps, failed, _, _ = solver.channel_amplitudes([fld], 9.0, incident, outgoing, cfg)
     expected = _exp_wave_amplitudes(fld, incident, outgoing, cfg)
     assert not failed.any()
     assert_allclose(amps[:, 0], expected, rtol=1e-12, atol=0.0)
@@ -477,10 +480,10 @@ def test_each_column_equals_a_single_field_call(dim, method):
     fields = _variant_fields(dim)
     incident, outgoing = _shell_channels(30, dim, dim + 7)
     cfg = SolverConfig(method=method)
-    amps, failed, iterations, residual = solver.channel_amplitudes(fields, incident, outgoing, cfg)
+    amps, failed, iterations, residual = solver.channel_amplitudes(fields, 4.0, incident, outgoing, cfg)
     assert amps.shape == (30, 3)
     assert not failed.any()
-    singles = [solver.channel_amplitudes([fld], incident, outgoing, cfg) for fld in fields]
+    singles = [solver.channel_amplitudes([fld], 4.0, incident, outgoing, cfg) for fld in fields]
     for col, (single, lost, _, _) in enumerate(singles):
         assert not lost.any()
         assert np.array_equal(amps[:, col], single[:, 0]), col
@@ -494,7 +497,7 @@ def test_fields_of_one_call_share_one_grid():
     other = rasterize(PotentialSpec.ball((0.3, 0.3), 0.4, 1.0), GridSpec(2, 24, (-1.5, -1.5), (1.6, 1.5)))
     incident, outgoing = _shell_channels(4, 2, 1)
     with pytest.raises(ValueError, match="one grid"):
-        solver.channel_amplitudes(fields + [other], incident, outgoing)
+        solver.channel_amplitudes(fields + [other], 4.0, incident, outgoing)
 
 
 def _ball_pair(turn):
@@ -503,15 +506,22 @@ def _ball_pair(turn):
     return PotentialSpec.ball((-c, -s), 0.3, 2.0) + PotentialSpec.ball((c, s), 0.3, 2.0)
 
 
-def test_rows_one_field_fails_skip_the_later_fields(monkeypatch):
-    # the iteration converges faster for incidence across a pair's axis:
-    # capped at 9 steps, the pair along the first axis fails the rows near
-    # that axis, and the pair turned by 0.6 rad fails other rows
+def _ball_pair_rows():
+    """Two ball pairs on 32^2 and 36 channels at E = 9, incident 3(cos t, sin t).
+
+    The iteration converges faster for incidence across a pair's axis:
+    capped at 9 steps, the pair along the first axis fails the rows near
+    that axis, and the pair turned by 0.6 rad fails other rows.
+    """
     grid = GridSpec(2, 32, (-1.5, -1.5), (1.5, 1.5))
     fields = [rasterize(_ball_pair(turn), grid) for turn in (0.0, 0.6)]
     ang = np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False)
     incident = 3.0 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    outgoing = np.roll(incident, 5, axis=0)
+    return grid, fields, incident, np.roll(incident, 5, axis=0)
+
+
+def test_rows_one_field_fails_skip_the_later_fields(monkeypatch):
+    grid, fields, incident, outgoing = _ball_pair_rows()
     cfg = SolverConfig(method="born", max_iterations=9)
     seen = []
     field_amplitudes = solver._field_amplitudes
@@ -522,11 +532,11 @@ def test_rows_one_field_fails_skip_the_later_fields(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_field_amplitudes", record)
-        amps, failed, iterations, residual = solver.channel_amplitudes(fields, incident, outgoing, cfg)
-    first = solver.channel_amplitudes(fields[:1], incident, outgoing, cfg)
+        amps, failed, iterations, residual = solver.channel_amplitudes(fields, 9.0, incident, outgoing, cfg)
+    first = solver.channel_amplitudes(fields[:1], 9.0, incident, outgoing, cfg)
     live = np.flatnonzero(~first[1])
-    # the call's one kernel table, from the first row's energy, serves every field
-    weights_tab = solver._kernel_weights(grid, WaveVector(incident[0]).magnitude)
+    # the call's one kernel table, at sqrt(E), serves every field
+    weights_tab = solver._kernel_weights(grid, 3.0)
     second = field_amplitudes(fields[1], weights_tab, incident[live], outgoing[live], cfg)
     assert first[1].any() and live.size
     assert second[1].any() and not second[1].all()
@@ -542,6 +552,30 @@ def test_rows_one_field_fails_skip_the_later_fields(monkeypatch):
     assert np.array_equal(amps[live[~second[1]], 1], second[0][~second[1]])
     assert iterations == max(first[2], second[2])
     assert residual == max(first[3], second[3])
+
+
+def test_channel_amplitudes_do_not_depend_on_the_other_rows(monkeypatch):
+    # rows of one energy differ in |k| by a few ulps; the kernel is built
+    # at sqrt(E), not from the first row, so a call on some rows answers
+    # them as the call on all rows does
+    _, fields, incident, outgoing = _ball_pair_rows()
+    cfg = SolverConfig(method="born", max_iterations=9)
+    kmags = []
+    kernel_weights = solver._kernel_weights
+
+    def record(grid, kmag):
+        kmags.append(kmag)
+        return kernel_weights(grid, kmag)
+
+    monkeypatch.setattr(solver, "_kernel_weights", record)
+    every = solver.channel_amplitudes(fields, 9.0, incident, outgoing, cfg)
+    some = np.r_[7:12, 25:30]
+    part = solver.channel_amplitudes(fields, 9.0, incident[some], outgoing[some], cfg)
+    assert kmags == [3.0, 3.0]
+    assert np.array_equal(part[1], every[1][some])
+    ok = ~part[1]
+    assert ok.any()
+    assert_allclose(part[0][ok], every[0][some][ok], rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 30), (3, 12)])
@@ -593,7 +627,7 @@ def test_direct_route_makes_no_fft(monkeypatch):
         patch.setattr(solver, "_BoxOperator", boom)
         for name in np.fft.__all__:
             patch.setattr(np.fft, name, boom)
-        amps, failed, iterations, residual = solver.channel_amplitudes([fld], incident, outgoing, cfg)
+        amps, failed, iterations, residual = solver.channel_amplitudes([fld], 9.0, incident, outgoing, cfg)
     assert_allclose(amps[:, 0], single, rtol=1e-12, atol=0.0)
     assert not failed.any()
     assert iterations == 1
@@ -628,9 +662,9 @@ def _shell_cases():
     wide = np.zeros((4, 4))
     wide[:, :2] = incident
     return {
-        "outgoing-off-shell": (incident, off, EnergyShellError, "channel 2: in/out energies differ: 9.0 vs 16.0"),
-        "two-energies": (two_in, two_out, EnergyShellError, "channel 3: first/incident energies differ: 9.0 vs 16.0"),
-        "zero-incident": (dark, outgoing, ValueError, "channel 1"),
+        "outgoing-off-shell": (incident, off, EnergyShellError, "channel 2: outgoing energy 16.0 is off the shell E=9.0"),
+        "two-energies": (two_in, two_out, EnergyShellError, "channel 3: incident energy 16.0 is off the shell E=9.0"),
+        "zero-incident": (dark, outgoing, EnergyShellError, "channel 1: incident energy 0.0 is off the shell E=9.0"),
         "four-columns": (wide, wide, ValueError, "shape"),
     }
 
@@ -640,6 +674,6 @@ def test_channel_amplitudes_check_channels_row_wise(case):
     incident, outgoing, kind, message = _shell_cases()[case]
     fld = rasterize(SMOOTH, GRID)
     with pytest.raises(kind) as err:
-        solver.channel_amplitudes([fld], incident, outgoing)
+        solver.channel_amplitudes([fld], 9.0, incident, outgoing)
     assert type(err.value) is kind
     assert message in str(err.value)

@@ -40,14 +40,14 @@ def test_born_values_are_squared_transforms(off_center_ball, two_ball_refs):
     ds = synthesize(off_center_ball, two_ball_refs, ENERGIES, PGRID)
     assert ds.values.shape[1] == 3
     variants = [off_center_ball] + [off_center_ball + w for w in two_ball_refs.backgrounds]
-    for row, ch in enumerate(ds.channels):
-        p = np.asarray(ch.transfer)
-        k = WaveVector(ch.incident)
+    chans = ds.channels
+    for row in range(ds.rows):
+        k = WaveVector(chans.incident[row])
         for col, spec in enumerate(variants):
-            expected = abs(analytic_hat(spec, p)) ** 2
+            expected = abs(analytic_hat(spec, chans.transfer[row])) ** 2
             assert_allclose(ds.values[row, col], expected, rtol=1e-13, atol=1e-300)
             # one batched call per (variant, energy) gives each channel's own bits
-            assert ds.values[row, col] == abs(born_amplitude(spec, k, ch.outgoing)) ** 2
+            assert ds.values[row, col] == abs(born_amplitude(spec, k, chans.outgoing[row])) ** 2
     assert np.all(ds.flags == FLAG_OK)
 
 
@@ -91,8 +91,7 @@ def test_background_count_limits(off_center_ball):
 def test_channel_rows_address_probe_nodes(off_center_ball):
     ds = synthesize(off_center_ball, None, ENERGIES, PGRID)
     nodes = PGRID.nodes()
-    for ch, idx in zip(ds.channels, ds.node_index):
-        assert_allclose(nodes[idx], ch.transfer, atol=1e-12)
+    assert_allclose(nodes[ds.node_index], ds.channels.transfer, atol=1e-12)
     assert ds.node_index.dtype == np.intp
     # one row per (energy, node) pair, each energy's rows in one block
     pairs = {(E, idx) for E, idx in zip(ds.energy.tolist(), ds.node_index.tolist())}
@@ -135,10 +134,10 @@ def test_batched_direct_solve_matches_per_channel_dense(off_center_ball, two_bal
     variants = [off_center_ball] + [off_center_ball + w for w in two_ball_refs.backgrounds]
     for col, spec in enumerate(variants):
         fld = rasterize(spec, grid)
-        for row, ch in enumerate(ds.channels):
-            k = WaveVector(ch.incident)
+        for row, (kc, lc) in enumerate(zip(ds.channels.incident, ds.channels.outgoing)):
+            k = WaveVector(kc)
             psi, _ = solve_lippmann_schwinger(fld, k, dense)
-            want = abs(scattering_amplitude(fld, psi, k, ch.outgoing)) ** 2
+            want = abs(scattering_amplitude(fld, psi, k, lc)) ** 2
             assert abs(ds.values[row, col] - want) <= 1e-12 * want
 
 
@@ -171,12 +170,14 @@ def test_batched_iteration_matches_single_solves(monkeypatch):
     assert not np.any(ds.flags)
     fld = rasterize(TWO_BALLS, GRID_32)
     worst: dict = {}
-    for row, ch in enumerate(ds.channels):
-        k = WaveVector(ch.incident)
+    chans = ds.channels
+    for row in range(ds.rows):
+        k = WaveVector(chans.incident[row])
         psi, rep = solve_lippmann_schwinger(fld, k, born)
-        want = abs(scattering_amplitude(fld, psi, k, ch.outgoing)) ** 2
+        want = abs(scattering_amplitude(fld, psi, k, chans.outgoing[row])) ** 2
         assert abs(ds.values[row, 0] - want) <= 1e-12 * want
-        worst[repr(ch.energy)] = max(worst.get(repr(ch.energy), 0), rep.iterations)
+        E = repr(float(chans.energy[row]))
+        worst[E] = max(worst.get(E, 0), rep.iterations)
     notes = ds.solver_notes["per_energy"]
     assert {E: note["iterations"] for E, note in notes.items()} == worst == {"9.0": 10, "16.0": 8}
 
@@ -186,9 +187,9 @@ def test_iteration_failures_flag_only_their_channels():
     ds = _synthesize_two_balls(capped)
     fld = rasterize(TWO_BALLS, GRID_32)
     raises = np.zeros(ds.rows, dtype=bool)
-    for row, ch in enumerate(ds.channels):
+    for row, kc in enumerate(ds.channels.incident):
         try:
-            solve_lippmann_schwinger(fld, WaveVector(ch.incident), capped)
+            solve_lippmann_schwinger(fld, WaveVector(kc), capped)
         except SolverConvergenceError:
             raises[row] = True
     assert 0 < np.sum(raises) < ds.rows
@@ -200,7 +201,7 @@ def test_full_solver_checks_rows_and_builds_one_kernel_per_energy(
     monkeypatch, off_center_ball, two_ball_refs
 ):
     # three variants share each energy's row check and kernel table
-    calls = {"_kernel_weights": 0, "_shell_wave": 0}
+    calls = {"_kernel_weights": 0, "check_shell": 0}
 
     def counted(name):
         fn = getattr(solver, name)
@@ -218,7 +219,7 @@ def test_full_solver_checks_rows_and_builds_one_kernel_per_energy(
         grid=GRID_32,
     )
     assert ds.values.shape[1] == 3
-    assert calls == {"_kernel_weights": 2, "_shell_wave": 2}
+    assert calls == {"_kernel_weights": 2, "check_shell": 2}
 
 
 def test_full_solver_energy_without_channels(off_center_ball):
