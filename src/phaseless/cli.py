@@ -45,6 +45,7 @@ from .potentials import analytic_hat, rasterize
 from .reconstruct import reconstruct
 from .solver import WaveVector, scattering_amplitude, solve_lippmann_schwinger
 from .synthesis import (
+    csv_rows,
     read_dataset,
     synthesize,
     translation_twin_demo,
@@ -199,11 +200,11 @@ def cmd_forward(cfg: ExperimentConfig, outdir: Path) -> int:
         }
         outgoing = np.sqrt(E) * dirs
         amps = scattering_amplitude(field_v, psi, k, outgoing)
-        # Python floats and complexes, whose repr is the plain number
-        for l, f in zip(outgoing.tolist(), amps.tolist()):
-            cells = [repr(float(E))] + [repr(x) for x in l]
-            cells += [repr(f.real), repr(f.imag), repr(abs(f) ** 2)]
-            rows.append(",".join(cells))
+        # Python's abs(f) ** 2 per value: numpy's abs and power can differ
+        # from it in the last ulp
+        abs2 = np.array([abs(f) ** 2 for f in amps.tolist()])
+        energy = np.full(len(outgoing), float(E))
+        rows += csv_rows([energy, *outgoing.T, amps.real, amps.imag, abs2])
     bundle.write_text("forward_amplitudes.csv", "\n".join(rows) + "\n")
     report = bundle.finish({"per_energy": reports, "target_is_zero": cfg.target.is_zero()})
     print(f"forward: wrote {len(cfg.energies)} field(s) -> {report}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +58,7 @@ __all__ = [
     "validate_backgrounds",
     "write_dataset",
     "read_dataset",
+    "csv_rows",
 ]
 
 FLAG_OK = 0
@@ -352,15 +353,10 @@ class BackgroundReport:
 
 
 def _cluster_radii(radii: np.ndarray, resolution: float) -> tuple[float, ...]:
-    if radii.size == 0:
-        return ()
-    out = []
-    for r in np.sort(radii):
-        if out and r - out[-1][-1] <= resolution:
-            out[-1].append(r)
-        else:
-            out.append([r])
-    return tuple(float(np.mean(c)) for c in out)
+    """Mean radius of each run of sorted radii whose steps stay within ``resolution``."""
+    r = np.sort(radii)
+    clusters = np.split(r, np.flatnonzero(np.diff(r) > resolution) + 1) if r.size else []
+    return tuple(float(np.mean(c)) for c in clusters)
 
 
 def validate_backgrounds(
@@ -470,28 +466,42 @@ def _detect_translate(pgrid, mags, hats, usable):
 _DATASET_SCHEMA = "phaseless-dataset/1"
 
 
+def _repr_cells(column: np.ndarray) -> list[str]:
+    """``repr`` of each entry of a 1-D column, called once per distinct bit pattern.
+
+    Floats are told apart by their bits, so ``-0.0`` keeps its sign and
+    NaN reads ``nan``; an integer entry's ``repr`` is its ``str``.
+    """
+    column = np.ascontiguousarray(column)
+    bits = column.view(np.uint64) if column.dtype == np.float64 else column
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    cells = np.array([repr(x) for x in distinct.view(column.dtype).tolist()], dtype=object)
+    return cells[inverse].tolist()
+
+
+def csv_rows(columns: Iterable[np.ndarray]) -> Iterator[str]:
+    """Comma-joined CSV rows of equal-length 1-D ``columns``, cells as in ``_repr_cells``."""
+    return map(",".join, zip(*map(_repr_cells, columns)))
+
+
 def write_dataset(ds: PhaselessDataset, base: str, withhold_target: bool = False,
                   target: PotentialSpec | None = None) -> None:
     """Write ``base``.csv (rows) and ``base``.json (header).
 
-    The header records everything needed to rebuild channel geometry:
-    probe grid, energies, mode, transverse convention, references, and a
-    content hash of the CSV body.  ``target`` is stored only when given
-    and not withheld, supporting blind-test datasets.
+    Each cell is Python's shortest round-trip ``repr`` of its value (NaN
+    as ``nan``), formatted once per distinct bit pattern of its column,
+    so ``read_dataset`` gets every value back exactly.  The header
+    records everything needed to rebuild channel geometry: probe grid,
+    energies, mode, transverse convention, references, and a content
+    hash of the CSV body.  ``target`` is stored only when given and not
+    withheld, supporting blind-test datasets.
     """
     d = ds.pgrid.dim
     cols = ["E"] + [f"p_{a + 1}" for a in range(d)] + ["m_0"]
     cols += [f"m_{j + 1}" for j in range(ds.n_refs)]
     cols.append("flags")
-    lines = [",".join(cols)]
-    for E, p, vals, flag in zip(
-        ds.energy.tolist(), ds.transfer.tolist(), ds.values.tolist(), ds.flags.tolist()
-    ):
-        cells = [repr(E)] + [repr(x) for x in p]
-        cells += ["nan" if math.isnan(val) else repr(val) for val in vals]
-        cells.append(str(flag))
-        lines.append(",".join(cells))
-    csv_text = "\n".join(lines) + "\n"
+    columns = [ds.energy, *ds.transfer.T, *ds.values.T, ds.flags]
+    csv_text = "\n".join([",".join(cols), *csv_rows(columns)]) + "\n"
     with open(base + ".csv", "w") as fh:
         fh.write(csv_text)
 
@@ -532,11 +542,13 @@ def _grid_from_dict(d: dict) -> GridSpec:
 def read_dataset(base: str) -> PhaselessDataset:
     """Rebuild a dataset written by write_dataset.
 
-    The CSV is parsed into arrays.  Raises ValueError when the CSV does
-    not match its recorded hash or the header's columns, OutOfBallError
-    (or EnergyShellError) when a row is no on-shell channel of its
-    energy, and GridMismatchError when a transfer is not a probe-grid
-    node.
+    The CSV body is split once into a flat list of cells; Python's
+    ``float`` parses each distinct value cell once and ``int`` each
+    flag, which reads every written value back exactly.  Raises
+    ValueError when the CSV does not match its recorded hash or the
+    header's columns, OutOfBallError (or EnergyShellError) when a row is
+    no on-shell channel of its energy, and GridMismatchError when a
+    transfer is not a probe-grid node.
     """
     with open(base + ".json") as fh:
         header = json.load(fh)
@@ -558,10 +570,18 @@ def read_dataset(base: str) -> PhaselessDataset:
     d = pgrid.dim
     n_refs = int(header["n_refs"])
     width = 3 + d + n_refs
-    rows = [line.split(",") for line in csv_text.strip().split("\n")[1:]]
-    if any(len(cells) != width for cells in rows):
+    lines = csv_text.strip().split("\n")[1:]
+    if any(line.count(",") != width - 1 for line in lines):
         raise ValueError(f"dataset CSV rows must have {width} columns")
-    numbers = np.array([[float(x) for x in cells[:-1]] for cells in rows]).reshape(-1, width - 1)
+    cells = ",".join(lines).split(",") if lines else []
+    del lines
+    flag_cells = cells[width - 1 :: width]
+    del cells[width - 1 :: width]
+    # each distinct cell parsed once, in order of first appearance, so the
+    # first bad cell of the body is the one float() reports
+    parsed = {cell: float(cell) for cell in dict.fromkeys(cells)}
+    numbers = np.fromiter(map(parsed.__getitem__, cells), dtype=float, count=len(cells))
+    numbers = numbers.reshape(-1, width - 1)
     energy, transfer = numbers[:, 0], numbers[:, 1 : 1 + d]
     channel_table(energy, transfer, convention)  # raises for a row off the shell or ball
 
@@ -573,7 +593,7 @@ def read_dataset(base: str) -> PhaselessDataset:
         transfer=transfer,
         node_index=pgrid.flat_index(transfer),
         values=numbers[:, 1 + d :],
-        flags=np.array([int(cells[-1]) for cells in rows], dtype=np.uint8),
+        flags=np.array([int(x) for x in flag_cells], dtype=np.uint8),
         backgrounds=refs,
         convention=convention,
         solver_notes=header.get("solver_notes", {}),

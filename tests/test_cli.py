@@ -186,6 +186,9 @@ def test_forward_matches_golden_amplitudes(tmp_path):
         np.testing.assert_allclose(float(g["l_2"]), float(w["l_2"]), atol=1e-12)
         np.testing.assert_allclose(float(g["re_f"]), float(w["re_f"]), atol=1e-10)
         np.testing.assert_allclose(float(g["im_f"]), float(w["im_f"]), atol=1e-10)
+        # every cell is its value's shortest repr, and |f|^2 is Python's abs(f) ** 2
+        assert all(cell == repr(float(cell)) for cell in g.values())
+        assert g["abs2_f"] == repr(abs(complex(float(g["re_f"]), float(g["im_f"]))) ** 2)
 
 
 def test_forward_3d_amplitudes_are_direct_sums_and_repeat(tmp_path):

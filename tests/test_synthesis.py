@@ -1,7 +1,12 @@
 import dataclasses
+import hashlib
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from phaseless import solver
@@ -25,6 +30,8 @@ from phaseless.synthesis import (
     FLAG_OK,
     FLAG_SOLVER_FAILED,
     BackgroundSet,
+    PhaselessDataset,
+    _cluster_radii,
     read_dataset,
     synthesize,
     translation_twin_demo,
@@ -283,9 +290,141 @@ def test_read_dataset_rejects_rows_off_grid_or_outside_ball(tmp_path, off_center
         read_dataset(_write_with_transfer(tmp_path, ds, 0, outside))
 
 
-def test_withheld_target_not_recorded(tmp_path, off_center_ball):
-    import json
+def _per_cell_csv(ds):
+    """The dataset CSV as one ``repr`` per cell, the writer's reference format."""
+    d = ds.pgrid.dim
+    cols = ["E"] + [f"p_{a + 1}" for a in range(d)] + ["m_0"]
+    cols += [f"m_{j + 1}" for j in range(ds.n_refs)]
+    cols.append("flags")
+    lines = [",".join(cols)]
+    for E, p, vals, flag in zip(
+        ds.energy.tolist(), ds.transfer.tolist(), ds.values.tolist(), ds.flags.tolist()
+    ):
+        cells = [repr(E)] + [repr(x) for x in p]
+        cells += ["nan" if math.isnan(val) else repr(val) for val in vals]
+        cells.append(str(flag))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
+
+_CSV_GRIDS = {
+    2: GridSpec(2, 8, (-2.0, -2.0), (2.0, 2.0)).dual(),
+    3: GridSpec(3, 8, (-2.0, -2.0, -2.0), (2.0, 2.0, 2.0)).dual(),
+}
+_CSV_REFS = {
+    d: BackgroundSet(
+        tuple(PotentialSpec.ball((0.5 * j - 0.3,) * d, 0.2, 1.0 + j) for j in range(2))
+    )
+    for d in (2, 3)
+}
+_EDGE_VALUES = (0.0, -0.0, 5e-324, 1.5e-310, 2.2250738585072014e-308, 1.0, 0.1, 1e300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dataset_csv_matches_per_cell_format_and_round_trips(tmp_path_factory, data):
+    d = data.draw(st.sampled_from((2, 3)), label="dim")
+    n_refs = data.draw(st.sampled_from((1, 2)), label="n_refs")
+    pgrid = _CSV_GRIDS[d]
+    energies = EnergySet((4.0, 9.0))
+    tables = [channels_on_grid(E, pgrid)[0] for E in energies]
+    rows = sum(len(t) for t in tables)
+    # a small pool drawn per example makes values repeat within and across columns
+    pool = data.draw(
+        st.lists(
+            st.sampled_from(_EDGE_VALUES) | st.floats(0.0, 1e308, allow_subnormal=True),
+            min_size=1, max_size=6,
+        ),
+        label="pool",
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = rng.choice(np.array(pool), size=(rows, 1 + n_refs))
+    flags = rng.choice(np.array([FLAG_OK, FLAG_SOLVER_FAILED], dtype=np.uint8), size=rows)
+    values[flags == FLAG_SOLVER_FAILED] = np.nan
+    ds = PhaselessDataset(
+        mode="born-oracle",
+        pgrid=pgrid,
+        energies=energies.energies,
+        energy=np.concatenate([t.energy for t in tables]),
+        transfer=np.concatenate([t.transfer for t in tables]),
+        node_index=np.concatenate([t.node for t in tables]),
+        values=values,
+        flags=flags,
+        backgrounds=BackgroundSet(_CSV_REFS[d].backgrounds[:n_refs]),
+    )
+    base = str(tmp_path_factory.mktemp("csv") / "ds")
+    write_dataset(ds, base)
+    with open(base + ".csv") as fh:
+        assert fh.read() == _per_cell_csv(ds)
+    back = read_dataset(base)
+    for name in ("energy", "transfer", "values", "flags"):
+        assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
+
+    # energy and transfer cells: the writer does not check geometry, so
+    # negative values, -0.0, subnormals and NaN of either sign print too
+    odd_pool = pool + [-x for x in _EDGE_VALUES] + [math.nan, -math.nan]
+    odd = rng.choice(np.array(odd_pool), size=(rows, 1 + d))
+    odd_ds = dataclasses.replace(ds, energy=odd[:, 0], transfer=odd[:, 1:])
+    write_dataset(odd_ds, base)
+    with open(base + ".csv") as fh:
+        assert fh.read() == _per_cell_csv(odd_ds)
+
+
+def _restamp(base, edit):
+    """Rewrite ``base``.csv as ``edit`` of its lines and record the new hash."""
+    with open(base + ".csv") as fh:
+        lines = fh.read().split("\n")
+    text = "\n".join(edit(lines))
+    with open(base + ".csv", "w") as fh:
+        fh.write(text)
+    with open(base + ".json") as fh:
+        header = json.load(fh)
+    header["csv_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+    with open(base + ".json", "w") as fh:
+        json.dump(header, fh)
+
+
+def _move_last_cell(lines):
+    # row 1 loses its flag cell to row 2: the total cell count is unchanged
+    head, _, flag = lines[1].rpartition(",")
+    return [lines[0], head, lines[2] + "," + flag, *lines[3:]]
+
+
+def _set_cells(edits):
+    """An edit that puts ``edits[(row, col)]`` into each named cell."""
+    def edit(lines):
+        rows = [line.split(",") for line in lines]
+        for (row, col), cell in edits.items():
+            rows[row][col] = cell
+        return [",".join(cells) for cells in rows]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_move_last_cell, "dataset CSV rows must have 5 columns"),
+        (_set_cells({(2, -1): "1.5"}), "invalid literal for int() with base 10: '1.5'"),
+        # the first bad cell in row order is the one reported
+        (
+            _set_cells({(3, 1): "abc", (2, 3): "abd"}),
+            "could not convert string to float: 'abd'",
+        ),
+    ],
+    ids=["cell-moved", "fractional-flag", "non-numeric-value"],
+)
+def test_read_dataset_rejects_malformed_rows(tmp_path, off_center_ball, edit, message):
+    ds = synthesize(off_center_ball, None, ENERGIES, PGRID)
+    base = str(tmp_path / "ds")
+    write_dataset(ds, base)
+    _restamp(base, edit)
+    with pytest.raises(ValueError) as info:
+        read_dataset(base)
+    assert str(info.value) == message
+
+
+def test_withheld_target_not_recorded(tmp_path, off_center_ball):
     ds = synthesize(off_center_ball, None, ENERGIES, PGRID)
     base = str(tmp_path / "blind")
     write_dataset(ds, base, withhold_target=True, target=off_center_ball)
@@ -345,3 +484,10 @@ def test_validate_backgrounds_explicit_threshold(two_ball_refs):
     assert strict.zero_fraction == (0.0, 0.0)
     loose = validate_backgrounds(two_ball_refs, pg, eps_zero=1e30)
     assert loose.zero_fraction == (1.0, 1.0)
+
+
+def test_cluster_radii_split_where_steps_exceed_resolution():
+    # steps of exactly the resolution stay in one cluster
+    assert _cluster_radii(np.array([3.0, 1.0, 1.5, 2.0, 0.0]), 0.5) == (0.0, 1.5, 3.0)
+    assert _cluster_radii(np.array([2.0, 1.0]), 0.0) == (1.0, 2.0)
+    assert _cluster_radii(np.array([]), 1.0) == ()
