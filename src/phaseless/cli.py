@@ -6,8 +6,8 @@ the exact config plus content hashes, so a bundle can always be traced
 back to the run that produced it.  Identical configs give byte-identical
 outputs; nothing here consults the clock or the process id.
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 a configured
-acceptance threshold was not met.
+Exit codes: 0 success, 2 config error or bad input file, 3 solver
+failure, 4 a configured acceptance threshold was not met.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .exceptions import (
     DegenerateFitError,
     EnergyShellError,
     GridMismatchError,
+    InputFileError,
     NoDataError,
     OutOfBallError,
     SolverConvergenceError,
@@ -384,14 +385,36 @@ def cmd_ambiguity_demo(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
+def _error_table(path: Path) -> tuple[list[float], list[float]]:
+    """The E and error columns of an ``E,error`` CSV with a header line.
+
+    Raises InputFileError naming the file, and the line, when it cannot
+    be read or a line holds no two numbers.
+    """
+    try:
+        lines = path.read_text().strip().split("\n")[1:]
+    except OSError as exc:
+        raise InputFileError(f"{path}: cannot read error table ({exc.strerror})") from exc
+    energies, errors = [], []
+    for number, line in enumerate(lines, start=2):
+        try:
+            e, x = line.split(",")[:2]
+            energy, error = float(e), float(x)
+        except ValueError as exc:
+            raise InputFileError(
+                f"{path}: line {number} is not an 'E,error' pair of numbers: {line!r}"
+            ) from exc
+        energies.append(energy)
+        errors.append(error)
+    return energies, errors
+
+
 def cmd_bounds(cfg: ExperimentConfig, outdir: Path) -> int:
     bundle = _Bundle("bounds", cfg, outdir)
     if cfg.bounds["errors_csv"] is not None:
         path = Path(cfg.bounds["errors_csv"])
+        energies, errors = _error_table(path)
         bundle.note_input("errors_csv", _sha256_file(path))
-        lines = path.read_text().strip().split("\n")[1:]
-        energies = [float(line.split(",")[0]) for line in lines]
-        errors = [float(line.split(",")[1]) for line in lines]
     else:
         energies, errors = _convergence_errors(cfg)
     rep = bounds_report(
@@ -483,6 +506,9 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except InputFileError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except SolverConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

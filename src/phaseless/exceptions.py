@@ -13,6 +13,10 @@ class ConfigError(PhaselessError):
     """Malformed, unknown-key, or out-of-range experiment configuration."""
 
 
+class InputFileError(PhaselessError, ValueError):
+    """An input file (a dataset, an error table) is missing, unreadable or malformed."""
+
+
 class GridMismatchError(PhaselessError):
     """Field and grid (or spectral/spatial pair) do not belong together."""
 

@@ -14,9 +14,11 @@ it.
 
 The construction is array code over rows: channel_table builds a
 ChannelTable, one row per (energy, transfer) pair, and channels_on_grid
-one table for every probe node inside the ball.  channel is a one-row
-table, so a row of a table equals the single-transfer result bit for
-bit.  A ChannelTable is the package's one channel type.
+one table of every probe node inside the ball, for one energy or for
+several at once.  A row's bits depend only on its own energy and
+transfer: channel is a one-row table, so a row of a table equals the
+single-transfer result bit for bit.  A ChannelTable is the package's one
+channel type.
 
 This module also owns the shell rule: check_shell tests |k|^2 and |l|^2
 of every row against its energy E, and it serves both channel_table and
@@ -164,21 +166,32 @@ def channel(E: float, p, convention: str = "default") -> ChannelTable:
 
 
 def channels_on_grid(
-    E: float, pgrid: GridSpec, convention: str = "default"
+    E, pgrid: GridSpec, convention: str = "default"
 ) -> tuple[ChannelTable, np.ndarray]:
-    """One channel per node of ``pgrid`` inside the ball |p| <= 2*sqrt(E).
+    """One channel per node of ``pgrid`` inside the ball |p| <= 2*sqrt(E), for each energy.
 
-    Returns (table, skipped): the table's ``node`` column holds each
-    row's flat grid index, and ``skipped`` the flat grid indices (intp)
-    of the nodes outside the ball.  Order is row-major over the grid, so
-    a rerun is reproducible index for index.
+    ``E`` is one energy or a sequence of them.  Returns (table, skipped):
+    the table's rows run energy by energy, in the order given, and
+    row-major over the grid within each energy, so a rerun is
+    reproducible index for index; its ``node`` column holds each row's
+    flat grid index.  Every row equals, bit for bit, the row of a call
+    with its energy alone.  ``skipped`` holds the flat grid indices
+    (intp) of the nodes outside every ball, the largest one included.
+    The grid's nodes and their radii are computed once per call.
     """
-    if E <= 0:
+    energies = np.atleast_1d(np.asarray(E, dtype=float))
+    if energies.ndim != 1 or not energies.size:
+        raise ValueError("E must be one energy or a non-empty sequence of energies")
+    if np.any(energies <= 0):
         raise ValueError("energy must be positive")
     nodes = pgrid.nodes()
-    inside = np.sqrt(row_dot(nodes, nodes)) <= 2.0 * np.sqrt(E)
-    table = channel_table(E, nodes[inside], convention, np.flatnonzero(inside))
-    return table, np.flatnonzero(~inside)
+    radii = np.sqrt(row_dot(nodes, nodes))
+    inside = [radii <= 2.0 * np.sqrt(e) for e in energies]
+    index = [np.flatnonzero(m) for m in inside]
+    rows = np.concatenate(index)
+    energy = np.repeat(energies, [len(i) for i in index])
+    table = channel_table(energy, nodes[rows], convention, rows)
+    return table, np.flatnonzero(~np.any(inside, axis=0))
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,16 @@ A dataset stores, per channel, the intensities
 
 where each reference w_j is a known potential supported strictly away
 from the target.  Phases are discarded the moment a value is stored;
-reconstruction has to earn them back.  The channels of one energy come
-as one row-wise table (geometry.channels_on_grid), and a dataset keeps
-only each row's energy, transfer and probe-node index.  Two modes:
-"born-oracle" takes amplitudes from closed-form transforms (the
-infinite-energy limit, exact), one analytic_hat call per (variant,
-energy) on the transfers incident - outgoing; "full-solver" runs the
-integral-equation solver: per energy, one solver.channel_amplitudes call
-answers every channel of every variant, each variant by one direct solve
-or by one iteration batched over channels.
+reconstruction has to earn them back.  The channels of all energies come
+as one row-wise table (geometry.channels_on_grid), energy by energy, and
+a dataset keeps only each row's energy, transfer and probe-node index.
+Two modes: "born-oracle" takes amplitudes from closed-form transforms
+(the infinite-energy limit, exact), one analytic_hat call per scatterer
+component on the distinct transfers incident - outgoing of the whole
+table; "full-solver" runs the integral-equation solver: per energy, one
+solver.channel_amplitudes call answers every channel of every variant,
+each variant by one direct solve or by one iteration batched over
+channels.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import BackgroundValidationError, GridMismatchError
+from .exceptions import BackgroundValidationError, GridMismatchError, InputFileError
 # channel, born_amplitude, scattering_amplitude and
 # solve_lippmann_schwinger are not called here; they stay importable from
 # this module because perfbench/tracing.py wraps them by name.
@@ -231,13 +232,29 @@ def _ensure_disjoint(v: PotentialSpec, refs: BackgroundSet) -> None:
 def _oracle_rows(variants, chans: ChannelTable) -> np.ndarray:
     """Born intensities |v^(k - l)|^2 of every channel, one column per variant.
 
-    Python's abs(z) ** 2 per value: numpy's abs and power can differ
-    from it in the last ulp.
+    The transform depends only on the transfer k - l, so analytic_hat runs
+    once per scatterer component: at each distinct probe node the rows
+    reach, and at the rows whose k - l differs in its bits from their
+    node's coordinates (rounding in the shell construction), which keep
+    their own point.  A variant sums its components from zero in
+    analytic_hat's order, so each value equals analytic_hat's of the
+    variant bit for bit.  Python's abs(z) ** 2 runs once per (point,
+    variant): numpy's abs and power can differ from it in the last ulp.
     """
     p = chans.incident - chans.outgoing
+    _, first, point = np.unique(chans.node, return_index=True, return_inverse=True)
+    own = np.flatnonzero(np.any(p.view(np.uint64) != chans.transfer.view(np.uint64), axis=1))
+    point[own] = len(first) + np.arange(len(own))
+    points = np.concatenate([chans.transfer[first], p[own]])
+    hats: dict = {}
     values = np.empty((len(chans), len(variants)))
     for col, spec in enumerate(variants):
-        values[:, col] = [abs(z) ** 2 for z in analytic_hat(spec, p).tolist()]
+        total = np.zeros(len(points), dtype=np.complex128)
+        for comp in spec.components:
+            if comp not in hats:
+                hats[comp] = analytic_hat(PotentialSpec(spec.dim, (comp,)), points)
+            total += hats[comp]
+        values[:, col] = np.array([abs(z) ** 2 for z in total.tolist()])[point]
     return values
 
 
@@ -276,36 +293,37 @@ def synthesize(
             raise ValueError("full-solver mode needs a spatial grid")
         fields = [rasterize(spec, grid) for spec in variants]
 
-    tables: list[ChannelTable] = []
-    rows: list[np.ndarray] = []
-    flag_list: list[np.ndarray] = []
+    chans, _ = channels_on_grid(energies.energies, pgrid, convention)
+    # the table's rows run energy by energy: rows lo:hi belong to E
+    edges = np.searchsorted(chans.energy, energies.energies + (np.inf,))
+    if mode == "born-oracle":
+        values = _oracle_rows(variants, chans)
+    else:
+        values = np.empty((len(chans), len(variants)))
+    flags = np.full(len(chans), FLAG_OK, dtype=np.uint8)
     notes: dict = {"per_energy": {}}
-    for E in energies:
-        chans, _ = channels_on_grid(E, pgrid, convention)
-        if mode == "born-oracle":
-            values = _oracle_rows(variants, chans)
-            failed, worst = np.zeros(len(chans), dtype=bool), {}
-        else:
+    for E, lo, hi in zip(energies, edges, edges[1:]):
+        worst = {}
+        if mode == "full-solver":
             amps, failed, its, res = channel_amplitudes(
-                fields, E, chans.incident, chans.outgoing, cfg
+                fields, E, chans.incident[lo:hi], chans.outgoing[lo:hi], cfg
             )
-            values, worst = np.abs(amps) ** 2, {"iterations": its, "residual": res}
-        tables.append(chans)
-        rows.append(values)
-        flag_list.append(np.where(failed, FLAG_SOLVER_FAILED, FLAG_OK))
+            values[lo:hi] = np.abs(amps) ** 2
+            flags[lo:hi] = np.where(failed, FLAG_SOLVER_FAILED, FLAG_OK)
+            worst = {"iterations": its, "residual": res}
         notes["per_energy"][repr(float(E))] = {
-            "channels": len(chans), "failed": int(np.sum(failed)), **worst
+            "channels": int(hi - lo), "failed": int(np.count_nonzero(flags[lo:hi])), **worst
         }
 
     return PhaselessDataset(
         mode=mode,
         pgrid=pgrid,
         energies=tuple(energies),
-        energy=np.concatenate([t.energy for t in tables]),
-        transfer=np.concatenate([t.transfer for t in tables]),
-        node_index=np.concatenate([t.node for t in tables]),
-        values=np.vstack(rows),
-        flags=np.concatenate(flag_list),
+        energy=chans.energy,
+        transfer=chans.transfer,
+        node_index=chans.node,
+        values=values,
+        flags=flags,
         backgrounds=refs,
         convention=convention,
         solver_notes=notes,
@@ -545,20 +563,27 @@ def read_dataset(base: str) -> PhaselessDataset:
     The CSV body is split once into a flat list of cells; Python's
     ``float`` parses each distinct value cell once and ``int`` each
     flag, which reads every written value back exactly.  Raises
-    ValueError when the CSV does not match its recorded hash or the
-    header's columns, OutOfBallError (or EnergyShellError) when a row is
-    no on-shell channel of its energy, and GridMismatchError when a
-    transfer is not a probe-grid node.
+    InputFileError (a ValueError) naming the file when a file cannot be
+    read, the header is no dataset header or the CSV does not match its
+    recorded hash, ValueError when
+    the CSV does not match the header's columns, OutOfBallError (or
+    EnergyShellError) when a row is no on-shell channel of its energy,
+    and GridMismatchError when a transfer is not a probe-grid node.
     """
-    with open(base + ".json") as fh:
-        header = json.load(fh)
+    try:
+        with open(base + ".json") as fh:
+            header = json.load(fh)
+        with open(base + ".csv") as fh:
+            csv_text = fh.read()
+    except OSError as exc:
+        raise InputFileError(f"{exc.filename}: cannot read dataset ({exc.strerror})") from exc
+    except json.JSONDecodeError as exc:
+        raise InputFileError(f"{base}.json: invalid JSON ({exc})") from exc
     if header.get("schema") != _DATASET_SCHEMA:
-        raise ValueError(f"unknown dataset schema {header.get('schema')!r}")
-    with open(base + ".csv") as fh:
-        csv_text = fh.read()
+        raise InputFileError(f"{base}.json: unknown dataset schema {header.get('schema')!r}")
     digest = hashlib.sha256(csv_text.encode()).hexdigest()
     if digest != header["csv_sha256"]:
-        raise ValueError("dataset CSV does not match its recorded hash")
+        raise InputFileError(f"dataset CSV {base}.csv does not match its recorded hash")
 
     pgrid = _grid_from_dict(header["pgrid"])
     refs = (

@@ -354,6 +354,57 @@ def test_bounds_consumes_error_table(tmp_path):
     assert "errors_csv" in report["input_sha256"]
 
 
+def _missing_dataset(tmp_path):
+    cfg = write_config(tmp_path, references=REFS)
+    return ["reconstruct", "--config", cfg, str(tmp_path / "nowhere" / "dataset")], "dataset.json"
+
+
+def _edited_dataset(name, edit):
+    """A saved dataset whose file ``name`` is replaced by ``edit`` of its text."""
+    def case(tmp_path):
+        cfg = write_config(tmp_path, references=REFS, probe_grid={"n": 8, "box": 2.0})
+        assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "syn")]) == 0
+        path = tmp_path / "syn" / name
+        path.write_text(edit(path.read_text()))
+        return ["reconstruct", "--config", cfg, str(tmp_path / "syn" / "dataset")], name
+
+    return case
+
+
+def _error_table_row(row):
+    def case(tmp_path):
+        table = tmp_path / "errors.csv"
+        table.write_text(f"E,error\n10.0,0.003\n{row}\n40.0,0.0015\n")
+        cfg = write_config(tmp_path, bounds={"errors_csv": str(table), "sigma": 4.0})
+        return ["bounds", "--config", cfg], "errors.csv"
+
+    return case
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _missing_dataset,
+        _edited_dataset("dataset.csv", lambda text: text.replace("4.0", "4.1", 1)),
+        _edited_dataset("dataset.json", lambda text: text.replace("phaseless-dataset", "other")),
+        _edited_dataset("dataset.json", lambda text: text[:-3]),
+        _error_table_row("20.0"),
+        _error_table_row("20.0,abc"),
+    ],
+    ids=[
+        "missing-dataset", "dataset-hash", "dataset-schema", "dataset-json",
+        "error-column-missing", "error-not-a-number",
+    ],
+)
+def test_bad_input_file_exits_2_naming_it(tmp_path, capsys, case):
+    argv, name = case(tmp_path)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert name in err
+
+
 def test_report_text_keeps_canonical_values_with_flat_lists_on_one_line():
     obj = {
         "mask": {"target_null": list(range(5)), "ref_null": [[], [7, 9]], "fraction": 0.25},

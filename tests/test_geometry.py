@@ -197,6 +197,37 @@ def test_channels_on_grid_rows_complement_skipped_nodes(shape, E):
     assert np.array_equal(skipped, np.flatnonzero(~inside))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 16), (3, 8)]),
+    st.lists(st.floats(0.25, 40.0), min_size=1, max_size=4),
+    st.sampled_from(["default", "mirror"]),
+)
+def test_channels_on_grid_of_several_energies_concatenates_single_calls(shape, energies, convention):
+    dim, n = shape
+    pg = GridSpec(dim, n, (-4.0,) * dim, (4.0,) * dim).dual()
+    table, skipped = channels_on_grid(energies, pg, convention)
+    singles = [channels_on_grid(E, pg, convention) for E in energies]
+    for name in ("energy", "transfer", "transverse", "incident", "outgoing", "node"):
+        want = np.concatenate([getattr(t, name) for t, _ in singles])
+        got = getattr(table, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    # the nodes outside every ball are those outside the largest one
+    assert skipped.dtype == np.intp
+    assert np.array_equal(skipped, singles[int(np.argmax(energies))][1])
+
+
+def test_channels_on_grid_rejects_bad_energies():
+    pg = GridSpec(2, 8, (-4.0, -4.0), (4.0, 4.0)).dual()
+    for E in (0.0, -1.0, [4.0, 0.0]):
+        with pytest.raises(ValueError, match="energy must be positive"):
+            channels_on_grid(E, pg)
+    for E in ([], [[4.0]]):
+        with pytest.raises(ValueError, match="one energy or a non-empty sequence"):
+            channels_on_grid(E, pg)
+
+
 def test_channel_table_rejects_rows_outside_ball():
     with pytest.raises(OutOfBallError):
         channel_table(4.0, [(1.0, 0.0), (4.0 + 1e-6, 0.0)])

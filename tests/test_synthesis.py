@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -53,7 +53,7 @@ def test_born_values_are_squared_transforms(off_center_ball, two_ball_refs):
         for col, spec in enumerate(variants):
             expected = abs(analytic_hat(spec, chans.transfer[row])) ** 2
             assert_allclose(ds.values[row, col], expected, rtol=1e-13, atol=1e-300)
-            # one batched call per (variant, energy) gives each channel's own bits
+            # the table path gives each channel its own bits
             assert ds.values[row, col] == abs(born_amplitude(spec, k, chans.outgoing[row])) ** 2
     assert np.all(ds.flags == FLAG_OK)
 
@@ -252,6 +252,68 @@ def test_dataset_roundtrip(tmp_path, off_center_ball, two_ball_refs):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert back.backgrounds is not None
     assert back.backgrounds.count == 2
+
+
+_ORACLE_GRIDS = {
+    2: GridSpec(2, 12, (-2.0, -2.0), (2.0, 2.0)).dual(),
+    3: GridSpec(3, 8, (-2.0, -2.0, -2.0), (2.0, 2.0, 2.0)).dual(),
+}
+_ORACLE_REFS = {
+    2: (PotentialSpec.ball((-1.2, 0.9), 0.3, 1.0), PotentialSpec.ball((1.1, -1.0), 0.4, 0.5j)),
+    3: (
+        PotentialSpec.ball((-1.1, 0.9, 0.4), 0.3, 1.0),
+        PotentialSpec.ball((1.0, -0.9, -0.5), 0.4, 0.5j),
+    ),
+}
+
+
+def _oracle_target(dim, kind, shift):
+    """A target near the origin: one ball, two balls, or a ball plus a Gaussian."""
+    center = (0.1 + shift,) + (-0.05,) * (dim - 1)
+    target = PotentialSpec.ball(center, 0.2, 1.0 - 0.5j)
+    second = (center[0] - 0.35,) + (0.15,) * (dim - 1)
+    if kind == "two-balls":
+        target = target + PotentialSpec.ball(second, 0.1, 0.7)
+    elif kind == "ball-gaussian":
+        target = target + PotentialSpec.gaussian(second, 0.05, 0.12, 2.0)
+    return target
+
+
+# a fixed case with rows whose k - l differs in its bits from their node
+_OFF_NODE_CASE = (2, 2, "ball-gaussian", "mirror", [4.0, 9.0, 25.0], 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((2, 3)),
+    st.sampled_from((0, 1, 2)),
+    st.sampled_from(("ball", "two-balls", "ball-gaussian")),
+    st.sampled_from(("default", "mirror")),
+    st.lists(st.floats(0.5, 30.0), min_size=1, max_size=3, unique=True),
+    st.floats(-0.1, 0.1),
+)
+@example(*_OFF_NODE_CASE)
+def test_oracle_values_equal_per_energy_transforms(dim, n_refs, kind, convention, energies, shift):
+    target = _oracle_target(dim, kind, shift)
+    refs = BackgroundSet(_ORACLE_REFS[dim][:n_refs]) if n_refs else None
+    pgrid = _ORACLE_GRIDS[dim]
+    ds = synthesize(target, refs, EnergySet(sorted(energies)), pgrid, convention=convention)
+    # the reference: one table per energy, every variant's transform on
+    # every row's incident - outgoing, then Python's abs(z) ** 2
+    variants = [target] + [target + w for w in _ORACLE_REFS[dim][:n_refs]]
+    want, off_node = [], 0
+    for E in sorted(energies):
+        table, _ = channels_on_grid(E, pgrid, convention)
+        p = table.incident - table.outgoing
+        off_node += int(np.sum(np.any(p != table.transfer, axis=1)))
+        hats = [analytic_hat(spec, p).tolist() for spec in variants]
+        want += [[abs(z) ** 2 for z in row] for row in zip(*hats)]
+    want = np.array(want, dtype=float).reshape(-1, len(variants))
+    assert ds.values.shape == want.shape
+    assert ds.values.tobytes() == want.tobytes()
+    if (dim, n_refs, kind, convention, energies, shift) == _OFF_NODE_CASE:
+        assert off_node > 0
+
 
 
 def test_dataset_hash_guards_tampering(tmp_path, off_center_ball):
