@@ -17,7 +17,6 @@ import hashlib
 import json
 import sys
 from dataclasses import replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -75,32 +74,52 @@ def _canonical(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _report_text(obj, indent: str = "") -> str:
+def _report_text(obj, indent: str = "", _ints: dict | None = None) -> str:
     """``obj`` laid out as _canonical lays it out, but a list of scalars on one line.
 
     A reconstruction report's mask index lists hold thousands of
-    integers, one line each under _canonical.
+    integers, one line each under _canonical.  A list of ints alone
+    (no bools) is laid out by ``repr``, which gives json.dumps's bytes
+    for it, and once per list object: the one-reference branches share
+    their mask lists.  Other lists are looked at once per item type.
     """
+    ints = {} if _ints is None else _ints
     inner = indent + "  "
     if isinstance(obj, dict) and obj:
-        items = (f"{inner}{json.dumps(k)}: {_report_text(obj[k], inner)}" for k in sorted(obj))
+        items = (
+            f"{inner}{json.dumps(k)}: {_report_text(obj[k], inner, ints)}" for k in sorted(obj)
+        )
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)) and any(map(isinstance, obj, repeat((dict, list, tuple)))):
-        items = (inner + _report_text(v, inner) for v in obj)
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    if isinstance(obj, (list, tuple)):
+        # every list of obj lives while obj does, so its id is its own
+        if id(obj) in ints:
+            return ints[id(obj)]
+        types = set(map(type, obj))
+        if types == {int}:
+            ints[id(obj)] = text = repr(list(obj))
+            return text
+        if any(issubclass(t, (dict, list, tuple)) for t in types):
+            items = (inner + _report_text(v, inner, ints) for v in obj)
+            return "[\n" + ",\n".join(items) + "\n" + indent + "]"
     return json.dumps(obj)
 
 
-_PLAIN = (int, str, bool, type(None))
+_PLAIN = frozenset((int, str, bool, type(None)))
 
 
 def _json_safe(obj):
-    """Numpy scalars to python, non-finite floats to strings."""
+    """Numpy scalars to python, non-finite floats to strings.
+
+    A list or tuple whose items are all of a plain type (int, str,
+    bool, None) is returned as a list without visiting its items.
+    """
     if type(obj) in _PLAIN:
         return obj
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if _PLAIN.issuperset(map(type, obj)):
+            return obj if type(obj) is list else list(obj)
         return [_json_safe(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
@@ -280,6 +299,8 @@ def cmd_reconstruct(cfg: ExperimentConfig, outdir: Path, dataset: str | None) ->
     options = cfg.reconstruction_options()
     out = reconstruct(ds, cfg.references, options)
     branches = out if isinstance(out, tuple) else (out,)
+    # the branches of one reconstruction share its mask
+    mask = _mask_index_lists(branches[0].mask)
     results: dict = {"branches": []}
     for res in branches:
         tag = {"two-reference": "", "one-reference-plus": "_plus", "one-reference-minus": "_minus"}[
@@ -294,7 +315,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, outdir: Path, dataset: str | None) ->
                 "branch": res.branch,
                 "spectrum_file": spec_base.name,
                 "potential_file": pot_base.name,
-                "mask": _mask_index_lists(res.mask),
+                "mask": mask,
                 "diagnostics": res.diagnostics,
             }
         )

@@ -27,6 +27,11 @@ def _canonical_json(obj) -> str:
 
 
 def write_field(field: Field, base: Union[str, Path]) -> tuple[Path, Path]:
+    """Write ``<base>.bin`` and ``<base>.json``; returns their paths.
+
+    The values go out as the field's own little-endian complex128
+    buffer, which is the interleaved (re, im) <f8 layout, without a copy.
+    """
     base = Path(base)
     base.parent.mkdir(parents=True, exist_ok=True)
     bin_path = base.with_suffix(".bin")
@@ -44,20 +49,18 @@ def write_field(field: Field, base: Union[str, Path]) -> tuple[Path, Path]:
         meta["spatial_box_min"] = list(field.spatial_grid.box_min)
         meta["spatial_box_max"] = list(field.spatial_grid.box_max)
 
-    flat = np.ascontiguousarray(field.values, dtype=np.complex128).reshape(-1)
-    raw = np.empty(2 * flat.size, dtype="<f8")
-    raw[0::2] = flat.real
-    raw[1::2] = flat.imag
-    bin_path.write_bytes(raw.tobytes())
+    # little-endian complex128 is the interleaved (re, im) <f8 layout itself
+    bin_path.write_bytes(np.ascontiguousarray(field.values, dtype="<c16").reshape(-1).data)
     json_path.write_text(_canonical_json(meta))
     return bin_path, json_path
 
 
 def read_field(base: Union[str, Path]) -> Field:
+    """The field write_field wrote at ``base``, every value's bits restored."""
     base = Path(base)
     meta = json.loads(base.with_suffix(".json").read_text())
-    raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<f8")
-    values = (raw[0::2] + 1j * raw[1::2]).reshape((meta["n"],) * meta["dim"])
+    raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<c16")
+    values = raw.reshape((meta["n"],) * meta["dim"])
     grid = GridSpec(meta["dim"], meta["n"], tuple(meta["box_min"]), tuple(meta["box_max"]))
     if meta["kind"] == "spectral":
         spatial = GridSpec(

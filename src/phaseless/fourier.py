@@ -18,7 +18,7 @@ import numpy as np
 from .exceptions import GridMismatchError
 from .grids import GridSpec, ScalarField, SpectralField
 
-__all__ = ["forward_transform", "inverse_transform"]
+__all__ = ["forward_transform", "inverse_phase", "inverse_transform"]
 
 
 def _phase_grid(freq: GridSpec, x0: tuple[float, ...]) -> np.ndarray:
@@ -43,15 +43,24 @@ def forward_transform(f: ScalarField) -> SpectralField:
     return SpectralField(freq, values, grid)
 
 
-def inverse_transform(s: SpectralField, grid: GridSpec | None = None) -> ScalarField:
+def inverse_phase(grid: GridSpec) -> np.ndarray:
+    """exp(-i p . x0) over ``grid``'s dual, x0 its box corner: the inverse's phase factor."""
+    return np.conj(_phase_grid(grid.dual(), grid.box_min))
+
+
+def inverse_transform(
+    s: SpectralField, grid: GridSpec | None = None, phase: np.ndarray | None = None
+) -> ScalarField:
     """Rectangle-rule inverse onto the originating spatial grid.
 
     ``grid`` defaults to the spatial grid recorded on the spectrum; if
-    given, it must have the same dual.
+    given, it must have the same dual.  ``phase`` is inverse_phase of
+    that grid, computed here unless a caller inverting several spectra
+    onto one grid passes it.
     """
     target = grid if grid is not None else s.spatial_grid
     if target.dual().key() != s.grid.key():
         raise GridMismatchError("spectral grid is not the dual of the target grid")
-    phased = s.values * np.conj(_phase_grid(s.grid, target.box_min))
+    phased = s.values * (phase if phase is not None else inverse_phase(target))
     values = s.grid.cell_volume * np.fft.fftn(np.fft.ifftshift(phased))
     return ScalarField(target, values)

@@ -1,6 +1,6 @@
 """Inversion of phaseless data: moduli, phases, masking, and synthesis.
 
-Every step is array code over the whole probe grid:
+Every step is array code, none loops over nodes in Python:
 
   1. one pass over the unflagged rows, sorted by (node, energy),
      estimates |target transform|^2 at each node from its highest
@@ -10,13 +10,17 @@ Every step is array code over the whole probe grid:
   3. nodes where that algebra is singular are masked: vanishing
      moduli, a degenerate reference pair (the rule of
      BackgroundSet.singular_nodes), failed solves, no data,
-  4. masked nodes are inpainted from their neighbors, and the result
-     is band-limited with a smooth taper and transformed back to real
+  4. each masked node inside the ball is inpainted from its good
+     neighbors, gathered for those nodes alone, and the result is
+     band-limited with a smooth taper and transformed back to real
      space.
 
 With two references the phase is unique; with one reference the law of
 cosines leaves two candidates per node, and the pipeline returns both
-globally coherent branches.
+globally coherent branches.  The branches share one mask, and step 4
+computes what does not depend on the phases (amplitudes, fill nodes,
+taper window, support crop, the inverse transform's phase factor) once
+for all of them.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .exceptions import (
     NoDataError,
     SingularNodeError,
 )
-from .fourier import inverse_transform
+from .fourier import inverse_phase, inverse_transform
 from .grids import GridSpec, ScalarField, SpectralField
 from .potentials import PotentialSpec, analytic_hat
 from .synthesis import FLAG_OK, BackgroundSet, PhaselessDataset
@@ -312,22 +316,25 @@ def _inpaint(values: np.ndarray, good: np.ndarray, fill: np.ndarray, shape) -> n
     """Average each node of ``fill`` from its good neighbors; zero if isolated.
 
     Single pass: only originally good nodes feed the averages.  The
-    neighbors are summed over the 3^d shifted windows of the zero-padded
-    grid, in ``np.ndindex`` order.
+    3^d - 1 neighbors of the fill nodes alone are gathered from the flat
+    zero-padded grid and summed from zero in ``np.ndindex`` order, so
+    the work scales with the fill nodes, not the grid.
     """
-    good_grid = np.pad(good.reshape(shape), 1)
-    val_grid = np.pad(np.where(good, values, 0.0).reshape(shape), 1)
-    acc = np.zeros(shape, dtype=complex)
-    count = np.zeros(shape)
+    padded = tuple(s + 2 for s in shape)
+    good_flat = np.pad(good.reshape(shape), 1).reshape(-1)
+    val_flat = np.pad(np.where(good, values, 0.0).reshape(shape), 1).reshape(-1)
+    at = np.flatnonzero(np.pad(fill.reshape(shape), 1))
+    centre = np.ravel_multi_index((1,) * len(shape), padded)
+    acc = np.zeros(at.size, dtype=complex)
+    count = np.zeros(at.size)
     for offset in np.ndindex(*(3,) * len(shape)):
         if all(o == 1 for o in offset):
             continue
-        window = tuple(slice(o, o + s) for o, s in zip(offset, shape))
-        acc += val_grid[window]
-        count += good_grid[window]
-    avg = np.divide(acc, count, out=np.zeros(shape, dtype=complex), where=count > 0)
+        near = at + (np.ravel_multi_index(offset, padded) - centre)
+        acc += val_flat[near]
+        count += good_flat[near]
     out = values.copy()
-    out[fill] = avg.reshape(-1)[fill]
+    out[fill] = np.divide(acc, count, out=np.zeros(at.size, dtype=complex), where=count > 0)
     return out
 
 
@@ -375,7 +382,8 @@ def reconstruct(
     """Run the full inversion pipeline on a phaseless dataset.
 
     Returns one ReconstructionResult for two references, or a
-    (plus, minus) tuple for one reference.  Raises DegenerateDataError
+    (plus, minus) tuple for one reference, whose results carry the same
+    SingularMask object.  Raises DegenerateDataError
     when more than ``options.mask_fraction_limit`` of reachable nodes
     are masked, which is the signature of a degenerate reference pair
     (for instance two references related by a pure shift).
@@ -436,15 +444,13 @@ def reconstruct(
         phases[usable], deviations[usable] = recover_phase_two_refs(
             m[:, 0], m[:, 1], m[:, 2], hats[0][usable], hats[1][usable], ez, ep, er
         )
-        result = _assemble(
-            ds, moduli, phases, usable, mask, spatial, p_cut, opts,
-            branch="two-reference",
-            diagnostics={
-                **diag_common,
-                "max_phase_residual": float(np.nanmax(deviations)) if usable.any() else None,
-                "mean_phase_residual": float(np.nanmean(deviations)) if usable.any() else None,
-            },
-        )
+        diag = {
+            **diag_common,
+            "max_phase_residual": float(np.nanmax(deviations)) if usable.any() else None,
+            "mean_phase_residual": float(np.nanmean(deviations)) if usable.any() else None,
+        }
+        (result,) = _assemble(ds, nodes, moduli, usable, mask, spatial, p_cut, opts, diag,
+                              {"two-reference": phases})
         return result
 
     # Single reference: carry both branches to the end.
@@ -458,55 +464,52 @@ def reconstruct(
         **diag_common,
         "max_cosine_clamp": float(np.nanmax(clamps)) if usable.any() else None,
     }
-    return (
-        _assemble(ds, moduli, plus, usable, mask, spatial, p_cut, opts,
-                  branch="one-reference-plus", diagnostics=diag),
-        _assemble(ds, moduli, minus, usable, mask, spatial, p_cut, opts,
-                  branch="one-reference-minus", diagnostics=diag),
-    )
+    return _assemble(ds, nodes, moduli, usable, mask, spatial, p_cut, opts, diag,
+                     {"one-reference-plus": plus, "one-reference-minus": minus})
 
 
-def _assemble(ds, moduli, phases, usable, mask, spatial, p_cut, opts, branch, diagnostics):
+def _assemble(ds, nodes, moduli, usable, mask, spatial, p_cut, opts, diagnostics, branches):
+    """One ReconstructionResult per entry of ``branches``, a {name: unit phases} dict.
+
+    What the branches share is computed once: the target amplitudes,
+    the fill nodes, the taper window, the declared-support crop and
+    the inverse transform's phase factor.  Each branch then inpaints,
+    band-limits and inverts its own spectrum.
+    """
     pgrid = ds.pgrid
-    nodes = pgrid.nodes()
     amp0 = np.sqrt(np.where(np.isnan(moduli[:, 0]), 0.0, np.maximum(moduli[:, 0], 0.0)))
-    raw = np.where(usable, amp0 * phases, 0.0 + 0.0j)
-
     fill = mask.any_flag & ~mask.out_of_ball
-    filled = _inpaint(raw, usable, fill, pgrid.shape)
-
-    spectrum = SpectralField(pgrid, filled.reshape(pgrid.shape), spatial)
-
-    pnorm = np.linalg.norm(nodes, axis=1)
-    window = _taper_window(pnorm, p_cut, opts.taper_fraction)
-    banded = SpectralField(pgrid, (filled * window).reshape(pgrid.shape), spatial)
-    potential = inverse_transform(banded, spatial)
-
-    values = potential.values
-    support_mask = None
+    window = _taper_window(np.linalg.norm(nodes, axis=1), p_cut, opts.taper_fraction)
+    phase = inverse_phase(spatial)
+    keep = None
     if opts.declared_support is not None:
         mesh = spatial.meshgrid()
         keep = np.zeros(spatial.shape, dtype=bool)
         for center, radius in opts.declared_support.support_balls():
             r2 = sum((mesh[a] - center[a]) ** 2 for a in range(spatial.dim))
             keep |= r2 <= radius * radius
-        values = np.where(keep, values, 0.0)
-        support_mask = keep
-        potential = ScalarField(spatial, values, support_mask)
 
-    re_norm = float(np.linalg.norm(values.real))
-    im_norm = float(np.linalg.norm(values.imag))
-    diagnostics = dict(diagnostics)
-    diagnostics["imag_to_real_ratio"] = im_norm / re_norm if re_norm > 0 else np.inf
-    if opts.declared_real and re_norm > 0 and im_norm > 0.05 * re_norm:
-        diagnostics["realness_warning"] = (
-            f"imaginary residue {im_norm / re_norm:.3g} exceeds 5% of the real part"
-        )
+    results = []
+    for branch, phases in branches.items():
+        raw = np.where(usable, amp0 * phases, 0.0 + 0.0j)
+        filled = _inpaint(raw, usable, fill, pgrid.shape)
+        spectrum = SpectralField(pgrid, filled.reshape(pgrid.shape), spatial)
+        banded = SpectralField(pgrid, (filled * window).reshape(pgrid.shape), spatial)
+        potential = inverse_transform(banded, spatial, phase)
+        values = potential.values
+        if keep is not None:
+            values = np.where(keep, values, 0.0)
+            potential = ScalarField(spatial, values, keep)
 
-    return ReconstructionResult(
-        spectrum=spectrum,
-        mask=mask,
-        potential=potential,
-        branch=branch,
-        diagnostics=diagnostics,
-    )
+        re_norm = float(np.linalg.norm(values.real))
+        im_norm = float(np.linalg.norm(values.imag))
+        diag = dict(diagnostics)
+        diag["imag_to_real_ratio"] = im_norm / re_norm if re_norm > 0 else np.inf
+        if opts.declared_real and re_norm > 0 and im_norm > 0.05 * re_norm:
+            diag["realness_warning"] = (
+                f"imaginary residue {im_norm / re_norm:.3g} exceeds 5% of the real part"
+            )
+        results.append(ReconstructionResult(
+            spectrum=spectrum, mask=mask, potential=potential, branch=branch, diagnostics=diag,
+        ))
+    return tuple(results)

@@ -25,6 +25,7 @@ import hashlib
 import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -557,6 +558,21 @@ def _grid_from_dict(d: dict) -> GridSpec:
     return GridSpec(int(d["dim"]), int(d["n"]), tuple(d["box_min"]), tuple(d["box_max"]))
 
 
+def _flags(cells: list[str], base: str) -> np.ndarray:
+    """The flag column's cells as uint8; InputFileError names the first that is none."""
+    try:
+        return np.array(list(map(int, cells)), dtype=np.uint8)
+    except (ValueError, OverflowError):
+        pass
+    for row, cell in enumerate(cells):
+        try:
+            if 0 <= int(cell) <= 255:
+                continue
+        except ValueError:
+            pass
+        raise InputFileError(f"{base}.csv: line {row + 2}: flag {cell!r} is not an integer 0-255")
+
+
 def read_dataset(base: str) -> PhaselessDataset:
     """Rebuild a dataset written by write_dataset.
 
@@ -565,10 +581,11 @@ def read_dataset(base: str) -> PhaselessDataset:
     flag, which reads every written value back exactly.  Raises
     InputFileError (a ValueError) naming the file when a file cannot be
     read, the header is no dataset header or the CSV does not match its
-    recorded hash, ValueError when
-    the CSV does not match the header's columns, OutOfBallError (or
-    EnergyShellError) when a row is no on-shell channel of its energy,
-    and GridMismatchError when a transfer is not a probe-grid node.
+    recorded hash, and naming the file and line when a CSV row has not
+    the header's number of cells, a value that is no number or a flag
+    that is no integer 0-255; OutOfBallError (or EnergyShellError) when
+    a row is no on-shell channel of its energy, and GridMismatchError
+    when a transfer is not a probe-grid node.
     """
     try:
         with open(base + ".json") as fh:
@@ -596,15 +613,26 @@ def read_dataset(base: str) -> PhaselessDataset:
     n_refs = int(header["n_refs"])
     width = 3 + d + n_refs
     lines = csv_text.strip().split("\n")[1:]
-    if any(line.count(",") != width - 1 for line in lines):
-        raise ValueError(f"dataset CSV rows must have {width} columns")
+    if set(map(str.count, lines, repeat(","))) - {width - 1}:
+        number, line = next(
+            (n, line) for n, line in enumerate(lines, start=2) if line.count(",") != width - 1
+        )
+        raise InputFileError(
+            f"{base}.csv: line {number} has {line.count(',') + 1} cells, not {width}"
+        )
     cells = ",".join(lines).split(",") if lines else []
     del lines
     flag_cells = cells[width - 1 :: width]
     del cells[width - 1 :: width]
     # each distinct cell parsed once, in order of first appearance, so the
-    # first bad cell of the body is the one float() reports
-    parsed = {cell: float(cell) for cell in dict.fromkeys(cells)}
+    # first bad cell of the body is the one reported
+    parsed = {}
+    for cell in dict.fromkeys(cells):
+        try:
+            parsed[cell] = float(cell)
+        except ValueError:
+            line = cells.index(cell) // (width - 1) + 2
+            raise InputFileError(f"{base}.csv: line {line}: {cell!r} is not a number") from None
     numbers = np.fromiter(map(parsed.__getitem__, cells), dtype=float, count=len(cells))
     numbers = numbers.reshape(-1, width - 1)
     energy, transfer = numbers[:, 0], numbers[:, 1 : 1 + d]
@@ -618,7 +646,7 @@ def read_dataset(base: str) -> PhaselessDataset:
         transfer=transfer,
         node_index=pgrid.flat_index(transfer),
         values=numbers[:, 1 + d :],
-        flags=np.array([int(x) for x in flag_cells], dtype=np.uint8),
+        flags=_flags(flag_cells, base),
         backgrounds=refs,
         convention=convention,
         solver_notes=header.get("solver_notes", {}),

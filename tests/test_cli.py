@@ -1,16 +1,21 @@
 import csv
+import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import phaseless
-from phaseless.cli import _canonical, _report_text, main
+from phaseless.cli import _canonical, _json_safe, _report_text, main
 from phaseless.fieldio import read_field
 from phaseless.grids import GridSpec
 from phaseless.potentials import PotentialSpec, rasterize
@@ -278,9 +283,14 @@ def test_reconstruct_writes_both_one_ref_branches(tmp_path):
     for tag in ("_plus", "_minus"):
         assert (out / f"recon_spectrum{tag}.bin").exists()
         assert (out / f"recon_potential{tag}.json").exists()
-    report = json.loads((out / "reconstruct_report.json").read_text())
+    text = (out / "reconstruct_report.json").read_text()
+    report = json.loads(text)
     branches = [b["branch"] for b in report["results"]["branches"]]
     assert branches == ["one-reference-plus", "one-reference-minus"]
+    # the branches share one mask, and the report writes it twice, alike
+    blocks = re.findall(r'\n {8}"mask": (\{\n.*?\n {8}\})', text, re.S)
+    assert len(blocks) == 2 and blocks[0] == blocks[1]
+    assert json.loads(blocks[0]) == report["results"]["branches"][1]["mask"]
 
 
 def test_reconstruct_consumes_saved_dataset(tmp_path):
@@ -371,6 +381,35 @@ def _edited_dataset(name, edit):
     return case
 
 
+def _malformed_csv(edit):
+    """A saved dataset whose CSV lines are replaced by ``edit`` of them, hash re-stamped."""
+    def case(tmp_path):
+        argv, _ = _edited_dataset("dataset.csv", lambda text: text)(tmp_path)
+        csv_path, json_path = tmp_path / "syn" / "dataset.csv", tmp_path / "syn" / "dataset.json"
+        text = "\n".join(edit(csv_path.read_text().split("\n")))
+        csv_path.write_text(text)
+        header = json.loads(json_path.read_text())
+        header["csv_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+        json_path.write_text(json.dumps(header))
+        return argv, "dataset.csv"
+
+    return case
+
+
+def _cell_moved(lines):
+    head, _, flag = lines[1].rpartition(",")
+    return [lines[0], head, lines[2] + "," + flag, *lines[3:]]
+
+
+def _set_cell(row, col, cell):
+    def edit(lines):
+        cells = lines[row].split(",")
+        cells[col] = cell
+        return [*lines[:row], ",".join(cells), *lines[row + 1 :]]
+
+    return edit
+
+
 def _error_table_row(row):
     def case(tmp_path):
         table = tmp_path / "errors.csv"
@@ -390,10 +429,14 @@ def _error_table_row(row):
         _edited_dataset("dataset.json", lambda text: text[:-3]),
         _error_table_row("20.0"),
         _error_table_row("20.0,abc"),
+        _malformed_csv(_cell_moved),
+        _malformed_csv(_set_cell(2, -1, "1.5")),
+        _malformed_csv(_set_cell(3, 1, "abc")),
     ],
     ids=[
         "missing-dataset", "dataset-hash", "dataset-schema", "dataset-json",
         "error-column-missing", "error-not-a-number",
+        "csv-cell-moved", "csv-fractional-flag", "csv-non-numeric-value",
     ],
 )
 def test_bad_input_file_exits_2_naming_it(tmp_path, capsys, case):
@@ -403,6 +446,88 @@ def test_bad_input_file_exits_2_naming_it(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert name in err
+
+
+def _recursive_report_text(obj, indent=""):
+    """_report_text as it was before its flat-list fast path: the reference."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = (
+            f"{inner}{json.dumps(k)}: {_recursive_report_text(obj[k], inner)}" for k in sorted(obj)
+        )
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in obj):
+        items = (inner + _recursive_report_text(v, inner) for v in obj)
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
+def _recursive_json_safe(obj):
+    """_json_safe as it was before its plain-list fast path: the reference."""
+    if type(obj) in (int, str, bool, type(None)):
+        return obj
+    if isinstance(obj, dict):
+        return {k: _recursive_json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_recursive_json_safe(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        x = float(obj)
+        if np.isnan(x):
+            return "nan"
+        if np.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return x
+    if isinstance(obj, np.ndarray):
+        return _recursive_json_safe(obj.tolist())
+    if isinstance(obj, complex):
+        return [_recursive_json_safe(obj.real), _recursive_json_safe(obj.imag)]
+    return obj
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324]
+)
+_SCALARS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    _FLOATS,
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.uint8, st.integers(0, 255)),
+    st.builds(np.float64, _FLOATS),
+    st.builds(np.float32, st.floats(width=32)),
+    st.builds(complex, _FLOATS, _FLOATS),
+    hnp.arrays(
+        st.sampled_from([np.int64, np.float64, np.bool_, np.complex128]),
+        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+    ),
+    # int lists, with bools among the ints in some
+    st.lists(st.integers(-5, 10**6) | st.booleans(), max_size=6),
+    st.lists(st.integers(-5, 10**6), max_size=6),
+)
+_REPORTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+_SHARED = [3, 1, 4]
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=_REPORTS)
+# one list object met more than once, as the one-reference mask lists are
+@example(obj={"plus": {"mask": _SHARED}, "minus": {"mask": _SHARED}, "t": (_SHARED, [_SHARED])})
+def test_report_text_equals_the_recursive_writer(obj):
+    assert _report_text(_json_safe(obj)) == _recursive_report_text(_recursive_json_safe(obj))
 
 
 def test_report_text_keeps_canonical_values_with_flat_lists_on_one_line():

@@ -43,3 +43,24 @@ def test_spectral_roundtrip_preserves_inversion(tmp_path, box_grid, off_center_b
 def test_read_rejects_missing_sidecar(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_field(tmp_path / "nothing")
+
+
+@pytest.mark.parametrize("dim, n", [(2, 10), (3, 8)])
+def test_bin_is_interleaved_f8_and_reads_back_bit_for_bit(tmp_path, rng, dim, n):
+    grid = GridSpec(dim, n, (-1.5,) * dim, (1.5,) * dim)
+    values = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)).ravel()
+    # signed zeros and subnormals in both parts
+    values[:4] = [
+        complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(5e-324, -5e-324),
+    ]
+    values = values.reshape(grid.shape)
+    for field in (ScalarField(grid, values), SpectralField(grid.dual(), values, grid)):
+        base = tmp_path / f"{type(field).__name__}{dim}"
+        bin_path, _ = write_field(field, base)
+        raw = np.empty(2 * values.size, dtype="<f8")
+        raw[0::2] = values.real.ravel()
+        raw[1::2] = values.imag.ravel()
+        assert bin_path.read_bytes() == raw.tobytes()
+        back = read_field(base)
+        assert type(back) is type(field) and back.grid.key() == field.grid.key()
+        assert back.values.tobytes() == field.values.tobytes()

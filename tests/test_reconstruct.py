@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -253,6 +253,51 @@ def test_inpaint_averages_good_neighbors():
     assert counts == [26, 11]
 
 
+def _whole_grid_inpaint(values, good, fill, shape):
+    """_inpaint as 3^d - 1 shifted-window sums over the whole zero-padded grid."""
+    good_grid = np.pad(good.reshape(shape), 1)
+    val_grid = np.pad(np.where(good, values, 0.0).reshape(shape), 1)
+    acc = np.zeros(shape, dtype=complex)
+    count = np.zeros(shape)
+    for offset in np.ndindex(*(3,) * len(shape)):
+        if all(o == 1 for o in offset):
+            continue
+        window = tuple(slice(o, o + s) for o, s in zip(offset, shape))
+        acc += val_grid[window]
+        count += good_grid[window]
+    avg = np.divide(acc, count, out=np.zeros(shape, dtype=complex), where=count > 0)
+    out = values.copy()
+    out[fill] = avg.reshape(-1)[fill]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    ),
+    p_good=st.sampled_from([0.0, 0.05, 0.5, 0.9, 1.0]),
+    p_fill=st.sampled_from([0.0, 0.3, 1.0]),
+    p_zero=st.sampled_from([0.0, 0.2, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# seed 4: the fill node (1, 1) has eight good neighbors, all -0.0
+@example(shape=(5, 5), p_good=0.9, p_fill=1.0, p_zero=1.0, seed=4)
+def test_inpaint_equals_whole_grid_windows(shape, p_good, p_fill, p_zero, seed):
+    # fill nodes on the border, with no good neighbor, and an empty fill
+    # all occur; -0.0 values check that the sums start from +0.0
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(shape))
+    scale = 10.0 ** rng.integers(-3, 4, size)
+    values = rng.standard_normal(size) * scale + 1j * rng.standard_normal(size)
+    values[rng.random(size) < p_zero] = complex(-0.0, -0.0)
+    good = rng.random(size) < p_good
+    fill = ~good & (rng.random(size) < p_fill)
+    got = _inpaint(values, good, fill, shape)
+    assert got.tobytes() == _whole_grid_inpaint(values, good, fill, shape).tobytes()
+
+
 def test_failed_solves_count_toward_mask(box_grid, off_center_ball, two_ball_refs):
     pg = box_grid.dual()
     ds = synthesize(off_center_ball, two_ball_refs, EnergySet((25.0,)), pg)
@@ -306,6 +351,7 @@ def test_end_to_end_one_ref_branches(box_grid, off_center_ball):
     plus, minus = reconstruct(ds, options=ReconstructionOptions(spatial_grid=box_grid))
     assert plus.branch == "one-reference-plus"
     assert minus.branch == "one-reference-minus"
+    assert plus.mask is minus.mask
     usable = ~plus.mask.any_flag
     truth = analytic_hat(off_center_ball, pg.nodes())
     ep = np.abs(plus.spectrum.values.ravel() - truth)

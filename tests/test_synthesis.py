@@ -13,6 +13,7 @@ from phaseless import solver
 from phaseless.exceptions import (
     BackgroundValidationError,
     GridMismatchError,
+    InputFileError,
     OutOfBallError,
     SolverConvergenceError,
 )
@@ -466,24 +467,25 @@ def _set_cells(edits):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_move_last_cell, "dataset CSV rows must have 5 columns"),
-        (_set_cells({(2, -1): "1.5"}), "invalid literal for int() with base 10: '1.5'"),
+        (_move_last_cell, "{base}.csv: line 2 has 4 cells, not 5"),
+        (_set_cells({(2, -1): "1.5"}), "{base}.csv: line 3: flag '1.5' is not an integer 0-255"),
+        (_set_cells({(4, -1): "256"}), "{base}.csv: line 5: flag '256' is not an integer 0-255"),
         # the first bad cell in row order is the one reported
         (
-            _set_cells({(3, 1): "abc", (2, 3): "abd"}),
-            "could not convert string to float: 'abd'",
+            _set_cells({(9, 1): "abc", (8, 2): "abd"}),
+            "{base}.csv: line 9: 'abd' is not a number",
         ),
     ],
-    ids=["cell-moved", "fractional-flag", "non-numeric-value"],
+    ids=["cell-moved", "fractional-flag", "flag-out-of-range", "non-numeric-value"],
 )
 def test_read_dataset_rejects_malformed_rows(tmp_path, off_center_ball, edit, message):
     ds = synthesize(off_center_ball, None, ENERGIES, PGRID)
     base = str(tmp_path / "ds")
     write_dataset(ds, base)
     _restamp(base, edit)
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(InputFileError) as info:
         read_dataset(base)
-    assert str(info.value) == message
+    assert str(info.value) == message.format(base=base)
 
 
 def test_withheld_target_not_recorded(tmp_path, off_center_ball):
