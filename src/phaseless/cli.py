@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -293,12 +292,14 @@ def cmd_reconstruct(cfg: ExperimentConfig, outdir: Path, dataset: str | None) ->
         raise ConfigError("reconstruct needs reference scatterers in the config")
     if dataset is not None:
         ds = read_dataset(dataset)
+        # reconstruct reads the references from the dataset; the config
+        # describes the same experiment, so they must agree
+        if ds.backgrounds != cfg.references:
+            raise InputFileError(f"{dataset}.json: references differ from the config's")
         bundle.note_input("dataset_csv", _sha256_file(Path(dataset + ".csv")))
     else:
         ds = _synthesize(cfg, cfg.references)
-    options = cfg.reconstruction_options()
-    out = reconstruct(ds, cfg.references, options)
-    branches = out if isinstance(out, tuple) else (out,)
+    branches = reconstruct(ds, cfg.reconstruction_options())
     # the branches of one reconstruction share its mask
     mask = _mask_index_lists(branches[0].mask)
     results: dict = {"branches": []}
@@ -484,12 +485,6 @@ def _parse(argv):
         p.add_argument("--config", required=True, help="experiment JSON path")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--workers", type=int, default=1, help="retired and ignored")
-        p.add_argument(
-            "--mode",
-            choices=("born", "full"),
-            default=None,
-            help="override the config's synthesis mode",
-        )
         if name == "reconstruct":
             p.add_argument(
                 "dataset",
@@ -506,8 +501,6 @@ def main(argv=None) -> int:
         print(f"warning: --workers is retired; ignoring --workers {args.workers}", file=sys.stderr)
     try:
         cfg = load_config(args.config)
-        if args.mode is not None:
-            cfg = replace(cfg, mode={"born": "born-oracle", "full": "full-solver"}[args.mode])
         out = args.out or cfg.output
         if out is None:
             raise ConfigError("no output directory: set config.output or pass --out")

@@ -129,17 +129,13 @@ class GridSpec:
         hi = tuple(l + self.n * d for l, d in zip(lo, dp))
         return GridSpec(self.dim, self.n, lo, hi)
 
-    def contains_ball(self, center, radius: float, strict: bool = True) -> bool:
+    def contains_ball(self, center, radius: float) -> bool:
+        """Whether the ball lies strictly inside the box: touching a face is outside."""
         c = np.asarray(center, dtype=float)
-        for a in range(self.dim):
-            lo, hi = self.box_min[a], self.box_max[a]
-            if strict:
-                if not (c[a] - radius > lo and c[a] + radius < hi):
-                    return False
-            else:
-                if not (c[a] - radius >= lo and c[a] + radius <= hi):
-                    return False
-        return True
+        return all(
+            c[a] - radius > lo and c[a] + radius < hi
+            for a, (lo, hi) in enumerate(zip(self.box_min, self.box_max))
+        )
 
     def key(self) -> tuple:
         return (self.dim, self.n, self.box_min, self.box_max)

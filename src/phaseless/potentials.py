@@ -144,7 +144,7 @@ def rasterize(spec: PotentialSpec, grid: GridSpec) -> ScalarField:
     if spec.dim != grid.dim:
         raise ValueError("potential and grid dimension mismatch")
     for center, radius in spec.support_balls():
-        if not grid.contains_ball(center, radius, strict=True):
+        if not grid.contains_ball(center, radius):
             raise SupportOutsideBoxError(
                 f"support ball (center {tuple(center)}, radius {radius}) "
                 f"is not strictly inside the grid box"

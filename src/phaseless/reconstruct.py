@@ -1,26 +1,31 @@
 """Inversion of phaseless data: moduli, phases, masking, and synthesis.
 
-Every step is array code, none loops over nodes in Python:
+``reconstruct(ds, options)`` takes the references from the dataset,
+``ds.backgrounds``, and returns a tuple of results.  Each step is one
+array call, none loops over nodes in Python:
 
-  1. one pass over the unflagged rows, sorted by (node, energy),
-     estimates |target transform|^2 at each node from its highest
-     energies (intensities converge to that limit as energy grows),
-  2. the phase of every usable node follows in closed form from the
-     interference with one or two known reference scatterers,
-  3. nodes where that algebra is singular are masked: vanishing
-     moduli, a degenerate reference pair (the rule of
+  1. recover_modulus_sq: one pass over the unflagged rows, sorted by
+     (node, energy), estimates every column's |transform|^2 at every
+     node from its highest energies (intensities converge to that
+     limit as energy grows),
+  2. build_mask: nodes where the phase algebra is singular are masked:
+     vanishing moduli, a degenerate reference pair (the rule of
      BackgroundSet.singular_nodes), failed solves, no data,
+  3. recover_phase_two_refs / recover_phase_one_ref give the phase of
+     every unmasked node in closed form from the interference with the
+     known references; they apply the mask's rule, so an unmasked node
+     never raises,
   4. each masked node inside the ball is inpainted from its good
      neighbors, gathered for those nodes alone, and the result is
      band-limited with a smooth taper and transformed back to real
      space.
 
-With two references the phase is unique; with one reference the law of
-cosines leaves two candidates per node, and the pipeline returns both
-globally coherent branches.  The branches share one mask, and step 4
-computes what does not depend on the phases (amplitudes, fill nodes,
-taper window, support crop, the inverse transform's phase factor) once
-for all of them.
+With two references the phase is unique and the tuple holds one
+result; with one reference the law of cosines leaves two candidates per
+node, and the tuple holds both globally coherent branches.  The branches
+share one mask, and step 4 computes what does not depend on the phases
+(amplitudes, fill nodes, taper window, support crop, the inverse
+transform's phase factor) once for all of them.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .exceptions import (
 from .fourier import inverse_phase, inverse_transform
 from .grids import GridSpec, ScalarField, SpectralField
 from .potentials import PotentialSpec, analytic_hat
-from .synthesis import FLAG_OK, BackgroundSet, PhaselessDataset
+from .synthesis import FLAG_OK, PhaselessDataset, pair_gap
 
 __all__ = [
     "SingularMask",
@@ -102,9 +107,9 @@ class SingularMask:
 
 @dataclass(frozen=True)
 class ReconstructionOptions:
-    """Knobs for the inversion pipeline; defaults follow the design notes."""
+    """Pipeline knobs; ``spatial_grid``, the output's grid, has the probe grid as its dual."""
 
-    spatial_grid: GridSpec | None = None
+    spatial_grid: GridSpec
     estimator: str = "top"
     p_cut: float | None = None
     taper_fraction: float = 0.1
@@ -150,14 +155,19 @@ def _unflagged_by_node(ds: PhaselessDataset):
     return rows, nodes, energy[rows], last
 
 
-def _recover_all_moduli(ds: PhaselessDataset, by_node, estimator: str) -> np.ndarray:
-    """recover_modulus_sq for every node and column; NaN where no unflagged row.
+def recover_modulus_sq(ds: PhaselessDataset, estimator: str = "top") -> np.ndarray:
+    """Squared-modulus table: one row per probe node, one column per intensity column.
 
-    ``by_node`` is the result of _unflagged_by_node(ds).
+    "top" takes a node's intensities at the largest energy holding the
+    node with an unflagged channel.  "richardson" additionally uses the
+    second-largest such energy, extrapolating under the model
+    intensity(E) = limit + const/sqrt(E) and clamping at zero; a node
+    with a single usable energy keeps "top".  A row is NaN where no
+    unflagged row reaches its node.
     """
     if estimator not in ("top", "richardson"):
         raise ValueError(f"unknown modulus estimator {estimator!r}")
-    rows, nodes, energy, last = by_node
+    rows, nodes, energy, last = _unflagged_by_node(ds)
     out = np.full((ds.pgrid.node_count, ds.values.shape[1]), np.nan)
     out[nodes[last]] = ds.values[rows[last]]
     if estimator == "richardson":
@@ -170,42 +180,21 @@ def _recover_all_moduli(ds: PhaselessDataset, by_node, estimator: str) -> np.nda
     return out
 
 
-def recover_modulus_sq(
-    ds: PhaselessDataset, node: int, j: int = 0, estimator: str = "top"
-) -> float:
-    """Squared-modulus estimate for column ``j`` at probe node ``node``.
-
-    "top" returns the intensity at the largest energy holding the node
-    with an unflagged channel.  "richardson" additionally uses the
-    second-largest such energy, extrapolating under the model
-    intensity(E) = limit + const/sqrt(E) and clamping at zero; with a
-    single usable energy it degrades to "top".
-    """
-    if node not in ds.node_index:
-        raise NoDataError(f"no channel reaches probe node {node}")
-    value = _recover_all_moduli(ds, _unflagged_by_node(ds), estimator)[node]
-    if np.isnan(value[0]):
-        raise NoDataError(f"all channels at probe node {node} are flagged")
-    if j < 0 or j >= value.size:
-        raise ValueError(f"no intensity column {j}")
-    return float(value[j])
-
-
 def recover_phase_two_refs(
     m0, m1, m2, w1hat, w2hat, eps_zero: float, eps_pair: float, eps_ref=None
 ):
     """Phase of the target transform from two reference interferences.
 
-    Solves the 2x2 linear system in (cos, sin) of the unknown phase that
-    the two intensity differences induce, then renormalizes onto the
-    unit circle.  Returns (unit phase, pre-normalization deviation);
-    the deviation is a data-consistency residual, zero for exact data.
-    Arguments may be scalars, giving (complex, float), or equal-shape
-    arrays of nodes, giving arrays.  Raises SingularNodeError when the
-    target modulus is below ``eps_zero``, reference j's modulus below
-    ``eps_ref[j]`` (default ``eps_zero``; the mask passes the threshold
-    it applied to each reference), or the reference phases are
-    degenerate below ``eps_pair`` at any node.
+    Arguments are equal-shape arrays over nodes.  Solves the 2x2 linear
+    system in (cos, sin) of the unknown phase that the two intensity
+    differences induce, then renormalizes onto the unit circle.  Returns
+    arrays (unit phase, pre-normalization deviation); the deviation is a
+    data-consistency residual, zero for exact data.  Raises
+    SingularNodeError when, at any node, the target modulus is below
+    ``eps_zero``, reference j's modulus below ``eps_ref[j]`` (default
+    ``eps_zero``; the mask passes the threshold it applied to each
+    reference), or the reference pair's gap (synthesis.pair_gap, the
+    rule of BackgroundSet.singular_nodes) is below ``eps_pair``.
     """
     e1, e2 = eps_ref if eps_ref is not None else (eps_zero, eps_zero)
     amp0 = np.sqrt(np.maximum(m0, 0.0))
@@ -214,12 +203,10 @@ def recover_phase_two_refs(
         raise SingularNodeError("target modulus below threshold")
     if np.any((a1 < e1) | (a2 < e2)):
         raise SingularNodeError("reference transform below threshold")
+    if np.any(pair_gap(w1hat, w2hat) < eps_pair):
+        raise SingularNodeError("reference pair is phase-degenerate at this node")
     b1, b2 = np.angle(w1hat), np.angle(w2hat)
     det = np.sin(b2 - b1)
-    # |omega1^2 - omega2^2| = 2 |sin(b2 - b1)| is the caller-facing
-    # degeneracy measure; keep the same scale here.
-    if np.any(2.0 * np.abs(det) < eps_pair):
-        raise SingularNodeError("reference pair is phase-degenerate at this node")
     r1 = (m1 - m0 - a1 * a1) / (2.0 * amp0 * a1)
     r2 = (m2 - m0 - a2 * a2) / (2.0 * amp0 * a2)
     cos_a = (np.sin(b2) * r1 - np.sin(b1) * r2) / det
@@ -227,23 +214,18 @@ def recover_phase_two_refs(
     length = np.hypot(cos_a, sin_a)
     if np.any(length == 0.0):
         raise SingularNodeError("degenerate phase system (zero solution)")
-    z = cos_a / length + 1j * (sin_a / length)
-    dev = np.abs(length - 1.0)
-    if z.ndim == 0:
-        return complex(z), float(dev)
-    return z, dev
+    return cos_a / length + 1j * (sin_a / length), np.abs(length - 1.0)
 
 
 def recover_phase_one_ref(m0, m1, w1hat, eps_zero: float, eps_ref=None):
     """Two-candidate phase recovery from a single reference.
 
-    Returns (cos of the phase offset, clamp amount, (plus, minus))
-    where the candidates are exp(i(beta1 +/- arccos(...))) with the
-    arccos taken in [0, pi].  Exact data keeps the cosine inside
-    [-1, 1]; any excess is clamped and reported.  Scalar arguments give
-    floats and complex numbers, equal-shape arrays give arrays.  The
-    target modulus is checked against ``eps_zero``, the reference's
-    against ``eps_ref[0]`` (default ``eps_zero``).
+    Arguments are equal-shape arrays over nodes.  Returns arrays (cos of
+    the phase offset, clamp amount, (plus, minus)) where the candidates
+    are exp(i(beta1 +/- arccos(...))) with the arccos taken in [0, pi].
+    Exact data keeps the cosine inside [-1, 1]; any excess is clamped
+    and reported.  The target modulus is checked against ``eps_zero``,
+    the reference's against ``eps_ref[0]`` (default ``eps_zero``).
     """
     (e1,) = eps_ref if eps_ref is not None else (eps_zero,)
     amp0 = np.sqrt(np.maximum(m0, 0.0))
@@ -252,31 +234,25 @@ def recover_phase_one_ref(m0, m1, w1hat, eps_zero: float, eps_ref=None):
         raise SingularNodeError("modulus below threshold")
     raw = (m1 - m0 - a1 * a1) / (2.0 * amp0 * a1)
     cos_d = np.clip(raw, -1.0, 1.0)
-    clamp = np.abs(raw - cos_d)
     b1 = np.angle(w1hat)
     delta = np.arccos(cos_d)
-    plus = np.exp(1j * (b1 + delta))
-    minus = np.exp(1j * (b1 - delta))
-    if cos_d.ndim == 0:
-        return float(cos_d), float(clamp), (complex(plus), complex(minus))
-    return cos_d, clamp, (plus, minus)
+    return cos_d, np.abs(raw - cos_d), (np.exp(1j * (b1 + delta)), np.exp(1j * (b1 - delta)))
 
 
 def build_mask(
     ds: PhaselessDataset,
-    refs: BackgroundSet,
     moduli: np.ndarray,
+    hats,
     eps_zero: float | None = None,
     eps_pair: float | None = None,
-    hats=None,
 ) -> SingularMask:
     """Flag probe nodes where phase recovery is ill-posed.
 
-    ``moduli`` is the (n_nodes, 1 + n_refs) array of recovered squared
-    moduli with NaN where no estimate exists.  Thresholds default to
-    1e-3 of each quantity's grid maximum; the reference rule is
-    BackgroundSet.singular_nodes.  ``hats`` are refs.reference_hats of
-    the probe nodes, computed here unless the caller has them.
+    ``moduli`` is recover_modulus_sq's (n_nodes, 1 + n_refs) table, NaN
+    where no estimate exists, and ``hats`` are
+    ds.backgrounds.reference_hats of the probe nodes.  Thresholds
+    default to 1e-3 of each quantity's grid maximum; the reference rule
+    is ds.backgrounds.singular_nodes.
     """
     pgrid = ds.pgrid
     nodes = pgrid.nodes()
@@ -299,9 +275,7 @@ def build_mask(
     ez = eps_zero if eps_zero is not None else 1e-3 * scale0
     target_null = in_ball & ~no_data & (amp0 < ez)
 
-    if hats is None:
-        hats = refs.reference_hats(nodes)
-    ref_null, pair, eps_ref, ep = refs.singular_nodes(hats, eps_zero, eps_pair)
+    ref_null, pair, eps_ref, ep = ds.backgrounds.singular_nodes(hats, eps_zero, eps_pair)
     return SingularMask(
         target_null=target_null,
         ref_null=ref_null,
@@ -351,11 +325,11 @@ def _taper_window(pnorm: np.ndarray, p_cut: float, fraction: float) -> np.ndarra
     return w
 
 
-def _modulus_decay_diagnostic(ds: PhaselessDataset, by_node) -> dict:
+def _modulus_decay_diagnostic(ds: PhaselessDataset) -> dict:
     """Spread of per-node intensities against the top energy, fitted."""
     if len(ds.energies) < 5:
         return {"available": False}
-    rows, _, energy, last = by_node
+    rows, _, energy, last = _unflagged_by_node(ds)
     top = max(ds.energies)
     run = np.cumsum(last) - last  # each sorted row's node run
     top_rows = rows[last]
@@ -374,43 +348,34 @@ def _modulus_decay_diagnostic(ds: PhaselessDataset, by_node) -> dict:
             "pairs": pairs}
 
 
-def reconstruct(
-    ds: PhaselessDataset,
-    refs: BackgroundSet | None = None,
-    options: ReconstructionOptions | None = None,
-):
+def reconstruct(ds: PhaselessDataset, options: ReconstructionOptions):
     """Run the full inversion pipeline on a phaseless dataset.
 
-    Returns one ReconstructionResult for two references, or a
-    (plus, minus) tuple for one reference, whose results carry the same
-    SingularMask object.  Raises DegenerateDataError
-    when more than ``options.mask_fraction_limit`` of reachable nodes
-    are masked, which is the signature of a degenerate reference pair
-    (for instance two references related by a pure shift).
+    The references are the dataset's own, ``ds.backgrounds``.  Returns a
+    tuple of ReconstructionResult: one for two references, the (plus,
+    minus) branches for one reference, which carry the same SingularMask
+    object.  Raises DegenerateDataError when more than
+    ``options.mask_fraction_limit`` of reachable nodes are masked, which
+    is the signature of a degenerate reference pair (for instance two
+    references related by a pure shift).
     """
-    opts = options or ReconstructionOptions()
-    refs = refs if refs is not None else ds.backgrounds
+    refs = ds.backgrounds
     if refs is None:
         raise NoDataError("dataset carries no reference scatterers")
-    if ds.n_refs != refs.count:
-        raise ValueError("reference count differs from dataset columns")
     if not ds.rows:
         raise NoDataError("dataset is empty")
 
     pgrid = ds.pgrid
-    spatial = opts.spatial_grid
-    if spatial is None:
-        raise ValueError("options.spatial_grid is required for real-space output")
+    spatial = options.spatial_grid
     if spatial.dual().key() != pgrid.key():
         raise GridMismatchError("spatial grid's dual differs from the probe grid")
 
-    by_node = _unflagged_by_node(ds)
-    moduli = _recover_all_moduli(ds, by_node, opts.estimator)
+    moduli = recover_modulus_sq(ds, options.estimator)
     nodes = pgrid.nodes()
     hats = refs.reference_hats(nodes)
-    mask = build_mask(ds, refs, moduli, opts.eps_zero, opts.eps_pair, hats)
+    mask = build_mask(ds, moduli, hats, options.eps_zero, options.eps_pair)
     frac = mask.masked_fraction
-    if frac > opts.mask_fraction_limit:
+    if frac > options.mask_fraction_limit:
         pair_frac = float(np.mean(mask.pair_degenerate))
         hint = (
             " (the reference-pair degeneracy dominates; references related "
@@ -428,13 +393,13 @@ def reconstruct(
     usable = ~mask.any_flag
 
     top = max(ds.energies)
-    p_cut = opts.p_cut if opts.p_cut is not None else 0.9 * 2.0 * np.sqrt(top)
+    p_cut = options.p_cut if options.p_cut is not None else 0.9 * 2.0 * np.sqrt(top)
 
     diag_common = {
         "masked_fraction": frac,
-        "estimator": opts.estimator,
+        "estimator": options.estimator,
         "p_cut": p_cut,
-        "modulus_decay": _modulus_decay_diagnostic(ds, by_node),
+        "modulus_decay": _modulus_decay_diagnostic(ds),
     }
 
     m = moduli[usable]
@@ -449,9 +414,8 @@ def reconstruct(
             "max_phase_residual": float(np.nanmax(deviations)) if usable.any() else None,
             "mean_phase_residual": float(np.nanmean(deviations)) if usable.any() else None,
         }
-        (result,) = _assemble(ds, nodes, moduli, usable, mask, spatial, p_cut, opts, diag,
-                              {"two-reference": phases})
-        return result
+        return _assemble(ds, nodes, moduli, usable, mask, spatial, p_cut, options, diag,
+                         {"two-reference": phases})
 
     # Single reference: carry both branches to the end.
     plus = np.zeros(nodes.shape[0], dtype=complex)
@@ -464,7 +428,7 @@ def reconstruct(
         **diag_common,
         "max_cosine_clamp": float(np.nanmax(clamps)) if usable.any() else None,
     }
-    return _assemble(ds, nodes, moduli, usable, mask, spatial, p_cut, opts, diag,
+    return _assemble(ds, nodes, moduli, usable, mask, spatial, p_cut, options, diag,
                      {"one-reference-plus": plus, "one-reference-minus": minus})
 
 

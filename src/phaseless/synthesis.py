@@ -29,7 +29,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .exceptions import BackgroundValidationError, GridMismatchError, InputFileError
+from .exceptions import (
+    BackgroundValidationError,
+    GridMismatchError,
+    InputFileError,
+    PhaselessError,
+)
 # channel, born_amplitude, scattering_amplitude and
 # solve_lippmann_schwinger are not called here; they stay importable from
 # this module because perfbench/tracing.py wraps them by name.
@@ -67,6 +72,15 @@ FLAG_OK = 0
 FLAG_SOLVER_FAILED = 1
 
 MODES = ("born-oracle", "full-solver")
+
+
+def pair_gap(h1, h2) -> np.ndarray:
+    """|u_1^2 - u_2^2| of the unit phases u_j = h_j / |h_j| (u_j = 0 where h_j = 0).
+
+    The two-reference phase system is singular where it vanishes.
+    """
+    m1, m2 = np.abs(h1), np.abs(h2)
+    return np.abs((h1 / np.where(m1 > 0, m1, 1.0)) ** 2 - (h2 / np.where(m2 > 0, m2, 1.0)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -132,7 +146,10 @@ class BackgroundSet:
         ``eps_zero`` or, by default, 1e-3 of that reference's own maximum
         over the nodes.  pair_degenerate (two references): the unit phases
         agree modulo pi, |u_1^2 - u_2^2| < ``eps_pair``, by default 1e-3
-        of that gap's maximum, counted only off both zero sets.
+        of that gap's maximum, counted only off both zero sets.  The gap
+        lies in [0, 2]; a maximum below 1e-9 is rounding noise (two real
+        transforms, say), and the default threshold is then 1e-12, which
+        flags every node of such a pair.
         """
         mags = [np.abs(h) for h in hats]
         eps_ref = tuple(
@@ -141,10 +158,9 @@ class BackgroundSet:
         ref_null = tuple(m < e for m, e in zip(mags, eps_ref))
         pair = np.zeros(len(hats[0]), dtype=bool)
         if self.count == 2:
-            safe = [np.where(m > 0, m, 1.0) for m in mags]
-            gap = np.abs((hats[0] / safe[0]) ** 2 - (hats[1] / safe[1]) ** 2)
+            gap = pair_gap(*hats)
             if eps_pair is None:
-                eps_pair = 1e-3 * max(float(np.max(gap)), 1e-30)
+                eps_pair = 1e-3 * max(float(np.max(gap)), 1e-9)
             pair = (gap < eps_pair) & ~(ref_null[0] | ref_null[1])
         return ref_null, pair, eps_ref, eps_pair
 
@@ -160,7 +176,9 @@ class PhaselessDataset:
     ``values`` has shape (rows, 1 + n_refs): column 0 is the target
     intensity, column j the intensity with reference j added.  ``flags``
     marks per-channel synthesis failures; flagged rows carry NaN values
-    and are never silently dropped.  The arrays are read-only.
+    and are never silently dropped.  ``n_refs`` must equal the count of
+    ``backgrounds`` (0 without references), so a dataset holds one
+    description of its references.  The arrays are read-only.
     """
 
     mode: str
@@ -193,6 +211,9 @@ class PhaselessDataset:
             or values.shape[0] != m
         ):
             raise ValueError("channel rows, values and flags must have one entry per row")
+        count = self.backgrounds.count if self.backgrounds is not None else 0
+        if values.shape[1] != 1 + count:
+            raise ValueError(f"{values.shape[1]} intensity columns for {count} reference(s)")
         ok = flags == FLAG_OK
         if values.size and (np.any(values[ok] < 0) or not np.all(np.isfinite(values[ok]))):
             raise ValueError("unflagged intensities must be finite and nonnegative")
@@ -558,6 +579,30 @@ def _grid_from_dict(d: dict) -> GridSpec:
     return GridSpec(int(d["dim"]), int(d["n"]), tuple(d["box_min"]), tuple(d["box_max"]))
 
 
+def _header_fields(header: dict, base: str) -> tuple[GridSpec, BackgroundSet | None]:
+    """The probe grid and references of a dataset header, its fields checked.
+
+    The CSV hash does not cover the header.  InputFileError names
+    ``base``.json for a missing key, a grid or reference the package
+    rejects, an unknown mode or convention, or an n_refs that is not
+    the number of references.
+    """
+    try:
+        pgrid = _grid_from_dict(header["pgrid"])
+        specs = tuple(spec_from_dict(w) for w in header["references"])
+        if type(header["n_refs"]) is not int or header["n_refs"] != len(specs):
+            raise ValueError(f"n_refs {header['n_refs']!r} for {len(specs)} reference(s)")
+        if header["mode"] not in MODES:
+            raise ValueError(f"unknown synthesis mode {header['mode']!r}")
+        if header["convention"] not in ("default", "mirror"):
+            raise ValueError(f"unknown convention {header['convention']!r}")
+        return pgrid, BackgroundSet(specs) if specs else None
+    except KeyError as exc:
+        raise InputFileError(f"{base}.json: dataset header lacks key {exc}") from exc
+    except (TypeError, ValueError, PhaselessError) as exc:
+        raise InputFileError(f"{base}.json: malformed dataset header ({exc})") from exc
+
+
 def _flags(cells: list[str], base: str) -> np.ndarray:
     """The flag column's cells as uint8; InputFileError names the first that is none."""
     try:
@@ -580,12 +625,14 @@ def read_dataset(base: str) -> PhaselessDataset:
     ``float`` parses each distinct value cell once and ``int`` each
     flag, which reads every written value back exactly.  Raises
     InputFileError (a ValueError) naming the file when a file cannot be
-    read, the header is no dataset header or the CSV does not match its
-    recorded hash, and naming the file and line when a CSV row has not
-    the header's number of cells, a value that is no number or a flag
-    that is no integer 0-255; OutOfBallError (or EnergyShellError) when
-    a row is no on-shell channel of its energy, and GridMismatchError
-    when a transfer is not a probe-grid node.
+    read, the header is no dataset header or holds a malformed field
+    (see _header_fields), the CSV does not match its recorded hash or
+    the header's energies are not exactly the distinct energies of the
+    rows, and naming the file and line when a CSV row has not the
+    header's number of cells, a value that is no number or a flag that
+    is no integer 0-255; OutOfBallError (or EnergyShellError) when a row
+    is no on-shell channel of its energy, and GridMismatchError when a
+    transfer is not a probe-grid node.
     """
     try:
         with open(base + ".json") as fh:
@@ -596,22 +643,17 @@ def read_dataset(base: str) -> PhaselessDataset:
         raise InputFileError(f"{exc.filename}: cannot read dataset ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise InputFileError(f"{base}.json: invalid JSON ({exc})") from exc
-    if header.get("schema") != _DATASET_SCHEMA:
-        raise InputFileError(f"{base}.json: unknown dataset schema {header.get('schema')!r}")
+    schema = header.get("schema") if isinstance(header, dict) else None
+    if schema != _DATASET_SCHEMA:
+        raise InputFileError(f"{base}.json: unknown dataset schema {schema!r}")
+    pgrid, refs = _header_fields(header, base)
     digest = hashlib.sha256(csv_text.encode()).hexdigest()
-    if digest != header["csv_sha256"]:
+    if digest != header.get("csv_sha256"):
         raise InputFileError(f"dataset CSV {base}.csv does not match its recorded hash")
 
-    pgrid = _grid_from_dict(header["pgrid"])
-    refs = (
-        BackgroundSet(tuple(spec_from_dict(w) for w in header["references"]))
-        if header["references"]
-        else None
-    )
     convention = header["convention"]
     d = pgrid.dim
-    n_refs = int(header["n_refs"])
-    width = 3 + d + n_refs
+    width = 3 + d + header["n_refs"]
     lines = csv_text.strip().split("\n")[1:]
     if set(map(str.count, lines, repeat(","))) - {width - 1}:
         number, line = next(
@@ -637,6 +679,11 @@ def read_dataset(base: str) -> PhaselessDataset:
     numbers = numbers.reshape(-1, width - 1)
     energy, transfer = numbers[:, 0], numbers[:, 1 : 1 + d]
     channel_table(energy, transfer, convention)  # raises for a row off the shell or ball
+    distinct = sorted(set(energy.tolist()))
+    if header.get("energies") != distinct:
+        raise InputFileError(
+            f"{base}.json: energies {header.get('energies')} are not the rows' energies {distinct}"
+        )
 
     return PhaselessDataset(
         mode=header["mode"],

@@ -312,14 +312,6 @@ def test_reconstruct_consumes_saved_dataset(tmp_path):
     assert report["results"]["branches"][0]["branch"] == "two-reference"
 
 
-def test_mode_flag_overrides_config(tmp_path):
-    cfg = write_config(tmp_path, probe_grid={"n": 8, "box": 2.0}, energies=[9.0])
-    out = tmp_path / "full"
-    assert main(["synthesize", "--config", cfg, "--out", str(out), "--mode", "full"]) == 0
-    header = json.loads((out / "dataset.json").read_text())
-    assert header["mode"] == "full-solver"
-
-
 def test_ambiguity_demo_needs_shift(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["ambiguity-demo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -381,6 +373,20 @@ def _edited_dataset(name, edit):
     return case
 
 
+def _header(edit):
+    """A text edit of a dataset header: ``edit`` changes its parsed JSON in place."""
+    def apply(text):
+        header = json.loads(text)
+        edit(header)
+        return json.dumps(header)
+
+    return apply
+
+
+def _first_component(header):
+    return header["references"][0]["components"][0]
+
+
 def _malformed_csv(edit):
     """A saved dataset whose CSV lines are replaced by ``edit`` of them, hash re-stamped."""
     def case(tmp_path):
@@ -432,11 +438,26 @@ def _error_table_row(row):
         _malformed_csv(_cell_moved),
         _malformed_csv(_set_cell(2, -1, "1.5")),
         _malformed_csv(_set_cell(3, 1, "abc")),
+        _edited_dataset("dataset.json", _header(lambda h: _first_component(h).update(
+            center=[-0.9, 0.7]))),
+        _edited_dataset("dataset.json", _header(lambda h: h.pop("pgrid"))),
+        _edited_dataset("dataset.json", _header(lambda h: h["pgrid"].update(n=3))),
+        _edited_dataset("dataset.json", _header(lambda h: _first_component(h).update(
+            kind="cube"))),
+        _edited_dataset("dataset.json", _header(lambda h: h.update(mode="quantum"))),
+        _edited_dataset("dataset.json", _header(lambda h: h.update(convention="left"))),
+        _edited_dataset("dataset.json", _header(lambda h: h.update(n_refs=2.5))),
+        _edited_dataset("dataset.json", _header(lambda h: h.update(n_refs=1))),
+        _edited_dataset("dataset.json", _header(lambda h: h["energies"].pop())),
     ],
     ids=[
         "missing-dataset", "dataset-hash", "dataset-schema", "dataset-json",
         "error-column-missing", "error-not-a-number",
         "csv-cell-moved", "csv-fractional-flag", "csv-non-numeric-value",
+        "header-references-differ", "header-missing-key", "header-bad-grid",
+        "header-unknown-primitive", "header-unknown-mode", "header-unknown-convention",
+        "header-fractional-n-refs",
+        "header-n-refs-differs", "header-energies-differ",
     ],
 )
 def test_bad_input_file_exits_2_naming_it(tmp_path, capsys, case):

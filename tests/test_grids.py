@@ -67,7 +67,6 @@ def test_contains_ball():
     assert not g.contains_ball((0.8, 0.0), 0.5)
     # strict containment excludes touching the boundary
     assert not g.contains_ball((0.0, 0.0), 1.0)
-    assert g.contains_ball((0.0, 0.0), 1.0, strict=False)
 
 
 def test_key_round_trip():

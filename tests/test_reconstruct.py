@@ -105,31 +105,77 @@ def test_one_ref_branches_cover_truth(alpha, beta, amp0, a1):
         assert abs(abs(amp0 * cand + w1) ** 2 - m1) < 1e-9 * max(m1, 1.0)
 
 
-def test_phase_recovery_arrays_match_scalar_calls(rng):
-    n = 64
-    vhat = rng.uniform(0.1, 10.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-    beta1 = rng.uniform(-np.pi, np.pi, n)
-    beta2 = beta1 + rng.uniform(0.1, np.pi - 0.1, n)
-    w1 = rng.uniform(0.1, 10.0, n) * np.exp(1j * beta1)
-    w2 = rng.uniform(0.1, 10.0, n) * np.exp(1j * beta2)
-    m0, m1, m2 = np.abs(vhat) ** 2, np.abs(vhat + w1) ** 2, np.abs(vhat + w2) ** 2
-    m1[:4] *= 1.7  # inconsistent data, so some cosines are clamped
+@st.composite
+def _ball_pairs(draw, dim):
+    """Two distinct balls in dimension ``dim``, as a BackgroundSet."""
+    balls = [
+        PotentialSpec.ball(
+            draw(st.tuples(*[st.floats(-1.0, 1.0)] * dim)),
+            draw(st.floats(0.1, 0.5)),
+            draw(st.sampled_from([1.0, 0.01, -2.0])),
+        )
+        for _ in range(2)
+    ]
+    assume(balls[0] != balls[1])
+    return BackgroundSet(tuple(balls))
 
-    z, dev = recover_phase_two_refs(m0, m1, m2, w1, w2, EPS, EPS)
-    cos_d, clamp, (plus, minus) = recover_phase_one_ref(m0, m1, w1, EPS)
-    assert clamp.max() > 0.0
-    for i in range(n):
-        zi, devi = recover_phase_two_refs(m0[i], m1[i], m2[i], w1[i], w2[i], EPS, EPS)
-        assert type(zi) is complex and type(devi) is float
-        assert (zi, devi) == (z[i], dev[i])
-        ci, cli, (pi, mi) = recover_phase_one_ref(m0[i], m1[i], w1[i], EPS)
-        assert type(ci) is float and type(pi) is complex
-        assert (ci, cli, pi, mi) == (cos_d[i], clamp[i], plus[i], minus[i])
 
-    # one singular node makes the whole call fail, as the scalar call does
-    w2[5] = -2.0 * w1[5]
-    with pytest.raises(SingularNodeError, match="degenerate"):
-        recover_phase_two_refs(m0, m1, m2, w1, w2, EPS, EPS)
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    dim=st.sampled_from([2, 3]),
+    eps_pair=st.one_of(st.none(), st.floats(1e-6, 0.1)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phase_recovery_applies_the_singular_node_rule(data, dim, eps_pair, seed):
+    # the probe grid of an 8^d box of half-width 2; reference pairs of two
+    # balls, so the pair set and the zero sets vary from draw to draw
+    refs = data.draw(_ball_pairs(dim))
+    pg = GridSpec(dim, 8, (-2.0,) * dim, (2.0,) * dim).dual()
+    hats = refs.reference_hats(pg.nodes())
+    ref_null, pair, eps_ref, ep = refs.singular_nodes(hats, None, eps_pair)
+    rng = np.random.default_rng(seed)
+    n = pg.node_count
+    vhat = rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    m0, m1, m2 = (np.abs(vhat + h) ** 2 for h in (0.0, *hats))
+    m1[rng.random(n) < 0.2] *= 1.7  # inconsistent data, so some cosines are clamped
+
+    def two_refs(idx):
+        return recover_phase_two_refs(
+            m0[idx], m1[idx], m2[idx], hats[0][idx], hats[1][idx], EPS, ep, eps_ref
+        )
+
+    def one_ref(idx):
+        return recover_phase_one_ref(m0[idx], m1[idx], hats[0][idx], EPS, eps_ref[:1])
+
+    # every node off the reference zero sets and the pair set is solved,
+    # and a one-node call gives the full call's bits
+    ok = np.flatnonzero(~(ref_null[0] | ref_null[1] | pair))
+    z, dev = two_refs(ok)
+    cos_d, clamp, (plus, minus) = one_ref(ok)
+    for k, i in enumerate(ok):
+        zi, devi = two_refs([i])
+        assert (zi.tobytes(), devi.tobytes()) == (z[k : k + 1].tobytes(), dev[k : k + 1].tobytes())
+        ci, cli, (pi, mi) = one_ref([i])
+        got = b"".join(x.tobytes() for x in (ci, cli, pi, mi))
+        assert got == b"".join(x[k : k + 1].tobytes() for x in (cos_d, clamp, plus, minus))
+    # every node of the pair set raises, alone or among solvable nodes
+    for i in np.flatnonzero(pair):
+        for idx in ([i], np.append(ok, i)):
+            with pytest.raises(SingularNodeError, match="degenerate"):
+                two_refs(idx)
+
+
+def test_real_reference_pair_is_degenerate_everywhere():
+    # concentric balls have real transforms, so their unit phases agree
+    # modulo pi at every node; the gap is rounding noise, all of it flagged
+    refs = BackgroundSet(
+        (PotentialSpec.ball((0.0, 0.0), 0.5, 1.0), PotentialSpec.ball((0.0, 0.0), 0.125, 1.0))
+    )
+    hats = refs.reference_hats(GridSpec(2, 8, (-2.0, -2.0), (2.0, 2.0)).dual().nodes())
+    ref_null, pair, _, eps_pair = refs.singular_nodes(hats)
+    assert eps_pair == pytest.approx(1e-12)
+    assert np.array_equal(pair, ~(ref_null[0] | ref_null[1]))
 
 
 def test_one_ref_clamp_reported():
@@ -149,36 +195,35 @@ def test_modulus_estimators(off_center_ball):
     for row, E in enumerate(ds.energy.tolist()):
         vals[row, 0] = limit + c / np.sqrt(E)
     doctored = dataclasses.replace(ds, values=vals)
-    both = [
-        idx
-        for idx, hist in _histogram(doctored).items()
-        if len({e for e, _ in hist}) == 2
-    ]
+    hist = _histogram(doctored)
+    both = [idx for idx, h in hist.items() if len({e for e, _ in h}) == 2]
     assert both
-    for node in both:
-        top = recover_modulus_sq(doctored, node, estimator="top")
-        assert_allclose(top, limit + c / 3.0, rtol=1e-13)
-        rich = recover_modulus_sq(doctored, node, estimator="richardson")
-        assert_allclose(rich, limit, rtol=1e-12)
+    top = recover_modulus_sq(doctored, estimator="top")
+    rich = recover_modulus_sq(doctored, estimator="richardson")
+    assert top.shape == rich.shape == (pg.node_count, 1)
+    assert_allclose(top[both, 0], limit + c / 3.0, rtol=1e-13)
+    assert_allclose(rich[both, 0], limit, rtol=1e-12)
+    # a node no channel reaches has no estimate
+    unreached = np.setdiff1d(np.arange(pg.node_count), ds.node_index)
+    assert unreached.size and np.isnan(top[unreached]).all() and np.isnan(rich[unreached]).all()
     node = both[0]
     # a flagged top row leaves the lower energy as the only estimate
-    (_, top_row), = [(e, r) for e, r in _histogram(doctored)[node] if e == 9.0]
+    (_, top_row), = [(e, r) for e, r in hist[node] if e == 9.0]
     flags = np.array(doctored.flags)
     flags[top_row] = FLAG_SOLVER_FAILED
     partial = dataclasses.replace(doctored, flags=flags)
     for estimator in ("top", "richardson"):
-        got = recover_modulus_sq(partial, node, estimator=estimator)
-        assert_allclose(got, limit + c / 2.0, rtol=1e-13)
-    assert recover_modulus_sq(partial, both[1], estimator="top") == top
+        got = recover_modulus_sq(partial, estimator=estimator)
+        assert_allclose(got[node, 0], limit + c / 2.0, rtol=1e-13)
+    assert recover_modulus_sq(partial, estimator="top")[both[1], 0] == top[both[1], 0]
     with pytest.raises(ValueError):
-        recover_modulus_sq(doctored, node, estimator="median")
-    with pytest.raises(NoDataError):
-        recover_modulus_sq(doctored, pg.node_count + 7)
-    (_, low_row), = [(e, r) for e, r in _histogram(doctored)[node] if e == 4.0]
+        recover_modulus_sq(doctored, estimator="median")
+    # a node whose every row is flagged has no estimate either
+    (_, low_row), = [(e, r) for e, r in hist[node] if e == 4.0]
     flags = np.array(partial.flags)
     flags[low_row] = FLAG_SOLVER_FAILED
-    with pytest.raises(NoDataError, match="flagged"):
-        recover_modulus_sq(dataclasses.replace(doctored, flags=flags), node)
+    flagged = recover_modulus_sq(dataclasses.replace(doctored, flags=flags))
+    assert np.isnan(flagged[node]).all()
 
 
 def _histogram(ds):
@@ -198,7 +243,7 @@ def test_build_mask_flags(off_center_ball, two_ball_refs):
     moduli = np.full((n, 3), np.nan)
     for row, idx in enumerate(ds.node_index):
         moduli[idx] = ds.values[row]
-    mask = build_mask(ds, two_ball_refs, moduli)
+    mask = build_mask(ds, moduli, two_ball_refs.reference_hats(pg.nodes()))
     nodes = pg.nodes()
     in_ball = np.linalg.norm(nodes, axis=1) <= 2.0 * np.sqrt(4.0)
     assert np.array_equal(mask.out_of_ball, ~in_ball | np.isnan(moduli[:, 0]))
@@ -309,7 +354,7 @@ def test_failed_solves_count_toward_mask(box_grid, off_center_ball, two_ball_ref
     failed = np.asarray(ds.node_index)[::2]
     with pytest.raises(DegenerateDataError):
         reconstruct(ds, options=ReconstructionOptions(spatial_grid=box_grid))
-    res = reconstruct(
+    (res,) = reconstruct(
         ds, options=ReconstructionOptions(spatial_grid=box_grid, mask_fraction_limit=1.0)
     )
     mask = res.mask
@@ -324,7 +369,8 @@ def test_background_report_matches_mask(off_center_ball, two_ball_refs):
     # far below the larger one's maximum shows any mismatch of the rules
     pg = GridSpec(2, 128, (-1.5, -1.5), (1.5, 1.5)).dual()
     ds = synthesize(off_center_ball, two_ball_refs, EnergySet((25.0,)), pg)
-    mask = build_mask(ds, two_ball_refs, np.full((pg.node_count, 3), np.nan))
+    hats = two_ball_refs.reference_hats(pg.nodes())
+    mask = build_mask(ds, np.full((pg.node_count, 3), np.nan), hats)
     report = validate_backgrounds(two_ball_refs, pg)
     assert report.zero_fraction == tuple(float(np.mean(r)) for r in mask.ref_null)
     off_zero = ~(mask.ref_null[0] | mask.ref_null[1])
@@ -334,7 +380,7 @@ def test_background_report_matches_mask(off_center_ball, two_ball_refs):
 def test_end_to_end_two_refs(box_grid, off_center_ball, two_ball_refs):
     pg = box_grid.dual()
     ds = synthesize(off_center_ball, two_ball_refs, EnergySet((25.0, 50.0)), pg)
-    res = reconstruct(ds, options=ReconstructionOptions(spatial_grid=box_grid))
+    (res,) = reconstruct(ds, options=ReconstructionOptions(spatial_grid=box_grid))
     assert res.branch == "two-reference"
     usable = ~res.mask.any_flag
     truth = analytic_hat(off_center_ball, pg.nodes())
@@ -370,8 +416,7 @@ def test_weak_references_are_masked_not_fatal(box_grid, off_center_ball, n_refs)
     for amplitude in (1.0, 0.01):
         refs = BackgroundSet(tuple(PotentialSpec.ball(c, r, amplitude) for c, r in centers))
         ds = synthesize(off_center_ball, refs, EnergySet((25.0, 50.0)), pg)
-        out = reconstruct(ds, options=ReconstructionOptions(spatial_grid=box_grid))
-        branches = out if isinstance(out, tuple) else (out,)
+        branches = reconstruct(ds, options=ReconstructionOptions(spatial_grid=box_grid))
         usable = ~branches[0].mask.any_flag
         err = np.min([np.abs(b.spectrum.values.ravel() - truth) for b in branches], axis=0)
         assert err[usable].max() <= 1e-8
@@ -394,6 +439,12 @@ def test_translate_pair_raises_degenerate():
         reconstruct(ds, options=ReconstructionOptions(spatial_grid=sg))
 
 
+def test_references_come_from_the_dataset(box_grid, off_center_ball):
+    ds = synthesize(off_center_ball, None, EnergySet((25.0,)), box_grid.dual())
+    with pytest.raises(NoDataError, match="reference"):
+        reconstruct(ds, ReconstructionOptions(box_grid))
+
+
 def test_spatial_grid_must_match_probe(box_grid, off_center_ball, two_ball_refs):
     pg = box_grid.dual()
     ds = synthesize(off_center_ball, two_ball_refs, EnergySet((25.0,)), pg)
@@ -410,7 +461,7 @@ def test_support_restriction_and_realness(box_grid, off_center_ball, two_ball_re
         declared_support=off_center_ball,
         declared_real=True,
     )
-    res = reconstruct(ds, options=opts)
+    (res,) = reconstruct(ds, options=opts)
     mesh = box_grid.meshgrid()
     (center, radius), = off_center_ball.support_balls()
     r2 = (mesh[0] - center[0]) ** 2 + (mesh[1] - center[1]) ** 2
@@ -420,10 +471,12 @@ def test_support_restriction_and_realness(box_grid, off_center_ball, two_ball_re
     assert "realness_warning" not in res.diagnostics
 
 
-def test_options_validation():
+def test_options_validation(box_grid):
+    with pytest.raises(TypeError, match="spatial_grid"):
+        ReconstructionOptions()
     with pytest.raises(ValueError):
-        ReconstructionOptions(estimator="mode")
+        ReconstructionOptions(box_grid, estimator="mode")
     with pytest.raises(ValueError):
-        ReconstructionOptions(taper_fraction=1.0)
+        ReconstructionOptions(box_grid, taper_fraction=1.0)
     with pytest.raises(ValueError):
-        ReconstructionOptions(mask_fraction_limit=0.0)
+        ReconstructionOptions(box_grid, mask_fraction_limit=0.0)

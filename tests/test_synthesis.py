@@ -71,6 +71,13 @@ def test_single_reference_gives_two_columns(off_center_ball):
     assert ds.values.shape[1] == 2
 
 
+def test_intensity_columns_match_the_references(off_center_ball, two_ball_refs):
+    ds = synthesize(off_center_ball, two_ball_refs, ENERGIES, PGRID)
+    for refs in (BackgroundSet(two_ball_refs.backgrounds[:1]), None):
+        with pytest.raises(ValueError, match="3 intensity columns"):
+            dataclasses.replace(ds, backgrounds=refs)
+
+
 def test_overlapping_reference_rejected(off_center_ball):
     refs = BackgroundSet((PotentialSpec.ball((0.35, -0.2), 0.3, 1.0),))
     with pytest.raises(BackgroundValidationError, match="overlap"):
