@@ -6,13 +6,16 @@ the exact config plus content hashes, so a bundle can always be traced
 back to the run that produced it.  Identical configs give byte-identical
 outputs; nothing here consults the clock or the process id.
 
-Exit codes: 0 success, 2 config error or bad input file, 3 solver
-failure, 4 a configured acceptance threshold was not met.
+Exit codes: 0 success; a package error exits with its class's
+``exit_code`` after one stderr line led by its ``label`` (see
+exceptions.py): 2 config error or bad input file, 3 solver failure,
+4 a configured acceptance threshold was not met.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -22,22 +25,7 @@ import numpy as np
 
 from .bounds import bounds_report, fit_decay
 from .config import ExperimentConfig, config_to_dict, load_config
-from .exceptions import (
-    BackgroundValidationError,
-    ConfigError,
-    DegenerateDataError,
-    DegenerateFitError,
-    EnergyShellError,
-    GridMismatchError,
-    InputFileError,
-    NoDataError,
-    OutOfBallError,
-    SolverConvergenceError,
-    SupportOutsideBoxError,
-    UnresolvedGridError,
-)
-
-_THRESHOLD_ERRORS = (DegenerateDataError,)
+from .exceptions import ConfigError, InputFileError, PhaselessError, SolverConvergenceError
 from .fieldio import write_field
 from .geometry import channel
 from .potentials import analytic_hat, rasterize
@@ -55,18 +43,6 @@ from .synthesis import (
 __all__ = ["main"]
 
 _BUNDLE_SCHEMA = "phaseless-bundle/1"
-
-_CONFIG_ERRORS = (
-    ConfigError,
-    BackgroundValidationError,
-    GridMismatchError,
-    UnresolvedGridError,
-    SupportOutsideBoxError,
-    OutOfBallError,
-    EnergyShellError,
-    NoDataError,
-    DegenerateFitError,
-)
 
 
 def _canonical(data) -> str:
@@ -253,20 +229,9 @@ def cmd_synthesize(cfg: ExperimentConfig, outdir: Path) -> int:
     bundle.track(base.with_suffix(".csv"), base.with_suffix(".json"))
     results: dict = {"rows": ds.rows, "n_refs": ds.n_refs, "mode": ds.mode}
     if cfg.references is not None:
-        rep = validate_backgrounds(
-            cfg.references,
-            pgrid,
-            cfg.reconstruction["eps_zero"],
-            cfg.reconstruction["eps_pair"],
-        )
-        results["background_report"] = {
-            "zero_fraction": rep.zero_fraction,
-            "zero_radii": rep.zero_radii,
-            "degenerate_pair_fraction": rep.degenerate_pair_fraction,
-            "translate_degeneracy": rep.translate_degeneracy,
-            "estimated_shift": rep.estimated_shift,
-            "warnings": rep.warnings,
-        }
+        opts = cfg.reconstruction
+        rep = validate_backgrounds(cfg.references, pgrid, opts.eps_zero, opts.eps_pair)
+        results["background_report"] = dataclasses.asdict(rep)
         for w in rep.warnings:
             print(f"warning: {w}", file=sys.stderr)
     report = bundle.finish(results)
@@ -299,7 +264,7 @@ def cmd_reconstruct(cfg: ExperimentConfig, outdir: Path, dataset: str | None) ->
         bundle.note_input("dataset_csv", _sha256_file(Path(dataset + ".csv")))
     else:
         ds = _synthesize(cfg, cfg.references)
-    branches = reconstruct(ds, cfg.reconstruction_options())
+    branches = reconstruct(ds, cfg.reconstruction)
     # the branches of one reconstruction share its mask
     mask = _mask_index_lists(branches[0].mask)
     results: dict = {"branches": []}
@@ -446,22 +411,10 @@ def cmd_bounds(cfg: ExperimentConfig, outdir: Path) -> int:
     for e, x in zip(energies, errors):
         rows.append(f"{repr(float(e))},{repr(float(x))},{repr(rep.bound_at(e))}")
     bundle.write_text("bounds_errors.csv", "\n".join(rows) + "\n")
-    report = bundle.finish(
-        {
-            "dim": rep.dim,
-            "sigma": rep.sigma,
-            "a0": rep.a0,
-            "c1": rep.c1,
-            "c2": rep.c2,
-            "norm_bound": rep.norm_bound,
-            "contraction_sqrt_e": rep.contraction_sqrt_e,
-            "coefficient": rep.coefficient,
-            "slope": rep.slope,
-            "intercept": rep.intercept,
-            "implied_a0": rep.implied_a0,
-            "bound_holds": rep.bound_holds(),
-        }
-    )
+    results = dataclasses.asdict(rep)
+    del results["energies"], results["errors"]
+    results["bound_holds"] = rep.bound_holds()
+    report = bundle.finish(results)
     print(f"bounds: slope {rep.slope:.4f}, bound holds: {rep.bound_holds()} -> {report}")
     return 0
 
@@ -518,18 +471,9 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             return cmd_bounds(cfg, outdir)
         raise ConfigError(f"unknown command {args.command!r}")
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except InputFileError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except SolverConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
-    except _THRESHOLD_ERRORS as exc:
-        print(f"threshold failure: {exc}", file=sys.stderr)
-        return 4
+    except PhaselessError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -48,6 +48,12 @@ def _take(data: dict, context: str, required: dict, optional: dict) -> dict:
     return out
 
 
+def _given(data: dict, context: str, converters: dict) -> dict:
+    """The keys of ``converters`` that ``data`` sets to a non-null value, converted."""
+    got = _take(data, context, {}, {key: (conv, None) for key, conv in converters.items()})
+    return {key: value for key, value in got.items() if value is not None}
+
+
 def _identity(value):
     return value
 
@@ -164,41 +170,43 @@ def _build_energy_set(energies, context) -> EnergySet:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
+# the solver and reconstruction sections' keys: each names a field of
+# SolverConfig or ReconstructionOptions, which holds its default
+_SOLVER_KEYS = {
+    "tolerance": _float,
+    "max_iterations": _int,
+    "resolution_factor": _float,
+    "method": _str,
+    "dense_limit": _int,
+}
+_RECONSTRUCTION_KEYS = {
+    "estimator": _str,
+    "p_cut": _float,
+    "taper_fraction": _float,
+    "eps_zero": _float,
+    "eps_pair": _float,
+    "mask_fraction_limit": _float,
+    "declared_real": _bool,
+}
+
+
 def _solver_from(data: dict, context: str) -> SolverConfig:
-    got = _take(
-        data,
-        context,
-        {},
-        {
-            "tolerance": (_float, 1e-8),
-            "max_iterations": (_int, 200),
-            "resolution_factor": (_float, 8.0),
-            "method": (_str, "auto"),
-            "dense_limit": (_int, 3000),
-        },
-    )
     try:
-        return SolverConfig(**got)
+        return SolverConfig(**_given(data, context, _SOLVER_KEYS))
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _reconstruction_from(data: dict, context: str) -> dict:
-    return _take(
-        data,
-        context,
-        {},
-        {
-            "estimator": (_str, "top"),
-            "p_cut": (_float, None),
-            "taper_fraction": (_float, 0.1),
-            "eps_zero": (_float, None),
-            "eps_pair": (_float, None),
-            "mask_fraction_limit": (_float, 0.2),
-            "restrict_support": (_bool, True),
-            "declared_real": (_bool, False),
-        },
-    )
+def _reconstruction_from(
+    data: dict, context: str, spatial_grid: GridSpec, target: PotentialSpec
+) -> ReconstructionOptions:
+    """Options over ``spatial_grid``, declaring ``target``'s support unless restrict_support is false."""
+    got = _given(data, context, {**_RECONSTRUCTION_KEYS, "restrict_support": _bool})
+    support = target if got.pop("restrict_support", True) else None
+    try:
+        return ReconstructionOptions(spatial_grid, declared_support=support, **got)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _convergence_from(data: dict, context: str) -> dict:
@@ -254,7 +262,7 @@ class ExperimentConfig:
     energies: EnergySet
     mode: str
     solver: SolverConfig
-    reconstruction: dict
+    reconstruction: ReconstructionOptions
     convergence: dict
     bounds: dict
     probe_grid: GridSpec | None
@@ -266,20 +274,6 @@ class ExperimentConfig:
         """The momentum grid: explicit probe grid's dual, else the main dual."""
         base = self.probe_grid if self.probe_grid is not None else self.grid
         return base.dual()
-
-    def reconstruction_options(self) -> ReconstructionOptions:
-        r = self.reconstruction
-        return ReconstructionOptions(
-            spatial_grid=self.probe_grid if self.probe_grid is not None else self.grid,
-            estimator=r["estimator"],
-            p_cut=r["p_cut"],
-            taper_fraction=r["taper_fraction"],
-            eps_zero=r["eps_zero"],
-            eps_pair=r["eps_pair"],
-            mask_fraction_limit=r["mask_fraction_limit"],
-            declared_support=self.target if r["restrict_support"] else None,
-            declared_real=r["declared_real"],
-        )
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -339,20 +333,25 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if got["mode"] not in MODES:
         raise ConfigError(f"config.mode: must be one of {MODES}")
     solver = _solver_from(got["solver"] or {}, "config.solver")
-    recon = _reconstruction_from(got["reconstruction"] or {}, "config.reconstruction")
-    conv = _convergence_from(got["convergence"] or {}, "config.convergence")
-    bounds = _bounds_from(got["bounds"] or {}, "config.bounds", dim)
     probe_grid = (
         _grid_from(got["probe_grid"], dim, "config.probe_grid")
         if got["probe_grid"] is not None
         else None
     )
+    recon = _reconstruction_from(
+        got["reconstruction"] or {},
+        "config.reconstruction",
+        probe_grid if probe_grid is not None else grid,
+        target,
+    )
+    conv = _convergence_from(got["convergence"] or {}, "config.convergence")
+    bounds = _bounds_from(got["bounds"] or {}, "config.bounds", dim)
     shift = got["shift"]
     if shift is not None and len(shift) != dim:
         raise ConfigError("config.shift: dimension mismatch")
     if got["convention"] not in ("default", "mirror"):
         raise ConfigError("config.convention: must be 'default' or 'mirror'")
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         scenario=got["scenario"],
         dimension=dim,
         grid=grid,
@@ -369,11 +368,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         convention=got["convention"],
         output=got["output"],
     )
-    try:
-        cfg.reconstruction_options()
-    except ValueError as exc:
-        raise ConfigError(f"config.reconstruction: {exc}") from exc
-    return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -393,14 +387,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         else [],
         "energies": {"list": [float(e) for e in cfg.energies]},
         "mode": cfg.mode,
-        "solver": {
-            "tolerance": cfg.solver.tolerance,
-            "max_iterations": cfg.solver.max_iterations,
-            "resolution_factor": cfg.solver.resolution_factor,
-            "method": cfg.solver.method,
-            "dense_limit": cfg.solver.dense_limit,
+        "solver": {key: getattr(cfg.solver, key) for key in _SOLVER_KEYS},
+        "reconstruction": {
+            **{key: getattr(cfg.reconstruction, key) for key in _RECONSTRUCTION_KEYS},
+            "restrict_support": cfg.reconstruction.declared_support is not None,
         },
-        "reconstruction": dict(cfg.reconstruction),
         "convergence": {"slope_window": list(cfg.convergence["slope_window"])},
         "bounds": dict(cfg.bounds),
         "probe_grid": None

@@ -1,12 +1,16 @@
 """Error types shared across the package.
 
 Every failure mode that callers are expected to handle gets its own class
-here, so the CLI can map them onto exit codes without string matching.
+here.  Each class carries the CLI's exit code and the label of its stderr
+line, so the CLI maps errors onto exit codes without string matching.
 """
 
 
 class PhaselessError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: exit code 2, a config error unless overridden."""
+
+    exit_code = 2
+    label = "config error"
 
 
 class ConfigError(PhaselessError):
@@ -15,6 +19,8 @@ class ConfigError(PhaselessError):
 
 class InputFileError(PhaselessError, ValueError):
     """An input file (a dataset, an error table) is missing, unreadable or malformed."""
+
+    label = "input error"
 
 
 class GridMismatchError(PhaselessError):
@@ -40,6 +46,9 @@ class UnresolvedGridError(PhaselessError):
 class SolverConvergenceError(PhaselessError):
     """A field solve did not converge, or its support exceeds the direct solve's limit."""
 
+    exit_code = 3
+    label = "solver failure"
+
 
 class EnergyShellError(PhaselessError):
     """Incident and outgoing wave vectors are not on the same energy shell."""
@@ -63,6 +72,9 @@ class NoDataError(PhaselessError):
 
 class DegenerateDataError(PhaselessError):
     """Dataset is too degenerate to reconstruct (mask fraction too high)."""
+
+    exit_code = 4
+    label = "threshold failure"
 
 
 class DivergentIntegralError(PhaselessError):

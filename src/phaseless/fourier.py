@@ -59,7 +59,7 @@ def inverse_transform(
     onto one grid passes it.
     """
     target = grid if grid is not None else s.spatial_grid
-    if target.dual().key() != s.grid.key():
+    if target.dual() != s.grid:
         raise GridMismatchError("spectral grid is not the dual of the target grid")
     phased = s.values * (phase if phase is not None else inverse_phase(target))
     values = s.grid.cell_volume * np.fft.fftn(np.fft.ifftshift(phased))

@@ -137,9 +137,6 @@ class GridSpec:
             for a, (lo, hi) in enumerate(zip(self.box_min, self.box_max))
         )
 
-    def key(self) -> tuple:
-        return (self.dim, self.n, self.box_min, self.box_max)
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
@@ -211,7 +208,7 @@ class SpectralField:
 
     def __post_init__(self):
         values = _check_values(self.grid, self.values)
-        if self.spatial_grid.dual().key() != self.grid.key():
+        if self.spatial_grid.dual() != self.grid:
             raise GridMismatchError(
                 "spectral grid is not the dual of the attached spatial grid"
             )

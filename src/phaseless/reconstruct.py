@@ -367,7 +367,7 @@ def reconstruct(ds: PhaselessDataset, options: ReconstructionOptions):
 
     pgrid = ds.pgrid
     spatial = options.spatial_grid
-    if spatial.dual().key() != pgrid.key():
+    if spatial.dual() != pgrid:
         raise GridMismatchError("spatial grid's dual differs from the probe grid")
 
     moduli = recover_modulus_sq(ds, options.estimator)

@@ -110,6 +110,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("auto", "born", "dense"):
             raise ValueError(f"unknown solver method {self.method!r}")
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if not self.resolution_factor > 0:
+            raise ValueError(f"resolution_factor must be positive, got {self.resolution_factor}")
+        if self.dense_limit < 0:
+            raise ValueError(f"dense_limit must be nonnegative, got {self.dense_limit}")
 
 
 @dataclass(frozen=True)
@@ -469,7 +477,7 @@ def channel_amplitudes(
     if not len(incident):  # no channel: nothing to check or solve
         return amps, failed, 0, 0.0
     grid = fields[0].grid
-    if any(fld.grid.key() != grid.key() for fld in fields):
+    if any(fld.grid != grid for fld in fields):
         raise ValueError("the fields of one call must share one grid")
     if not energy > 0:
         raise ValueError("energy must be positive")
@@ -554,7 +562,7 @@ def scattering_amplitude(v: ScalarField, psi: ScalarField, k: WaveVector, l):
     """
     rows = np.atleast_2d(np.asarray(l, dtype=float))
     check_shell(k.energy, np.broadcast_to(k.array, (len(rows), len(k.k))), rows, v.grid.dim)
-    if v.grid.key() != psi.grid.key():
+    if v.grid != psi.grid:
         raise ValueError("potential and field live on different grids")
     mask = _support(v)
     idx = np.argwhere(mask)

@@ -629,8 +629,9 @@ def read_dataset(base: str) -> PhaselessDataset:
     (see _header_fields), the CSV does not match its recorded hash or
     the header's energies are not exactly the distinct energies of the
     rows, and naming the file and line when a CSV row has not the
-    header's number of cells, a value that is no number or a flag that
-    is no integer 0-255; OutOfBallError (or EnergyShellError) when a row
+    header's number of cells, a value that is no number, a flag that
+    is no integer 0-255 or an unflagged intensity that is negative or
+    not finite; OutOfBallError (or EnergyShellError) when a row
     is no on-shell channel of its energy, and GridMismatchError when a
     transfer is not a probe-grid node.
     """
@@ -677,7 +678,15 @@ def read_dataset(base: str) -> PhaselessDataset:
             raise InputFileError(f"{base}.csv: line {line}: {cell!r} is not a number") from None
     numbers = np.fromiter(map(parsed.__getitem__, cells), dtype=float, count=len(cells))
     numbers = numbers.reshape(-1, width - 1)
-    energy, transfer = numbers[:, 0], numbers[:, 1 : 1 + d]
+    energy, transfer, values = numbers[:, 0], numbers[:, 1 : 1 + d], numbers[:, 1 + d :]
+    flags = _flags(flag_cells, base)
+    bad = (flags == FLAG_OK) & ~np.all(np.isfinite(values) & (values >= 0), axis=1)
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        raise InputFileError(
+            f"{base}.csv: line {row + 2}: unflagged intensities {values[row].tolist()} "
+            "are not all finite and nonnegative"
+        )
     channel_table(energy, transfer, convention)  # raises for a row off the shell or ball
     distinct = sorted(set(energy.tolist()))
     if header.get("energies") != distinct:
@@ -692,8 +701,8 @@ def read_dataset(base: str) -> PhaselessDataset:
         energy=energy,
         transfer=transfer,
         node_index=pgrid.flat_index(transfer),
-        values=numbers[:, 1 + d :],
-        flags=_flags(flag_cells, base),
+        values=values,
+        flags=flags,
         backgrounds=refs,
         convention=convention,
         solver_notes=header.get("solver_notes", {}),

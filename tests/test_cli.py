@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import phaseless
+import phaseless.exceptions
 from phaseless.cli import _canonical, _json_safe, _report_text, main
 from phaseless.fieldio import read_field
 from phaseless.grids import GridSpec
@@ -96,6 +97,8 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
         {"reconstruction": {"estimator": "magic"}},
         {"bounds": {"sigma": 1.0}},
         {"bounds": {"a0": -1}},
+        {"solver": {"resolution_factor": 0}},
+        {"solver": {"max_iterations": 0}},
     ],
     ids=[
         "missing-file", "window-string", "window-null", "box-min", "box-max", "shift",
@@ -103,6 +106,7 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
         "energies-mode", "energies-accumulation", "int-fraction", "count-fraction",
         "int-string", "int-bool", "float-string", "float-bool", "float-list-bool",
         "bool-string", "bool-int", "object-list", "estimator", "sigma-diverges", "a0-negative",
+        "resolution-zero", "iterations-zero",
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, doc):
@@ -166,6 +170,34 @@ def test_convergence_threshold_exit_code(tmp_path, capsys):
     assert report["results"]["within_window"] is False
     # the measurement table is still written for post-mortems
     assert (out / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "name, code, prefix",
+    [
+        ("ConfigError", 2, "config error"),
+        ("BackgroundValidationError", 2, "config error"),
+        ("GridMismatchError", 2, "config error"),
+        ("UnresolvedGridError", 2, "config error"),
+        ("SupportOutsideBoxError", 2, "config error"),
+        ("OutOfBallError", 2, "config error"),
+        ("EnergyShellError", 2, "config error"),
+        ("NoDataError", 2, "config error"),
+        ("DegenerateFitError", 2, "config error"),
+        ("InputFileError", 2, "input error"),
+        ("SolverConvergenceError", 3, "solver failure"),
+        ("DegenerateDataError", 4, "threshold failure"),
+    ],
+)
+def test_error_class_sets_exit_code_and_prefix(tmp_path, capsys, monkeypatch, name, code, prefix):
+    error = getattr(phaseless.exceptions, name)
+
+    def fail(path):
+        raise error("boom")
+
+    monkeypatch.setattr("phaseless.cli.load_config", fail)
+    assert main(["synthesize", "--config", str(tmp_path / "cfg.json")]) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
 
 
 def test_forward_matches_golden_amplitudes(tmp_path):
@@ -438,6 +470,7 @@ def _error_table_row(row):
         _malformed_csv(_cell_moved),
         _malformed_csv(_set_cell(2, -1, "1.5")),
         _malformed_csv(_set_cell(3, 1, "abc")),
+        _malformed_csv(_set_cell(4, -2, "-1.0")),
         _edited_dataset("dataset.json", _header(lambda h: _first_component(h).update(
             center=[-0.9, 0.7]))),
         _edited_dataset("dataset.json", _header(lambda h: h.pop("pgrid"))),
@@ -454,6 +487,7 @@ def _error_table_row(row):
         "missing-dataset", "dataset-hash", "dataset-schema", "dataset-json",
         "error-column-missing", "error-not-a-number",
         "csv-cell-moved", "csv-fractional-flag", "csv-non-numeric-value",
+        "csv-negative-intensity",
         "header-references-differ", "header-missing-key", "header-bad-grid",
         "header-unknown-primitive", "header-unknown-mode", "header-unknown-convention",
         "header-fractional-n-refs",

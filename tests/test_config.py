@@ -37,11 +37,12 @@ def test_minimal_config_defaults():
     assert cfg.references is None
     assert cfg.grid.box_min == (-1.5, -1.5)
     assert cfg.solver.tolerance == 1e-8
-    assert cfg.reconstruction["estimator"] == "top"
+    assert cfg.reconstruction.estimator == "top"
+    assert cfg.reconstruction.spatial_grid == cfg.grid
     assert cfg.convergence["slope_window"] == (-0.75, -0.30)
     assert cfg.bounds["a0"] == 1.0
     assert cfg.probe_grid is None
-    assert cfg.probe().key() == cfg.grid.dual().key()
+    assert cfg.probe() == cfg.grid.dual()
 
 
 def test_wrong_schema_rejected():
@@ -149,7 +150,7 @@ def test_references_parse_and_validate():
 
 def test_probe_grid_overrides_dual():
     cfg = config_from_dict(minimal(probe_grid={"n": 8, "box": 2.0}))
-    assert cfg.probe().key() == cfg.probe_grid.dual().key()
+    assert cfg.probe() == cfg.probe_grid.dual()
 
 
 def test_reconstruction_options_flow_through():
@@ -163,13 +164,17 @@ def test_reconstruction_options_flow_through():
             }
         )
     )
-    opts = cfg.reconstruction_options()
+    opts = cfg.reconstruction
     assert opts.estimator == "richardson"
     assert opts.p_cut == 9.0
     assert opts.declared_support is not None
     assert opts.declared_real
-    relaxed = config_from_dict(minimal(reconstruction={"restrict_support": False}))
-    assert relaxed.reconstruction_options().declared_support is None
+    assert opts.spatial_grid == cfg.grid
+    relaxed = config_from_dict(
+        minimal(reconstruction={"restrict_support": False}, probe_grid={"n": 8, "box": 2.0})
+    )
+    assert relaxed.reconstruction.declared_support is None
+    assert relaxed.reconstruction.spatial_grid == relaxed.probe_grid
 
 
 def test_solver_block_parses():
@@ -188,6 +193,24 @@ def test_solver_block_parses():
     assert type(cfg.solver.tolerance) is float and cfg.solver.tolerance == 1.0
     echo = config_to_dict(cfg)
     assert config_to_dict(config_from_dict(echo)) == echo
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        {"tolerance": 0.0},
+        {"tolerance": -1.0, "method": "born"},
+        {"max_iterations": 0},
+        {"resolution_factor": 0.0},
+        {"resolution_factor": -8.0},
+        {"dense_limit": -1},
+    ],
+    ids=["zero-tolerance", "negative-tolerance", "no-iterations", "zero-resolution",
+         "negative-resolution", "negative-dense-limit"],
+)
+def test_solver_ranges_are_config_errors(solver):
+    with pytest.raises(ConfigError, match=r"^config\.solver: "):
+        config_from_dict(minimal(solver=solver))
 
 
 def test_convergence_window_validated():

@@ -17,7 +17,7 @@ def test_scalar_roundtrip(tmp_path, box_grid, rng):
     assert bin_path.stat().st_size == 16 * box_grid.node_count
     back = read_field(base)
     assert isinstance(back, ScalarField)
-    assert back.grid.key() == box_grid.key()
+    assert back.grid == box_grid
     assert np.array_equal(back.values, values)
     meta = json.loads(json_path.read_text())
     assert meta["kind"] == "spatial"
@@ -62,5 +62,5 @@ def test_bin_is_interleaved_f8_and_reads_back_bit_for_bit(tmp_path, rng, dim, n)
         raw[1::2] = values.imag.ravel()
         assert bin_path.read_bytes() == raw.tobytes()
         back = read_field(base)
-        assert type(back) is type(field) and back.grid.key() == field.grid.key()
+        assert type(back) is type(field) and back.grid == field.grid
         assert back.values.tobytes() == field.values.tobytes()

@@ -51,7 +51,7 @@ def test_dual_spacing_and_involution():
     assert_allclose(d.spacing[0], 2.0 * np.pi / 3.0)
     # dual box is centered regardless of the spatial box position
     assert_allclose(d.box_min[0], -d.box_max[0])
-    assert d.dual().key() == g.key()
+    assert d.dual() == g
 
 
 def test_dual_anisotropic():
@@ -72,8 +72,8 @@ def test_contains_ball():
 def test_key_round_trip():
     g = GridSpec(2, 16, (-1.5, -1.5), (1.5, 1.5))
     h = GridSpec(2, 16, (-1.5, -1.5), (1.5, 1.5))
-    assert g.key() == h.key()
-    assert g.key() != GridSpec(2, 32, (-1.5, -1.5), (1.5, 1.5)).key()
+    assert g == h
+    assert g != GridSpec(2, 32, (-1.5, -1.5), (1.5, 1.5))
 
 
 class TestScalarField:
@@ -93,6 +93,6 @@ def test_spectral_field_carries_spatial_grid():
     spatial = GridSpec(2, 8, (-1.0, -1.0), (1.0, 1.0))
     dual = spatial.dual()
     s = SpectralField(dual, np.zeros(dual.shape, dtype=complex), spatial)
-    assert s.spatial_grid.key() == spatial.key()
+    assert s.spatial_grid == spatial
     with pytest.raises(GridMismatchError):
         SpectralField(dual, np.zeros((3, 3), dtype=complex), spatial)

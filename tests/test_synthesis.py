@@ -253,7 +253,7 @@ def test_dataset_roundtrip(tmp_path, off_center_ball, two_ball_refs):
     write_dataset(ds, base, target=off_center_ball)
     back = read_dataset(base)
     assert back.mode == ds.mode
-    assert back.pgrid.key() == ds.pgrid.key()
+    assert back.pgrid == ds.pgrid
     assert back.energies == ds.energies
     for name in ("energy", "transfer", "node_index", "values", "flags"):
         want, got = getattr(ds, name), getattr(back, name)
@@ -482,8 +482,19 @@ def _set_cells(edits):
             _set_cells({(9, 1): "abc", (8, 2): "abd"}),
             "{base}.csv: line 9: 'abd' is not a number",
         ),
+        (
+            _set_cells({(6, -2): "-0.5"}),
+            "{base}.csv: line 7: unflagged intensities [-0.5] are not all finite and nonnegative",
+        ),
+        (
+            _set_cells({(3, -2): "nan"}),
+            "{base}.csv: line 4: unflagged intensities [nan] are not all finite and nonnegative",
+        ),
     ],
-    ids=["cell-moved", "fractional-flag", "flag-out-of-range", "non-numeric-value"],
+    ids=[
+        "cell-moved", "fractional-flag", "flag-out-of-range", "non-numeric-value",
+        "negative-intensity", "nan-intensity",
+    ],
 )
 def test_read_dataset_rejects_malformed_rows(tmp_path, off_center_ball, edit, message):
     ds = synthesize(off_center_ball, None, ENERGIES, PGRID)
