@@ -28,6 +28,7 @@ from .config import ExperimentConfig, config_to_dict, load_config
 from .exceptions import ConfigError, InputFileError, PhaselessError, SolverConvergenceError
 from .fieldio import write_field
 from .geometry import channel
+from .grids import intensity
 from .potentials import analytic_hat, rasterize
 from .reconstruct import reconstruct
 from .solver import WaveVector, scattering_amplitude, solve_lippmann_schwinger
@@ -195,9 +196,7 @@ def cmd_forward(cfg: ExperimentConfig, outdir: Path) -> int:
         }
         outgoing = np.sqrt(E) * dirs
         amps = scattering_amplitude(field_v, psi, k, outgoing)
-        # Python's abs(f) ** 2 per value: numpy's abs and power can differ
-        # from it in the last ulp
-        abs2 = np.array([abs(f) ** 2 for f in amps.tolist()])
+        abs2 = intensity(amps)
         energy = np.full(len(outgoing), float(E))
         rows += csv_rows([energy, *outgoing.T, amps.real, amps.imag, abs2])
     bundle.write_text("forward_amplitudes.csv", "\n".join(rows) + "\n")
@@ -304,9 +303,7 @@ def _convergence_errors(cfg: ExperimentConfig) -> tuple[list, list]:
         failed = int(np.count_nonzero(ds.flags[rows]))
         if failed:
             raise SolverConvergenceError(f"{failed} channel(s) failed at energy {E:.6g}")
-        truth = np.array(
-            [abs(z) ** 2 for z in analytic_hat(cfg.target, ds.transfer[rows]).tolist()]
-        )
+        truth = intensity(analytic_hat(cfg.target, ds.transfer[rows]))
         energies.append(float(E))
         errors.append(float(np.max(np.abs(ds.values[rows, 0] - truth))))
     return energies, errors

@@ -15,15 +15,17 @@ from typing import Union
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField, SpectralField
+from .exceptions import InputFileError, PhaselessError
+from .grids import ScalarField, SpectralField, grid_from_json, grid_to_json
+from .jsonread import choice, convert, obj
 
 __all__ = ["write_field", "read_field"]
 
 Field = Union[ScalarField, SpectralField]
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _canonical_json(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def write_field(field: Field, base: Union[str, Path]) -> tuple[Path, Path]:
@@ -37,12 +39,8 @@ def write_field(field: Field, base: Union[str, Path]) -> tuple[Path, Path]:
     bin_path = base.with_suffix(".bin")
     json_path = base.with_suffix(".json")
 
-    grid = field.grid
     meta = {
-        "dim": grid.dim,
-        "n": grid.n,
-        "box_min": list(grid.box_min),
-        "box_max": list(grid.box_max),
+        **grid_to_json(field.grid),
         "kind": "spectral" if isinstance(field, SpectralField) else "spatial",
     }
     if isinstance(field, SpectralField):
@@ -56,18 +54,25 @@ def write_field(field: Field, base: Union[str, Path]) -> tuple[Path, Path]:
 
 
 def read_field(base: Union[str, Path]) -> Field:
-    """The field write_field wrote at ``base``, every value's bits restored."""
+    """The field write_field wrote at ``base``, every value's bits restored.
+
+    A sidecar that is not one write_field writes, or values that do not
+    fit it, are an InputFileError naming ``base``; a missing file raises
+    the OSError.
+    """
     base = Path(base)
-    meta = json.loads(base.with_suffix(".json").read_text())
-    raw = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<c16")
-    values = raw.reshape((meta["n"],) * meta["dim"])
-    grid = GridSpec(meta["dim"], meta["n"], tuple(meta["box_min"]), tuple(meta["box_max"]))
-    if meta["kind"] == "spectral":
-        spatial = GridSpec(
-            meta["dim"],
-            meta["n"],
-            tuple(meta["spatial_box_min"]),
-            tuple(meta["spatial_box_max"]),
-        )
-        return SpectralField(grid, values, spatial)
-    return ScalarField(grid, values)
+    json_path = base.with_suffix(".json")
+    try:
+        meta = convert(json.loads(json_path.read_text()), obj, "sidecar")
+        kind = convert(meta.pop("kind", None), choice(("spatial", "spectral")), "sidecar.kind")
+        spatial = {}
+        if kind == "spectral":  # the grid's JSON form plus the spatial box
+            spatial = {key: meta.pop(f"spatial_{key}", None) for key in ("box_min", "box_max")}
+        grid = grid_from_json(meta, "sidecar")
+        values = np.frombuffer(base.with_suffix(".bin").read_bytes(), dtype="<c16")
+        values = values.reshape(grid.shape)
+        if kind == "spectral":
+            return SpectralField(grid, values, grid_from_json({**meta, **spatial}, "sidecar"))
+        return ScalarField(grid, values)
+    except (ValueError, PhaselessError) as exc:
+        raise InputFileError(f"{base}: malformed field ({exc})") from exc

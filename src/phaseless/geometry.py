@@ -35,6 +35,7 @@ from .exceptions import EnergyShellError, OutOfBallError
 from .grids import GridSpec, row_dot
 
 __all__ = [
+    "CONVENTIONS",
     "ChannelTable",
     "EnergySet",
     "check_shell",
@@ -43,7 +44,7 @@ __all__ = [
     "channels_on_grid",
 ]
 
-_CONVENTIONS = ("default", "mirror")
+CONVENTIONS = ("default", "mirror")
 
 
 def _transverse_rows(p: np.ndarray, convention: str) -> np.ndarray:
@@ -54,7 +55,7 @@ def _transverse_rows(p: np.ndarray, convention: str) -> np.ndarray:
     to p, (0, 0, 1) at p = 0.  ``convention="mirror"`` negates the
     result, giving the second choice used by the independence tests.
     """
-    if convention not in _CONVENTIONS:
+    if convention not in CONVENTIONS:
         raise ValueError(f"unknown transverse convention {convention!r}")
     dim = p.shape[1]
     # Scale each row by a power of two near its largest |component|:
@@ -204,8 +205,8 @@ class EnergySet:
         if not self.energies:
             raise ValueError("energy set is empty")
         es = tuple(float(e) for e in self.energies)
-        if any(e <= 0 for e in es):
-            raise ValueError("energies must be positive")
+        if not all(0 < e < np.inf for e in es):
+            raise ValueError("energies must be positive and finite")
         if any(b <= a for a, b in zip(es, es[1:])):
             raise ValueError("energies must be strictly increasing")
         object.__setattr__(self, "energies", es)

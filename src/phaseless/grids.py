@@ -15,9 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import GridMismatchError
+from .exceptions import ConfigError, GridMismatchError
+from .jsonread import choice, convert, integer, number, numbers, take
 
-__all__ = ["GridSpec", "ScalarField", "SpectralField", "row_dot"]
+__all__ = [
+    "GridSpec", "ScalarField", "SpectralField", "grid_from_json", "grid_to_json", "intensity",
+    "row_dot",
+]
 
 
 def row_dot(a, b) -> np.ndarray:
@@ -31,6 +35,19 @@ def row_dot(a, b) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def intensity(values) -> np.ndarray:
+    """|z|^2 of each complex value, as Python's ``abs(z) ** 2`` forms it.
+
+    numpy's abs and power can differ from it in the last ulp.  A square
+    beyond the float range is a ConfigError: only an amplitude far out of
+    range makes one.
+    """
+    try:
+        return np.array([abs(z) ** 2 for z in np.asarray(values).tolist()])
+    except OverflowError:
+        raise ConfigError("an intensity overflows a float: too strong a potential") from None
 
 
 def _as_tuple(x, dim: int) -> tuple[float, ...]:
@@ -49,8 +66,10 @@ class GridSpec:
     Parameters
     ----------
     dim : 2 or 3.
-    n : nodes per axis (>= 8, same for every axis).
-    box_min, box_max : box corners; anisotropic boxes are allowed.
+    n : nodes per axis (>= 8, same for every axis); the node count must
+        fit a numpy index.
+    box_min, box_max : box corners; anisotropic boxes are allowed, but
+        the box and its dual must both be finite.
     """
 
     dim: int
@@ -63,11 +82,14 @@ class GridSpec:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.n < 8:
             raise ValueError(f"need at least 8 nodes per axis, got {self.n}")
+        if int(self.n) ** self.dim > np.iinfo(np.intp).max:
+            raise ValueError(f"{self.n:.3g}^{self.dim} nodes exceed a numpy index")
         object.__setattr__(self, "box_min", _as_tuple(self.box_min, self.dim))
         object.__setattr__(self, "box_max", _as_tuple(self.box_max, self.dim))
-        for lo, hi in zip(self.box_min, self.box_max):
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ValueError(f"invalid box extent [{lo}, {hi}]")
+        # the dual has finite corners dlo < dhi only if the box has finite lo < hi
+        for lo, hi, dlo, dhi in zip(self.box_min, self.box_max, *self._dual_corners()):
+            if not (np.isfinite(dlo) and np.isfinite(dhi) and dlo < dhi):
+                raise ValueError(f"invalid box extent [{lo}, {hi}]: box and dual must be finite")
 
     @property
     def spacing(self) -> tuple[float, ...]:
@@ -124,10 +146,14 @@ class GridSpec:
         Spacing is 2*pi / (box length) per axis; the node set matches
         ``2*pi*fftshift(fftfreq(n, h))`` exactly.
         """
-        dp = tuple(2.0 * np.pi / (self.n * h) for h in self.spacing)
+        return GridSpec(self.dim, self.n, *self._dual_corners())
+
+    def _dual_corners(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        # a spacing that is not positive (or underflows to 0) has an infinite dual
+        dp = tuple(2.0 * np.pi / (self.n * h) if h > 0 else np.inf for h in self.spacing)
         lo = tuple(-(self.n // 2) * d for d in dp)
         hi = tuple(l + self.n * d for l, d in zip(lo, dp))
-        return GridSpec(self.dim, self.n, lo, hi)
+        return lo, hi
 
     def contains_ball(self, center, radius: float) -> bool:
         """Whether the ball lies strictly inside the box: touching a face is outside."""
@@ -136,6 +162,34 @@ class GridSpec:
             c[a] - radius > lo and c[a] + radius < hi
             for a, (lo, hi) in enumerate(zip(self.box_min, self.box_max))
         )
+
+
+def grid_to_json(grid: GridSpec, dim: bool = True) -> dict:
+    """A grid's JSON form {"dim", "n", "box_min", "box_max"}; without "dim" unless ``dim``."""
+    form = {"dim": grid.dim} if dim else {}
+    return {**form, "n": grid.n, "box_min": list(grid.box_min), "box_max": list(grid.box_max)}
+
+
+def grid_from_json(data, context: str, dim: int | None = None) -> GridSpec:
+    """The grid of JSON form ``data``; ConfigError naming the key path of a bad value.
+
+    ``data`` gives "n" and either "box_min" and "box_max" or "box", a
+    half-width b for the box [-b, b)^d.  It gives "dim" too unless
+    ``dim`` is given, as grid_to_json writes it.
+    """
+    keys = {"n": integer} if dim is not None else {"dim": choice((2, 3), integer), "n": integer}
+    corners = {"box_min": (numbers, None), "box_max": (numbers, None), "box": (number, None)}
+    got = take(data, context, keys, corners)
+    dim = got.get("dim", dim)
+    if got["box"] is not None:
+        if got["box_min"] is not None or got["box_max"] is not None:
+            raise ConfigError(f"{context}: give either box or box_min/box_max, not both")
+        lo, hi = (-got["box"],) * dim, (got["box"],) * dim
+    elif got["box_min"] is None or got["box_max"] is None:
+        raise ConfigError(f"{context}: box_min and box_max are required")
+    else:
+        lo, hi = got["box_min"], got["box_max"]
+    return convert((dim, got["n"], lo, hi), lambda args: GridSpec(*args), context)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -9,6 +9,8 @@ primitive by y multiplies its transform by e^{i p.y}.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -17,6 +19,7 @@ import numpy as np
 
 from .exceptions import SupportOutsideBoxError, UnsupportedPrimitiveError
 from .grids import GridSpec, ScalarField, row_dot
+from .jsonread import array, choice, convert, identity, integer, number, numbers, obj, take
 from .special import j0, j1_over_x
 
 __all__ = [
@@ -32,6 +35,20 @@ __all__ = [
 ]
 
 
+def _check_primitive(prim, name: str, *lengths) -> None:
+    """Store ``prim``'s center as floats and amplitude as complex; check the ranges.
+
+    Center and amplitude must be finite, and each of ``lengths`` (``name``
+    in the error) positive and finite.
+    """
+    object.__setattr__(prim, "center", tuple(float(c) for c in prim.center))
+    object.__setattr__(prim, "amplitude", complex(prim.amplitude))
+    if not all(map(math.isfinite, prim.center)) or not cmath.isfinite(prim.amplitude):
+        raise ValueError("primitive center and amplitude must be finite")
+    if not all(0 < x < math.inf for x in lengths):
+        raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class BallPrimitive:
     """amplitude * indicator(|x - center| <= radius)."""
@@ -41,10 +58,7 @@ class BallPrimitive:
     amplitude: complex = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-        if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
+        _check_primitive(self, "ball radius", self.radius)
 
     @property
     def support_radius(self) -> float:
@@ -70,10 +84,7 @@ class GaussianPrimitive:
     amplitude: complex = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-        if not (self.width > 0 and self.cutoff > 0):
-            raise ValueError("width and cutoff must be positive")
+        _check_primitive(self, "width and cutoff", self.width, self.cutoff)
 
     @property
     def support_radius(self) -> float:
@@ -104,15 +115,11 @@ class PotentialSpec:
 
     @classmethod
     def ball(cls, center, radius, amplitude=1.0) -> "PotentialSpec":
-        center = tuple(float(c) for c in center)
         return cls(len(center), (BallPrimitive(center, radius, amplitude),))
 
     @classmethod
     def gaussian(cls, center, width, cutoff, amplitude=1.0) -> "PotentialSpec":
-        center = tuple(float(c) for c in center)
-        return cls(
-            len(center), (GaussianPrimitive(center, width, cutoff, amplitude),)
-        )
+        return cls(len(center), (GaussianPrimitive(center, width, cutoff, amplitude),))
 
     def translate(self, y) -> "PotentialSpec":
         y = tuple(float(v) for v in y)
@@ -319,61 +326,66 @@ def sup_weighted_norm(spec: PotentialSpec, sigma: float, samples: int = 4001) ->
     return total
 
 
+# each primitive kind's class and the fields of its JSON form
+_PRIMITIVES = {
+    "ball": (BallPrimitive, ("center", "radius", "amplitude")),
+    "gaussian": (GaussianPrimitive, ("center", "width", "cutoff", "amplitude")),
+}
+_KINDS = {cls: kind for kind, (cls, _) in _PRIMITIVES.items()}
+
+
 def _complex_to_json(z: complex):
-    z = complex(z)
     return [z.real, z.imag] if z.imag != 0.0 else z.real
+
+
+def _complex_from_json(value) -> complex:
+    """A number, or a list [re, im] of two numbers."""
+    if not isinstance(value, list):
+        return complex(number(value))
+    re, im = numbers(value)
+    return complex(re, im)
+
+
+# the JSON form of each primitive field: (reader, writer)
+_LENGTH = (number, identity)
+_FIELDS = {
+    "center": (numbers, list),
+    "radius": _LENGTH,
+    "width": _LENGTH,
+    "cutoff": _LENGTH,
+    "amplitude": (_complex_from_json, _complex_to_json),
+}
 
 
 def spec_to_dict(spec: PotentialSpec) -> dict:
     """JSON-ready description of a PotentialSpec, inverse of spec_from_dict."""
     comps = []
     for comp in spec.components:
-        if isinstance(comp, BallPrimitive):
-            comps.append(
-                {
-                    "kind": "ball",
-                    "center": list(comp.center),
-                    "radius": comp.radius,
-                    "amplitude": _complex_to_json(comp.amplitude),
-                }
-            )
-        elif isinstance(comp, GaussianPrimitive):
-            comps.append(
-                {
-                    "kind": "gaussian",
-                    "center": list(comp.center),
-                    "width": comp.width,
-                    "cutoff": comp.cutoff,
-                    "amplitude": _complex_to_json(comp.amplitude),
-                }
-            )
-        else:  # pragma: no cover - the union covers both kinds
-            raise UnsupportedPrimitiveError(type(comp).__name__)
+        kind = _KINDS[type(comp)]
+        fields = _PRIMITIVES[kind][1]
+        comps.append({"kind": kind, **{f: _FIELDS[f][1](getattr(comp, f)) for f in fields}})
     return {"dim": spec.dim, "components": comps}
 
 
-def _amplitude_from_json(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        re, im = value
-        return complex(float(re), float(im))
-    return complex(float(value))
+def _primitive_from_json(data, context: str) -> Primitive:
+    """One component: its "kind" picks its class and the fields it takes."""
+    kind = convert(data, obj, context).get("kind")
+    cls, fields = _PRIMITIVES[convert(kind, choice(tuple(_PRIMITIVES)), f"{context}.kind")]
+    got = take(data, context, {"kind": identity, **{f: _FIELDS[f][0] for f in fields}}, {})
+    del got["kind"]
+    return convert(got, lambda kw: cls(**kw), context)
 
 
-def spec_from_dict(data: dict) -> PotentialSpec:
-    dim = int(data["dim"])
-    comps: list[Primitive] = []
-    for item in data["components"]:
-        kind = item["kind"]
-        amp = _amplitude_from_json(item["amplitude"])
-        center = tuple(float(c) for c in item["center"])
-        if kind == "ball":
-            comps.append(BallPrimitive(center, float(item["radius"]), amp))
-        elif kind == "gaussian":
-            comps.append(
-                GaussianPrimitive(
-                    center, float(item["width"]), float(item["cutoff"]), amp
-                )
-            )
-        else:
-            raise UnsupportedPrimitiveError(f"unknown primitive kind {kind!r}")
-    return PotentialSpec(dim, tuple(comps))
+def spec_from_dict(data, context: str = "spec") -> PotentialSpec:
+    """The PotentialSpec of JSON form ``data``, as spec_to_dict writes it.
+
+    Unknown keys, values of the wrong JSON type, non-finite numbers and
+    values a primitive or PotentialSpec rejects are each a ConfigError
+    that names the key path under ``context``.
+    """
+    got = take(data, context, {"dim": integer, "components": array}, {})
+    comps = tuple(
+        _primitive_from_json(item, f"{context}.components[{i}]")
+        for i, item in enumerate(got["components"])
+    )
+    return convert((got["dim"], comps), lambda args: PotentialSpec(*args), context)

@@ -126,6 +126,10 @@ class ReconstructionOptions:
             raise ValueError("taper fraction must lie in [0, 1)")
         if not 0.0 < self.mask_fraction_limit <= 1.0:
             raise ValueError("mask fraction limit must lie in (0, 1]")
+        for name in ("p_cut", "eps_zero", "eps_pair"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -251,8 +255,9 @@ def build_mask(
     ``moduli`` is recover_modulus_sq's (n_nodes, 1 + n_refs) table, NaN
     where no estimate exists, and ``hats`` are
     ds.backgrounds.reference_hats of the probe nodes.  Thresholds
-    default to 1e-3 of each quantity's grid maximum; the reference rule
-    is ds.backgrounds.singular_nodes.
+    default to 1e-3 of each quantity's grid maximum, and a target
+    modulus that is zero at every node flags every node it reaches;
+    the reference rule is ds.backgrounds.singular_nodes.
     """
     pgrid = ds.pgrid
     nodes = pgrid.nodes()
@@ -273,7 +278,8 @@ def build_mask(
     amp0 = np.sqrt(np.where(no_data, 0.0, np.maximum(moduli[:, 0], 0.0)))
     scale0 = float(np.max(amp0)) if amp0.size else 0.0
     ez = eps_zero if eps_zero is not None else 1e-3 * scale0
-    target_null = in_ball & ~no_data & (amp0 < ez)
+    # the default threshold 1e-3 * 0 would flag no node of a zero target
+    target_null = in_ball & ~no_data & ((amp0 < ez) | (scale0 == 0.0))
 
     ref_null, pair, eps_ref, ep = ds.backgrounds.singular_nodes(hats, eps_zero, eps_pair)
     return SingularMask(

@@ -38,8 +38,9 @@ from .exceptions import (
 # channel, born_amplitude, scattering_amplitude and
 # solve_lippmann_schwinger are not called here; they stay importable from
 # this module because perfbench/tracing.py wraps them by name.
-from .geometry import ChannelTable, EnergySet, channel, channel_table, channels_on_grid
-from .grids import GridSpec
+from .geometry import CONVENTIONS, ChannelTable, EnergySet, channel, channel_table, channels_on_grid
+from .grids import GridSpec, grid_from_json, grid_to_json, intensity
+from .jsonread import array, boolean, choice, convert, integer, numbers, obj, string, take
 from .potentials import (
     PotentialSpec,
     analytic_hat,
@@ -165,6 +166,18 @@ class BackgroundSet:
         return ref_null, pair, eps_ref, eps_pair
 
 
+def references_to_json(refs: BackgroundSet | None) -> list:
+    """The JSON form of ``refs``: a list of potential specs, empty for None."""
+    return [spec_to_dict(w) for w in refs.backgrounds] if refs is not None else []
+
+
+def references_from_json(data, context: str) -> BackgroundSet | None:
+    """The references of JSON form ``data``, as references_to_json writes them."""
+    items = convert(data, array, context)
+    specs = tuple(spec_from_dict(w, f"{context}[{i}]") for i, w in enumerate(items))
+    return convert(specs, BackgroundSet, context) if specs else None
+
+
 @dataclass(frozen=True)
 class PhaselessDataset:
     """Channel rows plus their stored intensities.
@@ -260,8 +273,7 @@ def _oracle_rows(variants, chans: ChannelTable) -> np.ndarray:
     node's coordinates (rounding in the shell construction), which keep
     their own point.  A variant sums its components from zero in
     analytic_hat's order, so each value equals analytic_hat's of the
-    variant bit for bit.  Python's abs(z) ** 2 runs once per (point,
-    variant): numpy's abs and power can differ from it in the last ulp.
+    variant bit for bit.  grids.intensity runs once per (point, variant).
     """
     p = chans.incident - chans.outgoing
     _, first, point = np.unique(chans.node, return_index=True, return_inverse=True)
@@ -276,7 +288,7 @@ def _oracle_rows(variants, chans: ChannelTable) -> np.ndarray:
             if comp not in hats:
                 hats[comp] = analytic_hat(PotentialSpec(spec.dim, (comp,)), points)
             total += hats[comp]
-        values[:, col] = np.array([abs(z) ** 2 for z in total.tolist()])[point]
+        values[:, col] = intensity(total)[point]
     return values
 
 
@@ -550,12 +562,10 @@ def write_dataset(ds: PhaselessDataset, base: str, withhold_target: bool = False
         "mode": ds.mode,
         "convention": ds.convention,
         "dim": d,
-        "pgrid": _grid_to_dict(ds.pgrid),
+        "pgrid": grid_to_json(ds.pgrid),
         "energies": [float(e) for e in ds.energies],
         "n_refs": ds.n_refs,
-        "references": [spec_to_dict(w) for w in ds.backgrounds.backgrounds]
-        if ds.backgrounds is not None
-        else [],
+        "references": references_to_json(ds.backgrounds),
         "target": spec_to_dict(target) if (target is not None and not withhold_target) else None,
         "target_withheld": bool(withhold_target),
         "solver_notes": ds.solver_notes,
@@ -566,40 +576,35 @@ def write_dataset(ds: PhaselessDataset, base: str, withhold_target: bool = False
         fh.write("\n")
 
 
-def _grid_to_dict(g: GridSpec) -> dict:
-    return {
-        "dim": g.dim,
-        "n": g.n,
-        "box_min": [float(x) for x in g.box_min],
-        "box_max": [float(x) for x in g.box_max],
-    }
+def _header_fields(header, base: str) -> dict:
+    """A dataset header's fields, each read by its type's rules.
 
-
-def _grid_from_dict(d: dict) -> GridSpec:
-    return GridSpec(int(d["dim"]), int(d["n"]), tuple(d["box_min"]), tuple(d["box_max"]))
-
-
-def _header_fields(header: dict, base: str) -> tuple[GridSpec, BackgroundSet | None]:
-    """The probe grid and references of a dataset header, its fields checked.
-
-    The CSV hash does not cover the header.  InputFileError names
-    ``base``.json for a missing key, a grid or reference the package
-    rejects, an unknown mode or convention, or an n_refs that is not
-    the number of references.
+    The CSV hash does not cover the header.  "pgrid" comes back as a
+    GridSpec and "references" as a BackgroundSet or None.  InputFileError
+    names ``base``.json for an unknown or missing key, a value of the
+    wrong JSON type, a non-finite number, a grid or reference the package
+    rejects, an unknown mode or convention, a "dim" that is not the probe
+    grid's, or an n_refs that is not the number of references.
     """
     try:
-        pgrid = _grid_from_dict(header["pgrid"])
-        specs = tuple(spec_from_dict(w) for w in header["references"])
-        if type(header["n_refs"]) is not int or header["n_refs"] != len(specs):
-            raise ValueError(f"n_refs {header['n_refs']!r} for {len(specs)} reference(s)")
-        if header["mode"] not in MODES:
-            raise ValueError(f"unknown synthesis mode {header['mode']!r}")
-        if header["convention"] not in ("default", "mirror"):
-            raise ValueError(f"unknown convention {header['convention']!r}")
-        return pgrid, BackgroundSet(specs) if specs else None
-    except KeyError as exc:
-        raise InputFileError(f"{base}.json: dataset header lacks key {exc}") from exc
-    except (TypeError, ValueError, PhaselessError) as exc:
+        got = take(
+            header,
+            "header",
+            {"schema": string, "mode": choice(MODES), "convention": choice(CONVENTIONS),
+             "dim": integer, "energies": numbers, "n_refs": integer,
+             "pgrid": lambda v: grid_from_json(v, "header.pgrid"),
+             "references": lambda v: references_from_json(v, "header.references"),
+             "target_withheld": boolean, "csv_sha256": string},
+            {"target": (lambda v: spec_from_dict(v, "header.target"), None),
+             "solver_notes": (obj, {})},
+        )
+        if got["dim"] != got["pgrid"].dim:
+            raise ValueError(f"dim {got['dim']} is not the probe grid's {got['pgrid'].dim}")
+        count = got["references"].count if got["references"] is not None else 0
+        if got["n_refs"] != count:
+            raise ValueError(f"n_refs {got['n_refs']!r} for {count} reference(s)")
+        return got
+    except (ValueError, PhaselessError) as exc:
         raise InputFileError(f"{base}.json: malformed dataset header ({exc})") from exc
 
 
@@ -631,9 +636,9 @@ def read_dataset(base: str) -> PhaselessDataset:
     rows, and naming the file and line when a CSV row has not the
     header's number of cells, a value that is no number, a flag that
     is no integer 0-255 or an unflagged intensity that is negative or
-    not finite; OutOfBallError (or EnergyShellError) when a row
-    is no on-shell channel of its energy, and GridMismatchError when a
-    transfer is not a probe-grid node.
+    not finite, or a transfer that is not a node of the header's probe
+    grid; OutOfBallError (or EnergyShellError) when a row is no on-shell
+    channel of its energy.
     """
     try:
         with open(base + ".json") as fh:
@@ -647,9 +652,10 @@ def read_dataset(base: str) -> PhaselessDataset:
     schema = header.get("schema") if isinstance(header, dict) else None
     if schema != _DATASET_SCHEMA:
         raise InputFileError(f"{base}.json: unknown dataset schema {schema!r}")
-    pgrid, refs = _header_fields(header, base)
+    header = _header_fields(header, base)
+    pgrid = header["pgrid"]
     digest = hashlib.sha256(csv_text.encode()).hexdigest()
-    if digest != header.get("csv_sha256"):
+    if digest != header["csv_sha256"]:
         raise InputFileError(f"dataset CSV {base}.csv does not match its recorded hash")
 
     convention = header["convention"]
@@ -676,9 +682,9 @@ def read_dataset(base: str) -> PhaselessDataset:
         except ValueError:
             line = cells.index(cell) // (width - 1) + 2
             raise InputFileError(f"{base}.csv: line {line}: {cell!r} is not a number") from None
-    numbers = np.fromiter(map(parsed.__getitem__, cells), dtype=float, count=len(cells))
-    numbers = numbers.reshape(-1, width - 1)
-    energy, transfer, values = numbers[:, 0], numbers[:, 1 : 1 + d], numbers[:, 1 + d :]
+    body = np.fromiter(map(parsed.__getitem__, cells), dtype=float, count=len(cells))
+    body = body.reshape(-1, width - 1)
+    energy, transfer, values = body[:, 0], body[:, 1 : 1 + d], body[:, 1 + d :]
     flags = _flags(flag_cells, base)
     bad = (flags == FLAG_OK) & ~np.all(np.isfinite(values) & (values >= 0), axis=1)
     if np.any(bad):
@@ -688,22 +694,26 @@ def read_dataset(base: str) -> PhaselessDataset:
             "are not all finite and nonnegative"
         )
     channel_table(energy, transfer, convention)  # raises for a row off the shell or ball
-    distinct = sorted(set(energy.tolist()))
-    if header.get("energies") != distinct:
+    distinct = tuple(sorted(set(energy.tolist())))
+    if header["energies"] != distinct:
         raise InputFileError(
-            f"{base}.json: energies {header.get('energies')} are not the rows' energies {distinct}"
+            f"{base}.json: energies {header['energies']} are not the rows' energies {distinct}"
         )
 
+    try:
+        node_index = pgrid.flat_index(transfer)
+    except GridMismatchError:
+        raise InputFileError(f"{base}.csv: a transfer is no node of the grid in {base}.json") from None
     return PhaselessDataset(
         mode=header["mode"],
         pgrid=pgrid,
-        energies=tuple(header["energies"]),
+        energies=header["energies"],
         energy=energy,
         transfer=transfer,
-        node_index=pgrid.flat_index(transfer),
+        node_index=node_index,
         values=values,
         flags=flags,
-        backgrounds=refs,
+        backgrounds=header["references"],
         convention=convention,
-        solver_notes=header.get("solver_notes", {}),
+        solver_notes=header["solver_notes"],
     )

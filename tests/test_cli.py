@@ -148,6 +148,57 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def _ball_with(**fields):
+    return {"dim": 2, "components": [{**BALL["components"][0], **fields}]}
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"target": _ball_with(radius="0.25")}, "config.target.components[0].radius"),
+        ({"target": _ball_with(center=["0.3", -0.2])}, "config.target.components[0].center"),
+        ({"target": {**BALL, "dim": 2.5}}, "config.target.dim"),
+        ({"target": _ball_with(colour="red")}, "config.target.components[0]"),
+        ({"target": _ball_with(amplitude=float("nan"))}, "config.target.components[0].amplitude"),
+        ({"target": _ball_with(amplitude=float("inf"))}, "config.target.components[0].amplitude"),
+        ({"shift": [float("nan"), 0.0]}, "config.shift"),
+        ({"solver": {"tolerance": float("inf")}}, "config.solver.tolerance"),
+        ({"reconstruction": {"p_cut": float("nan")}}, "config.reconstruction.p_cut"),
+        ({"bounds": {"a0": float("inf")}}, "config.bounds.a0"),
+        ({"grid": {"n": 32, "box": 1e-320}}, "config.grid"),
+        ({"grid": {"n": 1e300, "box": 1.5}}, "config.grid"),
+    ],
+    ids=[
+        "radius-string", "center-string", "dim-fraction", "component-extra-key", "amplitude-nan",
+        "amplitude-inf", "shift-nan", "tolerance-inf", "p-cut-nan", "a0-inf",
+        "box-dual-not-finite", "n-beyond-index",
+    ],
+)
+def test_config_probe_exits_2_naming_its_key_path(tmp_path, capsys, doc, path):
+    cfg = write_config(tmp_path, references=REFS, **doc)
+    assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", [_ball_with(amplitude=0.0), {"dim": 2, "components": []}],
+                         ids=["zero-amplitude", "no-components"])
+def test_zero_target_reconstruct_is_a_threshold_failure(tmp_path, capsys, target):
+    # a zero target modulus masks every node it reaches: no phase to recover
+    cfg = write_config(tmp_path, target=target, references=REFS, probe_grid={"n": 8, "box": 2.0})
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err == "threshold failure: 100.0% of reachable probe nodes are masked\n"
+
+
+@pytest.mark.parametrize("command", ["bounds", "convergence"])
+def test_overflowing_intensity_is_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, target=_ball_with(amplitude=1e300), bounds={"sigma": 4.0})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: an intensity overflows a float: too strong a potential\n"
+
+
 def test_unresolved_grid_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, grid={"n": 16, "box": 1.5}, energies=[400.0])
     assert main(["forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -482,6 +533,11 @@ def _error_table_row(row):
         _edited_dataset("dataset.json", _header(lambda h: h.update(n_refs=2.5))),
         _edited_dataset("dataset.json", _header(lambda h: h.update(n_refs=1))),
         _edited_dataset("dataset.json", _header(lambda h: h["energies"].pop())),
+        _edited_dataset("dataset.json", _header(lambda h: h["pgrid"].update(n=h["pgrid"]["n"] + 0.9))),
+        _edited_dataset("dataset.json", _header(lambda h: h.update(comment="hand-edited"))),
+        _edited_dataset("dataset.json", _header(lambda h: _first_component(h).update(colour="red"))),
+        _edited_dataset("dataset.json", _header(lambda h: h["pgrid"].update(
+            box_min=[x + 0.5 for x in h["pgrid"]["box_min"]]))),
     ],
     ids=[
         "missing-dataset", "dataset-hash", "dataset-schema", "dataset-json",
@@ -491,7 +547,8 @@ def _error_table_row(row):
         "header-references-differ", "header-missing-key", "header-bad-grid",
         "header-unknown-primitive", "header-unknown-mode", "header-unknown-convention",
         "header-fractional-n-refs",
-        "header-n-refs-differs", "header-energies-differ",
+        "header-n-refs-differs", "header-energies-differ", "header-fractional-n",
+        "header-extra-key", "header-component-extra-key", "header-grid-shifted",
     ],
 )
 def test_bad_input_file_exits_2_naming_it(tmp_path, capsys, case):

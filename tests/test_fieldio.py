@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from phaseless.exceptions import InputFileError
 from phaseless.fieldio import read_field, write_field
 from phaseless.fourier import forward_transform, inverse_transform
 from phaseless.grids import GridSpec, ScalarField, SpectralField
@@ -64,3 +65,26 @@ def test_bin_is_interleaved_f8_and_reads_back_bit_for_bit(tmp_path, rng, dim, n)
         back = read_field(base)
         assert type(back) is type(field) and back.grid == field.grid
         assert back.values.tobytes() == field.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.update(kind="polar"), "sidecar.kind: expected one of ('spatial', 'spectral')"),
+        (lambda m: m.update(n=8.5), "sidecar.n: expected an integer, got 8.5"),
+        (lambda m: m.update(comment="x"), "sidecar: unknown keys ['comment']"),
+        (lambda m: m.pop("spatial_box_max"), "sidecar: box_min and box_max are required"),
+        (lambda m: m["box_max"].__setitem__(0, float("nan")), "sidecar.box_max: expected a finite"),
+        (lambda m: m.update(n=10), "cannot reshape array"),
+    ],
+    ids=["unknown-kind", "fractional-n", "extra-key", "missing-spatial-box", "nan-box", "wrong-n"],
+)
+def test_malformed_sidecar_is_input_error_naming_the_field(tmp_path, box_grid, edit, message):
+    base = tmp_path / "spec"
+    _, json_path = write_field(SpectralField(box_grid.dual(), np.ones(box_grid.shape), box_grid), base)
+    meta = json.loads(json_path.read_text())
+    edit(meta)
+    json_path.write_text(json.dumps(meta))
+    with pytest.raises(InputFileError) as info:
+        read_field(base)
+    assert str(info.value).startswith(f"{base}: malformed field ({message}")

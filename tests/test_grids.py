@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from phaseless.exceptions import GridMismatchError
-from phaseless.grids import GridSpec, ScalarField, SpectralField
+from phaseless.exceptions import ConfigError, GridMismatchError
+from phaseless.grids import GridSpec, ScalarField, SpectralField, intensity
 
 
 def test_axis_left_closed_right_open():
@@ -96,3 +96,27 @@ def test_spectral_field_carries_spatial_grid():
     assert s.spatial_grid == spatial
     with pytest.raises(GridMismatchError):
         SpectralField(dual, np.zeros((3, 3), dtype=complex), spatial)
+
+
+def test_intensity_is_pythons_square_of_each_modulus(rng):
+    z = rng.standard_normal(64) * 10.0 ** rng.integers(-160, 150, 64) + 1j * rng.standard_normal(64)
+    z[:3] = [0.0, complex(5e-324, -5e-324), complex(-0.0, 1e154)]
+    assert intensity(z).tobytes() == np.array([abs(v) ** 2 for v in z.tolist()]).tobytes()
+    with pytest.raises(ConfigError, match="overflows a float"):
+        intensity(np.array([1.0, 1e300j]))
+
+
+@pytest.mark.parametrize(
+    "n, lo, hi, message",
+    [
+        (8, -1e-320, 1e-320, "invalid box extent"),
+        (8, -1e308, 1e308, "invalid box extent"),
+        (8, 1.0, -1.0, "invalid box extent"),
+        (10**300, -1.0, 1.0, "exceed a numpy index"),
+        (2**32, -1.0, 1.0, "exceed a numpy index"),
+    ],
+    ids=["dual-not-finite", "extent-overflows", "inverted", "huge-n", "n-squared-beyond-intp"],
+)
+def test_gridspec_rejects_a_box_without_a_finite_dual_or_too_many_nodes(n, lo, hi, message):
+    with pytest.raises(ValueError, match=message):
+        GridSpec(2, n, (lo, lo), (hi, hi))

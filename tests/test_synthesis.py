@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 from phaseless import solver
 from phaseless.exceptions import (
     BackgroundValidationError,
-    GridMismatchError,
     InputFileError,
     OutOfBallError,
     SolverConvergenceError,
@@ -352,8 +351,10 @@ def test_read_dataset_rejects_rows_off_grid_or_outside_ball(tmp_path, off_center
     assert read_dataset(base).rows == ds.rows
     row = int(np.argmin(np.linalg.norm(ds.transfer, axis=1)))
     half_step = 0.5 * np.array(PGRID.spacing)
-    with pytest.raises(GridMismatchError):
-        read_dataset(_write_with_transfer(tmp_path, ds, row, ds.transfer[row] + half_step))
+    # the header is not hashed, so its grid may be the file at fault: both are named
+    edited = _write_with_transfer(tmp_path, ds, row, ds.transfer[row] + half_step)
+    with pytest.raises(InputFileError, match=f"^{edited}.csv: .* {edited}.json$"):
+        read_dataset(edited)
     _, skipped = channels_on_grid(4.0, PGRID)
     outside = PGRID.nodes()[skipped[0]]
     with pytest.raises(OutOfBallError):
@@ -504,6 +505,44 @@ def test_read_dataset_rejects_malformed_rows(tmp_path, off_center_ball, edit, me
     with pytest.raises(InputFileError) as info:
         read_dataset(base)
     assert str(info.value) == message.format(base=base)
+
+
+def _first_reference_component(header):
+    return header["references"][0]["components"][0]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda h: h["pgrid"].update(n=12.9), "header.pgrid.n: expected an integer, got 12.9"),
+        (lambda h: _first_reference_component(h).update(amplitude=float("nan")),
+         "header.references[0].components[0].amplitude: expected a finite number, got nan"),
+        (lambda h: _first_reference_component(h).update(radius="0.3"),
+         "header.references[0].components[0].radius: expected a number, got '0.3'"),
+        (lambda h: _first_reference_component(h).update(colour="red"),
+         "header.references[0].components[0]: unknown keys ['colour']"),
+        (lambda h: h.update(comment="hand-edited"), "header: unknown keys ['comment']"),
+        (lambda h: h["pgrid"]["box_max"].__setitem__(0, float("inf")),
+         "header.pgrid.box_max: expected a finite number, got inf"),
+        (lambda h: h.update(dim=3), "dim 3 is not the probe grid's 2"),
+    ],
+    ids=["fractional-n", "amplitude-nan", "radius-string", "component-extra-key",
+         "extra-key", "box-infinite", "dim-differs"],
+)
+def test_read_dataset_reads_its_header_by_the_config_rules(
+    tmp_path, off_center_ball, two_ball_refs, edit, message
+):
+    ds = synthesize(off_center_ball, two_ball_refs, ENERGIES, PGRID)
+    base = str(tmp_path / "ds")
+    write_dataset(ds, base)
+    with open(base + ".json") as fh:
+        header = json.load(fh)
+    edit(header)
+    with open(base + ".json", "w") as fh:
+        json.dump(header, fh)
+    with pytest.raises(InputFileError) as info:
+        read_dataset(base)
+    assert str(info.value) == f"{base}.json: malformed dataset header ({message})"
 
 
 def test_withheld_target_not_recorded(tmp_path, off_center_ball):
