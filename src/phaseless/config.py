@@ -204,7 +204,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "schema": SCHEMA,
         "scenario": cfg.scenario,
         "dimension": cfg.dimension,
-        "grid": grid_to_json(cfg.grid, dim=False),
+        "grid": grid_to_json(cfg.grid, with_dim=False),
         "target": spec_to_dict(cfg.target),
         "references": references_to_json(cfg.references),
         "energies": {"list": [float(e) for e in cfg.energies]},
@@ -216,7 +216,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         },
         "convergence": {"slope_window": list(cfg.convergence["slope_window"])},
         "bounds": dict(cfg.bounds),
-        "probe_grid": None if cfg.probe_grid is None else grid_to_json(cfg.probe_grid, dim=False),
+        "probe_grid": cfg.probe_grid and grid_to_json(cfg.probe_grid, with_dim=False),
         "shift": list(cfg.shift) if cfg.shift is not None else None,
         "convention": cfg.convention,
         "output": cfg.output,

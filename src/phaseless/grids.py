@@ -164,9 +164,9 @@ class GridSpec:
         )
 
 
-def grid_to_json(grid: GridSpec, dim: bool = True) -> dict:
-    """A grid's JSON form {"dim", "n", "box_min", "box_max"}; without "dim" unless ``dim``."""
-    form = {"dim": grid.dim} if dim else {}
+def grid_to_json(grid: GridSpec, with_dim: bool = True) -> dict:
+    """A grid's JSON form {"dim", "n", "box_min", "box_max"}; "dim" only ``with_dim``."""
+    form = {"dim": grid.dim} if with_dim else {}
     return {**form, "n": grid.n, "box_min": list(grid.box_min), "box_max": list(grid.box_max)}
 
 

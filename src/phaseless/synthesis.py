@@ -703,7 +703,7 @@ def read_dataset(base: str) -> PhaselessDataset:
     try:
         node_index = pgrid.flat_index(transfer)
     except GridMismatchError:
-        raise InputFileError(f"{base}.csv: a transfer is no node of the grid in {base}.json") from None
+        raise InputFileError(f"{base}.csv: a transfer is off the grid of {base}.json") from None
     return PhaselessDataset(
         mode=header["mode"],
         pgrid=pgrid,
