@@ -416,22 +416,34 @@ def cmd_bounds(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0
 
 
+_COMMANDS = {
+    "forward": "solve total fields and tabulate far-field amplitudes",
+    "synthesize": "generate a phaseless intensity dataset",
+    "reconstruct": "invert a dataset back to the target potential",
+    "convergence": "measure intensity error decay across energies",
+    "ambiguity-demo": "show translation invariance of the intensities",
+    "bounds": "evaluate the error-bound constants against measured decay",
+}
+
+
 def _parse(argv):
+    """The parsed arguments of ``argv`` (default: ``sys.argv[1:]``).
+
+    When ``argv`` starts with a command name only that command's parser
+    is built; the top-level usage still lists every command.  Otherwise
+    (no command, an unknown one, ``--help``) all of them are built.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(
         prog="phaseless",
         description="Phaseless scattering experiments: synthesis, inversion, diagnostics.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "forward": "solve total fields and tabulate far-field amplitudes",
-        "synthesize": "generate a phaseless intensity dataset",
-        "reconstruct": "invert a dataset back to the target potential",
-        "convergence": "measure intensity error decay across energies",
-        "ambiguity-demo": "show translation invariance of the intensities",
-        "bounds": "evaluate the error-bound constants against measured decay",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    # with one parser built, the metavar keeps the usage's list of every command
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        p = sub.add_parser(name, help=_COMMANDS[name])
         p.add_argument("--config", required=True, help="experiment JSON path")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--workers", type=int, default=1, help="retired and ignored")

@@ -121,6 +121,17 @@ class GridSpec:
         mesh = self.meshgrid()
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
+    def radii(self) -> np.ndarray:
+        """|x| of every node, flat row-major, from the per-axis squares.
+
+        The squares are summed in axis order, which gives the bits of
+        ``np.linalg.norm(self.nodes(), axis=1)`` without the node array.
+        """
+        r2 = np.square(self.axis(0))
+        for a in range(1, self.dim):
+            r2 = np.add.outer(r2, np.square(self.axis(a)))
+        return np.sqrt(r2).reshape(-1)
+
     def flat_index(self, points) -> np.ndarray:
         """Row-major flat index of the node at each row of ``points`` (rows, dim).
 

@@ -28,6 +28,7 @@ __all__ = [
     "PotentialSpec",
     "rasterize",
     "analytic_hat",
+    "grid_hats",
     "support_distance",
     "sup_weighted_norm",
     "spec_to_dict",
@@ -249,6 +250,15 @@ def _gaussian_hat_radial(q: np.ndarray, width: float, cutoff: float, dim: int) -
     return full - _gaussian_tail(q, width, cutoff, dim)
 
 
+def _radial(comp: Primitive, q: np.ndarray, dim: int) -> np.ndarray:
+    """The radial profile of one component's transform at the radii ``q``."""
+    if isinstance(comp, BallPrimitive):
+        return _ball_hat_radial(q, comp.radius, dim)
+    if isinstance(comp, GaussianPrimitive):
+        return _gaussian_hat_radial(q, comp.width, comp.cutoff, dim)
+    raise UnsupportedPrimitiveError(str(type(comp)))
+
+
 def _expi(theta: np.ndarray) -> np.ndarray:
     """e^{i theta} as cos + i sin, as numpy's complex exp forms it for a zero real part.
 
@@ -282,14 +292,36 @@ def analytic_hat(spec: PotentialSpec, p) -> np.ndarray:
     out = np.zeros(q.shape, dtype=np.complex128)
     for comp in spec.components:
         phase = _expi(row_dot(pts, comp.center))
-        if isinstance(comp, BallPrimitive):
-            radial = _ball_hat_radial(q, comp.radius, spec.dim)
-        elif isinstance(comp, GaussianPrimitive):
-            radial = _gaussian_hat_radial(q, comp.width, comp.cutoff, spec.dim)
-        else:
-            raise UnsupportedPrimitiveError(str(type(comp)))
-        out += comp.amplitude * phase * radial
+        out += comp.amplitude * phase * _radial(comp, q, spec.dim)
     return out[0] if single else out
+
+
+def grid_hats(specs, grid: GridSpec, radii: np.ndarray) -> list[np.ndarray]:
+    """Closed-form transform of each of ``specs`` at every node of ``grid``, flat row-major.
+
+    ``radii`` are grid.radii().  Each component's radial profile is
+    evaluated once per distinct |p|, so it keeps analytic_hat's bits; the
+    phase e^{i p.c} is the product of the per-axis factors e^{i p_a c_a},
+    n values per axis, which moves each value from analytic_hat's by
+    rounding only.
+    """
+    distinct, inverse = np.unique(radii, return_inverse=True)
+    axes = grid.axes()
+    out = []
+    for spec in specs:
+        if spec.dim != grid.dim:
+            raise ValueError("momentum dimension mismatch")
+        total = np.zeros(grid.node_count, dtype=np.complex128)
+        for comp in spec.components:
+            phase = _expi(axes[0] * comp.center[0])
+            for a in range(1, grid.dim):
+                phase = np.multiply.outer(phase, _expi(axes[a] * comp.center[a]))
+            term = phase.reshape(-1)
+            term *= _radial(comp, distinct, spec.dim)[inverse]
+            term *= comp.amplitude
+            total += term
+        out.append(total)
+    return out
 
 
 # --- geometry helpers on supports -------------------------------------------

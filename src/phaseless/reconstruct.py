@@ -44,6 +44,8 @@ from .exceptions import (
 )
 from .fourier import inverse_phase, inverse_transform
 from .grids import GridSpec, ScalarField, SpectralField
+# analytic_hat is not called here; it stays importable from this module
+# because perfbench/tracing.py wraps it by name.
 from .potentials import PotentialSpec, analytic_hat
 from .synthesis import FLAG_OK, PhaselessDataset, pair_gap
 
@@ -247,21 +249,21 @@ def build_mask(
     ds: PhaselessDataset,
     moduli: np.ndarray,
     hats,
+    radii: np.ndarray,
     eps_zero: float | None = None,
     eps_pair: float | None = None,
 ) -> SingularMask:
     """Flag probe nodes where phase recovery is ill-posed.
 
     ``moduli`` is recover_modulus_sq's (n_nodes, 1 + n_refs) table, NaN
-    where no estimate exists, and ``hats`` are
-    ds.backgrounds.reference_hats of the probe nodes.  Thresholds
-    default to 1e-3 of each quantity's grid maximum, and a target
-    modulus that is zero at every node flags every node it reaches;
-    the reference rule is ds.backgrounds.singular_nodes.
+    where no estimate exists.  ``hats`` and ``radii`` are the command's
+    one scan of the probe grid, ds.backgrounds.reference_hats and
+    ds.pgrid.radii; the radii decide which nodes lie in the ball.
+    Thresholds default to 1e-3 of each quantity's grid maximum, and a
+    target modulus that is zero at every node flags every node it
+    reaches; the reference rule is ds.backgrounds.singular_nodes.
     """
-    pgrid = ds.pgrid
-    nodes = pgrid.nodes()
-    n_nodes = nodes.shape[0]
+    n_nodes = ds.pgrid.node_count
     if moduli.shape[0] != n_nodes:
         raise ValueError("moduli rows must cover every probe node")
 
@@ -269,7 +271,7 @@ def build_mask(
     reached[ds.node_index] = True
     no_data = np.isnan(moduli[:, 0])
     top = max(ds.energies)
-    in_ball = np.linalg.norm(nodes, axis=1) <= 2.0 * np.sqrt(top)
+    in_ball = radii <= 2.0 * np.sqrt(top)
     out_of_ball = ~in_ball | ~reached
 
     solver_failed = np.zeros(n_nodes, dtype=bool)
@@ -377,9 +379,10 @@ def reconstruct(ds: PhaselessDataset, options: ReconstructionOptions):
         raise GridMismatchError("spatial grid's dual differs from the probe grid")
 
     moduli = recover_modulus_sq(ds, options.estimator)
-    nodes = pgrid.nodes()
-    hats = refs.reference_hats(nodes)
-    mask = build_mask(ds, moduli, hats, options.eps_zero, options.eps_pair)
+    # the one scan of the probe grid that every step below reads
+    radii = pgrid.radii()
+    hats = refs.reference_hats(pgrid, radii)
+    mask = build_mask(ds, moduli, hats, radii, options.eps_zero, options.eps_pair)
     frac = mask.masked_fraction
     if frac > options.mask_fraction_limit:
         pair_frac = float(np.mean(mask.pair_degenerate))
@@ -410,8 +413,8 @@ def reconstruct(ds: PhaselessDataset, options: ReconstructionOptions):
 
     m = moduli[usable]
     if refs.count == 2:
-        phases = np.zeros(nodes.shape[0], dtype=complex)
-        deviations = np.full(nodes.shape[0], np.nan)
+        phases = np.zeros(pgrid.node_count, dtype=complex)
+        deviations = np.full(pgrid.node_count, np.nan)
         phases[usable], deviations[usable] = recover_phase_two_refs(
             m[:, 0], m[:, 1], m[:, 2], hats[0][usable], hats[1][usable], ez, ep, er
         )
@@ -420,13 +423,13 @@ def reconstruct(ds: PhaselessDataset, options: ReconstructionOptions):
             "max_phase_residual": float(np.nanmax(deviations)) if usable.any() else None,
             "mean_phase_residual": float(np.nanmean(deviations)) if usable.any() else None,
         }
-        return _assemble(ds, nodes, moduli, usable, mask, spatial, p_cut, options, diag,
+        return _assemble(ds, radii, moduli, usable, mask, spatial, p_cut, options, diag,
                          {"two-reference": phases})
 
     # Single reference: carry both branches to the end.
-    plus = np.zeros(nodes.shape[0], dtype=complex)
-    minus = np.zeros(nodes.shape[0], dtype=complex)
-    clamps = np.full(nodes.shape[0], np.nan)
+    plus = np.zeros(pgrid.node_count, dtype=complex)
+    minus = np.zeros(pgrid.node_count, dtype=complex)
+    clamps = np.full(pgrid.node_count, np.nan)
     _, clamps[usable], (plus[usable], minus[usable]) = recover_phase_one_ref(
         m[:, 0], m[:, 1], hats[0][usable], ez, er
     )
@@ -434,22 +437,23 @@ def reconstruct(ds: PhaselessDataset, options: ReconstructionOptions):
         **diag_common,
         "max_cosine_clamp": float(np.nanmax(clamps)) if usable.any() else None,
     }
-    return _assemble(ds, nodes, moduli, usable, mask, spatial, p_cut, options, diag,
+    return _assemble(ds, radii, moduli, usable, mask, spatial, p_cut, options, diag,
                      {"one-reference-plus": plus, "one-reference-minus": minus})
 
 
-def _assemble(ds, nodes, moduli, usable, mask, spatial, p_cut, opts, diagnostics, branches):
+def _assemble(ds, radii, moduli, usable, mask, spatial, p_cut, opts, diagnostics, branches):
     """One ReconstructionResult per entry of ``branches``, a {name: unit phases} dict.
 
     What the branches share is computed once: the target amplitudes,
-    the fill nodes, the taper window, the declared-support crop and
-    the inverse transform's phase factor.  Each branch then inpaints,
+    the fill nodes, the taper window (on ``radii``, the probe grid's
+    |p| from reconstruct's one scan), the declared-support crop and the
+    inverse transform's phase factor.  Each branch then inpaints,
     band-limits and inverts its own spectrum.
     """
     pgrid = ds.pgrid
     amp0 = np.sqrt(np.where(np.isnan(moduli[:, 0]), 0.0, np.maximum(moduli[:, 0], 0.0)))
     fill = mask.any_flag & ~mask.out_of_ball
-    window = _taper_window(np.linalg.norm(nodes, axis=1), p_cut, opts.taper_fraction)
+    window = _taper_window(radii, p_cut, opts.taper_fraction)
     phase = inverse_phase(spatial)
     keep = None
     if opts.declared_support is not None:

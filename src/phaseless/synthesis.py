@@ -44,6 +44,7 @@ from .jsonread import array, boolean, choice, convert, integer, numbers, obj, st
 from .potentials import (
     PotentialSpec,
     analytic_hat,
+    grid_hats,
     rasterize,
     spec_from_dict,
     spec_to_dict,
@@ -132,8 +133,14 @@ class BackgroundSet:
     def dim(self) -> int:
         return self.backgrounds[0].dim
 
-    def reference_hats(self, p: np.ndarray) -> list[np.ndarray]:
-        return [analytic_hat(w, p) for w in self.backgrounds]
+    def reference_hats(self, pgrid: GridSpec, radii: np.ndarray) -> list[np.ndarray]:
+        """Each reference's transform at every node of ``pgrid``, flat row-major.
+
+        One potentials.grid_hats scan of the grid: ``radii`` are
+        pgrid.radii(), which the caller keeps for its other steps, and
+        each radial profile is evaluated once per distinct |p|.
+        """
+        return grid_hats(self.backgrounds, pgrid, radii)
 
     def singular_nodes(
         self, hats, eps_zero: float | None = None, eps_pair: float | None = None
@@ -141,22 +148,24 @@ class BackgroundSet:
         """Nodes where reference-based phase recovery is singular.
 
         ``hats`` are the reference transforms there, reference_hats of the
-        nodes: callers that need the transforms themselves compute them
-        once.  Returns (ref_null, pair_degenerate, eps_ref, eps_pair
-        applied).  ref_null[j]: |w_j hat| < eps_ref[j], which is
-        ``eps_zero`` or, by default, 1e-3 of that reference's own maximum
-        over the nodes.  pair_degenerate (two references): the unit phases
-        agree modulo pi, |u_1^2 - u_2^2| < ``eps_pair``, by default 1e-3
-        of that gap's maximum, counted only off both zero sets.  The gap
-        lies in [0, 2]; a maximum below 1e-9 is rounding noise (two real
-        transforms, say), and the default threshold is then 1e-12, which
-        flags every node of such a pair.
+        probe grid: a command scans the grid once and hands the same
+        transforms to every step that needs them.  Returns (ref_null,
+        pair_degenerate, eps_ref, eps_pair applied).  ref_null[j]:
+        |w_j hat| < eps_ref[j], which is ``eps_zero`` or, by default, 1e-3
+        of that reference's own maximum over the nodes; a reference whose
+        transform is zero at every node is null at every node.
+        pair_degenerate (two references): the unit phases agree modulo pi,
+        |u_1^2 - u_2^2| < ``eps_pair``, by default 1e-3 of that gap's
+        maximum, counted only off both zero sets.  The gap lies in [0, 2];
+        a maximum below 1e-9 is rounding noise (two real transforms, say),
+        and the default threshold is then 1e-12, which flags every node of
+        such a pair.
         """
         mags = [np.abs(h) for h in hats]
-        eps_ref = tuple(
-            eps_zero if eps_zero is not None else 1e-3 * float(np.max(m)) for m in mags
-        )
-        ref_null = tuple(m < e for m, e in zip(mags, eps_ref))
+        peaks = [float(np.max(m)) for m in mags]
+        eps_ref = tuple(eps_zero if eps_zero is not None else 1e-3 * top for top in peaks)
+        # the default threshold 1e-3 * 0 would flag no node of a vanishing reference
+        ref_null = tuple((m < e) | (top == 0.0) for m, e, top in zip(mags, eps_ref, peaks))
         pair = np.zeros(len(hats[0]), dtype=bool)
         if self.count == 2:
             gap = pair_gap(*hats)
@@ -426,10 +435,12 @@ def validate_backgrounds(
     the two-reference linear system singular, and detects the pure
     translate w2 = w1(. - y), for which that degeneracy fills whole
     hyperplane families.  Both sets follow BackgroundSet.singular_nodes,
-    the rule the reconstruction mask applies.
+    the rule the reconstruction mask applies.  The transforms and the
+    radii |p| come from one scan of the grid (pgrid.radii and
+    refs.reference_hats), which every step below reads.
     """
-    nodes = pgrid.nodes()
-    hats = refs.reference_hats(nodes)
+    rnorm = pgrid.radii()
+    hats = refs.reference_hats(pgrid, rnorm)
     mags = [np.abs(h) for h in hats]
     if max(float(np.max(m)) for m in mags) == 0.0:
         raise BackgroundValidationError("all reference transforms vanish on the grid")
@@ -438,7 +449,6 @@ def validate_backgrounds(
 
     zero_fraction = []
     zero_radii = []
-    rnorm = np.linalg.norm(nodes, axis=1)
     dp = float(np.max(pgrid.spacing))
     for j, small in enumerate(ref_null):
         frac = float(np.mean(small))

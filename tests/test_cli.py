@@ -191,6 +191,16 @@ def test_zero_target_reconstruct_is_a_threshold_failure(tmp_path, capsys, target
     assert err == "threshold failure: 100.0% of reachable probe nodes are masked\n"
 
 
+def test_vanishing_reference_reconstruct_is_a_threshold_failure(tmp_path, capsys):
+    # a reference of radius 1e-320 has a transform that underflows to 0 at
+    # every node: the reference is null there, as a zero target is
+    tiny = {"dim": 2, "components": [{**REFS[0]["components"][0], "radius": 1e-320}]}
+    cfg = write_config(tmp_path, references=[tiny, REFS[1]], grid={"n": 24, "box": 1.5})
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err == "threshold failure: 100.0% of reachable probe nodes are masked\n"
+
+
 @pytest.mark.parametrize("command", ["bounds", "convergence"])
 def test_overflowing_intensity_is_config_error(tmp_path, capsys, command):
     cfg = write_config(tmp_path, target=_ball_with(amplitude=1e300), bounds={"sigma": 4.0})
@@ -249,6 +259,37 @@ def test_error_class_sets_exit_code_and_prefix(tmp_path, capsys, monkeypatch, na
     monkeypatch.setattr("phaseless.cli.load_config", fail)
     assert main(["synthesize", "--config", str(tmp_path / "cfg.json")]) == code
     assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
+COMMAND_LIST = "{forward,synthesize,reconstruct,convergence,ambiguity-demo,bounds}"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        ([], 2, "", f"usage: phaseless [-h] {COMMAND_LIST} ...\n"
+                    "phaseless: error: the following arguments are required: command\n"),
+        (["synth"], 2, "", f"usage: phaseless [-h] {COMMAND_LIST} ...\n"
+                           "phaseless: error: argument command: invalid choice: 'synth'"),
+        (["--help"], 0, f"usage: phaseless [-h] {COMMAND_LIST} ...\n", ""),
+        # an unknown option after a command is reported against the top-level
+        # usage, which lists every command although only one parser was built
+        (["bounds", "--config", "c.json", "--bogus"], 2, "",
+         f"usage: phaseless [-h] {COMMAND_LIST} ...\nphaseless: error: unrecognized arguments: --bogus\n"),
+        (["reconstruct", "-h"], 0, "usage: phaseless reconstruct [-h] --config CONFIG", ""),
+    ],
+    ids=["no-command", "unknown-command", "help", "unknown-option", "command-help"],
+)
+def test_usage_lists_every_command(capsys, argv, code, out, err):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == code
+    got = capsys.readouterr()
+
+    def words(text):  # argparse wraps the usage at the terminal's width
+        return " ".join(text.split())
+
+    assert words(got.out).startswith(words(out)) and words(got.err).startswith(words(err))
 
 
 def test_forward_matches_golden_amplitudes(tmp_path):

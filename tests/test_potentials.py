@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import j1
 
+from phaseless import potentials
 from phaseless.exceptions import BackgroundValidationError, SupportOutsideBoxError
 from phaseless.geometry import EnergySet
 from phaseless.grids import GridSpec
@@ -11,6 +16,7 @@ from phaseless.potentials import (
     GaussianPrimitive,
     PotentialSpec,
     analytic_hat,
+    grid_hats,
     rasterize,
     spec_from_dict,
     spec_to_dict,
@@ -69,6 +75,82 @@ def test_analytic_hat_rows_equal_single_point_calls(dim, kind):
     for p, got in zip(ps, batched):
         single = analytic_hat(v, p)
         assert got.real == single.real and got.imag == single.imag
+
+
+def _recording_radial():
+    """A stand-in for potentials._radial that records (component, q, profile) per call."""
+    calls = []
+    radial = potentials._radial
+
+    def record(comp, q, dim):
+        out = radial(comp, q, dim)
+        calls.append((comp, q.copy(), out.copy()))
+        return out
+
+    return calls, mock.patch.object(potentials, "_radial", record)
+
+
+def _hat_in_chunks(spec, nodes):
+    # analytic_hat is point-wise, so chunks only bound its temporaries
+    return np.concatenate([analytic_hat(spec, c) for c in np.array_split(nodes, -(-len(nodes) // 4096))])
+
+
+@st.composite
+def _components(draw, dim):
+    center = tuple(draw(st.floats(-1.5, 1.5)) for _ in range(dim))
+    amplitude = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    if draw(st.booleans()):
+        return BallPrimitive(center, draw(st.floats(0.05, 0.6)), amplitude)
+    width = draw(st.floats(0.02, 0.1))
+    return GaussianPrimitive(center, width, draw(st.floats(1.5, 4.0)) * width, amplitude)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([2, 3]), n=st.integers(8, 40))
+def test_grid_scan_matches_analytic_hat(data, dim, n):
+    # the probe grid of an anisotropic box: one scan gives every node's
+    # radius and radial profile value bit for bit, and the transform to
+    # rounding of the per-axis phase
+    half = [data.draw(st.floats(2.0, 5.0)) for _ in range(dim)]
+    lo = [-h * data.draw(st.floats(0.6, 1.0)) for h in half]
+    pg = GridSpec(dim, n, tuple(lo), tuple(half)).dual()
+    specs = [
+        PotentialSpec(dim, tuple(data.draw(st.lists(_components(dim), min_size=1, max_size=3))))
+        for _ in range(data.draw(st.integers(1, 2)))
+    ]
+    nodes = pg.nodes()
+    norms = np.linalg.norm(nodes, axis=1)
+    radii = pg.radii()
+    assert radii.tobytes() == norms.tobytes()
+    calls, recording = _recording_radial()
+    with recording:
+        hats = grid_hats(specs, pg, radii)
+    distinct, inverse = np.unique(norms, return_inverse=True)
+    assert [c for c, _, _ in calls] == [c for spec in specs for c in spec.components]
+    for comp, q, profile in calls:
+        assert q.tobytes() == distinct.tobytes()
+        assert profile[inverse].tobytes() == potentials._radial(comp, norms, dim).tobytes()
+    for spec, hat in zip(specs, hats):
+        truth = _hat_in_chunks(spec, nodes)
+        assert np.max(np.abs(hat - truth)) <= 1e-14 * np.max(np.abs(truth))
+
+
+@pytest.mark.parametrize(
+    "dim, n, distinct", [(2, 128, 2723), (3, 24, 755), (2, 64, 759)],
+    ids=["oracle-2d", "oracle-3d-one-ref", "full-2d"],
+)
+def test_reference_scan_evaluates_each_radius_once(dim, n, distinct):
+    # the probe grids of the benchmark workloads, duals of [-1.5, 1.5)^d
+    pg = GridSpec(dim, n, (-1.5,) * dim, (1.5,) * dim).dual()
+    refs = BackgroundSet(
+        (PotentialSpec.ball((-0.93, -0.61, 0.2)[:dim], 0.3), PotentialSpec.ball((0.88, 0.79, -0.1)[:dim], 0.45))
+    )
+    calls, recording = _recording_radial()
+    with recording:
+        refs.reference_hats(pg, pg.radii())
+    expected = np.unique(np.linalg.norm(pg.nodes(), axis=1))
+    assert len(calls) == 2 and expected.size == distinct
+    assert all(q.tobytes() == expected.tobytes() for _, q, _ in calls)
 
 
 def test_ball_hat_closed_form_cross_check():

@@ -132,7 +132,7 @@ def test_phase_recovery_applies_the_singular_node_rule(data, dim, eps_pair, seed
     # balls, so the pair set and the zero sets vary from draw to draw
     refs = data.draw(_ball_pairs(dim))
     pg = GridSpec(dim, 8, (-2.0,) * dim, (2.0,) * dim).dual()
-    hats = refs.reference_hats(pg.nodes())
+    hats = refs.reference_hats(pg, pg.radii())
     ref_null, pair, eps_ref, ep = refs.singular_nodes(hats, None, eps_pair)
     rng = np.random.default_rng(seed)
     n = pg.node_count
@@ -172,7 +172,8 @@ def test_real_reference_pair_is_degenerate_everywhere():
     refs = BackgroundSet(
         (PotentialSpec.ball((0.0, 0.0), 0.5, 1.0), PotentialSpec.ball((0.0, 0.0), 0.125, 1.0))
     )
-    hats = refs.reference_hats(GridSpec(2, 8, (-2.0, -2.0), (2.0, 2.0)).dual().nodes())
+    pg = GridSpec(2, 8, (-2.0, -2.0), (2.0, 2.0)).dual()
+    hats = refs.reference_hats(pg, pg.radii())
     ref_null, pair, _, eps_pair = refs.singular_nodes(hats)
     assert eps_pair == pytest.approx(1e-12)
     assert np.array_equal(pair, ~(ref_null[0] | ref_null[1]))
@@ -243,7 +244,8 @@ def test_build_mask_flags(off_center_ball, two_ball_refs):
     moduli = np.full((n, 3), np.nan)
     for row, idx in enumerate(ds.node_index):
         moduli[idx] = ds.values[row]
-    mask = build_mask(ds, moduli, two_ball_refs.reference_hats(pg.nodes()))
+    radii = pg.radii()
+    mask = build_mask(ds, moduli, two_ball_refs.reference_hats(pg, radii), radii)
     nodes = pg.nodes()
     in_ball = np.linalg.norm(nodes, axis=1) <= 2.0 * np.sqrt(4.0)
     assert np.array_equal(mask.out_of_ball, ~in_ball | np.isnan(moduli[:, 0]))
@@ -369,8 +371,9 @@ def test_background_report_matches_mask(off_center_ball, two_ball_refs):
     # far below the larger one's maximum shows any mismatch of the rules
     pg = GridSpec(2, 128, (-1.5, -1.5), (1.5, 1.5)).dual()
     ds = synthesize(off_center_ball, two_ball_refs, EnergySet((25.0,)), pg)
-    hats = two_ball_refs.reference_hats(pg.nodes())
-    mask = build_mask(ds, np.full((pg.node_count, 3), np.nan), hats)
+    radii = pg.radii()
+    hats = two_ball_refs.reference_hats(pg, radii)
+    mask = build_mask(ds, np.full((pg.node_count, 3), np.nan), hats, radii)
     report = validate_backgrounds(two_ball_refs, pg)
     assert report.zero_fraction == tuple(float(np.mean(r)) for r in mask.ref_null)
     off_zero = ~(mask.ref_null[0] | mask.ref_null[1])

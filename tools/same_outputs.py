@@ -16,8 +16,11 @@ file (datasets, tables, reports, the ``.bin``/``.json`` fields) is
 compared byte for byte.
 
 Prints one line per differing or missing file and a summary; exits 0
-when every file is identical, 1 otherwise.  The working directory is a
-temporary one, removed at the end, unless ``--keep`` names one.
+when every file is identical, 1 otherwise.  A differing ``.bin`` field
+or CSV table gets the largest absolute and relative difference of its
+values (relative to the larger magnitude of each pair), and a differing
+report names each mask index list that differs.  The working directory
+is a temporary one, removed at the end, unless ``--keep`` names one.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -98,6 +103,54 @@ def _files(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _largest_differences(a: np.ndarray, b: np.ndarray) -> str:
+    """Largest |a - b| and |a - b| / max(|a|, |b|) over pairs that differ; NaN pairs match."""
+    if a.shape != b.shape:
+        return f"{a.size} values against {b.size}"
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    gap = np.abs(a[~same] - b[~same])
+    scale = np.maximum(np.abs(a[~same]), np.abs(b[~same]))
+    rel = np.divide(gap, scale, out=np.full(gap.shape, np.inf), where=scale > 0)
+    return f"max abs {np.max(gap, initial=0.0):.3g}, max rel {np.max(rel, initial=0.0):.3g}"
+
+
+def _csv_values(data: bytes) -> np.ndarray | None:
+    """A CSV table's cells below its header as floats; None when a cell is no number."""
+    try:
+        return np.array([float(c) for line in data.decode().split("\n")[1:] if line
+                         for c in line.split(",")])
+    except ValueError:
+        return None
+
+
+def _mask_lists(report: dict) -> dict:
+    """The mask index lists of a reconstruct report, by name; none for other reports."""
+    branches = report["results"].get("branches", [])
+    return {f"branches[{i}].mask.{key}": value for i, branch in enumerate(branches)
+            for key, value in branch["mask"].items() if isinstance(value, list)}
+
+
+def _detail(name: str, this: bytes, other: bytes) -> str:
+    """How two differing files differ, as far as their kind tells."""
+    if name.endswith(".bin"):
+        if len(this) != len(other) or len(this) % 16:
+            return f"{len(this)} bytes against {len(other)}"
+        return _largest_differences(np.frombuffer(this, "<c16"), np.frombuffer(other, "<c16"))
+    if name.endswith(".csv"):
+        a, b = _csv_values(this), _csv_values(other)
+        if a is None or b is None:
+            return "cells that are no numbers"
+        header = "" if this.split(b"\n")[0] == other.split(b"\n")[0] else "header differs; "
+        return header + _largest_differences(a, b)
+    if name.endswith("_report.json"):
+        a, b = _mask_lists(json.loads(this)), _mask_lists(json.loads(other))
+        masks = [p for p in sorted(a.keys() | b.keys()) if a.get(p) != b.get(p)]
+        if masks:
+            return "mask lists differ: " + ", ".join(masks)
+        return "mask lists identical" if a else ""
+    return ""
+
+
 def compare(other_src: Path, seeds, names, work: Path) -> list[str]:
     """Run both trees on every run of ``names``; the differences, as lines."""
     sides = {"this": ROOT / "src", "other": other_src}
@@ -112,7 +165,10 @@ def compare(other_src: Path, seeds, names, work: Path) -> list[str]:
     this, other = _files(work / "this" / "out"), _files(work / "other" / "out")
     problems = [f"only in this tree: {f}" for f in sorted(this.keys() - other.keys())]
     problems += [f"only in {other_src}: {f}" for f in sorted(other.keys() - this.keys())]
-    problems += [f"differs: {f}" for f in sorted(this.keys() & other.keys()) if this[f] != other[f]]
+    for f in sorted(this.keys() & other.keys()):
+        if this[f] != other[f]:
+            detail = _detail(f, this[f], other[f])
+            problems.append(f"differs: {f}" + (f" ({detail})" if detail else ""))
     print(f"{len(this.keys() & other.keys())} files compared over {len(runs)} run(s)")
     return problems
 
