@@ -29,6 +29,7 @@ from .exceptions import ConfigError, InputFileError, PhaselessError, SolverConve
 from .fieldio import write_field
 from .geometry import channel
 from .grids import intensity
+from .jsonread import canonical
 from .potentials import analytic_hat, rasterize
 from .reconstruct import reconstruct
 from .solver import WaveVector, scattering_amplitude, solve_lippmann_schwinger
@@ -46,15 +47,11 @@ __all__ = ["main"]
 _BUNDLE_SCHEMA = "phaseless-bundle/1"
 
 
-def _canonical(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
 def _report_text(obj, indent: str = "", _ints: dict | None = None) -> str:
-    """``obj`` laid out as _canonical lays it out, but a list of scalars on one line.
+    """``obj`` laid out as jsonread.canonical lays it out, but a list of scalars on one line.
 
     A reconstruction report's mask index lists hold thousands of
-    integers, one line each under _canonical.  A list of ints alone
+    integers, one line each under canonical.  A list of ints alone
     (no bools) is laid out by ``repr``, which gives json.dumps's bytes
     for it, and once per list object: the one-reference branches share
     their mask lists.  Other lists are looked at once per item type.
@@ -130,7 +127,7 @@ class _Bundle:
         self.outdir = outdir
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.files: dict[str, str] = {}
-        self.inputs: dict[str, str] = {"config": _sha256_text(_canonical(self.cfg_dict))}
+        self.inputs: dict[str, str] = {"config": _sha256_text(canonical(self.cfg_dict))}
 
     def track(self, *paths: Path) -> None:
         for p in paths:

@@ -32,6 +32,9 @@ __all__ = ["ExperimentConfig", "load_config", "config_to_dict"]
 
 SCHEMA = "phaseless-experiment/1"
 
+# the most energies E_min/E_max/count may generate; the configs in use have 2 to 5
+MAX_ENERGY_COUNT = 1000
+
 
 def _energies_from(data, context: str) -> EnergySet:
     if isinstance(data, list):
@@ -54,6 +57,8 @@ def _energies_from(data, context: str) -> EnergySet:
         if got["E_min"] is None or got["E_max"] is None or got["count"] is None:
             raise ConfigError(f"{context}: need either list or E_min/E_max/count")
         n = got["count"]
+        if not 1 <= n <= MAX_ENERGY_COUNT:
+            raise ConfigError(f"{context}.count: {n:.6g} is not in [1, {MAX_ENERGY_COUNT}]")
         if got["spacing"] == "geometric":
             if not (got["E_min"] > 0 and got["E_max"] > 0):
                 raise ConfigError(f"{context}: geometric spacing needs E_min, E_max > 0")

@@ -17,15 +17,11 @@ import numpy as np
 
 from .exceptions import InputFileError, PhaselessError
 from .grids import ScalarField, SpectralField, grid_from_json, grid_to_json
-from .jsonread import choice, convert, obj
+from .jsonread import canonical, choice, convert, obj
 
 __all__ = ["write_field", "read_field"]
 
 Field = Union[ScalarField, SpectralField]
-
-
-def _canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def write_field(field: Field, base: Union[str, Path]) -> tuple[Path, Path]:
@@ -49,7 +45,7 @@ def write_field(field: Field, base: Union[str, Path]) -> tuple[Path, Path]:
 
     # little-endian complex128 is the interleaved (re, im) <f8 layout itself
     bin_path.write_bytes(np.ascontiguousarray(field.values, dtype="<c16").reshape(-1).data)
-    json_path.write_text(_canonical_json(meta))
+    json_path.write_text(canonical(meta))
     return bin_path, json_path
 
 

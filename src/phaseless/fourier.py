@@ -9,6 +9,9 @@ offset; frequencies come out centered and ascending.  The pair is an
 exact inverse of itself on the grid (round trips are identity up to
 rounding), and the rectangle rule is spectrally accurate for smooth
 fields supported strictly inside the box.
+
+Both phase factors e^{+-i p.x0} come from GridSpec.wave, the grids
+module's one per-axis rule: the product over axes of e^{i p_a x0_a}.
 """
 
 from __future__ import annotations
@@ -21,16 +24,6 @@ from .grids import GridSpec, ScalarField, SpectralField
 __all__ = ["forward_transform", "inverse_phase", "inverse_transform"]
 
 
-def _phase_grid(freq: GridSpec, x0: tuple[float, ...]) -> np.ndarray:
-    """exp(i p . x0) over the (ascending) frequency grid."""
-    acc = np.zeros(freq.shape)
-    for a in range(freq.dim):
-        shape = [1] * freq.dim
-        shape[a] = freq.n
-        acc = acc + (freq.axis(a) * x0[a]).reshape(shape)
-    return np.exp(1j * acc)
-
-
 def forward_transform(f: ScalarField) -> SpectralField:
     """Rectangle-rule approximation of u_hat on the dual grid."""
     grid = f.grid
@@ -39,13 +32,13 @@ def forward_transform(f: ScalarField) -> SpectralField:
     # sum_j u_j e^{+i p_m . (j h)} = N * ifftn(u), then shift to ascending p
     spec = np.fft.fftshift(np.fft.ifftn(f.values)) * n_total
     pref = (2.0 * np.pi) ** (-grid.dim) * grid.cell_volume
-    values = pref * _phase_grid(freq, grid.box_min) * spec
+    values = pref * freq.wave(grid.box_min) * spec
     return SpectralField(freq, values, grid)
 
 
 def inverse_phase(grid: GridSpec) -> np.ndarray:
     """exp(-i p . x0) over ``grid``'s dual, x0 its box corner: the inverse's phase factor."""
-    return np.conj(_phase_grid(grid.dual(), grid.box_min))
+    return np.conj(grid.dual().wave(grid.box_min))
 
 
 def inverse_transform(

@@ -18,7 +18,10 @@ one table of every probe node inside the ball, for one energy or for
 several at once.  A row's bits depend only on its own energy and
 transfer: channel is a one-row table, so a row of a table equals the
 single-transfer result bit for bit.  A ChannelTable is the package's one
-channel type.
+channel type.  Which probe nodes lie in the ball |p| <= 2 sqrt(E) is
+decided on GridSpec.radii, the package's one |p|: the reconstruction mask
+and the benchmark's row count read the same radii, so a node a dataset
+holds is never one the mask calls out of the ball.
 
 This module also owns the shell rule: check_shell tests |k|^2 and |l|^2
 of every row against its energy E, and it serves both channel_table and
@@ -178,20 +181,20 @@ def channels_on_grid(
     flat grid index.  Every row equals, bit for bit, the row of a call
     with its energy alone.  ``skipped`` holds the flat grid indices
     (intp) of the nodes outside every ball, the largest one included.
-    The grid's nodes and their radii are computed once per call.
+    Membership of the ball is decided on pgrid.radii(), the rule the
+    reconstruction mask applies, computed once per call.
     """
     energies = np.atleast_1d(np.asarray(E, dtype=float))
     if energies.ndim != 1 or not energies.size:
         raise ValueError("E must be one energy or a non-empty sequence of energies")
     if np.any(energies <= 0):
         raise ValueError("energy must be positive")
-    nodes = pgrid.nodes()
-    radii = np.sqrt(row_dot(nodes, nodes))
+    radii = pgrid.radii()
     inside = [radii <= 2.0 * np.sqrt(e) for e in energies]
     index = [np.flatnonzero(m) for m in inside]
     rows = np.concatenate(index)
     energy = np.repeat(energies, [len(i) for i in index])
-    table = channel_table(energy, nodes[rows], convention, rows)
+    table = channel_table(energy, pgrid.nodes()[rows], convention, rows)
     return table, np.flatnonzero(~np.any(inside, axis=0))
 
 

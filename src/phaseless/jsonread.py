@@ -1,4 +1,8 @@
-"""Typed readers of JSON values: the package's one way to read a JSON document.
+"""Typed readers of JSON values, and the one canonical JSON writer.
+
+The converters are the package's one way to read a JSON document, and
+``canonical`` its one way to write one (config hashes, dataset headers,
+field sidecars): sorted keys, a two-space indent and a final newline.
 
 A converter returns a value of its JSON type and rejects any other,
 never coerces it: 2.7 is no integer, "1" no number, false no boolean.
@@ -10,14 +14,20 @@ the key path, for instance ``config.target.components[0].radius``.
 
 from __future__ import annotations
 
+import json
 import math
 
 from .exceptions import ConfigError
 
 __all__ = [
     "take", "given", "convert", "identity", "string", "boolean", "obj", "array",
-    "number", "integer", "numbers", "choice",
+    "number", "integer", "numbers", "choice", "canonical",
 ]
+
+
+def canonical(data) -> str:
+    """``data`` as canonical JSON text: sorted keys, two-space indent, a final newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def take(data, context: str, required: dict, optional: dict) -> dict:

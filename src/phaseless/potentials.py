@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .exceptions import SupportOutsideBoxError, UnsupportedPrimitiveError
-from .grids import GridSpec, ScalarField, row_dot
+from .grids import GridSpec, ScalarField, expi, row_dot
 from .jsonread import array, choice, convert, identity, integer, number, numbers, obj, take
 from .special import j0, j1_over_x
 
@@ -157,13 +157,10 @@ def rasterize(spec: PotentialSpec, grid: GridSpec) -> ScalarField:
                 f"support ball (center {tuple(center)}, radius {radius}) "
                 f"is not strictly inside the grid box"
             )
-    mesh = grid.meshgrid()
     values = np.zeros(grid.shape, dtype=np.complex128)
     mask = np.zeros(grid.shape, dtype=bool)
     for comp in spec.components:
-        r2 = np.zeros(grid.shape)
-        for a in range(grid.dim):
-            r2 += (mesh[a] - comp.center[a]) ** 2
+        r2 = grid.sq_distances(comp.center)
         if isinstance(comp, BallPrimitive):
             inside = r2 <= comp.radius**2
             values[inside] += comp.amplitude
@@ -259,18 +256,6 @@ def _radial(comp: Primitive, q: np.ndarray, dim: int) -> np.ndarray:
     raise UnsupportedPrimitiveError(str(type(comp)))
 
 
-def _expi(theta: np.ndarray) -> np.ndarray:
-    """e^{i theta} as cos + i sin, as numpy's complex exp forms it for a zero real part.
-
-    Two real functions into one complex array cost about two thirds of
-    np.exp(1j * theta), which also builds the complex argument.
-    """
-    out = np.empty(theta.shape, dtype=np.complex128)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out
-
-
 def analytic_hat(spec: PotentialSpec, p) -> np.ndarray:
     """Closed-form transform of the potential at momenta ``p``.
 
@@ -291,7 +276,7 @@ def analytic_hat(spec: PotentialSpec, p) -> np.ndarray:
     np.sqrt(q, out=q)
     out = np.zeros(q.shape, dtype=np.complex128)
     for comp in spec.components:
-        phase = _expi(row_dot(pts, comp.center))
+        phase = expi(row_dot(pts, comp.center))
         out += comp.amplitude * phase * _radial(comp, q, spec.dim)
     return out[0] if single else out
 
@@ -301,22 +286,18 @@ def grid_hats(specs, grid: GridSpec, radii: np.ndarray) -> list[np.ndarray]:
 
     ``radii`` are grid.radii().  Each component's radial profile is
     evaluated once per distinct |p|, so it keeps analytic_hat's bits; the
-    phase e^{i p.c} is the product of the per-axis factors e^{i p_a c_a},
-    n values per axis, which moves each value from analytic_hat's by
-    rounding only.
+    phase e^{i p.c} is grid.wave(c), the product of the per-axis factors
+    e^{i p_a c_a}, which moves each value from analytic_hat's by rounding
+    only.
     """
     distinct, inverse = np.unique(radii, return_inverse=True)
-    axes = grid.axes()
     out = []
     for spec in specs:
         if spec.dim != grid.dim:
             raise ValueError("momentum dimension mismatch")
         total = np.zeros(grid.node_count, dtype=np.complex128)
         for comp in spec.components:
-            phase = _expi(axes[0] * comp.center[0])
-            for a in range(1, grid.dim):
-                phase = np.multiply.outer(phase, _expi(axes[a] * comp.center[a]))
-            term = phase.reshape(-1)
+            term = grid.wave(comp.center).reshape(-1)
             term *= _radial(comp, distinct, spec.dim)[inverse]
             term *= comp.amplitude
             total += term

@@ -457,11 +457,9 @@ def _assemble(ds, radii, moduli, usable, mask, spatial, p_cut, opts, diagnostics
     phase = inverse_phase(spatial)
     keep = None
     if opts.declared_support is not None:
-        mesh = spatial.meshgrid()
         keep = np.zeros(spatial.shape, dtype=bool)
         for center, radius in opts.declared_support.support_balls():
-            r2 = sum((mesh[a] - center[a]) ** 2 for a in range(spatial.dim))
-            keep |= r2 <= radius * radius
+            keep |= spatial.sq_distances(center) <= radius * radius
 
     results = []
     for branch, phases in branches.items():

@@ -55,14 +55,13 @@ import numpy as np
 from .exceptions import SolverConvergenceError, UnresolvedGridError
 from .geometry import check_shell
 from .greens import far_field_coefficient, outgoing_green, radial_green, singular_cell_weight
-from .grids import GridSpec, ScalarField
+from .grids import GridSpec, ScalarField, expi, outer
 from .potentials import PotentialSpec, analytic_hat
 
 __all__ = [
     "WaveVector",
     "SolverConfig",
     "SolverReport",
-    "plane_wave",
     "uses_direct_solve",
     "solve_lippmann_schwinger",
     "channel_amplitudes",
@@ -156,12 +155,7 @@ def _kernel_weights(grid: GridSpec, kmag: float) -> np.ndarray:
     # the weights depend on |offset| per axis: evaluate offsets 0..n, the
     # table's first quadrant (octant in 3-D), and mirror it to -(n-1)..-1
     n = grid.n
-    r2 = np.zeros((n + 1,) * grid.dim)
-    for a in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[a] = n + 1
-        r2 = r2 + (np.arange(n + 1) * grid.spacing[a]).reshape(shape) ** 2
-    r = np.sqrt(r2)
+    r = np.sqrt(outer(np.add, [np.square(np.arange(n + 1) * h) for h in grid.spacing]))
     origin = (0,) * grid.dim
     r[origin] = 1.0  # placeholder, overwritten below
     weights = radial_green(r, kmag, grid.dim) * grid.cell_volume
@@ -226,16 +220,6 @@ class _BoxOperator:
         for axis, b in zip(axes, self.box):
             conv = np.fft.ifft(conv, axis=axis)[(slice(None),) * axis + (slice(0, b),)]
         return conv[self.nodes].T
-
-
-def plane_wave(grid: GridSpec, k: WaveVector) -> np.ndarray:
-    """e^{i k.x} sampled on the grid."""
-    phase = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[a] = grid.n
-        phase = phase + (grid.axis(a) * k.k[a]).reshape(shape)
-    return np.exp(1j * phase)
 
 
 def _check_resolution(grid: GridSpec, kmag: float, cfg: SolverConfig) -> None:
@@ -394,7 +378,7 @@ def solve_lippmann_schwinger(
     """
     grid = v.grid
     _check_resolution(grid, k.magnitude, cfg)
-    inc = plane_wave(grid, k)
+    inc = grid.wave(k.k)
     mask = _support(v)
 
     if not np.any(mask):
@@ -431,18 +415,20 @@ class _AxisWaves:
     """Plane waves e^{sign i k.x} on the support nodes, from one factor table per axis.
 
     A node's coordinates are grid axis values, so e^{i k.x} is the
-    product over axes a of e^{i k_a x_a}.  Each axis holds one table of
-    those factors, a row per distinct support coordinate on that axis and
-    a column per row of ``vectors``; columns(rows) multiplies the
-    tables' gathered rows into the (support, len(rows)) waves of the rows
-    ``rows`` (a slice) of ``vectors``.
+    product over axes a of e^{i k_a x_a}, GridSpec.wave's rule: a single
+    solve's incident wave on the support has a column's bits.  Each axis
+    holds one table of those factors, a row per distinct support
+    coordinate on that axis and a column per row of ``vectors``;
+    columns(rows) multiplies the tables' gathered rows into the
+    (support, len(rows)) waves of the rows ``rows`` (a slice) of
+    ``vectors``.
     """
 
     def __init__(self, grid: GridSpec, idx: np.ndarray, vectors: np.ndarray, sign: float):
         self.tables, self.nodes = [], []  # per axis: factors, each node's table row
         for a in range(grid.dim):
             used, where = np.unique(idx[:, a], return_inverse=True)
-            self.tables.append(np.exp(sign * 1j * np.multiply.outer(grid.axis(a)[used], vectors[:, a])))
+            self.tables.append(expi(np.multiply.outer(grid.axis(a)[used], sign * vectors[:, a])))
             self.nodes.append(where)
 
     def columns(self, rows: slice) -> np.ndarray:

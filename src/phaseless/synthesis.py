@@ -40,7 +40,9 @@ from .exceptions import (
 # this module because perfbench/tracing.py wraps them by name.
 from .geometry import CONVENTIONS, ChannelTable, EnergySet, channel, channel_table, channels_on_grid
 from .grids import GridSpec, grid_from_json, grid_to_json, intensity
-from .jsonread import array, boolean, choice, convert, integer, numbers, obj, string, take
+from .jsonread import (
+    array, boolean, canonical, choice, convert, integer, numbers, obj, string, take
+)
 from .potentials import (
     PotentialSpec,
     analytic_hat,
@@ -515,10 +517,8 @@ def _detect_translate(pgrid, mags, hats, usable):
             return False, None
         shift.append(float(np.median(angles)) / pgrid.spacing[a])
     y = np.array(shift)
-    nodes = pgrid.nodes()
-    predicted = np.exp(1j * nodes @ y)
     actual = np.where(usable, ratio, 1.0)
-    predicted = np.where(usable, predicted, 1.0)
+    predicted = np.where(usable, pgrid.wave(y).reshape(-1), 1.0)
     err = float(np.max(np.abs(actual - predicted)))
     if err < 1e-6:
         return True, tuple(y)
@@ -582,8 +582,7 @@ def write_dataset(ds: PhaselessDataset, base: str, withhold_target: bool = False
         "csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
     }
     with open(base + ".json", "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(canonical(header))
 
 
 def _header_fields(header, base: str) -> dict:

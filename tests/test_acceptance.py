@@ -199,7 +199,7 @@ def _band_limited_truth(spec, pgrid, sgrid, p_cut, taper_fraction, support_of):
     window = _taper_window(np.linalg.norm(pgrid.nodes(), axis=1), p_cut, taper_fraction)
     banded = SpectralField(pgrid, (hat * window).reshape(pgrid.shape), sgrid)
     values = inverse_transform(banded, sgrid).values
-    mesh = sgrid.meshgrid()
+    mesh = np.meshgrid(*sgrid.axes(), indexing="ij")
     keep = np.zeros(sgrid.shape, dtype=bool)
     for center, radius in support_of.support_balls():
         r2 = sum((mesh[a] - center[a]) ** 2 for a in range(sgrid.dim))

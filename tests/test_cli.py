@@ -16,11 +16,12 @@ from hypothesis.extra import numpy as hnp
 
 import phaseless
 import phaseless.exceptions
-from phaseless.cli import _canonical, _json_safe, _report_text, main
+from phaseless.cli import _json_safe, _report_text, main
 from phaseless.fieldio import read_field
 from phaseless.grids import GridSpec
+from phaseless.jsonread import canonical
 from phaseless.potentials import PotentialSpec, rasterize
-from phaseless.solver import WaveVector, plane_wave
+from phaseless.solver import WaveVector
 
 GOLDEN = Path(__file__).parent / "golden" / "forward_amplitudes.csv"
 
@@ -367,7 +368,7 @@ def test_forward_zero_potential_is_plane_wave(tmp_path):
     assert main(["forward", "--config", cfg, "--out", str(out)]) == 0
     psi = read_field(out / "forward_psi_E0")
     grid = GridSpec(2, 32, (-1.0, -1.0), (1.0, 1.0))
-    expected = plane_wave(grid, WaveVector((0.0, 3.0)))
+    expected = grid.wave(WaveVector((0.0, 3.0)).k)
     assert np.array_equal(psi.values, expected)
     report = json.loads((out / "forward_report.json").read_text())
     assert report["results"]["target_is_zero"] is True
@@ -692,7 +693,7 @@ def test_report_text_keeps_canonical_values_with_flat_lists_on_one_line():
         "none": None,
     }
     text = _report_text(obj)
-    assert json.loads(text) == json.loads(_canonical(obj))
+    assert json.loads(text) == json.loads(canonical(obj))
     assert '"target_null": [0, 1, 2, 3, 4]' in text
     assert '"p": [1.5, -2.0]' in text
     assert text.startswith('{\n  "empty": {},\n')

@@ -293,13 +293,17 @@ _NAN, _INF = float("nan"), float("inf")
         (lambda d: d.update(grid={"n": 16, "box": 1e-320}), "config.grid"),
         (lambda d: d.update(grid={"n": 1e300, "box": 1.5}), "config.grid"),
         (lambda d: d.update(probe_grid={"n": 8, "box": 1e-320}), "config.probe_grid"),
+        (lambda d: d.update(energies={"E_min": 9, "E_max": 16, "count": 1e300}),
+         "config.energies.count"),
+        (lambda d: d.update(energies={"E_min": 9, "E_max": 16, "count": 10**9}),
+         "config.energies.count"),
     ],
     ids=[
         "radius-string", "center-string", "dim-fraction", "amplitude-nan", "amplitude-inf",
         "amplitude-imag-nan", "shift-nan", "tolerance-inf", "p-cut-nan", "a0-inf",
         "energy-nan", "reference-radius-inf", "radius-zero", "cutoff-zero", "p-cut-negative",
         "eps-zero-zero", "eps-pair-negative", "box-dual-not-finite", "n-beyond-index",
-        "probe-box-dual-not-finite",
+        "probe-box-dual-not-finite", "energy-count-1e300", "energy-count-1e9",
     ],
 )
 def test_each_value_is_read_by_its_rules_and_named_by_its_path(mutate, path):

@@ -32,6 +32,22 @@ def test_nodes_row_major_order():
     assert_allclose(nodes[8], (0.125, 0.0))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_per_axis_helpers_match_the_per_node_forms(dim):
+    g = GridSpec(dim, 12, (-1.5, -0.7, 0.2)[:dim], (1.2, 2.0, 3.1)[:dim])
+    nodes = g.nodes()
+    center = (0.3, -0.45, 1.7)[:dim]
+    r2 = (nodes[:, 0] - center[0]) ** 2
+    for a in range(1, dim):
+        r2 = r2 + (nodes[:, a] - center[a]) ** 2
+    assert g.sq_distances(center).shape == g.shape
+    assert g.sq_distances(center).reshape(-1).tobytes() == r2.tobytes()
+    assert g.radii().tobytes() == np.linalg.norm(nodes, axis=1).tobytes()
+    v = (3.7, -2.9, 5.3)[:dim]
+    assert g.wave(v).shape == g.shape
+    assert_allclose(g.wave(v).reshape(-1), np.exp(1j * (nodes @ v)), rtol=1e-14, atol=0.0)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         GridSpec(4, 16, (0,) * 4, (1,) * 4)

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from phaseless.exceptions import (
+    BackgroundValidationError,
     DegenerateDataError,
     GridMismatchError,
     NoDataError,
     SingularNodeError,
 )
-from phaseless.geometry import EnergySet
+from phaseless.geometry import EnergySet, channels_on_grid
 from phaseless.grids import GridSpec
 from phaseless.potentials import PotentialSpec, analytic_hat
 from phaseless.reconstruct import (
@@ -28,6 +29,7 @@ from phaseless.reconstruct import (
 from phaseless.synthesis import (
     FLAG_SOLVER_FAILED,
     BackgroundSet,
+    PhaselessDataset,
     synthesize,
     validate_backgrounds,
 )
@@ -107,7 +109,7 @@ def test_one_ref_branches_cover_truth(alpha, beta, amp0, a1):
 
 @st.composite
 def _ball_pairs(draw, dim):
-    """Two distinct balls in dimension ``dim``, as a BackgroundSet."""
+    """Two balls in dimension ``dim`` that BackgroundSet accepts as distinct."""
     balls = [
         PotentialSpec.ball(
             draw(st.tuples(*[st.floats(-1.0, 1.0)] * dim)),
@@ -116,8 +118,12 @@ def _ball_pairs(draw, dim):
         )
         for _ in range(2)
     ]
-    assume(balls[0] != balls[1])
-    return BackgroundSet(tuple(balls))
+    # equal balls, and balls whose transforms agree within 1e-12 (radii
+    # an ulp apart), are one reference to BackgroundSet
+    try:
+        return BackgroundSet(tuple(balls))
+    except BackgroundValidationError:
+        assume(False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,6 +170,34 @@ def test_phase_recovery_applies_the_singular_node_rule(data, dim, eps_pair, seed
         for idx in ([i], np.append(ok, i)):
             with pytest.raises(SingularNodeError, match="degenerate"):
                 two_refs(idx)
+
+
+def test_references_an_ulp_apart_are_identical():
+    # concentric balls of radius 0.5 and the float below it transform alike
+    # within 1e-12, so they are one reference
+    radius = np.nextafter(0.5, 0.0)
+    with pytest.raises(BackgroundValidationError, match="identical"):
+        BackgroundSet((PotentialSpec.ball((0.0, 0.0), 0.5, 1.0),
+                       PotentialSpec.ball((0.0, 0.0), radius, 1.0)))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 24), (3, 12)])
+def test_boundary_energies_follow_one_ball_rule(dim, n):
+    # at each node's boundary energy E = |p|^2/4 the channel table holds
+    # exactly the nodes with radii <= 2 sqrt(E), and the mask calls none
+    # of them out of the ball: both read pgrid.radii
+    pg = GridSpec(dim, n, (-1.5,) * dim, (1.5,) * dim).dual()
+    radii = pg.radii()
+    refs = BackgroundSet((PotentialSpec.ball((0.2,) * dim, 0.3, 1.0),))
+    hats = refs.reference_hats(pg, radii)
+    moduli = np.full((pg.node_count, 2), np.nan)
+    for energy in np.unique(radii[radii > 0] ** 2 / 4):
+        table, _ = channels_on_grid(energy, pg)
+        assert np.array_equal(table.node, np.flatnonzero(radii <= 2 * np.sqrt(energy)))
+        rows = len(table)
+        ds = PhaselessDataset("born-oracle", pg, (energy,), table.energy, table.transfer,
+                              table.node, np.ones((rows, 2)), np.zeros(rows), refs)
+        assert not build_mask(ds, moduli, hats, radii).out_of_ball[table.node].any()
 
 
 def test_real_reference_pair_is_degenerate_everywhere():
@@ -465,7 +499,7 @@ def test_support_restriction_and_realness(box_grid, off_center_ball, two_ball_re
         declared_real=True,
     )
     (res,) = reconstruct(ds, options=opts)
-    mesh = box_grid.meshgrid()
+    mesh = np.meshgrid(*box_grid.axes(), indexing="ij")
     (center, radius), = off_center_ball.support_balls()
     r2 = (mesh[0] - center[0]) ** 2 + (mesh[1] - center[1]) ** 2
     outside = r2 > radius * radius

@@ -21,7 +21,6 @@ from phaseless.solver import (
     WaveVector,
     born_amplitude,
     far_field_check,
-    plane_wave,
     scattering_amplitude,
     solve_lippmann_schwinger,
 )
@@ -48,7 +47,7 @@ def test_zero_potential_returns_incident_wave():
     assert rep.iterations == 0
     assert rep.residual == 0.0
     assert rep.converged
-    assert np.array_equal(psi.values, plane_wave(g, k))
+    assert np.array_equal(psi.values, g.wave(k.k))
 
 
 def test_born_iteration_agrees_with_dense():
@@ -113,7 +112,7 @@ def test_born_substitution_recovers_transform():
     fld = rasterize(SMOOTH, GRID)
     k = WaveVector((0.0, 5.0))
     l = np.array([3.0, 4.0])
-    inc = type(fld)(GRID, plane_wave(GRID, k))
+    inc = type(fld)(GRID, GRID.wave(k.k))
     f1 = scattering_amplitude(fld, inc, k, l)
     f2 = born_amplitude(SMOOTH, k, l)
     assert abs(f1 - f2) < 1e-6
@@ -167,7 +166,7 @@ def test_row_wise_amplitudes_equal_per_row_calls():
 def test_off_shell_row_raises_naming_it(bad):
     fld = rasterize(SMOOTH, GRID)
     k = WaveVector((0.0, 5.0))
-    psi = ScalarField(GRID, plane_wave(GRID, k))
+    psi = ScalarField(GRID, GRID.wave(k.k))
     rows = _shell_channels(6, 2, 0, kmag=5.0)[1]
     rows[4] = bad
     with pytest.raises(EnergyShellError, match="channel 4: outgoing energy .* off the shell E=25.0"):
@@ -235,6 +234,32 @@ def _offset_sum(weights_tab, targets, sources, values):
     return weights_tab[tuple(np.moveaxis(offsets, -1, 0))] @ values
 
 
+def test_single_solve_incident_wave_is_a_channel_column(monkeypatch):
+    # a single solve and channel_amplitudes hand the support solver the
+    # same incident wave, bit for bit, for a vector off every axis
+    seen = []
+    support_solver = solver._support_solver
+
+    def record(*args):
+        solve, *rest = support_solver(*args)
+
+        def recording(inc):
+            seen.append(inc[:, 0].copy())
+            return solve(inc)
+
+        return (recording, *rest)
+
+    monkeypatch.setattr(solver, "_support_solver", record)
+    fld = rasterize(SMOOTH, GRID)
+    incident = np.array([[3.0 * np.cos(0.7), 3.0 * np.sin(0.7)]])
+    outgoing = np.array([[3.0 * np.cos(2.1), 3.0 * np.sin(2.1)]])
+    cfg = SolverConfig(method="dense")
+    solve_lippmann_schwinger(fld, WaveVector(tuple(incident[0])), cfg)
+    solver.channel_amplitudes([fld], 9.0, incident, outgoing, cfg)
+    assert len(seen) == 2
+    assert seen[0].tobytes() == seen[1].tobytes()
+
+
 @pytest.mark.parametrize("dim,n", [(2, 30), (3, 12)])
 def test_box_operator_matches_full_grid_kernel(dim, n):
     grid, masks = _masks(dim, n)
@@ -290,7 +315,7 @@ def test_born_on_box_agrees_with_dense_on_criterion_3_field():
             solver._kernel_weights(grid, k.magnitude), targets, sources,
             fld.values[mask] * psi_b.values[mask],
         )
-        extended = plane_wave(grid, k)[~mask] + scattered
+        extended = grid.wave(k.k)[~mask] + scattered
         assert np.abs(psi_b.values[~mask] - extended).max() <= 1e-13
 
 
