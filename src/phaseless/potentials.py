@@ -154,7 +154,7 @@ def rasterize(spec: PotentialSpec, grid: GridSpec) -> ScalarField:
     for center, radius in spec.support_balls():
         if not grid.contains_ball(center, radius):
             raise SupportOutsideBoxError(
-                f"support ball (center {tuple(center)}, radius {radius}) "
+                f"support ball (center {tuple(center.tolist())}, radius {radius}) "
                 f"is not strictly inside the grid box"
             )
     values = np.zeros(grid.shape, dtype=np.complex128)

@@ -17,6 +17,10 @@ table; "full-solver" runs the integral-equation solver: per energy, one
 solver.channel_amplitudes call answers every channel of every variant,
 each variant by one direct solve or by one iteration batched over
 channels.
+
+read_dataset parses a CSV body in one np.loadtxt pass, names the first
+bad line when that pass fails, and holds each row to channels_on_grid's
+rule: a node (GridSpec.flat_index) in its energy's ball by GridSpec.radii.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import hashlib
 import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .exceptions import (
     BackgroundValidationError,
     GridMismatchError,
     InputFileError,
+    OutOfBallError,
     PhaselessError,
 )
 # channel, born_amplitude, scattering_amplitude and
@@ -500,19 +504,17 @@ def _detect_translate(pgrid, mags, hats, usable):
         return False, None
     # Phase of w2/w1 should be p . y; estimate y from finite differences
     # along each grid axis, then verify the linear model globally.
-    ratio = np.where(usable, hats[1] / np.where(usable, hats[0], 1.0), np.nan)
+    ratio = hats[1] / np.where(usable, hats[0], 1.0)
     shape = pgrid.shape
     ratio_grid = ratio.reshape(shape)
     usable_grid = usable.reshape(shape)
     shift = []
     for a in range(pgrid.dim):
-        step = np.take(ratio_grid, np.arange(1, shape[a]), axis=a) / np.take(
-            ratio_grid, np.arange(0, shape[a] - 1), axis=a
-        )
-        both = np.take(usable_grid, np.arange(1, shape[a]), axis=a) & np.take(
-            usable_grid, np.arange(0, shape[a] - 1), axis=a
-        )
-        angles = np.angle(step[both])
+        upper, lower = np.arange(1, shape[a]), np.arange(0, shape[a] - 1)
+        both = np.take(usable_grid, upper, axis=a) & np.take(usable_grid, lower, axis=a)
+        # an unusable node's ratio may be 0: divide only where both neighbours are usable
+        step = np.take(ratio_grid, upper, axis=a)[both] / np.take(ratio_grid, lower, axis=a)[both]
+        angles = np.angle(step)
         if angles.size == 0:
             return False, None
         shift.append(float(np.median(angles)) / pgrid.spacing[a])
@@ -521,7 +523,7 @@ def _detect_translate(pgrid, mags, hats, usable):
     predicted = np.where(usable, pgrid.wave(y).reshape(-1), 1.0)
     err = float(np.max(np.abs(actual - predicted)))
     if err < 1e-6:
-        return True, tuple(y)
+        return True, tuple(y.tolist())
     return False, None
 
 
@@ -617,37 +619,50 @@ def _header_fields(header, base: str) -> dict:
         raise InputFileError(f"{base}.json: malformed dataset header ({exc})") from exc
 
 
-def _flags(cells: list[str], base: str) -> np.ndarray:
-    """The flag column's cells as uint8; InputFileError names the first that is none."""
-    try:
-        return np.array(list(map(int, cells)), dtype=np.uint8)
-    except (ValueError, OverflowError):
-        pass
-    for row, cell in enumerate(cells):
-        try:
-            if 0 <= int(cell) <= 255:
-                continue
-        except ValueError:
-            pass
-        raise InputFileError(f"{base}.csv: line {row + 2}: flag {cell!r} is not an integer 0-255")
+def _row_error(lines: list[str], width: int, base: str) -> InputFileError:
+    """The error naming the first of ``lines`` that np.loadtxt reads as no row of ``width`` cells.
+
+    The line is named by its cell count, else by its first cell that
+    numpy's parser rejects: a value that is no float, a flag (the last
+    cell) that is no uint8.  ``lines`` must hold such a line.
+    """
+    for number, line in enumerate(lines, start=2):
+        at, cells = f"{base}.csv: line {number}", line.split(",")
+        if len(cells) != width:
+            return InputFileError(f"{at} has {len(cells)} cells, not {width}")
+        for col, cell in enumerate(cells):
+            kind = np.uint8 if col == width - 1 else np.float64
+            try:
+                np.loadtxt([line], kind, delimiter=",", comments=None, usecols=col)
+            except ValueError:
+                if kind is np.uint8:
+                    return InputFileError(f"{at}: flag {cell!r} is not an integer 0-255")
+                return InputFileError(f"{at}: {cell!r} is not a number")
+
+
+def _reject_rows(bad: np.ndarray, error: type, base: str, message) -> None:
+    """Raise ``error`` naming ``base``.csv and the line of the first ``bad`` row r, ``message(r)``."""
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        raise error(f"{base}.csv: line {row + 2}: {message(row)}")
 
 
 def read_dataset(base: str) -> PhaselessDataset:
     """Rebuild a dataset written by write_dataset.
 
-    The CSV body is split once into a flat list of cells; Python's
-    ``float`` parses each distinct value cell once and ``int`` each
-    flag, which reads every written value back exactly.  Raises
-    InputFileError (a ValueError) naming the file when a file cannot be
-    read, the header is no dataset header or holds a malformed field
-    (see _header_fields), the CSV does not match its recorded hash or
-    the header's energies are not exactly the distinct energies of the
-    rows, and naming the file and line when a CSV row has not the
-    header's number of cells, a value that is no number, a flag that
-    is no integer 0-255 or an unflagged intensity that is negative or
-    not finite, or a transfer that is not a node of the header's probe
-    grid; OutOfBallError (or EnergyShellError) when a row is no on-shell
-    channel of its energy.
+    One np.loadtxt pass parses the CSV body into float cells and a uint8
+    flag per row, every written value back exactly; only when it fails
+    are the lines scanned for the first bad one.  Raises InputFileError
+    (a ValueError) naming the file when a file cannot be read, the
+    header is no dataset header or holds a malformed field (see
+    _header_fields), the CSV does not match its recorded hash or the
+    header's energies are not exactly the distinct energies of the rows,
+    and naming the file and line when a CSV row has not the header's
+    number of cells, a value that is no number, a flag that is no integer
+    0-255, an unflagged intensity that is negative or not finite, an
+    energy that is not positive and finite, or a transfer that is no node
+    of the header's probe grid; OutOfBallError naming the file and line
+    when a row's node lies outside its ball, pgrid.radii() > 2 sqrt(E).
     """
     try:
         with open(base + ".json") as fh:
@@ -667,52 +682,38 @@ def read_dataset(base: str) -> PhaselessDataset:
     if digest != header["csv_sha256"]:
         raise InputFileError(f"dataset CSV {base}.csv does not match its recorded hash")
 
-    convention = header["convention"]
     d = pgrid.dim
     width = 3 + d + header["n_refs"]
     lines = csv_text.strip().split("\n")[1:]
-    if set(map(str.count, lines, repeat(","))) - {width - 1}:
-        number, line = next(
-            (n, line) for n, line in enumerate(lines, start=2) if line.count(",") != width - 1
-        )
-        raise InputFileError(
-            f"{base}.csv: line {number} has {line.count(',') + 1} cells, not {width}"
-        )
-    cells = ",".join(lines).split(",") if lines else []
-    del lines
-    flag_cells = cells[width - 1 :: width]
-    del cells[width - 1 :: width]
-    # each distinct cell parsed once, in order of first appearance, so the
-    # first bad cell of the body is the one reported
-    parsed = {}
-    for cell in dict.fromkeys(cells):
-        try:
-            parsed[cell] = float(cell)
-        except ValueError:
-            line = cells.index(cell) // (width - 1) + 2
-            raise InputFileError(f"{base}.csv: line {line}: {cell!r} is not a number") from None
-    body = np.fromiter(map(parsed.__getitem__, cells), dtype=float, count=len(cells))
-    body = body.reshape(-1, width - 1)
+    row_type = np.dtype([("cells", np.float64, (width - 1,)), ("flag", np.uint8)])
+    rows = np.zeros(0, row_type)  # loadtxt warns on an empty body
+    try:
+        if lines:
+            rows = np.loadtxt(lines, row_type, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        raise _row_error(lines, width, base) from None
+    if len(rows) != len(lines):  # loadtxt skips an empty line, which is no row
+        raise _row_error(lines, width, base)
+    body = rows["cells"]
     energy, transfer, values = body[:, 0], body[:, 1 : 1 + d], body[:, 1 + d :]
-    flags = _flags(flag_cells, base)
-    bad = (flags == FLAG_OK) & ~np.all(np.isfinite(values) & (values >= 0), axis=1)
-    if np.any(bad):
-        row = int(np.argmax(bad))
-        raise InputFileError(
-            f"{base}.csv: line {row + 2}: unflagged intensities {values[row].tolist()} "
-            "are not all finite and nonnegative"
-        )
-    channel_table(energy, transfer, convention)  # raises for a row off the shell or ball
+    flags = rows["flag"]
+    _reject_rows((flags == FLAG_OK) & ~np.all(np.isfinite(values) & (values >= 0), axis=1),
+                 InputFileError, base, lambda r: f"unflagged intensities {values[r].tolist()} "
+                 "are not all finite and nonnegative")
+    _reject_rows(~((energy > 0) & (energy < np.inf)), InputFileError, base,
+                 lambda r: f"energy {float(energy[r])!r} is not positive and finite")
     distinct = tuple(sorted(set(energy.tolist())))
     if header["energies"] != distinct:
         raise InputFileError(
             f"{base}.json: energies {header['energies']} are not the rows' energies {distinct}"
         )
-
     try:
         node_index = pgrid.flat_index(transfer)
     except GridMismatchError:
         raise InputFileError(f"{base}.csv: a transfer is off the grid of {base}.json") from None
+    radii, reach = pgrid.radii()[node_index], 2.0 * np.sqrt(energy)
+    _reject_rows(~(radii <= reach), OutOfBallError, base,  # channels_on_grid's rule
+                 lambda r: f"|p|={radii[r]:.6g} exceeds 2*sqrt(E)={reach[r]:.6g}")
     return PhaselessDataset(
         mode=header["mode"],
         pgrid=pgrid,
@@ -723,6 +724,6 @@ def read_dataset(base: str) -> PhaselessDataset:
         values=values,
         flags=flags,
         backgrounds=header["references"],
-        convention=convention,
+        convention=header["convention"],
         solver_notes=header["solver_notes"],
     )

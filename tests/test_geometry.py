@@ -38,14 +38,18 @@ def _ball_points(dim):
 @settings(max_examples=200, deadline=None)
 @given(_ball_points(2))
 @example((1.0, [0.0, 1.0], 4.20993163139155e-160))  # |p|^2 is subnormal
+@example((1.0, [0.0, 8.876485733260173e-158], 1.0))  # |d|^2 is subnormal
+@example((1.0, [0.0, 2.225073858507e-311], 1.0))  # d is subnormal
 def test_channel_invariants_2d(draw):
     E, direction, frac = draw
     d = np.asarray(direction)
-    norm = np.linalg.norm(d)
+    # hypot scales: norm's sqrt of a subnormal |d|^2 would put p outside the ball,
+    # and d / norm keeps 1 / norm of a subnormal d from overflowing
+    norm = math.hypot(*direction)
     if norm == 0.0:
         p = np.zeros(2)
     else:
-        p = (2.0 * np.sqrt(E) * frac / norm) * d
+        p = (2.0 * np.sqrt(E) * frac) * (d / norm)
     ch = channel(E, p)
     k, l = ch.incident[0], ch.outgoing[0]
     assert abs(k @ k - E) <= 1e-12 * E
@@ -62,11 +66,11 @@ def test_channel_invariants_2d(draw):
 def test_channel_invariants_3d(draw):
     E, direction, frac = draw
     d = np.asarray(direction)
-    norm = np.linalg.norm(d)
+    norm = math.hypot(*direction)
     if norm == 0.0:
         p = np.zeros(3)
     else:
-        p = (2.0 * np.sqrt(E) * frac / norm) * d
+        p = (2.0 * np.sqrt(E) * frac) * (d / norm)
     ch = channel(E, p)
     k, l = ch.incident[0], ch.outgoing[0]
     assert abs(k @ k - E) <= 1e-12 * E

@@ -206,8 +206,12 @@ def test_rasterize_pointwise_ball(box_grid, off_center_ball):
 
 def test_rasterize_requires_support_inside_box():
     g = GridSpec(2, 16, (-1.0, -1.0), (1.0, 1.0))
-    with pytest.raises(SupportOutsideBoxError):
+    with pytest.raises(SupportOutsideBoxError) as info:
         rasterize(PotentialSpec.ball((0.9, 0.0), 0.3, 1.0), g)
+    # plain floats, not numpy scalar reprs
+    assert str(info.value) == (
+        "support ball (center (0.9, 0.0), radius 0.3) is not strictly inside the grid box"
+    )
 
 
 def test_rasterized_mass_converges_to_ball_area():

@@ -361,6 +361,41 @@ def test_read_dataset_rejects_rows_off_grid_or_outside_ball(tmp_path, off_center
         read_dataset(_write_with_transfer(tmp_path, ds, 0, outside))
 
 
+@pytest.mark.parametrize(
+    "cell, energies",
+    [("0.0", [0.0, 9.0]), ("-4.0", [-4.0, 9.0]), ("nan", [9.0])],
+    ids=["zero", "negative", "nan"],
+)
+def test_read_dataset_rejects_row_energies_not_positive_and_finite(
+    tmp_path, off_center_ball, cell, energies
+):
+    ds = synthesize(off_center_ball, None, ENERGIES, PGRID)
+    base = str(tmp_path / "ds")
+    write_dataset(ds, base)
+    # every row of energy 4.0 gets ``cell``, and the header's energies follow
+    _restamp(base, lambda lines: [cell + line[3:] if line.startswith("4.0,") else line
+                                  for line in lines])
+    with open(base + ".json") as fh:
+        header = json.load(fh)
+    header["energies"] = energies
+    with open(base + ".json", "w") as fh:
+        json.dump(header, fh)
+    with pytest.raises(InputFileError) as info:
+        read_dataset(base)
+    assert str(info.value) == f"{base}.csv: line 2: energy {float(cell)!r} is not positive and finite"
+
+
+def test_read_dataset_names_the_row_outside_the_ball(tmp_path, off_center_ball):
+    ds = synthesize(off_center_ball, None, ENERGIES, PGRID)
+    _, skipped = channels_on_grid(4.0, PGRID)
+    outside = PGRID.nodes()[skipped[0]]
+    edited = _write_with_transfer(tmp_path, ds, 0, outside)
+    with pytest.raises(OutOfBallError) as info:
+        read_dataset(edited)
+    radius = float(np.linalg.norm(outside))
+    assert str(info.value) == f"{edited}.csv: line 2: |p|={radius:.6g} exceeds 2*sqrt(E)=4"
+
+
 def _per_cell_csv(ds):
     """The dataset CSV as one ``repr`` per cell, the writer's reference format."""
     d = ds.pgrid.dim
@@ -507,6 +542,72 @@ def test_read_dataset_rejects_malformed_rows(tmp_path, off_center_ball, edit, me
     assert str(info.value) == message.format(base=base)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((2, 3)),
+    st.sampled_from((0, 1, 2)),
+    st.sampled_from((0.0, 0.4, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+@example(2, 0, 0.0, 0)  # an empty body reads as zero rows, without loadtxt's warning
+def test_read_dataset_round_trips_every_bit(tmp_path_factory, dim, n_refs, share, seed):
+    # a share of the channels of two energies, flagged NaN rows, -0.0 in
+    # intensity and transfer cells, and none, one or two references
+    rng = np.random.default_rng(seed)
+    pgrid = _CSV_GRIDS[dim]
+    table, _ = channels_on_grid((4.0, 9.0), pgrid)
+    keep = rng.random(len(table)) < share
+    transfer = table.transfer[keep]
+    transfer[(transfer == 0.0) & (rng.random(transfer.shape) < 0.5)] = -0.0
+    values = rng.choice(np.array([0.0, -0.0, 5e-324, 0.1, 1e300]), size=(len(transfer), 1 + n_refs))
+    flags = rng.choice(np.array([FLAG_OK, FLAG_SOLVER_FAILED], dtype=np.uint8), size=len(transfer))
+    values[flags == FLAG_SOLVER_FAILED] = np.nan
+    refs = BackgroundSet(_CSV_REFS[dim].backgrounds[:n_refs]) if n_refs else None
+    ds = PhaselessDataset(
+        mode="born-oracle",
+        pgrid=pgrid,
+        energies=tuple(sorted(set(table.energy[keep].tolist()))),
+        energy=table.energy[keep],
+        transfer=transfer,
+        node_index=table.node[keep],
+        values=values,
+        flags=flags,
+        backgrounds=refs,
+    )
+    base = str(tmp_path_factory.mktemp("read") / "ds")
+    write_dataset(ds, base)
+    back = read_dataset(base)
+    assert back.energies == ds.energies and back.n_refs == n_refs
+    for name in ("energy", "transfer", "node_index", "values", "flags"):
+        want, got = getattr(ds, name), getattr(back, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+_EDGE_CELLS = ("1_0", "1#2", "nan", "-0.0", "1e400", "", "256", "1.0")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((2, 3)),
+    st.integers(1, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(_EDGE_CELLS),
+)
+def test_read_dataset_edited_cell_is_read_or_named(tmp_path_factory, dim, row, col, cell):
+    # one cell set to an edge value, the hash re-stamped; Python's float
+    # reads 1_0 and numpy's parser does not
+    pgrid = _CSV_GRIDS[dim]
+    ds = synthesize(_CSV_REFS[dim].backgrounds[0], None, EnergySet((4.0, 9.0)), pgrid)
+    base = str(tmp_path_factory.mktemp("edit") / "ds")
+    write_dataset(ds, base)
+    row, col = 1 + row % ds.rows, col % (dim + 3)
+    _restamp(base, _set_cells({(row, col): cell}))
+    try:
+        read_dataset(base)
+    except (InputFileError, OutOfBallError) as exc:
+        assert str(exc).startswith(base)
+
+
 def _first_reference_component(header):
     return header["references"][0]["components"][0]
 
@@ -577,13 +678,23 @@ def test_translation_twin_follows_the_convention():
 
 
 def test_validate_backgrounds_translate_detector():
-    w1 = PotentialSpec.ball((0.0, 0.0), 0.3, 1.0)
-    y = (0.6, -0.4)
-    refs = BackgroundSet((w1, w1.translate(y)))
-    report = validate_backgrounds(refs, PGRID)
-    assert report.translate_degeneracy
-    assert_allclose(report.estimated_shift, y, atol=1e-8)
-    assert any("translate" in w for w in report.warnings)
+    # the second pair leaves unusable nodes next to usable ones: the detector
+    # divides usable neighbours only (a RuntimeWarning fails the test)
+    cases = [
+        ((0.0, 0.0), (0.6, -0.4), PGRID),
+        ((-0.9, -0.6), (0.5, 0.0), GridSpec(2, 24, (-1.5, -1.5), (1.5, 1.5)).dual()),
+    ]
+    for center, y, pgrid in cases:
+        w1 = PotentialSpec.ball(center, 0.3, 1.0)
+        report = validate_backgrounds(BackgroundSet((w1, w1.translate(y))), pgrid)
+        assert report.translate_degeneracy
+        assert_allclose(report.estimated_shift, y, atol=1e-8)
+        assert all(type(x) is float for x in report.estimated_shift)
+        assert report.warnings[-1] == (
+            f"reference 2 looks like a translate of reference 1 (estimated shift "
+            f"{report.estimated_shift}); the pair degeneracy then fills hyperplanes and "
+            "two-reference recovery breaks down"
+        )
 
 
 def test_validate_backgrounds_healthy_pair(two_ball_refs):
