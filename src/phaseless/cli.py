@@ -4,7 +4,8 @@ Every subcommand reads a JSON experiment config, writes its artifacts
 under the output directory, and finishes with a report JSON that embeds
 the exact config plus content hashes, so a bundle can always be traced
 back to the run that produced it.  Identical configs give byte-identical
-outputs; nothing here consults the clock or the process id.
+outputs under one BLAS thread count (the direct solve's OpenBLAS sums
+depend on it); nothing here consults the clock or the process id.
 
 Exit codes: 0 success; a package error exits with its class's
 ``exit_code`` after one stderr line led by its ``label`` (see

@@ -44,7 +44,7 @@ class UnresolvedGridError(PhaselessError):
 
 
 class SolverConvergenceError(PhaselessError):
-    """A field solve did not converge, or its support exceeds the direct solve's limit."""
+    """An iteration of the field solver did not converge."""
 
     exit_code = 3
     label = "solver failure"
@@ -56,6 +56,8 @@ class EnergyShellError(PhaselessError):
 
 class OutOfBallError(PhaselessError):
     """Requested momentum-transfer node lies outside the reachable ball."""
+
+    label = "input error"
 
 
 class BackgroundValidationError(PhaselessError):

@@ -30,6 +30,7 @@ the solver's amplitude functions.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from .grids import GridSpec, row_dot
 
 __all__ = [
     "CONVENTIONS",
+    "MIN_ENERGY",
     "ChannelTable",
     "EnergySet",
     "check_shell",
@@ -48,6 +50,10 @@ __all__ = [
 ]
 
 CONVENTIONS = ("default", "mirror")
+
+# the least energy an EnergySet or a dataset row holds, the least normal
+# float: below it 1/E overflows, and so does the solver's 1/k^2
+MIN_ENERGY = sys.float_info.min
 
 
 def _transverse_rows(p: np.ndarray, convention: str) -> np.ndarray:
@@ -200,7 +206,7 @@ def channels_on_grid(
 
 @dataclass(frozen=True)
 class EnergySet:
-    """Ascending collection of probe energies."""
+    """Ascending collection of probe energies, each in [MIN_ENERGY, inf)."""
 
     energies: tuple[float, ...]
 
@@ -208,8 +214,8 @@ class EnergySet:
         if not self.energies:
             raise ValueError("energy set is empty")
         es = tuple(float(e) for e in self.energies)
-        if not all(0 < e < np.inf for e in es):
-            raise ValueError("energies must be positive and finite")
+        if not all(MIN_ENERGY <= e < np.inf for e in es):
+            raise ValueError(f"energies must lie in [{MIN_ENERGY!r}, inf)")
         if any(b <= a for a, b in zip(es, es[1:])):
             raise ValueError("energies must be strictly increasing")
         object.__setattr__(self, "energies", es)

@@ -18,18 +18,19 @@ package's one shell rule.  One route rule, uses_direct_solve, picks the
 route, and each route brings its own form of the support operator K v,
 which both solves and checks its answers:
 
-- direct, when the support has at most ``dense_limit`` nodes (or method
-  "dense"): the matrix I - K v assembled from the weight table, one
+- direct, for method "auto" and at most ``dense_limit`` support nodes:
+  the matrix I - K v assembled from the weight table, one
   numpy.linalg.solve per chunk of incident columns, and the residual
   (I - K v) psi - incident as one matrix product with that same matrix.
   This route makes no FFT.
 - iteration, otherwise: psi_{m+1} = incident + K v psi_m on the support
-  values, batched over channels, each converging or failing on its own;
-  it contracts with rate O(E^{-1/2}) at high energy.  K between support
-  nodes needs only the kernel offsets inside the support's bounding box,
-  so every step and every residual is one FFT convolution on that box
-  (_BoxOperator, the scheme of Vainikko, "Fast solvers of the
-  Lippmann-Schwinger equation", 2000), batched over channels.
+  values, batched over channels, each converging or failing (the one
+  solver failure) on its own; it contracts with rate O(E^{-1/2}) at high
+  energy.  K between support nodes needs only the kernel offsets inside
+  the support's bounding box, so every step and every residual is one
+  FFT convolution on that box (_BoxOperator, the scheme of Vainikko,
+  "Fast solvers of the Lippmann-Schwinger equation", 2000), batched over
+  channels.
 
 Both forms read one weight table, so they are the same discrete operator
 up to rounding and the routes can be cross-checked to tight tolerance.
@@ -103,12 +104,12 @@ class SolverConfig:
     tolerance: float = 1e-8
     max_iterations: int = 200
     resolution_factor: float = 8.0
-    method: str = "auto"  # auto | born | dense
-    dense_limit: int = 3000  # max support nodes for the dense route
+    method: str = "auto"  # auto | born
+    dense_limit: int = 3000  # max support nodes "auto" solves directly
 
     def __post_init__(self):
-        if self.method not in ("auto", "born", "dense"):
-            raise ValueError(f"unknown solver method {self.method!r}")
+        if self.method not in ("auto", "born"):
+            raise ValueError(f"unknown solver method {self.method!r}; expected 'auto' or 'born'")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
@@ -238,20 +239,17 @@ def _support(v: ScalarField) -> np.ndarray:
     return v.mask & (v.values != 0)
 
 
-def uses_direct_solve(v: ScalarField, cfg: SolverConfig) -> bool:
-    """The route rule: True for the direct solve, False for the iteration.
+def uses_direct_solve(nodes: int, cfg: SolverConfig) -> bool:
+    """The route rule for a support of ``nodes`` nodes: True for the direct solve.
 
-    "dense" always goes direct (and fails above ``dense_limit``), "born"
-    always iterates, "auto" goes direct when the support has at most
-    ``dense_limit`` nodes.
+    "auto" goes direct when the support has at most ``dense_limit``
+    nodes and iterates above; "born" always iterates.
     """
-    if cfg.method == "auto":
-        return int(np.count_nonzero(_support(v))) <= cfg.dense_limit
-    return cfg.method == "dense"
+    return cfg.method == "auto" and nodes <= cfg.dense_limit
 
 
-def _support_matrix(v: ScalarField, weights_tab: np.ndarray, cfg: SolverConfig):
-    """Support mask and the matrix I - W v restricted to the support.
+def _support_matrix(v: ScalarField, mask: np.ndarray, weights_tab: np.ndarray) -> np.ndarray:
+    """The matrix I - W v restricted to the support nodes ``mask``.
 
     W between support nodes is read from the padded weight table, which
     is even in each axis offset, at the absolute offsets per axis: no
@@ -260,13 +258,8 @@ def _support_matrix(v: ScalarField, weights_tab: np.ndarray, cfg: SolverConfig):
     covers one block, never (m, m).  It comes in Fortran order, the
     layout LAPACK copies it into.
     """
-    mask = _support(v)
     idx = np.argwhere(mask)
     m = idx.shape[0]
-    if m > cfg.dense_limit:
-        raise SolverConvergenceError(
-            f"direct solve needs {m} support nodes, limit is {cfg.dense_limit}"
-        )
     pad = weights_tab.shape[0]
     vsub = v.values[mask]
     # node indices premultiplied by the table's flat stride of their axis
@@ -286,7 +279,7 @@ def _support_matrix(v: ScalarField, weights_tab: np.ndarray, cfg: SolverConfig):
         np.take(weights_tab, flat, out=out, mode="clip")
         out *= -vsub[block, None]
     a_mat[np.diag_indices(m)] += 1.0
-    return mask, a_mat
+    return a_mat
 
 
 def _born_iteration(op: _BoxOperator, vsub: np.ndarray, inc: np.ndarray, cfg: SolverConfig,
@@ -335,11 +328,10 @@ def _support_solver(v: ScalarField, mask: np.ndarray, weights_tab: np.ndarray,
     product A psi - inc.  The iteration route builds the _BoxOperator: a
     solve takes one block of its columns, and the residual is one
     batched FFT convolution.  route is the SolverReport method name,
-    "dense-direct" or "born-iteration".  Raises SolverConvergenceError
-    above ``dense_limit``.
+    "dense-direct" or "born-iteration".
     """
-    if uses_direct_solve(v, cfg):
-        _, a_mat = _support_matrix(v, weights_tab, cfg)
+    if uses_direct_solve(int(np.count_nonzero(mask)), cfg):
+        a_mat = _support_matrix(v, mask, weights_tab)
         m = a_mat.shape[0]
 
         def solve(inc):  # one step per column, no failure, no updates
@@ -374,7 +366,7 @@ def solve_lippmann_schwinger(
     the route's own residual on the support, normalized by the incident
     wave's norm over the grid; its contraction ratio is the median ratio
     of successive iteration updates.  Raises SolverConvergenceError when
-    the iteration fails or a direct solve exceeds ``dense_limit``.
+    the iteration does not converge.
     """
     grid = v.grid
     _check_resolution(grid, k.magnitude, cfg)
@@ -453,8 +445,7 @@ def channel_amplitudes(
     each field in turn on the rows no earlier field failed.  Returns
     (amplitudes, failed, worst iterations, worst residual), the worst over
     the rows each field did not fail; a failed row is NaN in every column.
-    An iteration that does not converge fails its own row only, and a
-    direct solve above ``dense_limit`` fails every row.
+    An iteration that does not converge fails its own row only.
     """
     incident = np.asarray(incident, dtype=float)
     outgoing = np.asarray(outgoing, dtype=float)
@@ -500,12 +491,9 @@ def _field_amplitudes(
     """
     grid = v.grid
     mask = _support(v)
-    amps = np.full(len(incident), np.nan, dtype=complex)
-    failed = np.ones(len(incident), dtype=bool)
-    try:
-        solve, residual, chunk, _ = _support_solver(v, mask, weights_tab, cfg)
-    except SolverConvergenceError:
-        return amps, failed, 0, 0.0
+    amps = np.empty(len(incident), dtype=complex)
+    failed = np.empty(len(incident), dtype=bool)
+    solve, residual, chunk, _ = _support_solver(v, mask, weights_tab, cfg)
 
     idx = np.argwhere(mask)
     waves_in = _AxisWaves(grid, idx, incident, 1.0)

@@ -42,7 +42,9 @@ from .exceptions import (
 # channel, born_amplitude, scattering_amplitude and
 # solve_lippmann_schwinger are not called here; they stay importable from
 # this module because perfbench/tracing.py wraps them by name.
-from .geometry import CONVENTIONS, ChannelTable, EnergySet, channel, channel_table, channels_on_grid
+from .geometry import (
+    CONVENTIONS, MIN_ENERGY, ChannelTable, EnergySet, channel, channel_table, channels_on_grid
+)
 from .grids import GridSpec, grid_from_json, grid_to_json, intensity
 from .jsonread import (
     array, boolean, canonical, choice, convert, integer, numbers, obj, string, take
@@ -660,9 +662,10 @@ def read_dataset(base: str) -> PhaselessDataset:
     and naming the file and line when a CSV row has not the header's
     number of cells, a value that is no number, a flag that is no integer
     0-255, an unflagged intensity that is negative or not finite, an
-    energy that is not positive and finite, or a transfer that is no node
-    of the header's probe grid; OutOfBallError naming the file and line
-    when a row's node lies outside its ball, pgrid.radii() > 2 sqrt(E).
+    energy outside EnergySet's range [MIN_ENERGY, inf), or a transfer
+    that is no node of the header's probe grid; OutOfBallError (an input
+    error) naming the file and line when a row's node lies outside its
+    ball, pgrid.radii() > 2 sqrt(E).
     """
     try:
         with open(base + ".json") as fh:
@@ -700,8 +703,8 @@ def read_dataset(base: str) -> PhaselessDataset:
     _reject_rows((flags == FLAG_OK) & ~np.all(np.isfinite(values) & (values >= 0), axis=1),
                  InputFileError, base, lambda r: f"unflagged intensities {values[r].tolist()} "
                  "are not all finite and nonnegative")
-    _reject_rows(~((energy > 0) & (energy < np.inf)), InputFileError, base,
-                 lambda r: f"energy {float(energy[r])!r} is not positive and finite")
+    _reject_rows(~((energy >= MIN_ENERGY) & (energy < np.inf)), InputFileError, base,
+                 lambda r: f"energy {float(energy[r])!r} is not in [{MIN_ENERGY!r}, inf)")
     distinct = tuple(sorted(set(energy.tolist())))
     if header["energies"] != distinct:
         raise InputFileError(

@@ -119,7 +119,7 @@ def test_criterion_3_solver_equivalence(verdict):
     for E in (100.0, 200.0, 400.0):
         k = WaveVector((0.0, np.sqrt(E)))
         born = SolverConfig(method="born", resolution_factor=2.0)
-        dense = SolverConfig(method="dense", resolution_factor=2.0)
+        dense = SolverConfig(resolution_factor=2.0)
         psi_b, rep_b = solve_lippmann_schwinger(field, k, born)
         psi_d, rep_d = solve_lippmann_schwinger(field, k, dense)
         rel = float(

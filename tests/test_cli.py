@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,27 @@ def test_malformed_config_is_config_error(tmp_path, capsys, doc):
     cfg = str(tmp_path / "missing.json") if doc is None else write_config(tmp_path, **doc)
     assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"solver": {"method": "dense"}},
+         "config.solver: unknown solver method 'dense'; expected 'auto' or 'born'"),
+        ({"energies": [1e-320, 4.0, 9.0]},
+         "config.energies: energies must lie in [2.2250738585072014e-308, inf)"),
+    ],
+    ids=["retired-dense-method", "subnormal-energy"],
+)
+def test_solver_path_config_is_rejected_at_load(tmp_path, capsys, doc, message):
+    # both are rejected as the config loads, before any solve: at a
+    # subnormal E the solver's singular cell weight 1/k^2 would overflow
+    cfg = write_config(tmp_path, mode="full-solver", **doc)
+    for command in ("synthesize", "forward"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_reconstruct_requires_references(tmp_path, capsys):
@@ -242,7 +264,7 @@ def test_convergence_threshold_exit_code(tmp_path, capsys):
         ("GridMismatchError", 2, "config error"),
         ("UnresolvedGridError", 2, "config error"),
         ("SupportOutsideBoxError", 2, "config error"),
-        ("OutOfBallError", 2, "config error"),
+        ("OutOfBallError", 2, "input error"),
         ("EnergyShellError", 2, "config error"),
         ("NoDataError", 2, "config error"),
         ("DegenerateFitError", 2, "config error"),
@@ -298,7 +320,6 @@ def test_forward_matches_golden_amplitudes(tmp_path):
         tmp_path,
         grid={"n": 48, "box": 1.5},
         energies=[25.0],
-        solver={"method": "dense"},
     )
     out = tmp_path / "fwd"
     assert main(["forward", "--config", cfg, "--out", str(out)]) == 0
@@ -541,6 +562,12 @@ def _set_cell(row, col, cell):
     return edit
 
 
+def _corner_transfer(lines):
+    # the probe grid's first node, |p| = 8.9, lies outside the ball of either energy
+    corner = repr(float(GridSpec(2, 8, (-2.0, -2.0), (2.0, 2.0)).dual().axis(0)[0]))
+    return _set_cell(1, 2, corner)(_set_cell(1, 1, corner)(lines))
+
+
 def _error_table_row(row):
     def case(tmp_path):
         table = tmp_path / "errors.csv"
@@ -564,6 +591,7 @@ def _error_table_row(row):
         _malformed_csv(_set_cell(2, -1, "1.5")),
         _malformed_csv(_set_cell(3, 1, "abc")),
         _malformed_csv(_set_cell(4, -2, "-1.0")),
+        _malformed_csv(_corner_transfer),
         _edited_dataset("dataset.json", _header(lambda h: _first_component(h).update(
             center=[-0.9, 0.7]))),
         _edited_dataset("dataset.json", _header(lambda h: h.pop("pgrid"))),
@@ -585,7 +613,7 @@ def _error_table_row(row):
         "missing-dataset", "dataset-hash", "dataset-schema", "dataset-json",
         "error-column-missing", "error-not-a-number",
         "csv-cell-moved", "csv-fractional-flag", "csv-non-numeric-value",
-        "csv-negative-intensity",
+        "csv-negative-intensity", "csv-row-outside-ball",
         "header-references-differ", "header-missing-key", "header-bad-grid",
         "header-unknown-primitive", "header-unknown-mode", "header-unknown-convention",
         "header-fractional-n-refs",
@@ -701,9 +729,9 @@ def test_report_text_keeps_canonical_values_with_flat_lists_on_one_line():
 
 def test_cli_import_skips_quadrature_and_optimizers(tmp_path):
     # the runtime is numpy only: importing the CLI and running each kind of
-    # workload (2-D full solver on the dense route, which method "dense"
-    # forces; 2-D oracle with the Richardson estimator; 3-D oracle with one
-    # reference) loads no scipy module
+    # workload (2-D full solver on the direct route, which "auto" takes for
+    # a support this small; 2-D oracle with the Richardson estimator; 3-D
+    # oracle with one reference) loads no scipy module
     ball_3d = {
         "dim": 3,
         "components": [{"kind": "ball", "center": [0.3, -0.2, 0.1], "radius": 0.25, "amplitude": 1.0}],
@@ -715,7 +743,6 @@ def test_cli_import_skips_quadrature_and_optimizers(tmp_path):
     configs = [
         write_config(
             tmp_path, "full.json", references=REFS, energies=[25.0], mode="full-solver",
-            solver={"method": "dense"},
         ),
         write_config(
             tmp_path, "oracle.json", references=REFS, energies=[25.0, 50.0, 100.0, 200.0],

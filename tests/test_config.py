@@ -186,11 +186,11 @@ def test_reconstruction_options_flow_through():
 
 def test_solver_block_parses():
     cfg = config_from_dict(
-        minimal(solver={"tolerance": 1e-10, "max_iterations": 50, "method": "dense"})
+        minimal(solver={"tolerance": 1e-10, "max_iterations": 50, "method": "born"})
     )
     assert cfg.solver.tolerance == 1e-10
     assert cfg.solver.max_iterations == 50
-    assert cfg.solver.method == "dense"
+    assert cfg.solver.method == "born"
     with pytest.raises(ConfigError):
         config_from_dict(minimal(solver={"method": "magic"}))
     # an integral float is an integer, an integer is a number: both keep

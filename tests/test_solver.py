@@ -27,6 +27,9 @@ from phaseless.solver import (
 
 SMOOTH = PotentialSpec.gaussian((0.0, 0.1), width=0.15, cutoff=0.6, amplitude=1.0)
 GRID = GridSpec(2, 64, (-1.5, -1.5), (1.5, 1.5))
+# both routes, each case named by its route: "auto" solves every support
+# these tests use directly, the "dense-direct" route of SolverReport
+ROUTES = pytest.mark.parametrize("method", ["auto", "born"], ids=["dense", "born"])
 
 
 def test_wave_vector():
@@ -54,7 +57,7 @@ def test_born_iteration_agrees_with_dense():
     fld = rasterize(SMOOTH, GRID)
     k = WaveVector((0.0, 5.0))
     psi_b, rep_b = solve_lippmann_schwinger(fld, k, SolverConfig(method="born"))
-    psi_d, rep_d = solve_lippmann_schwinger(fld, k, SolverConfig(method="dense"))
+    psi_d, rep_d = solve_lippmann_schwinger(fld, k, SolverConfig())
     rel = np.linalg.norm(psi_b.values - psi_d.values) / np.linalg.norm(psi_d.values)
     assert rel < 1e-6
     assert rep_b.method == "born-iteration"
@@ -84,6 +87,8 @@ def test_auto_route_follows_dense_limit():
     fld = rasterize(SMOOTH, GRID)
     support = int(np.count_nonzero(fld.mask & (fld.values != 0)))
     k = WaveVector((0.0, 5.0))
+    assert solver.uses_direct_solve(support, SolverConfig(dense_limit=support))
+    assert not solver.uses_direct_solve(support, SolverConfig(method="born", dense_limit=support))
     _, rep = solve_lippmann_schwinger(fld, k, SolverConfig(dense_limit=support))
     assert rep.method == "dense-direct"
     assert rep.iterations == 1
@@ -198,7 +203,7 @@ def test_far_field_check_normalizes_directions():
 
 def test_reciprocity_for_real_potential():
     fld = rasterize(SMOOTH, GRID)
-    cfg = SolverConfig(method="dense")
+    cfg = SolverConfig()
     k1 = WaveVector(4.0 * np.array([np.cos(0.3), np.sin(0.3)]))
     l1 = 4.0 * np.array([np.cos(2.1), np.sin(2.1)])
     psi1, _ = solve_lippmann_schwinger(fld, k1, cfg)
@@ -210,8 +215,9 @@ def test_reciprocity_for_real_potential():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(method="magic")
+    for method in ("magic", "dense"):
+        with pytest.raises(ValueError, match="expected 'auto' or 'born'"):
+            SolverConfig(method=method)
 
 
 def _masks(dim, n):
@@ -253,7 +259,7 @@ def test_single_solve_incident_wave_is_a_channel_column(monkeypatch):
     fld = rasterize(SMOOTH, GRID)
     incident = np.array([[3.0 * np.cos(0.7), 3.0 * np.sin(0.7)]])
     outgoing = np.array([[3.0 * np.cos(2.1), 3.0 * np.sin(2.1)]])
-    cfg = SolverConfig(method="dense")
+    cfg = SolverConfig()
     solve_lippmann_schwinger(fld, WaveVector(tuple(incident[0])), cfg)
     solver.channel_amplitudes([fld], 9.0, incident, outgoing, cfg)
     assert len(seen) == 2
@@ -302,7 +308,7 @@ def test_born_on_box_agrees_with_dense_on_criterion_3_field():
             fld, k, SolverConfig(method="born", resolution_factor=2.0)
         )
         psi_d, _ = solve_lippmann_schwinger(
-            fld, k, SolverConfig(method="dense", resolution_factor=2.0)
+            fld, k, SolverConfig(resolution_factor=2.0)
         )
         gap = np.linalg.norm(psi_b.values - psi_d.values) / np.linalg.norm(psi_d.values)
         assert gap <= 1e-10, E
@@ -364,7 +370,8 @@ def test_support_matrix_matches_elementwise_assembly(dim, n, monkeypatch):
     fld = rasterize(spec, grid)
     weights_tab = solver._kernel_weights(grid, 3.0)
     monkeypatch.setattr(solver, "_ASSEMBLY_ELEMENTS", 7 * n)  # several row blocks
-    mask, a_mat = solver._support_matrix(fld, weights_tab, SolverConfig())
+    mask = solver._support(fld)
+    a_mat = solver._support_matrix(fld, mask, weights_tab)
     idx = np.argwhere(mask)
     vsub = fld.values[mask]
     pad = 2 * n
@@ -392,7 +399,7 @@ def _shell_channels(count, dim, seed, kmag=2.0):
     return kmag * dirs
 
 
-@pytest.mark.parametrize("method", ["dense", "born"])
+@ROUTES
 def test_channel_amplitudes_do_not_depend_on_block_size(method, monkeypatch):
     # 3-D, 40 channels: one block at the default byte budget, several
     # chunks and blocks per chunk below it.  Budget 1 gives one column per
@@ -407,8 +414,8 @@ def test_channel_amplitudes_do_not_depend_on_block_size(method, monkeypatch):
     amps, failed, iterations, residual = solver.channel_amplitudes([fld], 4.0, incident, outgoing, cfg)
     amps = amps[:, 0]
     assert not failed.any()
-    assert iterations == (1 if method == "dense" else 7)
-    limit = 1e-13 if method == "dense" else cfg.tolerance
+    assert iterations == (1 if method == "auto" else 7)
+    limit = 1e-13 if method == "auto" else cfg.tolerance
     assert residual < limit
     for budget in (1, 2800, 48000):
         monkeypatch.setattr(solver, "_BOX_BYTES", budget)
@@ -429,14 +436,14 @@ def unsplit():
     incident, outgoing = _shell_channels(40, 3, 5)
     amps = {
         method: solver.channel_amplitudes([fld], 4.0, incident, outgoing, SolverConfig(method=method))[0]
-        for method in ("dense", "born")
+        for method in ("auto", "born")
     }
     return fld, incident, outgoing, amps
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    method=st.sampled_from(["dense", "born"]),
+    method=st.sampled_from(["auto", "born"]),
     count=st.integers(1, 40),
     units=st.integers(1, 40 * 600),
 )
@@ -451,7 +458,7 @@ def test_channel_amplitudes_any_chunk_and_block(unsplit, method, count, units):
         split, failed, _, residual = solver.channel_amplitudes([fld], 4.0, incident[:count], outgoing[:count], cfg)
     assert not failed.any()
     assert_allclose(split, amps[method][:count], rtol=1e-13, atol=0.0)
-    assert residual < (1e-13 if method == "dense" else cfg.tolerance)
+    assert residual < (1e-13 if method == "auto" else cfg.tolerance)
 
 
 def _exp_wave_amplitudes(fld, incident, outgoing, cfg):
@@ -467,7 +474,7 @@ def _exp_wave_amplitudes(fld, incident, outgoing, cfg):
     return scale * np.einsum("cm,mc->c", phase, fld.values[mask][:, None] * psi)
 
 
-@pytest.mark.parametrize("method", ["dense", "born"])
+@ROUTES
 @pytest.mark.parametrize("dim", [2, 3])
 def test_channel_amplitudes_match_exp_wave_reference(dim, method):
     # waves from per-axis factor tables agree with waves exponentiated
@@ -499,7 +506,7 @@ def _variant_fields(dim):
     return [rasterize(spec, grid) for spec in (target, target + refs[0], target + refs[1])]
 
 
-@pytest.mark.parametrize("method", ["dense", "born"])
+@ROUTES
 @pytest.mark.parametrize("dim", [2, 3])
 def test_each_column_equals_a_single_field_call(dim, method):
     fields = _variant_fields(dim)
@@ -615,8 +622,7 @@ def test_support_matrix_agrees_with_box_operator(dim, n):
         values = np.zeros(grid.shape, dtype=complex)
         values[mask] = rng.uniform(0.5, 2.0, m) * np.exp(2j * np.pi * rng.uniform(size=m))
         fld = ScalarField(grid, values)
-        got, a_mat = solver._support_matrix(fld, weights_tab, SolverConfig())
-        assert np.array_equal(got, mask), name
+        a_mat = solver._support_matrix(fld, mask, weights_tab)
         op = solver._BoxOperator(mask, weights_tab)
         x = rng.standard_normal((m, 5)) + 1j * rng.standard_normal((m, 5))
         box = x - op.apply(values[mask][:, None] * x)
@@ -624,7 +630,7 @@ def test_support_matrix_agrees_with_box_operator(dim, n):
         assert np.all(gap <= 1e-13 * np.linalg.norm(box, axis=0)), name
         # and so do the two routes' residuals, built on those forms
         zero = np.zeros_like(x)
-        dense = solver._support_solver(fld, mask, weights_tab, SolverConfig(method="dense"))[1]
+        dense = solver._support_solver(fld, mask, weights_tab, SolverConfig())[1]
         born = solver._support_solver(fld, mask, weights_tab, SolverConfig(method="born"))[1]
         assert np.array_equal(dense(x, zero), a_mat @ x), name
         assert np.array_equal(born(x, zero), box), name
@@ -637,7 +643,7 @@ def test_direct_route_makes_no_fft(monkeypatch):
     ang = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
     incident = 3.0 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     outgoing = 3.0 * np.stack([np.cos(2.0 * ang + 1.0), np.sin(2.0 * ang + 1.0)], axis=1)
-    cfg = SolverConfig(method="dense")
+    cfg = SolverConfig()
     k = WaveVector(incident[0])
     psi, rep = solve_lippmann_schwinger(fld, k, cfg)
     single = [

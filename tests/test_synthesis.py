@@ -116,25 +116,19 @@ def test_channel_rows_address_probe_nodes(off_center_ball):
 
 
 def test_failed_solves_are_flagged_not_dropped(tmp_path):
-    # an iteration cap this tight cannot converge on a strong scatterer,
-    # and a direct solve above the dense limit fails for the whole energy
+    # an iteration cap this tight cannot converge on a strong scatterer
     strong = PotentialSpec.ball((0.0, 0.0), 0.4, 60.0)
     grid = GridSpec(2, 48, (-1.5, -1.5), (1.5, 1.5))
-    for cfg in (
-        SolverConfig(method="born", max_iterations=2),
-        SolverConfig(method="dense", dense_limit=10),
-    ):
-        ds = synthesize(
-            strong, None, EnergySet((4.0,)), PGRID, mode="full-solver", grid=grid, solver=cfg
-        )
-        assert np.all(ds.flags == FLAG_SOLVER_FAILED)
-        assert np.all(np.isnan(ds.values))
-        base = str(tmp_path / "failed")
-        write_dataset(ds, base)
-        back = read_dataset(base)
-        assert np.all(back.flags == FLAG_SOLVER_FAILED)
-        assert np.all(np.isnan(back.values))
-        assert np.array_equal(back.node_index, ds.node_index)
+    cfg = SolverConfig(method="born", max_iterations=2)
+    ds = synthesize(strong, None, EnergySet((4.0,)), PGRID, mode="full-solver", grid=grid, solver=cfg)
+    assert np.all(ds.flags == FLAG_SOLVER_FAILED)
+    assert np.all(np.isnan(ds.values))
+    base = str(tmp_path / "failed")
+    write_dataset(ds, base)
+    back = read_dataset(base)
+    assert np.all(back.flags == FLAG_SOLVER_FAILED)
+    assert np.all(np.isnan(back.values))
+    assert np.array_equal(back.node_index, ds.node_index)
 
 
 def test_batched_direct_solve_matches_per_channel_dense(off_center_ball, two_ball_refs):
@@ -144,7 +138,7 @@ def test_batched_direct_solve_matches_per_channel_dense(off_center_ball, two_bal
     ds = synthesize(off_center_ball, two_ball_refs, energies, pg, mode="full-solver", grid=grid)
     assert not np.any(ds.flags)
     assert all(note["iterations"] == 1 for note in ds.solver_notes["per_energy"].values())
-    dense = SolverConfig(method="dense")
+    dense = SolverConfig()
     variants = [off_center_ball] + [off_center_ball + w for w in two_ball_refs.backgrounds]
     for col, spec in enumerate(variants):
         fld = rasterize(spec, grid)
@@ -363,8 +357,8 @@ def test_read_dataset_rejects_rows_off_grid_or_outside_ball(tmp_path, off_center
 
 @pytest.mark.parametrize(
     "cell, energies",
-    [("0.0", [0.0, 9.0]), ("-4.0", [-4.0, 9.0]), ("nan", [9.0])],
-    ids=["zero", "negative", "nan"],
+    [("0.0", [0.0, 9.0]), ("-4.0", [-4.0, 9.0]), ("nan", [9.0]), ("1e-320", [1e-320, 9.0])],
+    ids=["zero", "negative", "nan", "subnormal"],
 )
 def test_read_dataset_rejects_row_energies_not_positive_and_finite(
     tmp_path, off_center_ball, cell, energies
@@ -382,7 +376,9 @@ def test_read_dataset_rejects_row_energies_not_positive_and_finite(
         json.dump(header, fh)
     with pytest.raises(InputFileError) as info:
         read_dataset(base)
-    assert str(info.value) == f"{base}.csv: line 2: energy {float(cell)!r} is not positive and finite"
+    assert str(info.value) == (
+        f"{base}.csv: line 2: energy {float(cell)!r} is not in [2.2250738585072014e-308, inf)"
+    )
 
 
 def test_read_dataset_names_the_row_outside_the_ball(tmp_path, off_center_ball):

@@ -10,7 +10,10 @@ phaseless.cli synthesize`` and ``reconstruct`` on the saved dataset.
 The workload ``commands-2d``, one 2-D full-solver config defined here,
 covers the other commands: ``forward``, ``convergence``, ``bounds``,
 ``ambiguity-demo`` and ``reconstruct`` without a dataset, each in its
-own output directory.  Each side runs in its own directory with the
+own output directory.  Every support of those runs is solved directly,
+so ``born-2d``, the same config with solver method "born", covers the
+iteration route: ``synthesize``, ``reconstruct`` on its dataset and
+``forward``.  Each side runs in its own directory with the
 same relative paths, so the reports embed the same paths.  Every output
 file (datasets, tables, reports, the ``.bin``/``.json`` fields) is
 compared byte for byte.
@@ -59,6 +62,7 @@ COMMANDS_2D = {
     "convergence": {"slope_window": [-1.0, 1.0]},
 }
 OTHER_COMMANDS = ("forward", "convergence", "bounds", "ambiguity-demo", "reconstruct")
+BORN_2D = {**COMMANDS_2D, "solver": {"method": "born"}}
 
 
 def _workloads():
@@ -80,6 +84,12 @@ def _runs(names, seeds):
         if name == "commands-2d":
             jobs = [(c, f"out/{name}/{c}", None) for c in OTHER_COMMANDS]
             runs.append((f"{name}.json", COMMANDS_2D, jobs))
+            continue
+        if name == "born-2d":
+            out = f"out/{name}"
+            jobs = [("synthesize", out, None), ("reconstruct", out, f"{out}/dataset"),
+                    ("forward", f"{out}/forward", None)]
+            runs.append((f"{name}.json", BORN_2D, jobs))
             continue
         for seed in seeds:
             out = f"out/{name}-{seed}"
@@ -178,14 +188,14 @@ def main(argv=None) -> int:
     parser.add_argument("other_src", type=Path, help="the src directory of the other tree")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
     parser.add_argument("--workload", nargs="+", default=None,
-                        help="workload names, commands-2d among them (default: all)")
+                        help="workload names, commands-2d and born-2d among them (default: all)")
     parser.add_argument("--keep", type=Path, default=None,
                         help="working directory to keep (default: a temporary one)")
     args = parser.parse_args(argv)
     other_src = args.other_src.resolve()
     if not (other_src / "phaseless").is_dir():
         parser.error(f"{other_src} holds no phaseless package")
-    names = args.workload or [*_workloads()[0], "commands-2d"]
+    names = args.workload or [*_workloads()[0], "commands-2d", "born-2d"]
     work = args.keep or Path(tempfile.mkdtemp(prefix="same_outputs-"))
     try:
         problems = compare(other_src, args.seeds, names, work.resolve())
