@@ -31,10 +31,6 @@ class SupportOutsideBoxError(PhaselessError):
     """A potential's support is not strictly inside the grid box."""
 
 
-class UnsupportedPrimitiveError(PhaselessError):
-    """No closed-form transform is available for the requested primitive."""
-
-
 class ZeroDisplacementError(PhaselessError):
     """Outgoing kernel evaluated at zero displacement."""
 

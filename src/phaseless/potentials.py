@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .exceptions import SupportOutsideBoxError, UnsupportedPrimitiveError
+from .exceptions import SupportOutsideBoxError
 from .grids import GridSpec, ScalarField, expi, row_dot
 from .jsonread import array, choice, convert, identity, integer, number, numbers, obj, take
 from .special import j0, j1_over_x
@@ -111,6 +111,11 @@ class PotentialSpec:
             raise ValueError("dim must be 2 or 3")
         object.__setattr__(self, "components", tuple(self.components))
         for comp in self.components:
+            if not isinstance(comp, (BallPrimitive, GaussianPrimitive)):
+                raise TypeError(
+                    f"a component must be a BallPrimitive or GaussianPrimitive, "
+                    f"not {type(comp).__name__}"
+                )
             if len(comp.center) != self.dim:
                 raise ValueError("primitive center dimension mismatch")
 
@@ -164,13 +169,11 @@ def rasterize(spec: PotentialSpec, grid: GridSpec) -> ScalarField:
         if isinstance(comp, BallPrimitive):
             inside = r2 <= comp.radius**2
             values[inside] += comp.amplitude
-        elif isinstance(comp, GaussianPrimitive):
+        else:
             inside = r2 <= comp.cutoff**2
             values[inside] += comp.amplitude * np.exp(
                 -r2[inside] / (2.0 * comp.width**2)
             )
-        else:  # pragma: no cover - guarded by the dataclass union
-            raise UnsupportedPrimitiveError(str(type(comp)))
         mask |= inside
     values[~mask] = 0.0
     return ScalarField(grid, values, mask)
@@ -251,17 +254,14 @@ def _radial(comp: Primitive, q: np.ndarray, dim: int) -> np.ndarray:
     """The radial profile of one component's transform at the radii ``q``."""
     if isinstance(comp, BallPrimitive):
         return _ball_hat_radial(q, comp.radius, dim)
-    if isinstance(comp, GaussianPrimitive):
-        return _gaussian_hat_radial(q, comp.width, comp.cutoff, dim)
-    raise UnsupportedPrimitiveError(str(type(comp)))
+    return _gaussian_hat_radial(q, comp.width, comp.cutoff, dim)
 
 
 def analytic_hat(spec: PotentialSpec, p) -> np.ndarray:
     """Closed-form transform of the potential at momenta ``p``.
 
     ``p`` may be a single vector of length d or an array (..., d); returns
-    complex values of matching leading shape.  Raises
-    UnsupportedPrimitiveError for primitive kinds without a closed form.
+    complex values of matching leading shape.
     """
     p = np.asarray(p, dtype=float)
     single = p.ndim == 1

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -85,12 +86,17 @@ MODES = ("born-oracle", "full-solver")
 
 
 def pair_gap(h1, h2) -> np.ndarray:
-    """|u_1^2 - u_2^2| of the unit phases u_j = h_j / |h_j| (u_j = 0 where h_j = 0).
+    """|u_1^2 - u_2^2| of the unit phases u_j = h_j / |h_j|.
 
-    The two-reference phase system is singular where it vanishes.
+    The two-reference phase system is singular where it vanishes.  u_j = 0
+    where |h_j| is zero or subnormal: complex division by a subnormal
+    modulus overflows, so those nodes divide by inf.
     """
-    m1, m2 = np.abs(h1), np.abs(h2)
-    return np.abs((h1 / np.where(m1 > 0, m1, 1.0)) ** 2 - (h2 / np.where(m2 > 0, m2, 1.0)) ** 2)
+    def unit_sq(h):
+        m = np.abs(h)
+        return (h / np.where(m < sys.float_info.min, np.inf, m)) ** 2
+
+    return np.abs(unit_sq(h1) - unit_sq(h2))
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ class BackgroundSet:
         pair_degenerate, eps_ref, eps_pair applied).  ref_null[j]:
         |w_j hat| < eps_ref[j], which is ``eps_zero`` or, by default, 1e-3
         of that reference's own maximum over the nodes; a reference whose
-        transform is zero at every node is null at every node.
+        maximum is zero or subnormal is null at every node.
         pair_degenerate (two references): the unit phases agree modulo pi,
         |u_1^2 - u_2^2| < ``eps_pair``, by default 1e-3 of that gap's
         maximum, counted only off both zero sets.  The gap lies in [0, 2];
@@ -172,8 +178,11 @@ class BackgroundSet:
         mags = [np.abs(h) for h in hats]
         peaks = [float(np.max(m)) for m in mags]
         eps_ref = tuple(eps_zero if eps_zero is not None else 1e-3 * top for top in peaks)
-        # the default threshold 1e-3 * 0 would flag no node of a vanishing reference
-        ref_null = tuple((m < e) | (top == 0.0) for m, e, top in zip(mags, eps_ref, peaks))
+        # the default threshold 1e-3 * top underflows to 0 for a vanishing or
+        # subnormal peak, and would then flag no node
+        ref_null = tuple(
+            (m < e) | (top < sys.float_info.min) for m, e, top in zip(mags, eps_ref, peaks)
+        )
         pair = np.zeros(len(hats[0]), dtype=bool)
         if self.count == 2:
             gap = pair_gap(*hats)

@@ -224,6 +224,22 @@ def test_vanishing_reference_reconstruct_is_a_threshold_failure(tmp_path, capsys
     assert err == "threshold failure: 100.0% of reachable probe nodes are masked\n"
 
 
+@pytest.mark.parametrize("slot", [0, 1])
+@pytest.mark.parametrize("amplitude", [1e-320, 1e-310])
+def test_subnormal_reference_is_null_without_a_warning(tmp_path, capsys, slot, amplitude):
+    # a subnormal transform: its unit phase would overflow a complex
+    # division, and 1e-3 of its peak underflows to a threshold of 0
+    refs = list(REFS)
+    refs[slot] = {"dim": 2, "components": [{**REFS[slot]["components"][0], "amplitude": amplitude}]}
+    cfg = write_config(tmp_path, references=refs, grid={"n": 24, "box": 1.5}, energies=[9.0, 16.0])
+    assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    err = capsys.readouterr().err
+    assert err == f"warning: reference {slot + 1} transform is below threshold on 100.0% of probe nodes\n"
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "r")]) == 4
+    err = capsys.readouterr().err
+    assert err == "threshold failure: 100.0% of reachable probe nodes are masked\n"
+
+
 @pytest.mark.parametrize("command", ["bounds", "convergence"])
 def test_overflowing_intensity_is_config_error(tmp_path, capsys, command):
     cfg = write_config(tmp_path, target=_ball_with(amplitude=1e300), bounds={"sigma": 4.0})

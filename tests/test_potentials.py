@@ -1,3 +1,4 @@
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -280,6 +281,13 @@ def test_primitive_validation():
         GaussianPrimitive((0.0, 0.0), -0.5, 0.2, 1.0)
     with pytest.raises(ValueError):
         PotentialSpec.ball((0.0, 0.0), 0.2, 1.0).translate((1.0,))
+
+
+def test_foreign_component_is_rejected_at_construction():
+    # a look-alike with a center and a radius has no closed-form transform
+    lookalike = SimpleNamespace(center=(0.0, 0.0), radius=0.2, amplitude=1.0)
+    with pytest.raises(TypeError, match="BallPrimitive or GaussianPrimitive, not SimpleNamespace"):
+        PotentialSpec(2, (lookalike,))
 
 
 def test_is_zero():

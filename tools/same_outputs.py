@@ -16,7 +16,9 @@ iteration route: ``synthesize``, ``reconstruct`` on its dataset and
 ``forward``.  Each side runs in its own directory with the
 same relative paths, so the reports embed the same paths.  Every output
 file (datasets, tables, reports, the ``.bin``/``.json`` fields) is
-compared byte for byte.
+compared byte for byte.  Each command runs with RuntimeWarning and
+UserWarning turned into errors, as under pytest, so a command that warns
+fails the check.
 
 Prints one line per differing or missing file and a summary; exits 0
 when every file is identical, 1 otherwise.  A differing ``.bin`` field
@@ -101,7 +103,8 @@ def _runs(names, seeds):
 def _run(src: Path, side: Path, config: str, jobs) -> None:
     env = dict(os.environ, PYTHONPATH=str(src))
     for command, out, dataset in jobs:
-        argv = [sys.executable, "-m", "phaseless.cli", command, "--config", config, "--out", out]
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::UserWarning",
+                "-m", "phaseless.cli", command, "--config", config, "--out", out]
         if dataset is not None:
             argv.append(dataset)
         proc = subprocess.run(argv, cwd=side, env=env, capture_output=True, text=True)
