@@ -313,7 +313,8 @@ def support_distance(a: PotentialSpec, b: PotentialSpec) -> float:
     best = np.inf
     for ca, ra in a.support_balls():
         for cb, rb in b.support_balls():
-            gap = float(np.linalg.norm(ca - cb)) - (ra + rb)
+            # math.dist scales: norm's dot overflows for centres near 1e300
+            gap = math.dist(ca, cb) - (ra + rb)
             best = min(best, gap)
     return best
 

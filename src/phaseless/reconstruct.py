@@ -9,12 +9,14 @@ array call, none loops over nodes in Python:
      node from its highest energies (intensities converge to that
      limit as energy grows),
   2. build_mask: nodes where the phase algebra is singular are masked:
-     vanishing moduli, a degenerate reference pair (the rule of
-     BackgroundSet.singular_nodes), failed solves, no data,
+     a vanishing target modulus, failed solves, no data, and the null
+     and degenerate-pair sets of the references' one BackgroundSet.scan
+     of the probe grid, which the pre-flight validate_backgrounds reads
+     too,
   3. recover_phase_two_refs / recover_phase_one_ref give the phase of
      every unmasked node in closed form from the interference with the
-     known references; they apply the mask's rule, so an unmasked node
-     never raises,
+     known references; they take no thresholds, since the mask alone
+     decides which nodes are singular,
   4. each masked node inside the ball is inpainted from its good
      neighbors, gathered for those nodes alone, and the result is
      band-limited with a smooth taper and transformed back to real
@@ -47,7 +49,7 @@ from .grids import GridSpec, ScalarField, SpectralField
 # analytic_hat is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps it by name.
 from .potentials import PotentialSpec, analytic_hat
-from .synthesis import FLAG_OK, PhaselessDataset, pair_gap
+from .synthesis import FLAG_OK, PhaselessDataset, ReferenceScan
 
 __all__ = [
     "SingularMask",
@@ -186,33 +188,29 @@ def recover_modulus_sq(ds: PhaselessDataset, estimator: str = "top") -> np.ndarr
     return out
 
 
-def recover_phase_two_refs(
-    m0, m1, m2, w1hat, w2hat, eps_zero: float, eps_pair: float, eps_ref=None
-):
+def recover_phase_two_refs(m0, m1, m2, w1hat, w2hat):
     """Phase of the target transform from two reference interferences.
 
-    Arguments are equal-shape arrays over nodes.  Solves the 2x2 linear
-    system in (cos, sin) of the unknown phase that the two intensity
-    differences induce, then renormalizes onto the unit circle.  Returns
-    arrays (unit phase, pre-normalization deviation); the deviation is a
-    data-consistency residual, zero for exact data.  Raises
-    SingularNodeError when, at any node, the target modulus is below
-    ``eps_zero``, reference j's modulus below ``eps_ref[j]`` (default
-    ``eps_zero``; the mask passes the threshold it applied to each
-    reference), or the reference pair's gap (synthesis.pair_gap, the
-    rule of BackgroundSet.singular_nodes) is below ``eps_pair``.
+    Arguments are equal-shape arrays over nodes, the nodes build_mask
+    leaves unmasked: the mask alone decides which nodes are singular.
+    Solves the 2x2 linear system in (cos, sin) of the unknown phase that
+    the two intensity differences induce, then renormalizes onto the
+    unit circle.  Returns arrays (unit phase, pre-normalization
+    deviation); the deviation is a data-consistency residual, zero for
+    exact data.  Raises SingularNodeError where a divisor is exactly
+    zero: a target or reference modulus, the system's determinant or
+    the solution's length.
     """
-    e1, e2 = eps_ref if eps_ref is not None else (eps_zero, eps_zero)
     amp0 = np.sqrt(np.maximum(m0, 0.0))
     a1, a2 = np.abs(w1hat), np.abs(w2hat)
-    if np.any(amp0 < eps_zero):
-        raise SingularNodeError("target modulus below threshold")
-    if np.any((a1 < e1) | (a2 < e2)):
-        raise SingularNodeError("reference transform below threshold")
-    if np.any(pair_gap(w1hat, w2hat) < eps_pair):
-        raise SingularNodeError("reference pair is phase-degenerate at this node")
+    if np.any(amp0 == 0.0):
+        raise SingularNodeError("target modulus is zero")
+    if np.any((a1 == 0.0) | (a2 == 0.0)):
+        raise SingularNodeError("reference transform is zero")
     b1, b2 = np.angle(w1hat), np.angle(w2hat)
     det = np.sin(b2 - b1)
+    if np.any(det == 0.0):
+        raise SingularNodeError("reference pair is phase-degenerate at this node")
     r1 = (m1 - m0 - a1 * a1) / (2.0 * amp0 * a1)
     r2 = (m2 - m0 - a2 * a2) / (2.0 * amp0 * a2)
     cos_a = (np.sin(b2) * r1 - np.sin(b1) * r2) / det
@@ -223,21 +221,20 @@ def recover_phase_two_refs(
     return cos_a / length + 1j * (sin_a / length), np.abs(length - 1.0)
 
 
-def recover_phase_one_ref(m0, m1, w1hat, eps_zero: float, eps_ref=None):
+def recover_phase_one_ref(m0, m1, w1hat):
     """Two-candidate phase recovery from a single reference.
 
-    Arguments are equal-shape arrays over nodes.  Returns arrays (cos of
-    the phase offset, clamp amount, (plus, minus)) where the candidates
-    are exp(i(beta1 +/- arccos(...))) with the arccos taken in [0, pi].
-    Exact data keeps the cosine inside [-1, 1]; any excess is clamped
-    and reported.  The target modulus is checked against ``eps_zero``,
-    the reference's against ``eps_ref[0]`` (default ``eps_zero``).
+    Arguments are equal-shape arrays over the nodes build_mask leaves
+    unmasked.  Returns arrays (cos of the phase offset, clamp amount,
+    (plus, minus)) where the candidates are exp(i(beta1 +/- arccos(...)))
+    with the arccos taken in [0, pi].  Exact data keeps the cosine
+    inside [-1, 1]; any excess is clamped and reported.  Raises
+    SingularNodeError where the target or reference modulus is zero.
     """
-    (e1,) = eps_ref if eps_ref is not None else (eps_zero,)
     amp0 = np.sqrt(np.maximum(m0, 0.0))
     a1 = np.abs(w1hat)
-    if np.any((amp0 < eps_zero) | (a1 < e1)):
-        raise SingularNodeError("modulus below threshold")
+    if np.any((amp0 == 0.0) | (a1 == 0.0)):
+        raise SingularNodeError("modulus is zero")
     raw = (m1 - m0 - a1 * a1) / (2.0 * amp0 * a1)
     cos_d = np.clip(raw, -1.0, 1.0)
     b1 = np.angle(w1hat)
@@ -245,23 +242,17 @@ def recover_phase_one_ref(m0, m1, w1hat, eps_zero: float, eps_ref=None):
     return cos_d, np.abs(raw - cos_d), (np.exp(1j * (b1 + delta)), np.exp(1j * (b1 - delta)))
 
 
-def build_mask(
-    ds: PhaselessDataset,
-    moduli: np.ndarray,
-    hats,
-    radii: np.ndarray,
-    eps_zero: float | None = None,
-    eps_pair: float | None = None,
-) -> SingularMask:
+def build_mask(ds: PhaselessDataset, moduli: np.ndarray, scan: ReferenceScan,
+               eps_zero: float | None = None) -> SingularMask:
     """Flag probe nodes where phase recovery is ill-posed.
 
     ``moduli`` is recover_modulus_sq's (n_nodes, 1 + n_refs) table, NaN
-    where no estimate exists.  ``hats`` and ``radii`` are the command's
-    one scan of the probe grid, ds.backgrounds.reference_hats and
-    ds.pgrid.radii; the radii decide which nodes lie in the ball.
-    Thresholds default to 1e-3 of each quantity's grid maximum, and a
-    target modulus that is zero at every node flags every node it
-    reaches; the reference rule is ds.backgrounds.singular_nodes.
+    where no estimate exists.  ``scan`` is the command's one
+    ds.backgrounds.scan of the probe grid: its radii decide which nodes
+    lie in the ball, and its null and pair sets, with their thresholds,
+    are the reference rule.  The target threshold is ``eps_zero`` or,
+    by default, 1e-3 of the target modulus's grid maximum, and a target
+    modulus that is zero at every node flags every node it reaches.
     """
     n_nodes = ds.pgrid.node_count
     if moduli.shape[0] != n_nodes:
@@ -271,7 +262,7 @@ def build_mask(
     reached[ds.node_index] = True
     no_data = np.isnan(moduli[:, 0])
     top = max(ds.energies)
-    in_ball = radii <= 2.0 * np.sqrt(top)
+    in_ball = scan.radii <= 2.0 * np.sqrt(top)
     out_of_ball = ~in_ball | ~reached
 
     solver_failed = np.zeros(n_nodes, dtype=bool)
@@ -283,14 +274,13 @@ def build_mask(
     # the default threshold 1e-3 * 0 would flag no node of a zero target
     target_null = in_ball & ~no_data & ((amp0 < ez) | (scale0 == 0.0))
 
-    ref_null, pair, eps_ref, ep = ds.backgrounds.singular_nodes(hats, eps_zero, eps_pair)
     return SingularMask(
         target_null=target_null,
-        ref_null=ref_null,
-        pair_degenerate=pair,
+        ref_null=scan.ref_null,
+        pair_degenerate=scan.pair_degenerate,
         out_of_ball=out_of_ball,
         solver_failed=solver_failed,
-        thresholds={"eps_zero": ez, "eps_ref": eps_ref, "eps_pair": ep},
+        thresholds={"eps_zero": ez, "eps_ref": scan.eps_ref, "eps_pair": scan.eps_pair},
     )
 
 
@@ -380,9 +370,8 @@ def reconstruct(ds: PhaselessDataset, options: ReconstructionOptions):
 
     moduli = recover_modulus_sq(ds, options.estimator)
     # the one scan of the probe grid that every step below reads
-    radii = pgrid.radii()
-    hats = refs.reference_hats(pgrid, radii)
-    mask = build_mask(ds, moduli, hats, radii, options.eps_zero, options.eps_pair)
+    scan = refs.scan(pgrid, options.eps_zero, options.eps_pair)
+    mask = build_mask(ds, moduli, scan, options.eps_zero)
     frac = mask.masked_fraction
     if frac > options.mask_fraction_limit:
         pair_frac = float(np.mean(mask.pair_degenerate))
@@ -396,9 +385,6 @@ def reconstruct(ds: PhaselessDataset, options: ReconstructionOptions):
             f"{100.0 * frac:.1f}% of reachable probe nodes are masked{hint}"
         )
 
-    ez = mask.thresholds["eps_zero"]
-    er = mask.thresholds["eps_ref"]
-    ep = mask.thresholds["eps_pair"]
     usable = ~mask.any_flag
 
     top = max(ds.energies)
@@ -416,14 +402,14 @@ def reconstruct(ds: PhaselessDataset, options: ReconstructionOptions):
         phases = np.zeros(pgrid.node_count, dtype=complex)
         deviations = np.full(pgrid.node_count, np.nan)
         phases[usable], deviations[usable] = recover_phase_two_refs(
-            m[:, 0], m[:, 1], m[:, 2], hats[0][usable], hats[1][usable], ez, ep, er
+            m[:, 0], m[:, 1], m[:, 2], scan.hats[0][usable], scan.hats[1][usable]
         )
         diag = {
             **diag_common,
             "max_phase_residual": float(np.nanmax(deviations)) if usable.any() else None,
             "mean_phase_residual": float(np.nanmean(deviations)) if usable.any() else None,
         }
-        return _assemble(ds, radii, moduli, usable, mask, spatial, p_cut, options, diag,
+        return _assemble(ds, scan.radii, moduli, usable, mask, spatial, p_cut, options, diag,
                          {"two-reference": phases})
 
     # Single reference: carry both branches to the end.
@@ -431,13 +417,13 @@ def reconstruct(ds: PhaselessDataset, options: ReconstructionOptions):
     minus = np.zeros(pgrid.node_count, dtype=complex)
     clamps = np.full(pgrid.node_count, np.nan)
     _, clamps[usable], (plus[usable], minus[usable]) = recover_phase_one_ref(
-        m[:, 0], m[:, 1], hats[0][usable], ez, er
+        m[:, 0], m[:, 1], scan.hats[0][usable]
     )
     diag = {
         **diag_common,
         "max_cosine_clamp": float(np.nanmax(clamps)) if usable.any() else None,
     }
-    return _assemble(ds, radii, moduli, usable, mask, spatial, p_cut, options, diag,
+    return _assemble(ds, scan.radii, moduli, usable, mask, spatial, p_cut, options, diag,
                      {"one-reference-plus": plus, "one-reference-minus": minus})
 
 

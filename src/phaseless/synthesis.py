@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -69,6 +70,7 @@ from .solver import (
 
 __all__ = [
     "BackgroundSet",
+    "ReferenceScan",
     "PhaselessDataset",
     "BackgroundReport",
     "synthesize",
@@ -85,18 +87,34 @@ FLAG_SOLVER_FAILED = 1
 MODES = ("born-oracle", "full-solver")
 
 
-def pair_gap(h1, h2) -> np.ndarray:
-    """|u_1^2 - u_2^2| of the unit phases u_j = h_j / |h_j|.
+def pair_gap(hats, moduli) -> np.ndarray:
+    """|u_1^2 - u_2^2| of the unit phases u_j = h_j / m_j, ``moduli`` m_j = |h_j|.
 
     The two-reference phase system is singular where it vanishes.  u_j = 0
-    where |h_j| is zero or subnormal: complex division by a subnormal
+    where m_j is zero or subnormal: complex division by a subnormal
     modulus overflows, so those nodes divide by inf.
     """
-    def unit_sq(h):
-        m = np.abs(h)
-        return (h / np.where(m < sys.float_info.min, np.inf, m)) ** 2
+    u1, u2 = (h / np.where(m < sys.float_info.min, np.inf, m) for h, m in zip(hats, moduli))
+    return np.abs(u1**2 - u2**2)
 
-    return np.abs(unit_sq(h1) - unit_sq(h2))
+
+@dataclass(frozen=True, eq=False)
+class ReferenceScan:
+    """A command's one BackgroundSet.scan of the references over a probe grid.
+
+    ``radii`` are pgrid.radii(), ``hats`` each reference's transform at
+    every node (flat, row-major) and ``moduli`` their |.|; ``ref_null``
+    and ``pair_degenerate``, by thresholds ``eps_ref`` and ``eps_pair``,
+    are the singular nodes that the pre-flight check and the mask read.
+    """
+
+    radii: np.ndarray
+    hats: tuple[np.ndarray, ...]
+    moduli: tuple[np.ndarray, ...]
+    ref_null: tuple[np.ndarray, ...]
+    pair_degenerate: np.ndarray
+    eps_ref: tuple[float, ...]
+    eps_pair: float | None
 
 
 @dataclass(frozen=True)
@@ -147,49 +165,43 @@ class BackgroundSet:
     def dim(self) -> int:
         return self.backgrounds[0].dim
 
-    def reference_hats(self, pgrid: GridSpec, radii: np.ndarray) -> list[np.ndarray]:
-        """Each reference's transform at every node of ``pgrid``, flat row-major.
+    def scan(
+        self, pgrid: GridSpec, eps_zero: float | None = None, eps_pair: float | None = None
+    ) -> ReferenceScan:
+        """The references on every node of ``pgrid``, with their singular nodes.
 
-        One potentials.grid_hats scan of the grid: ``radii`` are
-        pgrid.radii(), which the caller keeps for its other steps, and
-        each radial profile is evaluated once per distinct |p|.
+        One potentials.grid_hats call evaluates each radial profile once
+        per distinct |p|.  Reference j is null where its modulus is below
+        ``eps_zero`` or, by default, 1e-3 of its own maximum over the
+        nodes, and everywhere if that maximum is zero or subnormal.  Two
+        references are degenerate off both null sets where pair_gap is
+        below ``eps_pair``, by default 1e-3 of the gap's maximum.  The gap
+        lies in [0, 2]; a maximum below 1e-9 is rounding noise (two real
+        transforms, say), and the default threshold is then 1e-12, which
+        flags every node.  A reference whose peak intensity overflows is
+        a BackgroundValidationError.
         """
-        return grid_hats(self.backgrounds, pgrid, radii)
-
-    def singular_nodes(
-        self, hats, eps_zero: float | None = None, eps_pair: float | None = None
-    ) -> tuple[tuple[np.ndarray, ...], np.ndarray, tuple[float, ...], float | None]:
-        """Nodes where reference-based phase recovery is singular.
-
-        ``hats`` are the reference transforms there, reference_hats of the
-        probe grid: a command scans the grid once and hands the same
-        transforms to every step that needs them.  Returns (ref_null,
-        pair_degenerate, eps_ref, eps_pair applied).  ref_null[j]:
-        |w_j hat| < eps_ref[j], which is ``eps_zero`` or, by default, 1e-3
-        of that reference's own maximum over the nodes; a reference whose
-        maximum is zero or subnormal is null at every node.
-        pair_degenerate (two references): the unit phases agree modulo pi,
-        |u_1^2 - u_2^2| < ``eps_pair``, by default 1e-3 of that gap's
-        maximum, counted only off both zero sets.  The gap lies in [0, 2];
-        a maximum below 1e-9 is rounding noise (two real transforms, say),
-        and the default threshold is then 1e-12, which flags every node of
-        such a pair.
-        """
-        mags = [np.abs(h) for h in hats]
-        peaks = [float(np.max(m)) for m in mags]
+        radii = pgrid.radii()
+        hats = tuple(grid_hats(self.backgrounds, pgrid, radii))
+        moduli = tuple(np.abs(h) for h in hats)
+        peaks = [float(np.max(m)) for m in moduli]
+        for j, top in enumerate(peaks):
+            if math.isinf(top * top):
+                raise BackgroundValidationError(f"reference {j + 1} is too strong: its "
+                                                f"intensity overflows (peak modulus {top:.3g})")
         eps_ref = tuple(eps_zero if eps_zero is not None else 1e-3 * top for top in peaks)
         # the default threshold 1e-3 * top underflows to 0 for a vanishing or
         # subnormal peak, and would then flag no node
         ref_null = tuple(
-            (m < e) | (top < sys.float_info.min) for m, e, top in zip(mags, eps_ref, peaks)
+            (m < e) | (top < sys.float_info.min) for m, e, top in zip(moduli, eps_ref, peaks)
         )
-        pair = np.zeros(len(hats[0]), dtype=bool)
+        pair = np.zeros(pgrid.node_count, dtype=bool)
         if self.count == 2:
-            gap = pair_gap(*hats)
+            gap = pair_gap(hats, moduli)
             if eps_pair is None:
                 eps_pair = 1e-3 * max(float(np.max(gap)), 1e-9)
             pair = (gap < eps_pair) & ~(ref_null[0] | ref_null[1])
-        return ref_null, pair, eps_ref, eps_pair
+        return ReferenceScan(radii, hats, moduli, ref_null, pair, eps_ref, eps_pair)
 
 
 def references_to_json(refs: BackgroundSet | None) -> list:
@@ -451,26 +463,22 @@ def validate_backgrounds(
     where the two phases agree modulo pi, the configuration that makes
     the two-reference linear system singular, and detects the pure
     translate w2 = w1(. - y), for which that degeneracy fills whole
-    hyperplane families.  Both sets follow BackgroundSet.singular_nodes,
-    the rule the reconstruction mask applies.  The transforms and the
-    radii |p| come from one scan of the grid (pgrid.radii and
-    refs.reference_hats), which every step below reads.
+    hyperplane families.  Both sets are those of one BackgroundSet.scan
+    of the grid, the scan the reconstruction mask reads, and every step
+    below reads its transforms, moduli and radii |p|.
     """
-    rnorm = pgrid.radii()
-    hats = refs.reference_hats(pgrid, rnorm)
-    mags = [np.abs(h) for h in hats]
-    if max(float(np.max(m)) for m in mags) == 0.0:
+    scan = refs.scan(pgrid, eps_zero, eps_pair)
+    if max(float(np.max(m)) for m in scan.moduli) == 0.0:
         raise BackgroundValidationError("all reference transforms vanish on the grid")
-    ref_null, pair_nodes, _, _ = refs.singular_nodes(hats, eps_zero, eps_pair)
     warnings: list[str] = []
 
     zero_fraction = []
     zero_radii = []
     dp = float(np.max(pgrid.spacing))
-    for j, small in enumerate(ref_null):
+    for j, small in enumerate(scan.ref_null):
         frac = float(np.mean(small))
         zero_fraction.append(frac)
-        zero_radii.append(_cluster_radii(rnorm[small], 2.0 * dp))
+        zero_radii.append(_cluster_radii(scan.radii[small], 2.0 * dp))
         if frac > 0.25:
             warnings.append(
                 f"reference {j + 1} transform is below threshold on "
@@ -481,14 +489,14 @@ def validate_backgrounds(
     translate_flag = False
     shift_est = None
     if refs.count == 2:
-        off_zero = ~(ref_null[0] | ref_null[1])
-        pair_fraction = float(np.sum(pair_nodes) / max(np.sum(off_zero), 1))
+        off_zero = ~(scan.ref_null[0] | scan.ref_null[1])
+        pair_fraction = float(np.sum(scan.pair_degenerate) / max(np.sum(off_zero), 1))
         if pair_fraction > 0.05:
             warnings.append(
                 "two-reference phase system is near-singular on "
                 f"{100.0 * pair_fraction:.1f}% of usable nodes"
             )
-        translate_flag, shift_est = _detect_translate(pgrid, mags, hats, off_zero)
+        translate_flag, shift_est = _detect_translate(pgrid, scan, off_zero)
         if translate_flag:
             warnings.append(
                 "reference 2 looks like a translate of reference 1 "
@@ -506,10 +514,11 @@ def validate_backgrounds(
     )
 
 
-def _detect_translate(pgrid, mags, hats, usable):
+def _detect_translate(pgrid, scan: ReferenceScan, usable):
     """Detect w2 = w1 shifted: equal moduli and a linear phase ratio."""
     if not np.any(usable):
         return False, None
+    mags, hats = scan.moduli, scan.hats
     mod_gap = float(np.max(np.abs(mags[0][usable] - mags[1][usable])))
     if mod_gap > 1e-8 * float(np.max(mags[0])):
         return False, None

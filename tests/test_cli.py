@@ -248,6 +248,18 @@ def test_overflowing_intensity_is_config_error(tmp_path, capsys, command):
     assert err == "config error: an intensity overflows a float: too strong a potential\n"
 
 
+@pytest.mark.parametrize("command", ["synthesize", "reconstruct"])
+def test_too_strong_reference_is_config_error(tmp_path, capsys, command):
+    # a transform peaking above sqrt(float max) has an intensity that
+    # overflows: the reference scan rejects it before any phase algebra
+    strong = {"dim": 2, "components": [{**REFS[0]["components"][0], "amplitude": 1e157}]}
+    cfg = write_config(tmp_path, references=[strong, REFS[1]], grid={"n": 16, "box": 1.5},
+                       energies=[9.0, 16.0], mode="full-solver")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: reference 1 is too strong")
+
+
 def test_unresolved_grid_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, grid={"n": 16, "box": 1.5}, energies=[400.0])
     assert main(["forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -40,12 +40,13 @@ def _ball_points(dim):
 @example((1.0, [0.0, 1.0], 4.20993163139155e-160))  # |p|^2 is subnormal
 @example((1.0, [0.0, 8.876485733260173e-158], 1.0))  # |d|^2 is subnormal
 @example((1.0, [0.0, 2.225073858507e-311], 1.0))  # d is subnormal
+@example((1.0, [5e-324, 5e-324], 1.0))  # hypot of the raw d rounds to 5e-324
 def test_channel_invariants_2d(draw):
     E, direction, frac = draw
-    d = np.asarray(direction)
-    # hypot scales: norm's sqrt of a subnormal |d|^2 would put p outside the ball,
-    # and d / norm keeps 1 / norm of a subnormal d from overflowing
-    norm = math.hypot(*direction)
+    # scaling by a power of two is exact and brings max |d_a| into [0.5, 1):
+    # hypot of a subnormal d rounds, and d / norm would leave the unit sphere
+    d = np.ldexp(direction, -np.frexp(np.max(np.abs(direction)))[1])
+    norm = math.hypot(*d)
     if norm == 0.0:
         p = np.zeros(2)
     else:
@@ -63,10 +64,11 @@ def test_channel_invariants_2d(draw):
 @settings(max_examples=100, deadline=None)
 @given(_ball_points(3))
 @example((1.0, [0.0, 1.0, 0.0], 2.1e-160))  # |p|^2 is subnormal
+@example((1.0, [0.0, 5e-324, 5e-324], 1.0))  # hypot of the raw d rounds to 5e-324
 def test_channel_invariants_3d(draw):
     E, direction, frac = draw
-    d = np.asarray(direction)
-    norm = math.hypot(*direction)
+    d = np.ldexp(direction, -np.frexp(np.max(np.abs(direction)))[1])
+    norm = math.hypot(*d)
     if norm == 0.0:
         p = np.zeros(3)
     else:

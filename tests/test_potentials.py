@@ -148,7 +148,7 @@ def test_reference_scan_evaluates_each_radius_once(dim, n, distinct):
     )
     calls, recording = _recording_radial()
     with recording:
-        refs.reference_hats(pg, pg.radii())
+        refs.scan(pg)
     expected = np.unique(np.linalg.norm(pg.nodes(), axis=1))
     assert len(calls) == 2 and expected.size == distinct
     assert all(q.tobytes() == expected.tobytes() for _, q, _ in calls)
@@ -238,6 +238,9 @@ def test_support_distance_and_disjoint():
         refs = BackgroundSet((PotentialSpec.ball(center, 0.3, 1.0),))
         with pytest.raises(BackgroundValidationError, match="overlaps"):
             synthesize(a, refs, EnergySet((4.0,)), pgrid)
+    # |c_a - c_b|^2 of centres near 1e300 overflows a float; the distance does not
+    far = PotentialSpec.ball((1e300, 1e300), 0.3, 1.0)
+    assert support_distance(far, a) == pytest.approx(np.sqrt(2.0) * 1e300, rel=1e-15)
 
 
 def test_sup_weighted_norm_ball_exact():
