@@ -25,8 +25,8 @@ from .exceptions import ConfigError, GridMismatchError
 from .jsonread import choice, convert, integer, number, numbers, take
 
 __all__ = [
-    "GridSpec", "ScalarField", "SpectralField", "expi", "grid_from_json", "grid_to_json",
-    "intensity", "outer", "row_dot",
+    "GridSpec", "ScalarField", "SpectralField", "column_norms", "expi", "grid_from_json",
+    "grid_to_json", "intensity", "outer", "row_dot",
 ]
 
 
@@ -41,6 +41,18 @@ def row_dot(a, b) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def column_norms(values) -> np.ndarray:
+    """2-norm of each column of a complex (rows, columns) array.
+
+    The squares of the real and the imaginary parts are summed over the
+    rows by einsum, which makes no conjugate copy and calls no BLAS, so a
+    column's norm has the same bits alone, in a batch and in any blocking
+    of the columns.  It agrees with ``norm(values, axis=0)`` to a few ulp.
+    """
+    re, im = values.real, values.imag
+    return np.sqrt(np.einsum("mc,mc->c", re, re) + np.einsum("mc,mc->c", im, im))
 
 
 def expi(theta) -> np.ndarray:
@@ -65,12 +77,13 @@ def outer(ufunc, terms) -> np.ndarray:
 def intensity(values) -> np.ndarray:
     """|z|^2 of each complex value, as Python's ``abs(z) ** 2`` forms it.
 
-    numpy's abs and power can differ from it in the last ulp.  A square
-    beyond the float range is a ConfigError: only an amplitude far out of
-    range makes one.
+    The result has the shape of ``values``.  numpy's abs and power can
+    differ from it in the last ulp.  A square beyond the float range is a
+    ConfigError: only an amplitude far out of range makes one.
     """
+    values = np.asarray(values)
     try:
-        return np.array([abs(z) ** 2 for z in np.asarray(values).tolist()])
+        return np.array([abs(z) ** 2 for z in values.reshape(-1).tolist()]).reshape(values.shape)
     except OverflowError:
         raise ConfigError("an intensity overflows a float: too strong a potential") from None
 
@@ -94,7 +107,8 @@ class GridSpec:
     n : nodes per axis (>= 8, same for every axis); the node count must
         fit a numpy index.
     box_min, box_max : box corners; anisotropic boxes are allowed, but
-        the box and its dual must both be finite.
+        the box and its dual must both be finite, and small enough that
+        every squared distance on them (sq_distances, radii) is finite.
     """
 
     dim: int
@@ -112,9 +126,16 @@ class GridSpec:
         object.__setattr__(self, "box_min", _as_tuple(self.box_min, self.dim))
         object.__setattr__(self, "box_max", _as_tuple(self.box_max, self.dim))
         # the dual has finite corners dlo < dhi only if the box has finite lo < hi
-        for lo, hi, dlo, dhi in zip(self.box_min, self.box_max, *self._dual_corners()):
+        dual = self._dual_corners()
+        for lo, hi, dlo, dhi in zip(self.box_min, self.box_max, *dual):
             if not (np.isfinite(dlo) and np.isfinite(dhi) and dlo < dhi):
                 raise ValueError(f"invalid box extent [{lo}, {hi}]: box and dual must be finite")
+        # |x - c| <= 2 max(|lo|, |hi|) per axis for every node x and center c in the box
+        for lo, hi in ((self.box_min, self.box_max), dual):
+            reach = [2.0 * max(abs(a), abs(b)) for a, b in zip(lo, hi)]
+            if not np.isfinite(sum(r * r for r in reach)):
+                raise ValueError(f"box {list(self.box_min)} to {list(self.box_max)}: a squared "
+                                 f"distance on the box or its dual overflows a float")
 
     @property
     def spacing(self) -> tuple[float, ...]:

@@ -40,14 +40,16 @@ def _check_primitive(prim, name: str, *lengths) -> None:
     """Store ``prim``'s center as floats and amplitude as complex; check the ranges.
 
     Center and amplitude must be finite, and each of ``lengths`` (``name``
-    in the error) positive and finite.
+    in the error) positive with a d-th power in the float range, d the
+    center's dimension: the closed-form transforms scale with R^d.
     """
     object.__setattr__(prim, "center", tuple(float(c) for c in prim.center))
     object.__setattr__(prim, "amplitude", complex(prim.amplitude))
     if not all(map(math.isfinite, prim.center)) or not cmath.isfinite(prim.amplitude):
         raise ValueError("primitive center and amplitude must be finite")
-    if not all(0 < x < math.inf for x in lengths):
-        raise ValueError(f"{name} must be positive and finite")
+    dim = len(prim.center)
+    if not all(0 < x and math.isfinite(math.prod((x,) * dim)) for x in lengths):
+        raise ValueError(f"{name} must be positive, with a finite power {dim}")
 
 
 @dataclass(frozen=True)

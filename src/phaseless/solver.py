@@ -56,7 +56,7 @@ import numpy as np
 from .exceptions import SolverConvergenceError, UnresolvedGridError
 from .geometry import check_shell
 from .greens import far_field_coefficient, outgoing_green, radial_green, singular_cell_weight
-from .grids import GridSpec, ScalarField, expi, outer
+from .grids import GridSpec, ScalarField, column_norms, expi, outer
 from .potentials import PotentialSpec, analytic_hat
 
 __all__ = [
@@ -304,7 +304,7 @@ def _born_iteration(op: _BoxOperator, vsub: np.ndarray, inc: np.ndarray, cfg: So
         if not run.size:
             break
         nxt = inc[:, run] + op.apply(vsub * psi[:, run])
-        upd = np.linalg.norm(nxt - psi[:, run], axis=0) / inc_norm
+        upd = column_norms(nxt - psi[:, run]) / inc_norm
         psi[:, run] = nxt
         rising[run] = np.where(upd > last[run], rising[run] + 1, 0)
         last[run] = upd
@@ -321,14 +321,17 @@ def _support_solver(v: ScalarField, mask: np.ndarray, weights_tab: np.ndarray,
     Returns (solve, residual, chunk, route).  solve(inc) maps incident columns
     on the support to (psi, steps, failed, updates) as _born_iteration
     does, and residual(psi, inc) gives psi - inc - K v psi column by
-    column, with the same operator the route solved with.  The direct
-    route assembles A = I - K v: a solve is one numpy.linalg.solve, which
-    factors a copy of A, on right-hand sides up to max(the matrix,
-    _BOX_BYTES), so an energy is factored once, and the residual is the
-    product A psi - inc.  The iteration route builds the _BoxOperator: a
-    solve takes one block of its columns, and the residual is one
-    batched FFT convolution.  route is the SolverReport method name,
-    "dense-direct" or "born-iteration".
+    column, with the same operator the route solved with, as one new
+    (support, columns) array that each subtraction updates in place.  The
+    direct route assembles A = I - K v: a solve is one numpy.linalg.solve
+    on up to max(m, _BOX_BYTES / (16 m)) columns for m support nodes, so
+    an energy is factored once.  Given at least m columns, that call holds
+    5 x 16 m^2 bytes at its peak: A, numpy's copies of A and of the
+    right-hand sides for LAPACK, the right-hand sides and the solution.
+    The residual is the product A psi, less inc.  The iteration route
+    builds the _BoxOperator: a solve takes one block of its columns, and
+    the residual is psi - inc, less one batched FFT convolution.  route is
+    the SolverReport method name, "dense-direct" or "born-iteration".
     """
     if uses_direct_solve(int(np.count_nonzero(mask)), cfg):
         a_mat = _support_matrix(v, mask, weights_tab)
@@ -339,7 +342,9 @@ def _support_solver(v: ScalarField, mask: np.ndarray, weights_tab: np.ndarray,
             return np.linalg.solve(a_mat, inc), np.ones(n, int), np.zeros(n, bool), np.empty((0, n))
 
         def residual(psi, inc):
-            return a_mat @ psi - inc
+            r = a_mat @ psi
+            r -= inc
+            return r
 
         return solve, residual, max(1, max(m * m, _BOX_BYTES // 16) // max(m, 1)), "dense-direct"
     op = _BoxOperator(mask, weights_tab)
@@ -347,7 +352,9 @@ def _support_solver(v: ScalarField, mask: np.ndarray, weights_tab: np.ndarray,
     inc_norm = v.grid.node_count**0.5  # |e^{i k.x}| = 1 at every node
 
     def residual(psi, inc):
-        return psi - inc - op.apply(vsub * psi)
+        r = psi - inc
+        r -= op.apply(vsub * psi)
+        return r
 
     def solve(inc):
         return _born_iteration(op, vsub, inc, cfg, inc_norm)
@@ -397,7 +404,7 @@ def solve_lippmann_schwinger(
     return ScalarField(grid, psi), SolverReport(
         method=route,
         iterations=iterations,
-        residual=float(np.linalg.norm(residual(psi_sub, inc_sub))) / grid.node_count**0.5,
+        residual=float(column_norms(residual(psi_sub, inc_sub))[0]) / grid.node_count**0.5,
         converged=True,
         contraction_ratio=float(np.median(ratios)) if ratios.size else None,
     )
@@ -518,7 +525,7 @@ def _field_amplitudes(
             weighted = waves_out.columns(rows)
             weighted *= vsub  # v(y) e^{-i l.y} on the support, (m, block)
             amps[rows] = scale * np.einsum("mc,mc->c", weighted, psi)
-            resid = np.linalg.norm(residual(psi, inc), axis=0)[~lost[cols]]
+            resid = column_norms(residual(psi, inc))[~lost[cols]]
             worst = max(worst, float(np.max(resid, initial=0.0)) / inc_norm)
     return amps, failed, iterations, worst
 

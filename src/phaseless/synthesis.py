@@ -380,7 +380,7 @@ def synthesize(
             amps, failed, its, res = channel_amplitudes(
                 fields, E, chans.incident[lo:hi], chans.outgoing[lo:hi], cfg
             )
-            values[lo:hi] = np.abs(amps) ** 2
+            values[lo:hi] = intensity(amps)
             flags[lo:hi] = np.where(failed, FLAG_SOLVER_FAILED, FLAG_OK)
             worst = {"iterations": its, "residual": res}
         notes["per_energy"][repr(float(E))] = {

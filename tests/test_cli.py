@@ -248,6 +248,26 @@ def test_overflowing_intensity_is_config_error(tmp_path, capsys, command):
     assert err == "config error: an intensity overflows a float: too strong a potential\n"
 
 
+@pytest.mark.parametrize("command", ["convergence", "bounds", "ambiguity-demo"])
+def test_ball_radius_with_an_overflowing_square_is_config_error(tmp_path, capsys, command):
+    # the closed-form transform scales with radius^2: 1e300 squared is no float
+    cfg = write_config(tmp_path, target=_ball_with(radius=1e300), shift=[0.5, -0.25])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: config.target.components[0]: "
+                   "ball radius must be positive, with a finite power 2\n")
+
+
+def test_box_with_overflowing_squares_is_config_error_without_a_warning(tmp_path, capsys):
+    # pytest turns a RuntimeWarning into an error: the box is rejected
+    # before rasterize squares its coordinates
+    cfg = write_config(tmp_path, grid={"n": 16, "box": 1e300}, mode="full-solver")
+    assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.grid: ") and err.count("\n") == 1
+    assert "squared distance on the box or its dual overflows" in err
+
+
 @pytest.mark.parametrize("command", ["synthesize", "reconstruct"])
 def test_too_strong_reference_is_config_error(tmp_path, capsys, command):
     # a transform peaking above sqrt(float max) has an intensity that

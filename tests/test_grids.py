@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from phaseless.exceptions import ConfigError, GridMismatchError
-from phaseless.grids import GridSpec, ScalarField, SpectralField, intensity
+from phaseless.grids import GridSpec, ScalarField, SpectralField, column_norms, intensity
 
 
 def test_axis_left_closed_right_open():
@@ -120,6 +120,22 @@ def test_intensity_is_pythons_square_of_each_modulus(rng):
     assert intensity(z).tobytes() == np.array([abs(v) ** 2 for v in z.tolist()]).tobytes()
     with pytest.raises(ConfigError, match="overflows a float"):
         intensity(np.array([1.0, 1e300j]))
+    # an array keeps its shape, each value its bits
+    table = z.reshape(8, 8)
+    assert intensity(table).shape == (8, 8)
+    assert intensity(table).tobytes() == intensity(z).tobytes()
+
+
+@pytest.mark.parametrize("m", [88, 377, 3000])
+def test_column_norms_give_a_column_its_bits_in_any_blocking(rng, m):
+    r = rng.standard_normal((m, 40)) + 1j * rng.standard_normal((m, 40))
+    batch = column_norms(r)
+    alone = np.concatenate([column_norms(r[:, c : c + 1]) for c in range(40)])
+    blocked = np.concatenate([column_norms(r[:, lo : lo + 7]) for lo in range(0, 40, 7)])
+    fortran = column_norms(np.asfortranarray(r))
+    assert batch.tobytes() == alone.tobytes() == blocked.tobytes() == fortran.tobytes()
+    ref = np.linalg.norm(r, axis=0)
+    assert np.max(np.abs(batch - ref) / ref) <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -130,9 +146,17 @@ def test_intensity_is_pythons_square_of_each_modulus(rng):
         (8, 1.0, -1.0, "invalid box extent"),
         (10**300, -1.0, 1.0, "exceed a numpy index"),
         (2**32, -1.0, 1.0, "exceed a numpy index"),
+        (8, -1e300, 1e300, "squared distance on the box or its dual overflows"),
+        (8, -1e-200, 1e-200, "squared distance on the box or its dual overflows"),
     ],
-    ids=["dual-not-finite", "extent-overflows", "inverted", "huge-n", "n-squared-beyond-intp"],
+    ids=["dual-not-finite", "extent-overflows", "inverted", "huge-n", "n-squared-beyond-intp",
+         "box-squares-overflow", "dual-squares-overflow"],
 )
 def test_gridspec_rejects_a_box_without_a_finite_dual_or_too_many_nodes(n, lo, hi, message):
     with pytest.raises(ValueError, match=message):
         GridSpec(2, n, (lo, lo), (hi, hi))
+
+
+def test_gridspec_squared_distances_stay_finite_at_a_large_box():
+    g = GridSpec(3, 8, (-1e150,) * 3, (1e150,) * 3)
+    assert np.all(np.isfinite(g.sq_distances(g.box_min))) and np.all(np.isfinite(g.dual().radii()))

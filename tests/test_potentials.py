@@ -284,6 +284,12 @@ def test_primitive_validation():
         GaussianPrimitive((0.0, 0.0), -0.5, 0.2, 1.0)
     with pytest.raises(ValueError):
         PotentialSpec.ball((0.0, 0.0), 0.2, 1.0).translate((1.0,))
+    # the closed forms scale with R^d: 1e150 squares to a float but does not cube to one
+    assert np.isfinite(analytic_hat(PotentialSpec.ball((0.0, 0.0), 1e150), np.zeros((1, 2))))
+    with pytest.raises(ValueError, match="ball radius must be positive, with a finite power 3"):
+        BallPrimitive((0.0, 0.0, 0.0), 1e150)
+    with pytest.raises(ValueError, match="width and cutoff must be positive, with a finite power 2"):
+        GaussianPrimitive((0.0, 0.0), 0.1, 1e300)
 
 
 def test_foreign_component_is_rejected_at_construction():

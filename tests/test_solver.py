@@ -242,7 +242,8 @@ def _offset_sum(weights_tab, targets, sources, values):
 
 def test_single_solve_incident_wave_is_a_channel_column(monkeypatch):
     # a single solve and channel_amplitudes hand the support solver the
-    # same incident wave, bit for bit, for a vector off every axis
+    # same incident wave, bit for bit, for a vector off every axis, and
+    # report the same residual for it
     seen = []
     support_solver = solver._support_solver
 
@@ -260,10 +261,11 @@ def test_single_solve_incident_wave_is_a_channel_column(monkeypatch):
     incident = np.array([[3.0 * np.cos(0.7), 3.0 * np.sin(0.7)]])
     outgoing = np.array([[3.0 * np.cos(2.1), 3.0 * np.sin(2.1)]])
     cfg = SolverConfig()
-    solve_lippmann_schwinger(fld, WaveVector(tuple(incident[0])), cfg)
-    solver.channel_amplitudes([fld], 9.0, incident, outgoing, cfg)
+    _, report = solve_lippmann_schwinger(fld, WaveVector(tuple(incident[0])), cfg)
+    *_, residual = solver.channel_amplitudes([fld], 9.0, incident, outgoing, cfg)
     assert len(seen) == 2
     assert seen[0].tobytes() == seen[1].tobytes()
+    assert report.residual == residual > 0.0
 
 
 @pytest.mark.parametrize("dim,n", [(2, 30), (3, 12)])

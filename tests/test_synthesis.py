@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from phaseless import solver
+from phaseless import solver, synthesis
 from phaseless.exceptions import (
     BackgroundValidationError,
     InputFileError,
@@ -17,7 +17,7 @@ from phaseless.exceptions import (
     SolverConvergenceError,
 )
 from phaseless.geometry import EnergySet, channels_on_grid
-from phaseless.grids import GridSpec
+from phaseless.grids import GridSpec, intensity
 from phaseless.potentials import PotentialSpec, analytic_hat, rasterize
 from phaseless.solver import (
     SolverConfig,
@@ -238,6 +238,29 @@ def test_full_solver_energy_without_channels(off_center_ball):
     assert ds.solver_notes["per_energy"]["4.0"] == {
         "channels": 0, "failed": 0, "iterations": 0, "residual": 0.0
     }
+
+
+def test_full_solver_rows_store_the_intensity_of_their_amplitudes(
+    monkeypatch, off_center_ball, two_ball_refs
+):
+    # the oracle rows' rule, grids.intensity, bit for bit: numpy's
+    # abs(amps) ** 2 differs from it in the last ulp of some cells
+    answers = []
+    channel_amplitudes = synthesis.channel_amplitudes
+
+    def recording(*args):
+        answer = channel_amplitudes(*args)
+        answers.append(answer[0])
+        return answer
+
+    monkeypatch.setattr(synthesis, "channel_amplitudes", recording)
+    ds = synthesize(
+        off_center_ball, two_ball_refs, EnergySet((9.0, 16.0)), PGRID_8, mode="full-solver",
+        grid=GRID_32,
+    )
+    amps = np.concatenate(answers)
+    assert amps.shape == ds.values.shape and not np.any(ds.flags)
+    assert ds.values.tobytes() == intensity(amps.ravel()).tobytes()
 
 
 def test_dataset_roundtrip(tmp_path, off_center_ball, two_ball_refs):

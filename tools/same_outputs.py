@@ -1,6 +1,7 @@
 """Check that this tree and another source tree write the same bytes.
 
     python3 tools/same_outputs.py OTHER_SRC [--seeds 0 3] [--workload NAME ...] [--keep DIR]
+                                  [--other-blas-threads N]
 
 OTHER_SRC is the ``src`` directory of another checkout, for instance a
 clone of the parent commit.  Every workload config of
@@ -21,7 +22,11 @@ UserWarning turned into errors, as under pytest, so a command that warns
 fails the check.
 
 Prints one line per differing or missing file and a summary; exits 0
-when every file is identical, 1 otherwise.  A differing ``.bin`` field
+when every file is identical, 1 otherwise.  With ``--other-blas-threads
+N`` the other tree runs under ``OPENBLAS_NUM_THREADS=N`` (this tree under
+the inherited environment), and the differing files are listed without
+failing: the check then reports how far the outputs depend on the BLAS
+thread count, and exits 0.  A differing ``.bin`` field
 or CSV table gets the largest absolute and relative difference of its
 values (relative to the larger magnitude of each pair), and a differing
 report names each mask index list that differs.  The working directory
@@ -100,8 +105,8 @@ def _runs(names, seeds):
     return runs
 
 
-def _run(src: Path, side: Path, config: str, jobs) -> None:
-    env = dict(os.environ, PYTHONPATH=str(src))
+def _run(src: Path, side: Path, config: str, jobs, env: dict) -> None:
+    env = dict(env, PYTHONPATH=str(src))
     for command, out, dataset in jobs:
         argv = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::UserWarning",
                 "-m", "phaseless.cli", command, "--config", config, "--out", out]
@@ -164,17 +169,17 @@ def _detail(name: str, this: bytes, other: bytes) -> str:
     return ""
 
 
-def compare(other_src: Path, seeds, names, work: Path) -> list[str]:
-    """Run both trees on every run of ``names``; the differences, as lines."""
-    sides = {"this": ROOT / "src", "other": other_src}
+def compare(other_src: Path, seeds, names, work: Path, other_env: dict) -> list[str]:
+    """Run both trees on every run of ``names``, the other under ``other_env``; the differences."""
+    sides = {"this": (ROOT / "src", dict(os.environ)), "other": (other_src, other_env)}
     for side in sides:
         (work / side).mkdir(parents=True, exist_ok=True)
     runs = _runs(names, seeds)
     for config, doc, jobs in runs:
         text = json.dumps(doc, indent=2)
-        for side, src in sides.items():
+        for side, (src, env) in sides.items():
             (work / side / config).write_text(text)
-            _run(src, work / side, config, jobs)
+            _run(src, work / side, config, jobs, env)
     this, other = _files(work / "this" / "out"), _files(work / "other" / "out")
     problems = [f"only in this tree: {f}" for f in sorted(this.keys() - other.keys())]
     problems += [f"only in {other_src}: {f}" for f in sorted(other.keys() - this.keys())]
@@ -194,20 +199,34 @@ def main(argv=None) -> int:
                         help="workload names, commands-2d and born-2d among them (default: all)")
     parser.add_argument("--keep", type=Path, default=None,
                         help="working directory to keep (default: a temporary one)")
+    parser.add_argument("--other-blas-threads", type=int, default=None, metavar="N",
+                        help="run the other tree with OPENBLAS_NUM_THREADS=N and list the "
+                             "differing files without failing")
     args = parser.parse_args(argv)
     other_src = args.other_src.resolve()
     if not (other_src / "phaseless").is_dir():
         parser.error(f"{other_src} holds no phaseless package")
+    threads = args.other_blas_threads
+    if threads is not None and not 1 <= threads <= (os.cpu_count() or 1):
+        parser.error(f"--other-blas-threads must be between 1 and the CPU count, got {threads}")
+    other_env = dict(os.environ)
+    if threads is not None:
+        other_env["OPENBLAS_NUM_THREADS"] = str(threads)
     names = args.workload or [*_workloads()[0], "commands-2d", "born-2d"]
     work = args.keep or Path(tempfile.mkdtemp(prefix="same_outputs-"))
     try:
-        problems = compare(other_src, args.seeds, names, work.resolve())
+        problems = compare(other_src, args.seeds, names, work.resolve(), other_env)
     finally:
         if args.keep is None:
             shutil.rmtree(work, ignore_errors=True)
     for line in problems:
         print(line)
     print("identical" if not problems else f"{len(problems)} difference(s)")
+    if threads is not None:
+        mine = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+        print(f"OPENBLAS_NUM_THREADS: {mine} in this tree, {threads} in the other; "
+              f"differences listed, not failed")
+        return 0
     return 1 if problems else 0
 
 
