@@ -222,7 +222,7 @@ def cmd_synthesize(cfg: ExperimentConfig, outdir: Path) -> int:
     pgrid = cfg.probe()
     ds = _synthesize(cfg, cfg.references)
     base = outdir / "dataset"
-    write_dataset(ds, str(base), target=cfg.target)
+    write_dataset(ds, str(base))
     bundle.track(base.with_suffix(".csv"), base.with_suffix(".json"))
     results: dict = {"rows": ds.rows, "n_refs": ds.n_refs, "mode": ds.mode}
     if cfg.references is not None:

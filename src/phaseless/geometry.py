@@ -19,9 +19,9 @@ several at once.  A row's bits depend only on its own energy and
 transfer: channel is a one-row table, so a row of a table equals the
 single-transfer result bit for bit.  A ChannelTable is the package's one
 channel type.  Which probe nodes lie in the ball |p| <= 2 sqrt(E) is
-decided on GridSpec.radii, the package's one |p|: the reconstruction mask
-and the benchmark's row count read the same radii, so a node a dataset
-holds is never one the mask calls out of the ball.
+decided by in_ball on GridSpec.radii, the package's one |p|: the
+reconstruction mask and the benchmark's row count read the same radii,
+so a node a dataset holds is never one the mask calls out of the ball.
 
 This module also owns the shell rule: check_shell tests |k|^2 and |l|^2
 of every row against its energy E, and it serves both channel_table and
@@ -47,6 +47,7 @@ __all__ = [
     "channel",
     "channel_table",
     "channels_on_grid",
+    "in_ball",
 ]
 
 CONVENTIONS = ("default", "mirror")
@@ -88,6 +89,14 @@ def _transverse_rows(p: np.ndarray, convention: str) -> np.ndarray:
             t[rows] = cross[take] / norm[take, None]
             todo[rows] = False
     return -t if convention == "mirror" else t
+
+
+def in_ball(radii, E) -> np.ndarray:
+    """Whether each |p| of ``radii`` lies in the ball |p| <= 2 sqrt(E), ``E`` one or one per radius.
+
+    The one ball rule of the channel tables, the dataset reader and the reconstruction mask.
+    """
+    return radii <= 2.0 * np.sqrt(E)
 
 
 def check_shell(energy, incident, outgoing, dim: int) -> None:
@@ -196,7 +205,7 @@ def channels_on_grid(
     if np.any(energies <= 0):
         raise ValueError("energy must be positive")
     radii = pgrid.radii()
-    inside = [radii <= 2.0 * np.sqrt(e) for e in energies]
+    inside = [in_ball(radii, e) for e in energies]
     index = [np.flatnonzero(m) for m in inside]
     rows = np.concatenate(index)
     energy = np.repeat(energies, [len(i) for i in index])

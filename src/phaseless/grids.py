@@ -16,6 +16,7 @@ reconstruction mask and the benchmark's row count decide |p| <= 2 sqrt(E).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -88,6 +89,10 @@ def intensity(values) -> np.ndarray:
         raise ConfigError("an intensity overflows a float: too strong a potential") from None
 
 
+# bytes of physical memory, the most one field on a grid may take
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _as_tuple(x, dim: int) -> tuple[float, ...]:
     arr = np.asarray(x, dtype=float).reshape(-1)
     if arr.size == 1:
@@ -105,7 +110,8 @@ class GridSpec:
     ----------
     dim : 2 or 3.
     n : nodes per axis (>= 8, same for every axis); the node count must
-        fit a numpy index.
+        fit a numpy index, and one complex128 field on the grid, 16 bytes
+        a node, must fit PHYSICAL_MEMORY.
     box_min, box_max : box corners; anisotropic boxes are allowed, but
         the box and its dual must both be finite, and small enough that
         every squared distance on them (sq_distances, radii) is finite.
@@ -121,8 +127,12 @@ class GridSpec:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.n < 8:
             raise ValueError(f"need at least 8 nodes per axis, got {self.n}")
-        if int(self.n) ** self.dim > np.iinfo(np.intp).max:
+        nodes = int(self.n) ** self.dim
+        if nodes > np.iinfo(np.intp).max:
             raise ValueError(f"{self.n:.3g}^{self.dim} nodes exceed a numpy index")
+        if 16 * nodes > PHYSICAL_MEMORY:
+            raise ValueError(f"{self.n:.3g}^{self.dim} nodes: one complex field of {16 * nodes:.3g} "
+                             f"bytes exceeds the {PHYSICAL_MEMORY:.3g} bytes of physical memory")
         object.__setattr__(self, "box_min", _as_tuple(self.box_min, self.dim))
         object.__setattr__(self, "box_max", _as_tuple(self.box_max, self.dim))
         # the dual has finite corners dlo < dhi only if the box has finite lo < hi

@@ -45,6 +45,7 @@ from .exceptions import (
     SingularNodeError,
 )
 from .fourier import inverse_phase, inverse_transform
+from .geometry import in_ball
 from .grids import GridSpec, ScalarField, SpectralField
 # analytic_hat is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps it by name.
@@ -262,8 +263,8 @@ def build_mask(ds: PhaselessDataset, moduli: np.ndarray, scan: ReferenceScan,
     reached[ds.node_index] = True
     no_data = np.isnan(moduli[:, 0])
     top = max(ds.energies)
-    in_ball = scan.radii <= 2.0 * np.sqrt(top)
-    out_of_ball = ~in_ball | ~reached
+    inside = in_ball(scan.radii, top)
+    out_of_ball = ~inside | ~reached
 
     solver_failed = np.zeros(n_nodes, dtype=bool)
     solver_failed[ds.node_index[ds.flags != FLAG_OK]] = True
@@ -272,7 +273,7 @@ def build_mask(ds: PhaselessDataset, moduli: np.ndarray, scan: ReferenceScan,
     scale0 = float(np.max(amp0)) if amp0.size else 0.0
     ez = eps_zero if eps_zero is not None else 1e-3 * scale0
     # the default threshold 1e-3 * 0 would flag no node of a zero target
-    target_null = in_ball & ~no_data & ((amp0 < ez) | (scale0 == 0.0))
+    target_null = inside & ~no_data & ((amp0 < ez) | (scale0 == 0.0))
 
     return SingularMask(
         target_null=target_null,

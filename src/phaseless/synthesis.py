@@ -9,7 +9,8 @@ where each reference w_j is a known potential supported strictly away
 from the target.  Phases are discarded the moment a value is stored;
 reconstruction has to earn them back.  The channels of all energies come
 as one row-wise table (geometry.channels_on_grid), energy by energy, and
-a dataset keeps only each row's energy, transfer and probe-node index.
+a dataset keeps only each row's energy and probe-node index: the row's
+momentum transfer is that node, and the dataset's energies are its rows'.
 Two modes: "born-oracle" takes amplitudes from closed-form transforms
 (the infinite-energy limit, exact), one analytic_hat call per scatterer
 component on the distinct transfers incident - outgoing of the whole
@@ -18,9 +19,12 @@ solver.channel_amplitudes call answers every channel of every variant,
 each variant by one direct solve or by one iteration batched over
 channels.
 
-read_dataset parses a CSV body in one np.loadtxt pass, names the first
-bad line when that pass fails, and holds each row to channels_on_grid's
-rule: a node (GridSpec.flat_index) in its energy's ball by GridSpec.radii.
+write_dataset stores the rows as CSV and, in a JSON header, only what the
+rows cannot say: mode, convention, probe grid, references, the solver's
+notes and the CSV's hash.  read_dataset parses a CSV body in one
+np.loadtxt pass, names the first bad line when that pass fails, and
+holds each row to channels_on_grid's rule: a node (GridSpec.flat_index)
+in its energy's ball (geometry.in_ball on GridSpec.radii).
 """
 
 from __future__ import annotations
@@ -45,12 +49,11 @@ from .exceptions import (
 # solve_lippmann_schwinger are not called here; they stay importable from
 # this module because perfbench/tracing.py wraps them by name.
 from .geometry import (
-    CONVENTIONS, MIN_ENERGY, ChannelTable, EnergySet, channel, channel_table, channels_on_grid
+    CONVENTIONS, MIN_ENERGY, ChannelTable, EnergySet, channel, channel_table, channels_on_grid,
+    in_ball,
 )
 from .grids import GridSpec, grid_from_json, grid_to_json, intensity
-from .jsonread import (
-    array, boolean, canonical, choice, convert, integer, numbers, obj, string, take
-)
+from .jsonread import array, canonical, choice, convert, obj, string, take
 from .potentials import (
     PotentialSpec,
     analytic_hat,
@@ -220,48 +223,48 @@ def references_from_json(data, context: str) -> BackgroundSet | None:
 class PhaselessDataset:
     """Channel rows plus their stored intensities.
 
-    Row r is the channel at energy ``energy[r]`` and momentum transfer
-    ``transfer[r]`` (shape (rows, d)); ``node_index[r]`` is the flat
-    index of that transfer on ``pgrid``, so a reconstruction can address
-    recovered values onto spectral nodes without interpolation.
-    ``values`` has shape (rows, 1 + n_refs): column 0 is the target
-    intensity, column j the intensity with reference j added.  ``flags``
-    marks per-channel synthesis failures; flagged rows carry NaN values
-    and are never silently dropped.  ``n_refs`` must equal the count of
-    ``backgrounds`` (0 without references), so a dataset holds one
-    description of its references.  The arrays are read-only.
+    Row r is the channel at energy ``energy[r]`` whose momentum transfer
+    is the probe node ``node_index[r]``, a flat row-major index on
+    ``pgrid``, so a reconstruction can address recovered values onto
+    spectral nodes without interpolation.  ``values`` has shape
+    (rows, 1 + n_refs): column 0 is the target intensity, column j the
+    intensity with reference j added.  ``flags`` marks per-channel
+    synthesis failures; flagged rows carry NaN values and are never
+    silently dropped.  ``n_refs`` must equal the count of ``backgrounds``
+    (0 without references), so a dataset holds one description of its
+    references.  ``energies``, the rows' distinct energies in ascending
+    order, is derived once from ``energy``.  The arrays are read-only.
     """
 
     mode: str
     pgrid: GridSpec
-    energies: tuple[float, ...]
     energy: np.ndarray
-    transfer: np.ndarray
     node_index: np.ndarray
     values: np.ndarray
     flags: np.ndarray
     backgrounds: BackgroundSet | None
     convention: str = "default"
     solver_notes: dict = field(default_factory=dict)
+    energies: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown synthesis mode {self.mode!r}")
         energy = np.asarray(self.energy, dtype=float)
-        transfer = np.asarray(self.transfer, dtype=float)
         node_index = np.asarray(self.node_index, dtype=np.intp)
         values = np.asarray(self.values, dtype=float)
         flags = np.asarray(self.flags, dtype=np.uint8)
         m = len(energy)
         if (
             energy.shape != (m,)
-            or transfer.shape != (m, self.pgrid.dim)
             or node_index.shape != (m,)
             or flags.shape != (m,)
             or values.ndim != 2
             or values.shape[0] != m
         ):
             raise ValueError("channel rows, values and flags must have one entry per row")
+        if np.any((node_index < 0) | (node_index >= self.pgrid.node_count)):
+            raise ValueError("a node index is no node of the probe grid")
         count = self.backgrounds.count if self.backgrounds is not None else 0
         if values.shape[1] != 1 + count:
             raise ValueError(f"{values.shape[1]} intensity columns for {count} reference(s)")
@@ -269,13 +272,13 @@ class PhaselessDataset:
         if values.size and (np.any(values[ok] < 0) or not np.all(np.isfinite(values[ok]))):
             raise ValueError("unflagged intensities must be finite and nonnegative")
         for name, arr in zip(
-            ("energy", "transfer", "node_index", "values", "flags"),
-            (energy, transfer, node_index, values, flags),
+            ("energy", "node_index", "values", "flags"), (energy, node_index, values, flags)
         ):
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
+        # not np.unique, whose first call imports numpy.ma (about 20 ms and 1 MB)
+        object.__setattr__(self, "energies", tuple(sorted(set(energy.tolist()))))
 
     @property
     def n_refs(self) -> int:
@@ -284,6 +287,12 @@ class PhaselessDataset:
     @property
     def rows(self) -> int:
         return self.energy.shape[0]
+
+    @property
+    def transfer(self) -> np.ndarray:
+        """Every row's momentum transfer, its node's coordinates: shape (rows, d)."""
+        index = np.unravel_index(self.node_index, self.pgrid.shape)
+        return np.stack([self.pgrid.axis(a)[i] for a, i in enumerate(index)], axis=1)
 
     @property
     def channels(self) -> ChannelTable:
@@ -390,9 +399,7 @@ def synthesize(
     return PhaselessDataset(
         mode=mode,
         pgrid=pgrid,
-        energies=tuple(energies),
         energy=chans.energy,
-        transfer=chans.transfer,
         node_index=chans.node,
         values=values,
         flags=flags,
@@ -547,7 +554,7 @@ def _detect_translate(pgrid, scan: ReferenceScan, usable):
     return False, None
 
 
-_DATASET_SCHEMA = "phaseless-dataset/1"
+_DATASET_SCHEMA = "phaseless-dataset/2"
 
 
 def _repr_cells(column: np.ndarray) -> list[str]:
@@ -568,17 +575,17 @@ def csv_rows(columns: Iterable[np.ndarray]) -> Iterator[str]:
     return map(",".join, zip(*map(_repr_cells, columns)))
 
 
-def write_dataset(ds: PhaselessDataset, base: str, withhold_target: bool = False,
-                  target: PotentialSpec | None = None) -> None:
+def write_dataset(ds: PhaselessDataset, base: str) -> None:
     """Write ``base``.csv (rows) and ``base``.json (header).
 
-    Each cell is Python's shortest round-trip ``repr`` of its value (NaN
-    as ``nan``), formatted once per distinct bit pattern of its column,
-    so ``read_dataset`` gets every value back exactly.  The header
-    records everything needed to rebuild channel geometry: probe grid,
-    energies, mode, transverse convention, references, and a content
-    hash of the CSV body.  ``target`` is stored only when given and not
-    withheld, supporting blind-test datasets.
+    A row's cells are its energy, transfer, intensities and flag, each
+    Python's shortest round-trip ``repr`` of its value (NaN as ``nan``),
+    formatted once per distinct bit pattern of its column, so
+    ``read_dataset`` gets every value back exactly.  The header holds
+    only what the rows cannot say: schema, mode, transverse convention,
+    probe grid, references, solver notes and a content hash of the CSV
+    body.  The energies are the rows', the dimension the grid's and the
+    reference count the references'; the target is never stored.
     """
     d = ds.pgrid.dim
     cols = ["E"] + [f"p_{a + 1}" for a in range(d)] + ["m_0"]
@@ -593,50 +600,13 @@ def write_dataset(ds: PhaselessDataset, base: str, withhold_target: bool = False
         "schema": _DATASET_SCHEMA,
         "mode": ds.mode,
         "convention": ds.convention,
-        "dim": d,
         "pgrid": grid_to_json(ds.pgrid),
-        "energies": [float(e) for e in ds.energies],
-        "n_refs": ds.n_refs,
         "references": references_to_json(ds.backgrounds),
-        "target": spec_to_dict(target) if (target is not None and not withhold_target) else None,
-        "target_withheld": bool(withhold_target),
         "solver_notes": ds.solver_notes,
         "csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
     }
     with open(base + ".json", "w") as fh:
         fh.write(canonical(header))
-
-
-def _header_fields(header, base: str) -> dict:
-    """A dataset header's fields, each read by its type's rules.
-
-    The CSV hash does not cover the header.  "pgrid" comes back as a
-    GridSpec and "references" as a BackgroundSet or None.  InputFileError
-    names ``base``.json for an unknown or missing key, a value of the
-    wrong JSON type, a non-finite number, a grid or reference the package
-    rejects, an unknown mode or convention, a "dim" that is not the probe
-    grid's, or an n_refs that is not the number of references.
-    """
-    try:
-        got = take(
-            header,
-            "header",
-            {"schema": string, "mode": choice(MODES), "convention": choice(CONVENTIONS),
-             "dim": integer, "energies": numbers, "n_refs": integer,
-             "pgrid": lambda v: grid_from_json(v, "header.pgrid"),
-             "references": lambda v: references_from_json(v, "header.references"),
-             "target_withheld": boolean, "csv_sha256": string},
-            {"target": (lambda v: spec_from_dict(v, "header.target"), None),
-             "solver_notes": (obj, {})},
-        )
-        if got["dim"] != got["pgrid"].dim:
-            raise ValueError(f"dim {got['dim']} is not the probe grid's {got['pgrid'].dim}")
-        count = got["references"].count if got["references"] is not None else 0
-        if got["n_refs"] != count:
-            raise ValueError(f"n_refs {got['n_refs']!r} for {count} reference(s)")
-        return got
-    except (ValueError, PhaselessError) as exc:
-        raise InputFileError(f"{base}.json: malformed dataset header ({exc})") from exc
 
 
 def _row_error(lines: list[str], width: int, base: str) -> InputFileError:
@@ -674,16 +644,18 @@ def read_dataset(base: str) -> PhaselessDataset:
     flag per row, every written value back exactly; only when it fails
     are the lines scanned for the first bad one.  Raises InputFileError
     (a ValueError) naming the file when a file cannot be read, the
-    header is no dataset header or holds a malformed field (see
-    _header_fields), the CSV does not match its recorded hash or the
-    header's energies are not exactly the distinct energies of the rows,
-    and naming the file and line when a CSV row has not the header's
-    number of cells, a value that is no number, a flag that is no integer
-    0-255, an unflagged intensity that is negative or not finite, an
-    energy outside EnergySet's range [MIN_ENERGY, inf), or a transfer
-    that is no node of the header's probe grid; OutOfBallError (an input
-    error) naming the file and line when a row's node lies outside its
-    ball, pgrid.radii() > 2 sqrt(E).
+    header is no dataset header or breaks the config's rules (an unknown
+    or missing key, a value of the wrong JSON type, a non-finite number,
+    a grid or references the package rejects, an unknown mode or
+    convention; the CSV hash does not cover the header) or the CSV does
+    not match its recorded hash, and naming the file and line when a CSV
+    row has not 3 + d + (the count of the header's references) cells, a
+    value that is no number, a flag that is no integer 0-255, an
+    unflagged intensity that is negative or not finite, an energy outside
+    EnergySet's range [MIN_ENERGY, inf), or a transfer that is no node of
+    the header's probe grid; OutOfBallError (an input error) naming the
+    file and line when a row's node lies outside its energy's ball
+    (geometry.in_ball).  A row's transfer is read back as its node.
     """
     try:
         with open(base + ".json") as fh:
@@ -697,14 +669,26 @@ def read_dataset(base: str) -> PhaselessDataset:
     schema = header.get("schema") if isinstance(header, dict) else None
     if schema != _DATASET_SCHEMA:
         raise InputFileError(f"{base}.json: unknown dataset schema {schema!r}")
-    header = _header_fields(header, base)
+    try:
+        header = take(
+            header,
+            "header",
+            {"schema": string, "mode": choice(MODES), "convention": choice(CONVENTIONS),
+             "pgrid": lambda v: grid_from_json(v, "header.pgrid"),
+             "references": lambda v: references_from_json(v, "header.references"),
+             "csv_sha256": string},
+            {"solver_notes": (obj, {})},
+        )
+    except (ValueError, PhaselessError) as exc:
+        raise InputFileError(f"{base}.json: malformed dataset header ({exc})") from exc
     pgrid = header["pgrid"]
     digest = hashlib.sha256(csv_text.encode()).hexdigest()
     if digest != header["csv_sha256"]:
         raise InputFileError(f"dataset CSV {base}.csv does not match its recorded hash")
 
+    refs = header["references"]
     d = pgrid.dim
-    width = 3 + d + header["n_refs"]
+    width = 3 + d + (refs.count if refs is not None else 0)
     lines = csv_text.strip().split("\n")[1:]
     row_type = np.dtype([("cells", np.float64, (width - 1,)), ("flag", np.uint8)])
     rows = np.zeros(0, row_type)  # loadtxt warns on an empty body
@@ -723,28 +707,21 @@ def read_dataset(base: str) -> PhaselessDataset:
                  "are not all finite and nonnegative")
     _reject_rows(~((energy >= MIN_ENERGY) & (energy < np.inf)), InputFileError, base,
                  lambda r: f"energy {float(energy[r])!r} is not in [{MIN_ENERGY!r}, inf)")
-    distinct = tuple(sorted(set(energy.tolist())))
-    if header["energies"] != distinct:
-        raise InputFileError(
-            f"{base}.json: energies {header['energies']} are not the rows' energies {distinct}"
-        )
     try:
         node_index = pgrid.flat_index(transfer)
     except GridMismatchError:
         raise InputFileError(f"{base}.csv: a transfer is off the grid of {base}.json") from None
-    radii, reach = pgrid.radii()[node_index], 2.0 * np.sqrt(energy)
-    _reject_rows(~(radii <= reach), OutOfBallError, base,  # channels_on_grid's rule
-                 lambda r: f"|p|={radii[r]:.6g} exceeds 2*sqrt(E)={reach[r]:.6g}")
+    radii = pgrid.radii()[node_index]
+    _reject_rows(~in_ball(radii, energy), OutOfBallError, base,
+                 lambda r: f"|p|={radii[r]:.6g} exceeds 2*sqrt(E)={2.0 * np.sqrt(energy[r]):.6g}")
     return PhaselessDataset(
         mode=header["mode"],
         pgrid=pgrid,
-        energies=header["energies"],
         energy=energy,
-        transfer=transfer,
         node_index=node_index,
         values=values,
         flags=flags,
-        backgrounds=header["references"],
+        backgrounds=refs,
         convention=header["convention"],
         solver_notes=header["solver_notes"],
     )

@@ -648,9 +648,6 @@ def _error_table_row(row):
             kind="cube"))),
         _edited_dataset("dataset.json", _header(lambda h: h.update(mode="quantum"))),
         _edited_dataset("dataset.json", _header(lambda h: h.update(convention="left"))),
-        _edited_dataset("dataset.json", _header(lambda h: h.update(n_refs=2.5))),
-        _edited_dataset("dataset.json", _header(lambda h: h.update(n_refs=1))),
-        _edited_dataset("dataset.json", _header(lambda h: h["energies"].pop())),
         _edited_dataset("dataset.json", _header(lambda h: h["pgrid"].update(n=h["pgrid"]["n"] + 0.9))),
         _edited_dataset("dataset.json", _header(lambda h: h.update(comment="hand-edited"))),
         _edited_dataset("dataset.json", _header(lambda h: _first_component(h).update(colour="red"))),
@@ -664,8 +661,7 @@ def _error_table_row(row):
         "csv-negative-intensity", "csv-row-outside-ball",
         "header-references-differ", "header-missing-key", "header-bad-grid",
         "header-unknown-primitive", "header-unknown-mode", "header-unknown-convention",
-        "header-fractional-n-refs",
-        "header-n-refs-differs", "header-energies-differ", "header-fractional-n",
+        "header-fractional-n",
         "header-extra-key", "header-component-extra-key", "header-grid-shifted",
     ],
 )

@@ -292,6 +292,7 @@ _NAN, _INF = float("nan"), float("inf")
         (lambda d: d.update(reconstruction={"eps_pair": -1e-3}), "config.reconstruction"),
         (lambda d: d.update(grid={"n": 16, "box": 1e-320}), "config.grid"),
         (lambda d: d.update(grid={"n": 1e300, "box": 1.5}), "config.grid"),
+        (lambda d: d.update(grid={"n": 10**8, "box": 1.5}), "config.grid"),
         (lambda d: d.update(probe_grid={"n": 8, "box": 1e-320}), "config.probe_grid"),
         (lambda d: d.update(energies={"E_min": 9, "E_max": 16, "count": 1e300}),
          "config.energies.count"),
@@ -303,6 +304,7 @@ _NAN, _INF = float("nan"), float("inf")
         "amplitude-imag-nan", "shift-nan", "tolerance-inf", "p-cut-nan", "a0-inf",
         "energy-nan", "reference-radius-inf", "radius-zero", "cutoff-zero", "p-cut-negative",
         "eps-zero-zero", "eps-pair-negative", "box-dual-not-finite", "n-beyond-index",
+        "n-field-beyond-memory",
         "probe-box-dual-not-finite", "energy-count-1e300", "energy-count-1e9",
     ],
 )
@@ -387,7 +389,7 @@ def written_dataset(tmp_path_factory):
     cfg = config_from_dict(_CONFIG)
     ds = synthesize(cfg.target, cfg.references, cfg.energies, cfg.probe())
     base = str(tmp_path_factory.mktemp("header") / "dataset")
-    write_dataset(ds, base, target=cfg.target)
+    write_dataset(ds, base)
     with open(base + ".json") as fh:
         return base, json.load(fh)
 

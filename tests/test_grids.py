@@ -146,11 +146,13 @@ def test_column_norms_give_a_column_its_bits_in_any_blocking(rng, m):
         (8, 1.0, -1.0, "invalid box extent"),
         (10**300, -1.0, 1.0, "exceed a numpy index"),
         (2**32, -1.0, 1.0, "exceed a numpy index"),
+        # one complex128 field of 1.6e17 bytes; no array is built to find that out
+        (10**8, -1.0, 1.0, "exceeds the .* bytes of physical memory"),
         (8, -1e300, 1e300, "squared distance on the box or its dual overflows"),
         (8, -1e-200, 1e-200, "squared distance on the box or its dual overflows"),
     ],
     ids=["dual-not-finite", "extent-overflows", "inverted", "huge-n", "n-squared-beyond-intp",
-         "box-squares-overflow", "dual-squares-overflow"],
+         "field-beyond-memory", "box-squares-overflow", "dual-squares-overflow"],
 )
 def test_gridspec_rejects_a_box_without_a_finite_dual_or_too_many_nodes(n, lo, hi, message):
     with pytest.raises(ValueError, match=message):

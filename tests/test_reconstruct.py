@@ -190,8 +190,8 @@ def test_boundary_energies_follow_one_ball_rule(dim, n):
         table, _ = channels_on_grid(energy, pg)
         assert np.array_equal(table.node, np.flatnonzero(radii <= 2 * np.sqrt(energy)))
         rows = len(table)
-        ds = PhaselessDataset("born-oracle", pg, (energy,), table.energy, table.transfer,
-                              table.node, np.ones((rows, 2)), np.zeros(rows), refs)
+        ds = PhaselessDataset("born-oracle", pg, table.energy, table.node, np.ones((rows, 2)),
+                              np.zeros(rows), refs)
         assert not build_mask(ds, moduli, scan).out_of_ball[table.node].any()
 
 

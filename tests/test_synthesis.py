@@ -106,6 +106,12 @@ def test_channel_rows_address_probe_nodes(off_center_ball):
     ds = synthesize(off_center_ball, None, ENERGIES, PGRID)
     nodes = PGRID.nodes()
     assert_allclose(nodes[ds.node_index], ds.channels.transfer, atol=1e-12)
+    # a row's transfer is its node, bit for bit, and the energies are the rows'
+    assert ds.transfer.tobytes() == nodes[ds.node_index].tobytes()
+    assert ds.energies == ENERGIES.energies
+    for bad in (-1, PGRID.node_count):
+        with pytest.raises(ValueError, match="no node of the probe grid"):
+            dataclasses.replace(ds, node_index=np.full(ds.rows, bad))
     assert ds.node_index.dtype == np.intp
     # one row per (energy, node) pair, each energy's rows in one block
     pairs = {(E, idx) for E, idx in zip(ds.energy.tolist(), ds.node_index.tolist())}
@@ -266,7 +272,11 @@ def test_full_solver_rows_store_the_intensity_of_their_amplitudes(
 def test_dataset_roundtrip(tmp_path, off_center_ball, two_ball_refs):
     ds = synthesize(off_center_ball, two_ball_refs, ENERGIES, PGRID)
     base = str(tmp_path / "ds")
-    write_dataset(ds, base, target=off_center_ball)
+    write_dataset(ds, base)
+    with open(base + ".json") as fh:
+        assert sorted(json.load(fh)) == [
+            "convention", "csv_sha256", "mode", "pgrid", "references", "schema", "solver_notes"
+        ]
     back = read_dataset(base)
     assert back.mode == ds.mode
     assert back.pgrid == ds.pgrid
@@ -353,11 +363,10 @@ def test_dataset_hash_guards_tampering(tmp_path, off_center_ball):
 
 
 def _write_with_transfer(tmp_path, ds, row, p):
-    """Write ``ds`` with row ``row``'s transfer replaced; the hash stays valid."""
-    transfer = np.array(ds.transfer)
-    transfer[row] = p
+    """Write ``ds``, then set row ``row``'s transfer cells to ``p`` and re-stamp the hash."""
     base = str(tmp_path / "edited")
-    write_dataset(dataclasses.replace(ds, transfer=transfer), base)
+    write_dataset(ds, base)
+    _restamp(base, _set_cells({(row + 1, 1 + a): repr(float(x)) for a, x in enumerate(p)}))
     return base
 
 
@@ -379,24 +388,17 @@ def test_read_dataset_rejects_rows_off_grid_or_outside_ball(tmp_path, off_center
 
 
 @pytest.mark.parametrize(
-    "cell, energies",
-    [("0.0", [0.0, 9.0]), ("-4.0", [-4.0, 9.0]), ("nan", [9.0]), ("1e-320", [1e-320, 9.0])],
-    ids=["zero", "negative", "nan", "subnormal"],
+    "cell", ["0.0", "-4.0", "nan", "1e-320"], ids=["zero", "negative", "nan", "subnormal"]
 )
 def test_read_dataset_rejects_row_energies_not_positive_and_finite(
-    tmp_path, off_center_ball, cell, energies
+    tmp_path, off_center_ball, cell
 ):
     ds = synthesize(off_center_ball, None, ENERGIES, PGRID)
     base = str(tmp_path / "ds")
     write_dataset(ds, base)
-    # every row of energy 4.0 gets ``cell``, and the header's energies follow
+    # every row of energy 4.0 gets ``cell``
     _restamp(base, lambda lines: [cell + line[3:] if line.startswith("4.0,") else line
                                   for line in lines])
-    with open(base + ".json") as fh:
-        header = json.load(fh)
-    header["energies"] = energies
-    with open(base + ".json", "w") as fh:
-        json.dump(header, fh)
     with pytest.raises(InputFileError) as info:
         read_dataset(base)
     assert str(info.value) == (
@@ -469,9 +471,7 @@ def test_dataset_csv_matches_per_cell_format_and_round_trips(tmp_path_factory, d
     ds = PhaselessDataset(
         mode="born-oracle",
         pgrid=pgrid,
-        energies=energies.energies,
         energy=np.concatenate([t.energy for t in tables]),
-        transfer=np.concatenate([t.transfer for t in tables]),
         node_index=np.concatenate([t.node for t in tables]),
         values=values,
         flags=flags,
@@ -485,11 +485,10 @@ def test_dataset_csv_matches_per_cell_format_and_round_trips(tmp_path_factory, d
     for name in ("energy", "transfer", "values", "flags"):
         assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
 
-    # energy and transfer cells: the writer does not check geometry, so
-    # negative values, -0.0, subnormals and NaN of either sign print too
+    # energy cells: the writer does not check them, so negative values,
+    # -0.0, subnormals and NaN of either sign print too
     odd_pool = pool + [-x for x in _EDGE_VALUES] + [math.nan, -math.nan]
-    odd = rng.choice(np.array(odd_pool), size=(rows, 1 + d))
-    odd_ds = dataclasses.replace(ds, energy=odd[:, 0], transfer=odd[:, 1:])
+    odd_ds = dataclasses.replace(ds, energy=rng.choice(np.array(odd_pool), size=rows))
     write_dataset(odd_ds, base)
     with open(base + ".csv") as fh:
         assert fh.read() == _per_cell_csv(odd_ds)
@@ -571,33 +570,36 @@ def test_read_dataset_rejects_malformed_rows(tmp_path, off_center_ball, edit, me
 @example(2, 0, 0.0, 0)  # an empty body reads as zero rows, without loadtxt's warning
 def test_read_dataset_round_trips_every_bit(tmp_path_factory, dim, n_refs, share, seed):
     # a share of the channels of two energies, flagged NaN rows, -0.0 in
-    # intensity and transfer cells, and none, one or two references
+    # intensity cells, and none, one or two references
     rng = np.random.default_rng(seed)
     pgrid = _CSV_GRIDS[dim]
     table, _ = channels_on_grid((4.0, 9.0), pgrid)
     keep = rng.random(len(table)) < share
-    transfer = table.transfer[keep]
-    transfer[(transfer == 0.0) & (rng.random(transfer.shape) < 0.5)] = -0.0
-    values = rng.choice(np.array([0.0, -0.0, 5e-324, 0.1, 1e300]), size=(len(transfer), 1 + n_refs))
-    flags = rng.choice(np.array([FLAG_OK, FLAG_SOLVER_FAILED], dtype=np.uint8), size=len(transfer))
+    rows = int(np.count_nonzero(keep))
+    values = rng.choice(np.array([0.0, -0.0, 5e-324, 0.1, 1e300]), size=(rows, 1 + n_refs))
+    flags = rng.choice(np.array([FLAG_OK, FLAG_SOLVER_FAILED], dtype=np.uint8), size=rows)
     values[flags == FLAG_SOLVER_FAILED] = np.nan
     refs = BackgroundSet(_CSV_REFS[dim].backgrounds[:n_refs]) if n_refs else None
     ds = PhaselessDataset(
         mode="born-oracle",
         pgrid=pgrid,
-        energies=tuple(sorted(set(table.energy[keep].tolist()))),
         energy=table.energy[keep],
-        transfer=transfer,
         node_index=table.node[keep],
         values=values,
         flags=flags,
         backgrounds=refs,
+        solver_notes={"seed": seed},
     )
+    assert ds.energies == tuple(sorted(set(table.energy[keep].tolist())))
+    assert ds.transfer.tobytes() == table.transfer[keep].tobytes()
     base = str(tmp_path_factory.mktemp("read") / "ds")
     write_dataset(ds, base)
     back = read_dataset(base)
+    assert (back.mode, back.pgrid, back.convention, back.solver_notes, back.backgrounds) == (
+        ds.mode, ds.pgrid, ds.convention, ds.solver_notes, ds.backgrounds
+    )
     assert back.energies == ds.energies and back.n_refs == n_refs
-    for name in ("energy", "transfer", "node_index", "values", "flags"):
+    for name in ("energy", "node_index", "transfer", "values", "flags"):
         want, got = getattr(ds, name), getattr(back, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
@@ -644,10 +646,9 @@ def _first_reference_component(header):
         (lambda h: h.update(comment="hand-edited"), "header: unknown keys ['comment']"),
         (lambda h: h["pgrid"]["box_max"].__setitem__(0, float("inf")),
          "header.pgrid.box_max: expected a finite number, got inf"),
-        (lambda h: h.update(dim=3), "dim 3 is not the probe grid's 2"),
     ],
     ids=["fractional-n", "amplitude-nan", "radius-string", "component-extra-key",
-         "extra-key", "box-infinite", "dim-differs"],
+         "extra-key", "box-infinite"],
 )
 def test_read_dataset_reads_its_header_by_the_config_rules(
     tmp_path, off_center_ball, two_ball_refs, edit, message
@@ -665,14 +666,21 @@ def test_read_dataset_reads_its_header_by_the_config_rules(
     assert str(info.value) == f"{base}.json: malformed dataset header ({message})"
 
 
-def test_withheld_target_not_recorded(tmp_path, off_center_ball):
+def test_read_dataset_rejects_a_version_1_header(tmp_path, off_center_ball):
+    # a phaseless-dataset/1 header stated the rows' energies, dim and
+    # reference count a second time; such a dataset is synthesized again
     ds = synthesize(off_center_ball, None, ENERGIES, PGRID)
-    base = str(tmp_path / "blind")
-    write_dataset(ds, base, withhold_target=True, target=off_center_ball)
+    base = str(tmp_path / "old")
+    write_dataset(ds, base)
     with open(base + ".json") as fh:
         header = json.load(fh)
-    assert header["target"] is None
-    assert header["target_withheld"] is True
+    header.update(schema="phaseless-dataset/1", dim=2, energies=list(ds.energies), n_refs=0,
+                  target=None, target_withheld=False)
+    with open(base + ".json", "w") as fh:
+        json.dump(header, fh)
+    with pytest.raises(InputFileError) as info:
+        read_dataset(base)
+    assert str(info.value) == f"{base}.json: unknown dataset schema 'phaseless-dataset/1'"
 
 
 def test_translation_twin_is_invisible(off_center_ball):

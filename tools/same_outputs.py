@@ -28,8 +28,10 @@ the inherited environment), and the differing files are listed without
 failing: the check then reports how far the outputs depend on the BLAS
 thread count, and exits 0.  A differing ``.bin`` field
 or CSV table gets the largest absolute and relative difference of its
-values (relative to the larger magnitude of each pair), and a differing
-report names each mask index list that differs.  The working directory
+values (relative to the larger magnitude of each pair), a differing
+report names each mask index list and each ``outputs_sha256`` entry that
+differs, and any other differing JSON file names the top-level keys this
+tree added, removed or changed.  The working directory
 is a temporary one, removed at the end, unless ``--keep`` names one.
 """
 
@@ -148,6 +150,13 @@ def _mask_lists(report: dict) -> dict:
             for key, value in branch["mask"].items() if isinstance(value, list)}
 
 
+def _key_changes(this: dict, other: dict) -> list[str]:
+    """The keys of ``this`` that ``other`` lacks, that only ``other`` has, and that differ."""
+    changes = (("added", this.keys() - other.keys()), ("removed", other.keys() - this.keys()),
+               ("changed", {k for k in this.keys() & other.keys() if this[k] != other[k]}))
+    return [f"{label} {', '.join(sorted(keys))}" for label, keys in changes if keys]
+
+
 def _detail(name: str, this: bytes, other: bytes) -> str:
     """How two differing files differ, as far as their kind tells."""
     if name.endswith(".bin"):
@@ -160,13 +169,19 @@ def _detail(name: str, this: bytes, other: bytes) -> str:
             return "cells that are no numbers"
         header = "" if this.split(b"\n")[0] == other.split(b"\n")[0] else "header differs; "
         return header + _largest_differences(a, b)
-    if name.endswith("_report.json"):
-        a, b = _mask_lists(json.loads(this)), _mask_lists(json.loads(other))
+    if not name.endswith(".json"):
+        return ""
+    this, other = json.loads(this), json.loads(other)
+    if not name.endswith("_report.json"):
+        keys = _key_changes(this, other)
+        return "keys " + "; ".join(keys) if keys else ""
+    details = []
+    a, b = _mask_lists(this), _mask_lists(other)
+    if a:
         masks = [p for p in sorted(a.keys() | b.keys()) if a.get(p) != b.get(p)]
-        if masks:
-            return "mask lists differ: " + ", ".join(masks)
-        return "mask lists identical" if a else ""
-    return ""
+        details.append(f"mask lists differ: {', '.join(masks)}" if masks else "mask lists identical")
+    hashes = _key_changes(this["outputs_sha256"], other["outputs_sha256"])
+    return "; ".join(details + [f"outputs_sha256 {h}" for h in hashes])
 
 
 def compare(other_src: Path, seeds, names, work: Path, other_env: dict) -> list[str]:
