@@ -28,7 +28,7 @@ from .bounds import bounds_report, fit_decay
 from .config import ExperimentConfig, config_to_dict, load_config
 from .exceptions import ConfigError, InputFileError, PhaselessError, SolverConvergenceError
 from .fieldio import write_field
-from .geometry import channel
+from .geometry import MIN_ENERGY, channel
 from .grids import intensity
 from .jsonread import canonical
 from .potentials import analytic_hat, rasterize
@@ -189,7 +189,7 @@ def cmd_forward(cfg: ExperimentConfig, outdir: Path) -> int:
             "method": rep.method,
             "iterations": rep.iterations,
             "residual": rep.residual,
-            "converged": rep.converged,
+            "contraction_ratio": rep.contraction_ratio,
             "field_file": base.name,
         }
         outgoing = np.sqrt(E) * dirs
@@ -371,7 +371,8 @@ def _error_table(path: Path) -> tuple[list[float], list[float]]:
     """The E and error columns of an ``E,error`` CSV with a header line.
 
     Raises InputFileError naming the file, and the line, when it cannot
-    be read or a line holds no two numbers.
+    be read, a line holds no two numbers or an energy lies outside
+    EnergySet's range [MIN_ENERGY, inf).
     """
     try:
         lines = path.read_text().strip().split("\n")[1:]
@@ -386,6 +387,10 @@ def _error_table(path: Path) -> tuple[list[float], list[float]]:
             raise InputFileError(
                 f"{path}: line {number} is not an 'E,error' pair of numbers: {line!r}"
             ) from exc
+        if not MIN_ENERGY <= energy < np.inf:
+            raise InputFileError(
+                f"{path}: line {number}: energy {energy!r} is not in [{MIN_ENERGY!r}, inf)"
+            )
         energies.append(energy)
         errors.append(error)
     return energies, errors

@@ -283,23 +283,25 @@ def analytic_hat(spec: PotentialSpec, p) -> np.ndarray:
     return out[0] if single else out
 
 
-def grid_hats(specs, grid: GridSpec, radii: np.ndarray) -> list[np.ndarray]:
-    """Closed-form transform of each of ``specs`` at every node of ``grid``, flat row-major.
+def grid_hats(specs, grid: GridSpec, nodes=slice(None)) -> list[np.ndarray]:
+    """Closed-form transform of each of ``specs`` at the flat row-major ``nodes`` of ``grid``.
 
-    ``radii`` are grid.radii().  Each component's radial profile is
-    evaluated once per distinct |p|, so it keeps analytic_hat's bits; the
-    phase e^{i p.c} is grid.wave(c), the product of the per-axis factors
-    e^{i p_a c_a}, which moves each value from analytic_hat's by rounding
-    only.
+    ``nodes`` indexes that flat order, as in grid.radii(); by default
+    every node.  Each component's radial profile is evaluated once per distinct |p| among
+    the nodes, so it keeps analytic_hat's bits; the phase e^{i p.c} is
+    grid.wave(c), the product of the per-axis factors e^{i p_a c_a}, taken
+    at the nodes, which moves each value from analytic_hat's by rounding
+    only.  Every step is per node, so a node's value does not depend on
+    which other nodes share the call.
     """
-    distinct, inverse = np.unique(radii, return_inverse=True)
+    distinct, inverse = np.unique(grid.radii()[nodes], return_inverse=True)
     out = []
     for spec in specs:
         if spec.dim != grid.dim:
             raise ValueError("momentum dimension mismatch")
-        total = np.zeros(grid.node_count, dtype=np.complex128)
+        total = np.zeros(inverse.shape, dtype=np.complex128)
         for comp in spec.components:
-            term = grid.wave(comp.center).reshape(-1)
+            term = grid.wave(comp.center).reshape(-1)[nodes]
             term *= _radial(comp, distinct, spec.dim)[inverse]
             term *= comp.amplitude
             total += term

@@ -125,7 +125,6 @@ class SolverReport:
     method: str  # born-iteration | dense-direct
     iterations: int
     residual: float
-    converged: bool
     contraction_ratio: Optional[float] = field(default=None)
 
 
@@ -382,7 +381,7 @@ def solve_lippmann_schwinger(
 
     if not np.any(mask):
         return ScalarField(grid, inc), SolverReport(
-            method="born-iteration", iterations=0, residual=0.0, converged=True
+            method="born-iteration", iterations=0, residual=0.0
         )
 
     weights_tab = _kernel_weights(grid, k.magnitude)
@@ -405,7 +404,6 @@ def solve_lippmann_schwinger(
         method=route,
         iterations=iterations,
         residual=float(column_norms(residual(psi_sub, inc_sub))[0]) / grid.node_count**0.5,
-        converged=True,
         contraction_ratio=float(np.median(ratios)) if ratios.size else None,
     )
 

@@ -11,10 +11,11 @@ reconstruction has to earn them back.  The channels of all energies come
 as one row-wise table (geometry.channels_on_grid), energy by energy, and
 a dataset keeps only each row's energy and probe-node index: the row's
 momentum transfer is that node, and the dataset's energies are its rows'.
-Two modes: "born-oracle" takes amplitudes from closed-form transforms
-(the infinite-energy limit, exact), one analytic_hat call per scatterer
-component on the distinct transfers incident - outgoing of the whole
-table; "full-solver" runs the integral-equation solver: per energy, one
+Two modes: "born-oracle" takes |v^(p)|^2 at each row's probe node p, the
+infinite-energy limit of |f(k, l)|^2 at p = k - l fixed: one grid_hats
+call on the distinct nodes of the whole table, by the rule of
+BackgroundSet.scan, so a node stores the same bits at every energy;
+"full-solver" runs the integral-equation solver: per energy, one
 solver.channel_amplitudes call answers every channel of every variant,
 each variant by one direct solve or by one iteration batched over
 channels.
@@ -44,6 +45,7 @@ from .exceptions import (
     InputFileError,
     OutOfBallError,
     PhaselessError,
+    SolverConvergenceError,
 )
 # channel, born_amplitude, scattering_amplitude and
 # solve_lippmann_schwinger are not called here; they stay importable from
@@ -185,7 +187,7 @@ class BackgroundSet:
         a BackgroundValidationError.
         """
         radii = pgrid.radii()
-        hats = tuple(grid_hats(self.backgrounds, pgrid, radii))
+        hats = tuple(grid_hats(self.backgrounds, pgrid))
         moduli = tuple(np.abs(h) for h in hats)
         peaks = [float(np.max(m)) for m in moduli]
         for j, top in enumerate(peaks):
@@ -311,32 +313,18 @@ def _ensure_disjoint(v: PotentialSpec, refs: BackgroundSet) -> None:
             )
 
 
-def _oracle_rows(variants, chans: ChannelTable) -> np.ndarray:
-    """Born intensities |v^(k - l)|^2 of every channel, one column per variant.
+def _oracle_rows(v: PotentialSpec, refs: BackgroundSet | None, pgrid: GridSpec, node):
+    """Born intensities |v^(p)|^2 at each row's flat probe node p, ``node``; a column per variant.
 
-    The transform depends only on the transfer k - l, so analytic_hat runs
-    once per scatterer component: at each distinct probe node the rows
-    reach, and at the rows whose k - l differs in its bits from their
-    node's coordinates (rounding in the shell construction), which keep
-    their own point.  A variant sums its components from zero in
-    analytic_hat's order, so each value equals analytic_hat's of the
-    variant bit for bit.  grids.intensity runs once per (point, variant).
+    The transform depends on the node alone, so one potentials.grid_hats
+    call evaluates the target and each reference on the distinct nodes
+    the rows reach, by the rule of BackgroundSet.scan.  Column 0 is the
+    target's transform, column j the target's plus reference j's, and
+    grids.intensity runs once per (node, column).
     """
-    p = chans.incident - chans.outgoing
-    _, first, point = np.unique(chans.node, return_index=True, return_inverse=True)
-    own = np.flatnonzero(np.any(p.view(np.uint64) != chans.transfer.view(np.uint64), axis=1))
-    point[own] = len(first) + np.arange(len(own))
-    points = np.concatenate([chans.transfer[first], p[own]])
-    hats: dict = {}
-    values = np.empty((len(chans), len(variants)))
-    for col, spec in enumerate(variants):
-        total = np.zeros(len(points), dtype=np.complex128)
-        for comp in spec.components:
-            if comp not in hats:
-                hats[comp] = analytic_hat(PotentialSpec(spec.dim, (comp,)), points)
-            total += hats[comp]
-        values[:, col] = intensity(total)[point]
-    return values
+    nodes, point = np.unique(node, return_inverse=True)
+    target, *others = grid_hats([v, *(refs.backgrounds if refs else ())], pgrid, nodes)
+    return intensity(np.stack([target] + [target + h for h in others], axis=1))[point]
 
 
 def synthesize(
@@ -366,21 +354,21 @@ def synthesize(
     if pgrid.dim != v.dim:
         raise GridMismatchError("probe grid dimension differs from target")
 
-    variants = [v] + [v + w for w in (refs.backgrounds if refs else ())]
     fields = None
     cfg = solver or SolverConfig()
     if mode == "full-solver":
         if grid is None:
             raise ValueError("full-solver mode needs a spatial grid")
+        variants = [v] + [v + w for w in (refs.backgrounds if refs else ())]
         fields = [rasterize(spec, grid) for spec in variants]
 
     chans, _ = channels_on_grid(energies.energies, pgrid, convention)
     # the table's rows run energy by energy: rows lo:hi belong to E
     edges = np.searchsorted(chans.energy, energies.energies + (np.inf,))
     if mode == "born-oracle":
-        values = _oracle_rows(variants, chans)
+        values = _oracle_rows(v, refs, pgrid, chans.node)
     else:
-        values = np.empty((len(chans), len(variants)))
+        values = np.empty((len(chans), len(fields)))
     flags = np.full(len(chans), FLAG_OK, dtype=np.uint8)
     notes: dict = {"per_energy": {}}
     for E, lo, hi in zip(energies, edges, edges[1:]):
@@ -425,12 +413,15 @@ def translation_twin_demo(
     channels at energy ``E`` under ``convention``; the return value is the
     largest absolute difference normalized by the largest intensity of the
     unshifted run.  Identical intensities for y != 0 are exactly the
-    non-uniqueness the phaseless data cannot escape.
+    non-uniqueness the phaseless data cannot escape.  A channel whose
+    solve fails is a SolverConvergenceError naming the failed count and E.
     """
-    shifted = v.translate(y)
     single = EnergySet((float(E),))
-    a = synthesize(v, None, single, pgrid, mode, grid, solver, convention)
-    b = synthesize(shifted, None, single, pgrid, mode, grid, solver, convention)
+    a, b = (synthesize(u, None, single, pgrid, mode, grid, solver, convention)
+            for u in (v, v.translate(y)))
+    failed = int(np.count_nonzero(a.flags) + np.count_nonzero(b.flags))
+    if failed:
+        raise SolverConvergenceError(f"{failed} channel(s) failed at energy {float(E):.6g}")
     scale = float(np.max(a.values)) if a.values.size else 0.0
     if scale == 0.0:
         return 0.0

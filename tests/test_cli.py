@@ -443,6 +443,18 @@ def test_forward_zero_potential_is_plane_wave(tmp_path):
     assert report["results"]["target_is_zero"] is True
 
 
+@pytest.mark.parametrize("method", ["auto", "born"])
+def test_forward_reports_the_contraction_ratio(tmp_path, method):
+    cfg = write_config(tmp_path, energies=[9.0], solver={"method": method})
+    out = tmp_path / "fwd"
+    assert main(["forward", "--config", cfg, "--out", str(out)]) == 0
+    entry = json.loads((out / "forward_report.json").read_text())["results"]["per_energy"]["9.0"]
+    assert "converged" not in entry
+    # the median ratio of successive updates of the iteration; the direct route has none
+    ratio = entry["contraction_ratio"]
+    assert ratio is None if method == "auto" else 0.0 < ratio < 1.0
+
+
 def test_synthesize_is_deterministic(tmp_path):
     cfg = write_config(tmp_path, references=REFS, probe_grid={"n": 8, "box": 2.0})
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -519,6 +531,14 @@ def test_ambiguity_demo_reports_zero_gap(tmp_path, capsys):
     report = json.loads((out / "ambiguity-demo_report.json").read_text())
     assert report["results"]["max_relative_discrepancy"] < 1e-12
     assert (out / "ambiguity_shifted_potential.bin").exists()
+
+
+def test_ambiguity_demo_names_failed_solves(tmp_path, capsys):
+    cfg = write_config(tmp_path, shift=[0.1, 0.0], mode="full-solver", energies=[9.0, 16.0],
+                       solver={"method": "born", "max_iterations": 3})
+    assert main(["ambiguity-demo", "--config", cfg, "--out", str(tmp_path / "amb")]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"solver failure: \d+ channel\(s\) failed at energy 16\n", err)
 
 
 def test_ambiguity_demo_passes_the_convention(tmp_path, monkeypatch):
@@ -635,6 +655,10 @@ def _error_table_row(row):
         _edited_dataset("dataset.json", lambda text: text[:-3]),
         _error_table_row("20.0"),
         _error_table_row("20.0,abc"),
+        _error_table_row("0,0.002"),
+        _error_table_row("-1,0.002"),
+        _error_table_row("nan,0.002"),
+        _error_table_row("inf,0.002"),
         _malformed_csv(_cell_moved),
         _malformed_csv(_set_cell(2, -1, "1.5")),
         _malformed_csv(_set_cell(3, 1, "abc")),
@@ -656,7 +680,8 @@ def _error_table_row(row):
     ],
     ids=[
         "missing-dataset", "dataset-hash", "dataset-schema", "dataset-json",
-        "error-column-missing", "error-not-a-number",
+        "error-column-missing", "error-not-a-number", "error-energy-zero",
+        "error-energy-negative", "error-energy-nan", "error-energy-inf",
         "csv-cell-moved", "csv-fractional-flag", "csv-non-numeric-value",
         "csv-negative-intensity", "csv-row-outside-ball",
         "header-references-differ", "header-missing-key", "header-bad-grid",

@@ -125,7 +125,7 @@ def test_grid_scan_matches_analytic_hat(data, dim, n):
     assert radii.tobytes() == norms.tobytes()
     calls, recording = _recording_radial()
     with recording:
-        hats = grid_hats(specs, pg, radii)
+        hats = grid_hats(specs, pg)
     distinct, inverse = np.unique(norms, return_inverse=True)
     assert [c for c, _, _ in calls] == [c for spec in specs for c in spec.components]
     for comp, q, profile in calls:

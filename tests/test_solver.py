@@ -49,7 +49,6 @@ def test_zero_potential_returns_incident_wave():
     psi, rep = solve_lippmann_schwinger(z, k)
     assert rep.iterations == 0
     assert rep.residual == 0.0
-    assert rep.converged
     assert np.array_equal(psi.values, g.wave(k.k))
 
 
@@ -72,7 +71,6 @@ def test_residual_is_recomputed_not_update_size():
     psi, rep = solve_lippmann_schwinger(fld, k, SolverConfig(method="born", tolerance=1e-10))
     assert rep.method == "born-iteration"
     assert rep.residual < 1e-10
-    assert rep.converged
 
 
 def test_divergent_iteration_raises_without_fallback():

@@ -18,11 +18,10 @@ from phaseless.exceptions import (
 )
 from phaseless.geometry import EnergySet, channels_on_grid
 from phaseless.grids import GridSpec, intensity
-from phaseless.potentials import PotentialSpec, analytic_hat, rasterize
+from phaseless.potentials import PotentialSpec, analytic_hat, grid_hats, rasterize
 from phaseless.solver import (
     SolverConfig,
     WaveVector,
-    born_amplitude,
     scattering_amplitude,
     solve_lippmann_schwinger,
 )
@@ -47,14 +46,15 @@ def test_born_values_are_squared_transforms(off_center_ball, two_ball_refs):
     ds = synthesize(off_center_ball, two_ball_refs, ENERGIES, PGRID)
     assert ds.values.shape[1] == 3
     variants = [off_center_ball] + [off_center_ball + w for w in two_ball_refs.backgrounds]
-    chans = ds.channels
-    for row in range(ds.rows):
-        k = WaveVector(chans.incident[row])
+    # the node rule: the target's and each reference's transform on the
+    # whole probe grid, column j the target's plus reference j's
+    target, *refs = grid_hats([off_center_ball, *two_ball_refs.backgrounds], PGRID)
+    nodes = [target] + [target + h for h in refs]
+    for row, node in enumerate(ds.node_index):
         for col, spec in enumerate(variants):
-            expected = abs(analytic_hat(spec, chans.transfer[row])) ** 2
+            expected = abs(analytic_hat(spec, ds.transfer[row])) ** 2
             assert_allclose(ds.values[row, col], expected, rtol=1e-13, atol=1e-300)
-            # the table path gives each channel its own bits
-            assert ds.values[row, col] == abs(born_amplitude(spec, k, chans.outgoing[row])) ** 2
+            assert ds.values[row, col] == abs(complex(nodes[col][node])) ** 2
     assert np.all(ds.flags == FLAG_OK)
 
 
@@ -313,12 +313,11 @@ def _oracle_target(dim, kind, shift):
     return target
 
 
-# a fixed case with rows whose k - l differs in its bits from their node
-_OFF_NODE_CASE = (2, 2, "ball-gaussian", "mirror", [4.0, 9.0, 25.0], 0.0)
+# a fixed case with nodes reached at several energies, some of them by rows
+# whose k - l differs in its bits from the node
+_MULTI_ENERGY_CASE = (2, 2, "ball-gaussian", "mirror", [4.0, 9.0, 25.0], 0.0)
 
-
-@settings(max_examples=40, deadline=None)
-@given(
+_ORACLE_CASES = (
     st.sampled_from((2, 3)),
     st.sampled_from((0, 1, 2)),
     st.sampled_from(("ball", "two-balls", "ball-gaussian")),
@@ -326,28 +325,76 @@ _OFF_NODE_CASE = (2, 2, "ball-gaussian", "mirror", [4.0, 9.0, 25.0], 0.0)
     st.lists(st.floats(0.5, 30.0), min_size=1, max_size=3, unique=True),
     st.floats(-0.1, 0.1),
 )
-@example(*_OFF_NODE_CASE)
-def test_oracle_values_equal_per_energy_transforms(dim, n_refs, kind, convention, energies, shift):
+
+
+def _oracle_case(dim, n_refs, kind, convention, energies, shift):
+    """The oracle dataset of one drawn case, with its target and references."""
     target = _oracle_target(dim, kind, shift)
     refs = BackgroundSet(_ORACLE_REFS[dim][:n_refs]) if n_refs else None
-    pgrid = _ORACLE_GRIDS[dim]
-    ds = synthesize(target, refs, EnergySet(sorted(energies)), pgrid, convention=convention)
+    ds = synthesize(target, refs, EnergySet(sorted(energies)), _ORACLE_GRIDS[dim],
+                    convention=convention)
+    return ds, target, _ORACLE_REFS[dim][:n_refs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(*_ORACLE_CASES)
+@example(*_MULTI_ENERGY_CASE)
+def test_oracle_values_equal_per_energy_transforms(dim, n_refs, kind, convention, energies, shift):
+    ds, target, refs = _oracle_case(dim, n_refs, kind, convention, energies, shift)
+    pgrid = ds.pgrid
     # the reference: one table per energy, every variant's transform on
-    # every row's incident - outgoing, then Python's abs(z) ** 2
-    variants = [target] + [target + w for w in _ORACLE_REFS[dim][:n_refs]]
-    want, off_node = [], 0
+    # the whole probe grid at each row's node, then Python's abs(z) ** 2;
+    # and within rtol 1e-13, analytic_hat of the variant at the row's transfer
+    hat, *others = grid_hats([target, *refs], pgrid)
+    columns = [hat] + [hat + h for h in others]
+    variants = [target] + [target + w for w in refs]
+    want = []
     for E in sorted(energies):
         table, _ = channels_on_grid(E, pgrid, convention)
-        p = table.incident - table.outgoing
-        off_node += int(np.sum(np.any(p != table.transfer, axis=1)))
-        hats = [analytic_hat(spec, p).tolist() for spec in variants]
-        want += [[abs(z) ** 2 for z in row] for row in zip(*hats)]
+        want += [[abs(complex(c[node])) ** 2 for c in columns] for node in table.node]
+        close = np.stack([intensity(analytic_hat(spec, table.transfer)) for spec in variants], 1)
+        rows = ds.energy == E
+        assert_allclose(ds.values[rows], close, rtol=1e-13, atol=1e-300)
     want = np.array(want, dtype=float).reshape(-1, len(variants))
     assert ds.values.shape == want.shape
     assert ds.values.tobytes() == want.tobytes()
-    if (dim, n_refs, kind, convention, energies, shift) == _OFF_NODE_CASE:
-        assert off_node > 0
 
+
+@settings(max_examples=40, deadline=None)
+@given(*_ORACLE_CASES)
+@example(*_MULTI_ENERGY_CASE)
+def test_oracle_node_has_one_intensity_at_every_energy(dim, n_refs, kind, convention, energies,
+                                                        shift):
+    # |f|^2 -> |v^(p)|^2 depends on the node p alone, so every energy that
+    # reaches a node stores the same bits there
+    ds, _, _ = _oracle_case(dim, n_refs, kind, convention, energies, shift)
+    first = np.unique(ds.node_index, return_index=True)[1]
+    node_values = np.full((ds.pgrid.node_count, ds.values.shape[1]), np.nan)
+    node_values[ds.node_index[first]] = ds.values[first]
+    assert node_values[ds.node_index].tobytes() == ds.values.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.sampled_from((2, 3)), st.sampled_from((1, 2)))
+def test_oracle_rows_read_the_reference_scan(data, dim, n_refs):
+    # grid_hats gives any subset of nodes the whole-grid call's bits, so
+    # an oracle row's column j is the target's transform plus the one
+    # that BackgroundSet.scan, and with it phase recovery, reads
+    pgrid = _ORACLE_GRIDS[dim]
+    target = _oracle_target(dim, data.draw(st.sampled_from(("ball", "two-balls",
+                                                              "ball-gaussian"))), 0.0)
+    refs = BackgroundSet(_ORACLE_REFS[dim][:n_refs])
+    specs = [target, *refs.backgrounds]
+    whole = grid_hats(specs, pgrid)
+    nodes = np.array(data.draw(st.lists(st.integers(0, pgrid.node_count - 1), min_size=1,
+                                        max_size=60)))
+    for part, hat in zip(grid_hats(specs, pgrid, nodes), whole):
+        assert part.tobytes() == hat[nodes].tobytes()
+    ds = synthesize(target, refs, EnergySet((4.0, 16.0)), pgrid)
+    scan = refs.scan(pgrid)
+    for j, ref in enumerate(scan.hats, start=1):
+        assert ds.values[:, j].tobytes() == intensity(whole[0] + ref)[ds.node_index].tobytes()
+    assert ds.values[:, 0].tobytes() == intensity(whole[0])[ds.node_index].tobytes()
 
 
 def test_dataset_hash_guards_tampering(tmp_path, off_center_ball):

@@ -11,10 +11,12 @@ phaseless.cli synthesize`` and ``reconstruct`` on the saved dataset.
 The workload ``commands-2d``, one 2-D full-solver config defined here,
 covers the other commands: ``forward``, ``convergence``, ``bounds``,
 ``ambiguity-demo`` and ``reconstruct`` without a dataset, each in its
-own output directory.  Every support of those runs is solved directly,
-so ``born-2d``, the same config with solver method "born", covers the
-iteration route: ``synthesize``, ``reconstruct`` on its dataset and
-``forward``.  Each side runs in its own directory with the
+own output directory.  ``oracle-commands-2d``, the same config in mode
+"born-oracle", runs ``ambiguity-demo`` and ``reconstruct`` without a
+dataset, the commands that synthesize oracle data in-process.  Every
+support of the full-solver runs is solved directly, so ``born-2d``, the
+same config with solver method "born", covers the iteration route:
+``synthesize``, ``reconstruct`` on its dataset and ``forward``.  Each side runs in its own directory with the
 same relative paths, so the reports embed the same paths.  Every output
 file (datasets, tables, reports, the ``.bin``/``.json`` fields) is
 compared byte for byte.  Each command runs with RuntimeWarning and
@@ -70,7 +72,14 @@ COMMANDS_2D = {
     "shift": [0.5, -0.25],
     "convergence": {"slope_window": [-1.0, 1.0]},
 }
-OTHER_COMMANDS = ("forward", "convergence", "bounds", "ambiguity-demo", "reconstruct")
+# runs of commands without a dataset, each in its own output directory:
+# the config and the commands of each
+COMMAND_RUNS = {
+    "commands-2d": (COMMANDS_2D, ("forward", "convergence", "bounds", "ambiguity-demo",
+                                  "reconstruct")),
+    "oracle-commands-2d": ({**COMMANDS_2D, "mode": "born-oracle"}, ("ambiguity-demo",
+                                                                    "reconstruct")),
+}
 BORN_2D = {**COMMANDS_2D, "solver": {"method": "born"}}
 
 
@@ -90,9 +99,9 @@ def _runs(names, seeds):
     workloads, commands = _workloads()
     runs = []
     for name in names:
-        if name == "commands-2d":
-            jobs = [(c, f"out/{name}/{c}", None) for c in OTHER_COMMANDS]
-            runs.append((f"{name}.json", COMMANDS_2D, jobs))
+        if name in COMMAND_RUNS:
+            doc, commands = COMMAND_RUNS[name]
+            runs.append((f"{name}.json", doc, [(c, f"out/{name}/{c}", None) for c in commands]))
             continue
         if name == "born-2d":
             out = f"out/{name}"
@@ -211,7 +220,8 @@ def main(argv=None) -> int:
     parser.add_argument("other_src", type=Path, help="the src directory of the other tree")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
     parser.add_argument("--workload", nargs="+", default=None,
-                        help="workload names, commands-2d and born-2d among them (default: all)")
+                        help="workload names, the runs defined here among them "
+                             "(default: all)")
     parser.add_argument("--keep", type=Path, default=None,
                         help="working directory to keep (default: a temporary one)")
     parser.add_argument("--other-blas-threads", type=int, default=None, metavar="N",
@@ -227,7 +237,7 @@ def main(argv=None) -> int:
     other_env = dict(os.environ)
     if threads is not None:
         other_env["OPENBLAS_NUM_THREADS"] = str(threads)
-    names = args.workload or [*_workloads()[0], "commands-2d", "born-2d"]
+    names = args.workload or [*_workloads()[0], *COMMAND_RUNS, "born-2d"]
     work = args.keep or Path(tempfile.mkdtemp(prefix="same_outputs-"))
     try:
         problems = compare(other_src, args.seeds, names, work.resolve(), other_env)
