@@ -219,15 +219,13 @@ def _synthesize(cfg: ExperimentConfig, references):
 
 def cmd_synthesize(cfg: ExperimentConfig, outdir: Path) -> int:
     bundle = _Bundle("synthesize", cfg, outdir)
-    pgrid = cfg.probe()
     ds = _synthesize(cfg, cfg.references)
     base = outdir / "dataset"
     write_dataset(ds, str(base))
     bundle.track(base.with_suffix(".csv"), base.with_suffix(".json"))
     results: dict = {"rows": ds.rows, "n_refs": ds.n_refs, "mode": ds.mode}
     if cfg.references is not None:
-        opts = cfg.reconstruction
-        rep = validate_backgrounds(cfg.references, pgrid, opts.eps_zero, opts.eps_pair)
+        rep = validate_backgrounds(cfg.references, cfg.probe())
         results["background_report"] = dataclasses.asdict(rep)
         for w in rep.warnings:
             print(f"warning: {w}", file=sys.stderr)

@@ -83,8 +83,6 @@ _RECONSTRUCTION_KEYS = {
     "estimator": string,
     "p_cut": number,
     "taper_fraction": number,
-    "eps_zero": number,
-    "eps_pair": number,
     "mask_fraction_limit": number,
     "declared_real": boolean,
 }

@@ -27,7 +27,7 @@ from .jsonread import choice, convert, integer, number, numbers, take
 
 __all__ = [
     "GridSpec", "ScalarField", "SpectralField", "column_norms", "expi", "grid_from_json",
-    "grid_to_json", "intensity", "outer", "row_dot",
+    "grid_to_json", "intensity", "mul_in_place", "outer", "row_dot",
 ]
 
 
@@ -65,6 +65,15 @@ def expi(theta) -> np.ndarray:
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
+
+
+def mul_in_place(a: np.ndarray, b) -> None:
+    """``a *= b`` by numpy's vector loop: an in-place complex product of one
+    element takes a scalar loop that rounds otherwise, so it is made out of place."""
+    if a.size == 1:
+        a[...] = a * b
+    else:
+        a *= b
 
 
 def outer(ufunc, terms) -> np.ndarray:

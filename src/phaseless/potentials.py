@@ -263,7 +263,8 @@ def analytic_hat(spec: PotentialSpec, p) -> np.ndarray:
     """Closed-form transform of the potential at momenta ``p``.
 
     ``p`` may be a single vector of length d or an array (..., d); returns
-    complex values of matching leading shape.
+    complex values of matching leading shape.  Each term is grid_hats'
+    product, so a row has the same bits alone, in a batch and from grid_hats.
     """
     p = np.asarray(p, dtype=float)
     single = p.ndim == 1
@@ -278,8 +279,14 @@ def analytic_hat(spec: PotentialSpec, p) -> np.ndarray:
     np.sqrt(q, out=q)
     out = np.zeros(q.shape, dtype=np.complex128)
     for comp in spec.components:
-        phase = expi(row_dot(pts, comp.center))
-        out += comp.amplitude * phase * _radial(comp, q, spec.dim)
+        # operands are named: numpy may compute x * temporary in the temporary, swapped
+        term = expi(pts[:, 0] * comp.center[0])
+        for a in range(1, spec.dim):
+            factor = expi(pts[:, a] * comp.center[a])
+            term = term * factor
+        radial = _radial(comp, q, spec.dim)
+        term = term * radial
+        out += term * comp.amplitude
     return out[0] if single else out
 
 
@@ -287,12 +294,10 @@ def grid_hats(specs, grid: GridSpec, nodes=slice(None)) -> list[np.ndarray]:
     """Closed-form transform of each of ``specs`` at the flat row-major ``nodes`` of ``grid``.
 
     ``nodes`` indexes that flat order, as in grid.radii(); by default
-    every node.  Each component's radial profile is evaluated once per distinct |p| among
-    the nodes, so it keeps analytic_hat's bits; the phase e^{i p.c} is
-    grid.wave(c), the product of the per-axis factors e^{i p_a c_a}, taken
-    at the nodes, which moves each value from analytic_hat's by rounding
-    only.  Every step is per node, so a node's value does not depend on
-    which other nodes share the call.
+    every node.  A term is grid.wave(c), the per-axis factors e^{i p_a c_a}
+    multiplied in axis order, times the radial profile (evaluated once per
+    distinct |p|), times the amplitude out of place (see grids.mul_in_place).
+    Every step is per node, so a node's bits do not depend on the call.
     """
     distinct, inverse = np.unique(grid.radii()[nodes], return_inverse=True)
     out = []
@@ -303,8 +308,7 @@ def grid_hats(specs, grid: GridSpec, nodes=slice(None)) -> list[np.ndarray]:
         for comp in spec.components:
             term = grid.wave(comp.center).reshape(-1)[nodes]
             term *= _radial(comp, distinct, spec.dim)[inverse]
-            term *= comp.amplitude
-            total += term
+            total += term * comp.amplitude
         out.append(total)
     return out
 

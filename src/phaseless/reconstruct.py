@@ -50,7 +50,7 @@ from .grids import GridSpec, ScalarField, SpectralField
 # analytic_hat is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps it by name.
 from .potentials import PotentialSpec, analytic_hat
-from .synthesis import FLAG_OK, PhaselessDataset, ReferenceScan
+from .synthesis import FLAG_OK, PhaselessDataset, ReferenceScan, null_nodes
 
 __all__ = [
     "SingularMask",
@@ -118,8 +118,6 @@ class ReconstructionOptions:
     estimator: str = "top"
     p_cut: float | None = None
     taper_fraction: float = 0.1
-    eps_zero: float | None = None
-    eps_pair: float | None = None
     mask_fraction_limit: float = 0.2
     declared_support: PotentialSpec | None = None
     declared_real: bool = False
@@ -131,10 +129,8 @@ class ReconstructionOptions:
             raise ValueError("taper fraction must lie in [0, 1)")
         if not 0.0 < self.mask_fraction_limit <= 1.0:
             raise ValueError("mask fraction limit must lie in (0, 1]")
-        for name in ("p_cut", "eps_zero", "eps_pair"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        if self.p_cut is not None and not self.p_cut > 0:
+            raise ValueError(f"p_cut must be positive, got {self.p_cut}")
 
 
 @dataclass(frozen=True)
@@ -243,17 +239,17 @@ def recover_phase_one_ref(m0, m1, w1hat):
     return cos_d, np.abs(raw - cos_d), (np.exp(1j * (b1 + delta)), np.exp(1j * (b1 - delta)))
 
 
-def build_mask(ds: PhaselessDataset, moduli: np.ndarray, scan: ReferenceScan,
-               eps_zero: float | None = None) -> SingularMask:
+def build_mask(ds: PhaselessDataset, moduli: np.ndarray, scan: ReferenceScan) -> SingularMask:
     """Flag probe nodes where phase recovery is ill-posed.
 
     ``moduli`` is recover_modulus_sq's (n_nodes, 1 + n_refs) table, NaN
     where no estimate exists.  ``scan`` is the command's one
     ds.backgrounds.scan of the probe grid: its radii decide which nodes
     lie in the ball, and its null and pair sets, with their thresholds,
-    are the reference rule.  The target threshold is ``eps_zero`` or,
-    by default, 1e-3 of the target modulus's grid maximum, and a target
-    modulus that is zero at every node flags every node it reaches.
+    are the reference rule.  The target modulus, 0 where no estimate
+    exists, is null by the references' rule, synthesis.null_nodes: below
+    1e-3 of its grid maximum, and everywhere if that maximum is zero or
+    subnormal.  No threshold is a setting.
     """
     n_nodes = ds.pgrid.node_count
     if moduli.shape[0] != n_nodes:
@@ -270,10 +266,8 @@ def build_mask(ds: PhaselessDataset, moduli: np.ndarray, scan: ReferenceScan,
     solver_failed[ds.node_index[ds.flags != FLAG_OK]] = True
 
     amp0 = np.sqrt(np.where(no_data, 0.0, np.maximum(moduli[:, 0], 0.0)))
-    scale0 = float(np.max(amp0)) if amp0.size else 0.0
-    ez = eps_zero if eps_zero is not None else 1e-3 * scale0
-    # the default threshold 1e-3 * 0 would flag no node of a zero target
-    target_null = inside & ~no_data & ((amp0 < ez) | (scale0 == 0.0))
+    null, ez = null_nodes(amp0)
+    target_null = inside & ~no_data & null
 
     return SingularMask(
         target_null=target_null,
@@ -371,8 +365,8 @@ def reconstruct(ds: PhaselessDataset, options: ReconstructionOptions):
 
     moduli = recover_modulus_sq(ds, options.estimator)
     # the one scan of the probe grid that every step below reads
-    scan = refs.scan(pgrid, options.eps_zero, options.eps_pair)
-    mask = build_mask(ds, moduli, scan, options.eps_zero)
+    scan = refs.scan(pgrid)
+    mask = build_mask(ds, moduli, scan)
     frac = mask.masked_fraction
     if frac > options.mask_fraction_limit:
         pair_frac = float(np.mean(mask.pair_degenerate))

@@ -56,7 +56,7 @@ import numpy as np
 from .exceptions import SolverConvergenceError, UnresolvedGridError
 from .geometry import check_shell
 from .greens import far_field_coefficient, outgoing_green, radial_green, singular_cell_weight
-from .grids import GridSpec, ScalarField, column_norms, expi, outer
+from .grids import GridSpec, ScalarField, column_norms, expi, mul_in_place, outer
 from .potentials import PotentialSpec, analytic_hat
 
 __all__ = [
@@ -216,7 +216,7 @@ class _BoxOperator:
         buf = np.zeros((src.shape[1],) + self.box, dtype=np.complex128)
         buf[self.nodes] = src.T
         conv = np.fft.fftn(buf, s=self.length, axes=axes)
-        conv *= self.spectrum
+        mul_in_place(conv, self.spectrum)
         for axis, b in zip(axes, self.box):
             conv = np.fft.ifft(conv, axis=axis)[(slice(None),) * axis + (slice(0, b),)]
         return conv[self.nodes].T
@@ -276,7 +276,7 @@ def _support_matrix(v: ScalarField, mask: np.ndarray, weights_tab: np.ndarray) -
             flat += np.abs(step, out=step)
         out = a_mat.T[block]
         np.take(weights_tab, flat, out=out, mode="clip")
-        out *= -vsub[block, None]
+        mul_in_place(out, -vsub[block, None])
     a_mat[np.diag_indices(m)] += 1.0
     return a_mat
 
@@ -431,7 +431,7 @@ class _AxisWaves:
     def columns(self, rows: slice) -> np.ndarray:
         wave = self.tables[0][self.nodes[0], rows]
         for table, nodes in zip(self.tables[1:], self.nodes[1:]):
-            wave *= table[nodes, rows]
+            mul_in_place(wave, table[nodes, rows])
         return wave
 
 
@@ -521,7 +521,7 @@ def _field_amplitudes(
             rows = slice(first + cols.start, first + cols.stop)
             inc, psi = inc_all[:, cols], psi_all[:, cols]
             weighted = waves_out.columns(rows)
-            weighted *= vsub  # v(y) e^{-i l.y} on the support, (m, block)
+            mul_in_place(weighted, vsub)  # v(y) e^{-i l.y} on the support, (m, block)
             amps[rows] = scale * np.einsum("mc,mc->c", weighted, psi)
             resid = column_norms(residual(psi, inc))[~lost[cols]]
             worst = max(worst, float(np.max(resid, initial=0.0)) / inc_norm)

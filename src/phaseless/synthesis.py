@@ -78,6 +78,7 @@ __all__ = [
     "ReferenceScan",
     "PhaselessDataset",
     "BackgroundReport",
+    "null_nodes",
     "synthesize",
     "translation_twin_demo",
     "validate_backgrounds",
@@ -90,6 +91,17 @@ FLAG_OK = 0
 FLAG_SOLVER_FAILED = 1
 
 MODES = ("born-oracle", "full-solver")
+
+
+def null_nodes(moduli: np.ndarray) -> tuple[np.ndarray, float]:
+    """The nodes where ``moduli`` is below 1e-3 of its peak, and that threshold.
+
+    Every node is null when the peak is zero or subnormal: 1e-3 of it
+    then underflows, to a threshold that would flag no node.
+    """
+    top = float(np.max(moduli))
+    eps = 1e-3 * top
+    return (moduli < eps) | (top < sys.float_info.min), eps
 
 
 def pair_gap(hats, moduli) -> np.ndarray:
@@ -109,8 +121,9 @@ class ReferenceScan:
 
     ``radii`` are pgrid.radii(), ``hats`` each reference's transform at
     every node (flat, row-major) and ``moduli`` their |.|; ``ref_null``
-    and ``pair_degenerate``, by thresholds ``eps_ref`` and ``eps_pair``,
-    are the singular nodes that the pre-flight check and the mask read.
+    and ``pair_degenerate``, by the derived thresholds ``eps_ref`` and
+    ``eps_pair`` (None with one reference), are the singular nodes that
+    the pre-flight check and the mask read.
     """
 
     radii: np.ndarray
@@ -170,41 +183,33 @@ class BackgroundSet:
     def dim(self) -> int:
         return self.backgrounds[0].dim
 
-    def scan(
-        self, pgrid: GridSpec, eps_zero: float | None = None, eps_pair: float | None = None
-    ) -> ReferenceScan:
+    def scan(self, pgrid: GridSpec) -> ReferenceScan:
         """The references on every node of ``pgrid``, with their singular nodes.
 
         One potentials.grid_hats call evaluates each radial profile once
-        per distinct |p|.  Reference j is null where its modulus is below
-        ``eps_zero`` or, by default, 1e-3 of its own maximum over the
-        nodes, and everywhere if that maximum is zero or subnormal.  Two
-        references are degenerate off both null sets where pair_gap is
-        below ``eps_pair``, by default 1e-3 of the gap's maximum.  The gap
-        lies in [0, 2]; a maximum below 1e-9 is rounding noise (two real
-        transforms, say), and the default threshold is then 1e-12, which
-        flags every node.  A reference whose peak intensity overflows is
-        a BackgroundValidationError.
+        per distinct |p|.  Reference j is null by null_nodes, the target's
+        rule: below 1e-3 of its own maximum over the nodes, and everywhere
+        if that maximum is zero or subnormal.  Two references are
+        degenerate off both null sets where pair_gap is below 1e-3 of the
+        gap's maximum.  The gap lies in [0, 2]; a maximum below 1e-9 is
+        rounding noise (two real transforms, say), and the threshold is
+        then 1e-12, which flags every node.  So the scan depends on the
+        references and the grid alone.  A reference whose peak intensity
+        overflows is a BackgroundValidationError.
         """
         radii = pgrid.radii()
         hats = tuple(grid_hats(self.backgrounds, pgrid))
         moduli = tuple(np.abs(h) for h in hats)
-        peaks = [float(np.max(m)) for m in moduli]
-        for j, top in enumerate(peaks):
+        for j, m in enumerate(moduli):
+            top = float(np.max(m))
             if math.isinf(top * top):
                 raise BackgroundValidationError(f"reference {j + 1} is too strong: its "
                                                 f"intensity overflows (peak modulus {top:.3g})")
-        eps_ref = tuple(eps_zero if eps_zero is not None else 1e-3 * top for top in peaks)
-        # the default threshold 1e-3 * top underflows to 0 for a vanishing or
-        # subnormal peak, and would then flag no node
-        ref_null = tuple(
-            (m < e) | (top < sys.float_info.min) for m, e, top in zip(moduli, eps_ref, peaks)
-        )
-        pair = np.zeros(pgrid.node_count, dtype=bool)
+        ref_null, eps_ref = zip(*map(null_nodes, moduli))
+        pair, eps_pair = np.zeros(pgrid.node_count, dtype=bool), None
         if self.count == 2:
             gap = pair_gap(hats, moduli)
-            if eps_pair is None:
-                eps_pair = 1e-3 * max(float(np.max(gap)), 1e-9)
+            eps_pair = 1e-3 * max(float(np.max(gap)), 1e-9)
             pair = (gap < eps_pair) & ~(ref_null[0] | ref_null[1])
         return ReferenceScan(radii, hats, moduli, ref_null, pair, eps_ref, eps_pair)
 
@@ -447,12 +452,7 @@ def _cluster_radii(radii: np.ndarray, resolution: float) -> tuple[float, ...]:
     return tuple(float(np.mean(c)) for c in clusters)
 
 
-def validate_backgrounds(
-    refs: BackgroundSet,
-    pgrid: GridSpec,
-    eps_zero: float | None = None,
-    eps_pair: float | None = None,
-) -> BackgroundReport:
+def validate_backgrounds(refs: BackgroundSet, pgrid: GridSpec) -> BackgroundReport:
     """Scan reference transforms on the probe grid for singular structure.
 
     Reports, per reference, the fraction of nodes where the transform
@@ -465,7 +465,7 @@ def validate_backgrounds(
     of the grid, the scan the reconstruction mask reads, and every step
     below reads its transforms, moduli and radii |p|.
     """
-    scan = refs.scan(pgrid, eps_zero, eps_pair)
+    scan = refs.scan(pgrid)
     if max(float(np.max(m)) for m in scan.moduli) == 0.0:
         raise BackgroundValidationError("all reference transforms vanish on the grid")
     warnings: list[str] = []

@@ -204,6 +204,15 @@ def test_config_probe_exits_2_naming_its_key_path(tmp_path, capsys, doc, path):
     assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["eps_zero", "eps_pair"])
+def test_singular_node_thresholds_are_not_settings(tmp_path, capsys, key):
+    # the thresholds derive from the target and the references alone
+    cfg = write_config(tmp_path, references=REFS, reconstruction={key: 1e-3})
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: config.reconstruction: unknown keys ['{key}']\n"
+
+
 @pytest.mark.parametrize("target", [_ball_with(amplitude=0.0), {"dim": 2, "components": []}],
                          ids=["zero-amplitude", "no-components"])
 def test_zero_target_reconstruct_is_a_threshold_failure(tmp_path, capsys, target):
@@ -246,6 +255,16 @@ def test_overflowing_intensity_is_config_error(tmp_path, capsys, command):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err == "config error: an intensity overflows a float: too strong a potential\n"
+
+
+@pytest.mark.parametrize("command", ["convergence", "bounds"])
+def test_born_oracle_errors_are_exactly_zero_so_no_decay_is_fitted(tmp_path, capsys, command):
+    # a born-oracle row is the closed-form transform at its node, which
+    # analytic_hat reproduces bit for bit: no error is left to fit a slope to
+    cfg = write_config(tmp_path, grid={"n": 40, "box": 1.5}, energies=[9.0, 16.0, 25.0, 36.0, 49.0],
+                       bounds={"sigma": 4.0})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: errors must be positive and finite\n"
 
 
 @pytest.mark.parametrize("command", ["convergence", "bounds", "ambiguity-demo"])

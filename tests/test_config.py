@@ -65,6 +65,9 @@ def test_wrong_schema_rejected():
         lambda d: d.update(energies={"E_min": 1.0, "E_max": 4.0, "count": 3, "steps": 4}),
         lambda d: d["target"].update(colour="red"),
         lambda d: d["target"]["components"][0].update(colour="red"),
+        # the singular-node thresholds are derived, never set
+        lambda d: d.update(reconstruction={"eps_zero": 1e-3}),
+        lambda d: d.update(reconstruction={"eps_pair": 1e-3}),
     ],
 )
 def test_unknown_keys_rejected_everywhere(mutate):
@@ -288,8 +291,6 @@ _NAN, _INF = float("nan"), float("inf")
             {"kind": "gaussian", "center": [0.0, 0.0], "width": 0.1, "cutoff": 0.0, "amplitude": 1.0}),
          "config.target.components[1]"),
         (lambda d: d.update(reconstruction={"p_cut": -1.0}), "config.reconstruction"),
-        (lambda d: d.update(reconstruction={"eps_zero": 0.0}), "config.reconstruction"),
-        (lambda d: d.update(reconstruction={"eps_pair": -1e-3}), "config.reconstruction"),
         (lambda d: d.update(grid={"n": 16, "box": 1e-320}), "config.grid"),
         (lambda d: d.update(grid={"n": 1e300, "box": 1.5}), "config.grid"),
         (lambda d: d.update(grid={"n": 10**8, "box": 1.5}), "config.grid"),
@@ -303,7 +304,7 @@ _NAN, _INF = float("nan"), float("inf")
         "radius-string", "center-string", "dim-fraction", "amplitude-nan", "amplitude-inf",
         "amplitude-imag-nan", "shift-nan", "tolerance-inf", "p-cut-nan", "a0-inf",
         "energy-nan", "reference-radius-inf", "radius-zero", "cutoff-zero", "p-cut-negative",
-        "eps-zero-zero", "eps-pair-negative", "box-dual-not-finite", "n-beyond-index",
+        "box-dual-not-finite", "n-beyond-index",
         "n-field-beyond-memory",
         "probe-box-dual-not-finite", "energy-count-1e300", "energy-count-1e9",
     ],
@@ -374,7 +375,7 @@ def _edited(doc, path, edge):
 _CONFIG = minimal(
     references=_REFS,
     solver={"tolerance": 1e-8, "max_iterations": 50, "method": "born", "dense_limit": 100},
-    reconstruction={"estimator": "top", "p_cut": 3.0, "eps_zero": 1e-3, "eps_pair": 1e-3},
+    reconstruction={"estimator": "top", "p_cut": 3.0},
     convergence={"slope_window": [-0.75, -0.3]},
     bounds={"sigma": 4.0, "a0": 1.0},
     probe_grid={"n": 8, "box": 2.0},

@@ -110,8 +110,7 @@ def _components(draw, dim):
 @given(data=st.data(), dim=st.sampled_from([2, 3]), n=st.integers(8, 40))
 def test_grid_scan_matches_analytic_hat(data, dim, n):
     # the probe grid of an anisotropic box: one scan gives every node's
-    # radius and radial profile value bit for bit, and the transform to
-    # rounding of the per-axis phase
+    # radius, radial profile value and transform bit for bit
     half = [data.draw(st.floats(2.0, 5.0)) for _ in range(dim)]
     lo = [-h * data.draw(st.floats(0.6, 1.0)) for h in half]
     pg = GridSpec(dim, n, tuple(lo), tuple(half)).dual()
@@ -132,8 +131,25 @@ def test_grid_scan_matches_analytic_hat(data, dim, n):
         assert q.tobytes() == distinct.tobytes()
         assert profile[inverse].tobytes() == potentials._radial(comp, norms, dim).tobytes()
     for spec, hat in zip(specs, hats):
-        truth = _hat_in_chunks(spec, nodes)
-        assert np.max(np.abs(hat - truth)) <= 1e-14 * np.max(np.abs(truth))
+        assert hat.tobytes() == _hat_in_chunks(spec, nodes).tobytes()
+
+
+@pytest.mark.parametrize("dim, n", [(2, 128), (3, 26)])
+def test_a_node_transform_has_one_value_whatever_the_call(dim, n):
+    # complex amplitudes on probe grids of at least 16384 nodes, the size
+    # from which numpy may compute a product in a temporary operand: the
+    # whole-grid scan, a one-node scan, analytic_hat's rows and its
+    # single-point calls give every node the same bits
+    pg = GridSpec(dim, n, (-1.5,) * dim, (1.5,) * dim).dual()
+    assert pg.node_count >= 16384
+    v = (PotentialSpec.ball((0.3, -0.2, 0.1)[:dim], 0.25, 0.7 + 0.2j)
+         + PotentialSpec.gaussian((-0.4, 0.35, -0.15)[:dim], 0.1, 0.4, 1.0 - 2.0j))
+    (whole,) = grid_hats([v], pg)
+    nodes = pg.nodes()
+    assert analytic_hat(v, nodes).tobytes() == whole.tobytes()
+    for i in range(0, pg.node_count, 97):
+        assert grid_hats([v], pg, [i])[0].tobytes() == whole[i : i + 1].tobytes()
+        assert analytic_hat(v, nodes[i]).tobytes() == whole[i].tobytes()
 
 
 @pytest.mark.parametrize(

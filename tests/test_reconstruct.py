@@ -131,15 +131,14 @@ def _ball_pairs(draw, dim):
 @given(
     data=st.data(),
     dim=st.sampled_from([2, 3]),
-    eps_pair=st.one_of(st.none(), st.floats(1e-6, 0.1)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_phase_recovery_applies_the_singular_node_rule(data, dim, eps_pair, seed):
+def test_phase_recovery_applies_the_singular_node_rule(data, dim, seed):
     # the probe grid of an 8^d box of half-width 2; reference pairs of two
     # balls, so the pair set and the null sets vary from draw to draw
     refs = data.draw(_ball_pairs(dim))
     pg = GridSpec(dim, 8, (-2.0,) * dim, (2.0,) * dim).dual()
-    scan = refs.scan(pg, None, eps_pair)
+    scan = refs.scan(pg)
     hats = scan.hats
     rng = np.random.default_rng(seed)
     n = pg.node_count

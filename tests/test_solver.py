@@ -610,6 +610,24 @@ def test_channel_amplitudes_do_not_depend_on_the_other_rows(monkeypatch):
     assert_allclose(part[0][ok], every[0][some][ok], rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("method", ["auto", "born"])
+def test_one_node_support_row_alone_has_the_batched_bits(method):
+    # a ball of radius 0.05 covers one node of a 16^2 grid: a row solved
+    # alone multiplies one-element complex arrays, which numpy computes in
+    # place by a loop that rounds otherwise than over a batch
+    grid = GridSpec(2, 16, (-1.5, -1.5), (1.5, 1.5))
+    v = rasterize(PotentialSpec.ball((0.375, -0.5625), 0.05, 0.7 + 0.4j), grid)
+    assert np.count_nonzero(v.values) == 1
+    angles = np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False)
+    incident = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    outgoing = 2.0 * np.stack([np.cos(angles + 1.3), np.sin(angles + 1.3)], axis=1)
+    cfg = SolverConfig(method=method)
+    every = solver.channel_amplitudes([v], 4.0, incident, outgoing, cfg)[0]
+    for i in range(len(angles)):
+        alone = solver.channel_amplitudes([v], 4.0, incident[i : i + 1], outgoing[i : i + 1], cfg)
+        assert alone[0].tobytes() == every[i : i + 1].tobytes()
+
+
 @pytest.mark.parametrize("dim,n", [(2, 30), (3, 12)])
 def test_support_matrix_agrees_with_box_operator(dim, n):
     # each route checks its answers with its own form of I - K v, the

@@ -31,6 +31,7 @@ from phaseless.synthesis import (
     BackgroundSet,
     PhaselessDataset,
     _cluster_radii,
+    null_nodes,
     read_dataset,
     synthesize,
     translation_twin_demo,
@@ -784,12 +785,15 @@ def test_validate_backgrounds_healthy_pair(two_ball_refs):
         assert all(r > 0 for r in radii)
 
 
-def test_validate_backgrounds_explicit_threshold(two_ball_refs):
-    pg = GridSpec(2, 48, (-1.6, -1.6), (1.6, 1.6)).dual()
-    strict = validate_backgrounds(two_ball_refs, pg, eps_zero=1e-30)
-    assert strict.zero_fraction == (0.0, 0.0)
-    loose = validate_backgrounds(two_ball_refs, pg, eps_zero=1e30)
-    assert loose.zero_fraction == (1.0, 1.0)
+@pytest.mark.parametrize("peak", [2.0, 1e-300, 1e-310, 0.0])
+def test_null_nodes_below_a_thousandth_of_the_peak(peak):
+    # the rule of the target and of every reference: the threshold is
+    # 1e-3 of the peak, and a zero or subnormal peak makes every node null
+    moduli = np.array([1.0, 1e-3, 0.999e-3, 0.0]) * peak
+    null, eps = null_nodes(moduli)
+    assert eps == 1e-3 * peak
+    expected = [True] * 4 if peak < 2.2250738585072014e-308 else [False, False, True, True]
+    assert null.tolist() == expected
 
 
 def test_cluster_radii_split_where_steps_exceed_resolution():

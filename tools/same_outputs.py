@@ -16,8 +16,12 @@ own output directory.  ``oracle-commands-2d``, the same config in mode
 dataset, the commands that synthesize oracle data in-process.  Every
 support of the full-solver runs is solved directly, so ``born-2d``, the
 same config with solver method "born", covers the iteration route:
-``synthesize``, ``reconstruct`` on its dataset and ``forward``.  Each side runs in its own directory with the
-same relative paths, so the reports embed the same paths.  Every output
+``synthesize``, ``reconstruct`` on its dataset and ``forward``.  Every
+other run uses real amplitude 1.0; ``complex-2d``, the same geometry
+with complex target and reference amplitudes, runs ``synthesize`` and
+``reconstruct`` on its dataset in both modes.  Each side runs in its
+own directory with the same relative paths, so the reports embed the
+same paths.  Every output
 file (datasets, tables, reports, the ``.bin``/``.json`` fields) is
 compared byte for byte.  Each command runs with RuntimeWarning and
 UserWarning turned into errors, as under pytest, so a command that warns
@@ -53,9 +57,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _ball(center, radius: float) -> dict:
+def _ball(center, radius: float, amplitude=1.0) -> dict:
     return {"dim": 2, "components": [
-        {"kind": "ball", "center": list(center), "radius": radius, "amplitude": 1.0}
+        {"kind": "ball", "center": list(center), "radius": radius, "amplitude": amplitude}
     ]}
 
 
@@ -81,6 +85,12 @@ COMMAND_RUNS = {
                                                                     "reconstruct")),
 }
 BORN_2D = {**COMMANDS_2D, "solver": {"method": "born"}}
+# the same geometry with complex amplitudes ([re, im]), in both modes
+COMPLEX_2D = {
+    **COMMANDS_2D,
+    "target": _ball((0.3, -0.2), 0.25, [0.8, 0.3]),
+    "references": [_ball((-0.93, -0.61), 0.3, [1.0, -0.5]), _ball((0.88, 0.79), 0.45, [0.6, 0.4])],
+}
 
 
 def _workloads():
@@ -108,6 +118,12 @@ def _runs(names, seeds):
             jobs = [("synthesize", out, None), ("reconstruct", out, f"{out}/dataset"),
                     ("forward", f"{out}/forward", None)]
             runs.append((f"{name}.json", BORN_2D, jobs))
+            continue
+        if name == "complex-2d":
+            for mode in ("full-solver", "born-oracle"):
+                out = f"out/{name}-{mode}"
+                jobs = [("synthesize", out, None), ("reconstruct", out, f"{out}/dataset")]
+                runs.append((f"{name}-{mode}.json", {**COMPLEX_2D, "mode": mode}, jobs))
             continue
         for seed in seeds:
             out = f"out/{name}-{seed}"
@@ -237,7 +253,7 @@ def main(argv=None) -> int:
     other_env = dict(os.environ)
     if threads is not None:
         other_env["OPENBLAS_NUM_THREADS"] = str(threads)
-    names = args.workload or [*_workloads()[0], *COMMAND_RUNS, "born-2d"]
+    names = args.workload or [*_workloads()[0], *COMMAND_RUNS, "born-2d", "complex-2d"]
     work = args.keep or Path(tempfile.mkdtemp(prefix="same_outputs-"))
     try:
         problems = compare(other_src, args.seeds, names, work.resolve(), other_env)
